@@ -92,7 +92,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         svc = service_mod.AnnotationService(config)
     except service_mod.StoreLoadError as exc:
         return _fail(EXIT_DATA, f"store: {exc}")
-    print(f"serving on {args.host}:{config.port}", file=sys.stderr)
     service_mod.serve(svc, args.host)
     return EXIT_OK
 
@@ -147,9 +146,18 @@ def _cmd_import(args: argparse.Namespace) -> int:
         return _fail(EXIT_DATA, f"import: {exc}")
     try:
         graph = rdfxml.parse(document)
-        store = model.store_from_graph(graph, model.VocabConfig())
+        vocab = model.VocabConfig()
+        store = model.store_from_graph(graph, vocab)
     except (rdfxml.RdfParseError, model.CloudShapeError) as exc:
         return _fail(EXIT_DATA, f"import: {exc}")
+    # A document in another vocabulary parses but yields fewer triples back.
+    kept = len(model.store_to_graph(store, vocab))
+    if kept < len(graph):
+        return _fail(
+            EXIT_DATA,
+            f"import: the document holds {len(graph)} triples, but only {kept} of them "
+            "describe clouds or topic maps in the default vocabulary; nothing written",
+        )
     service_mod.snapshot_store(store, args.store)
     print(f"imported {len(store.clouds)} clouds, {len(store.maps)} maps into {args.store}", file=sys.stderr)
     return EXIT_OK
@@ -229,7 +237,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("serve", help="run the annotation server")
     p.add_argument("--port", type=int, default=None)
     p.add_argument("--host", default="127.0.0.1")
-    p.add_argument("--store", default=None, help="snapshot directory to load and persist")
+    p.add_argument("--store", default=None, help="store directory (events.log) to load and write through")
     p.add_argument("--config", default=None, help="key=value config file")
     p.set_defaults(func=_cmd_serve)
 
@@ -277,7 +285,7 @@ def build_parser() -> _Parser:
     p.add_argument("--base-latency", type=int, default=50)
     p.add_argument("--jitter", type=int, default=0)
     p.add_argument("--window-mode", choices=("sliding", "fixed"), default="sliding")
-    p.add_argument("--store", default=None, help="seed the in-process server from this snapshot")
+    p.add_argument("--store", default=None, help="seed the in-process server from this store directory")
     p.add_argument("--url", default=None, help="wire mode: talk to a live server instead")
     p.set_defaults(func=_cmd_simulate)
 

@@ -186,8 +186,9 @@ def display_name(iri: str) -> str:
 class AnnotationStore:
     """Event log plus the derived clouds and topic maps.
 
-    The log is the source of truth: clouds are exactly its fold. Topic
-    maps are maintained by explicit attach operations.
+    Clouds are exactly the fold of `events` through `record`; topic maps
+    are the fold of the accepted `attach` calls. A store is rebuilt by
+    replaying both, in their original order, through those two methods.
     """
 
     def __init__(self) -> None:
@@ -258,11 +259,6 @@ class AnnotationStore:
             self.maps[parent] = TopicMap(parent, {child: parent})
             self._root_of[parent] = parent
             self._root_of[child] = parent
-
-    def adopt_maps(self, other: "AnnotationStore") -> None:
-        """Take over another store's topic maps (used by snapshot restore)."""
-        self.maps = other.maps
-        self._root_of = other._root_of
 
     def subtree(self, root_raw: str, depth: int) -> TopicMap:
         """Tree below `root` truncated `depth` levels down (root is level 0)."""
@@ -375,6 +371,12 @@ def store_from_graph(
         for label, count in sorted(cloud.frequencies.items()):
             for _ in range(count):
                 store.record(AnnotationEvent(0, tagger, triple.subject, label))
+    attach_broader_edges(store, graph)
+    return store
+
+
+def attach_broader_edges(store: AnnotationStore, graph: RdfGraph) -> None:
+    """Attach the graph's `skos:broader` edges to the store's topic maps."""
     edges = []
     for triple in graph.matching(predicate=SKOS_BROADER):
         if not isinstance(triple.object, Iri):
@@ -386,7 +388,6 @@ def store_from_graph(
             raise CloudShapeError(str(exc)) from None
         edges.append((parent, child))
     _replay_edges(store, edges)
-    return store
 
 
 def _replay_edges(store: AnnotationStore, edges: list[tuple[str, str]]) -> None:

@@ -6,15 +6,19 @@ friendly treatment for GET. Every response body is split into pages of at
 most `page_cap` bytes (header line included); clients fetch page by page
 and reassemble. Error bodies are single machine-parseable tokens.
 
-Persistence is a directory holding `snapshot.rdf` (all clouds plus
-topic-map edges) and `events.log` (one annotation event per line,
-tab-separated). The log is the source of truth for clouds; the snapshot
-carries the topic maps and doubles as the export document.
+Persistence is a directory holding one append-only `events.log`, the
+only source of truth for clouds and topic maps alike. It has two kinds of
+LF-terminated, tab-separated line: an annotation event
+(`timestamp_ms tagger resource tag`) and an accepted attach
+(`attach parent child`). Every accepted mutation appends one line, and a
+restart replays them in order. A `snapshot.rdf` left by older versions is
+still read, for its topic-map edges only, and never written.
 """
 
 from __future__ import annotations
 
 import logging
+import sys
 import threading
 import time
 import uuid
@@ -32,8 +36,9 @@ from .rdfxml import Iri
 log = logging.getLogger(__name__)
 
 PAGE_HEADER_RESERVE = 32
-SNAPSHOT_FILE = "snapshot.rdf"
+SNAPSHOT_FILE = "snapshot.rdf"  # read-only: older versions kept topic maps here
 EVENTS_FILE = "events.log"
+ATTACH_MARK = "attach"
 
 OPERATIONS = ("tag", "cloud", "map", "attach", "export")
 
@@ -43,7 +48,7 @@ class PageError(ValueError):
 
 
 class StoreLoadError(Exception):
-    """A snapshot directory or document cannot be restored."""
+    """A store directory or document cannot be restored."""
 
 
 @dataclass(frozen=True)
@@ -197,6 +202,7 @@ class AnnotationService:
         self._recent: deque[int] = deque()
         if self.config.store_path and Path(self.config.store_path).exists():
             self.store = restore_store(self.config.store_path)
+            _cut_torn_tail(Path(self.config.store_path) / EVENTS_FILE)
 
     # -- dispatch ----------------------------------------------------------
 
@@ -269,7 +275,8 @@ class AnnotationService:
             return self._error(400, "badtag")
         with self._lock:
             count = self.store.record(AnnotationEvent(self.now_ms(), tagger, resource, label))
-            self._append_log_line(self.store.events[-1])
+            if self.config.store_path:
+                self._append_log_line(format_event_line(self.store.events[-1]))
         return self._ok(f"ok {label} {count}".encode("utf-8"), request.page)
 
     def _op_cloud(self, request: ApiRequest) -> ApiResponse:
@@ -311,49 +318,35 @@ class AnnotationService:
         got = self._require(request, "parent", "child", "tagger")
         if got is None:
             return self._error(400, "missing")
-        parent, child, tagger_raw = got
+        parent_raw, child_raw, tagger_raw = got
         try:
             uuid.UUID(tagger_raw)
         except ValueError:
             return self._error(400, "badtagger")
         with self._lock:
             try:
+                parent, child = model.normalize_tag(parent_raw), model.normalize_tag(child_raw)
                 self.store.attach(parent, child)
             except model.TagError:
                 return self._error(400, "badtag")
             except model.AttachError as exc:
                 return self._error(409, exc.reason)
-            self._write_snapshot_file()
+            if self.config.store_path:
+                self._append_log_line(format_attach_line(parent, child))
         return self._ok(b"ok", request.page)
 
     def _op_export(self, request: ApiRequest) -> ApiResponse:
         with self._lock:
-            document = self.export_document()
+            document = rdfxml.serialize(model.store_to_graph(self.store, self.vocab))
         return self._ok(document.encode("utf-8"), request.page)
-
-    def export_document(self) -> str:
-        return rdfxml.serialize(model.store_to_graph(self.store, self.vocab))
 
     # -- persistence ---------------------------------------------------------
 
-    def _append_log_line(self, event: AnnotationEvent) -> None:
-        if not self.config.store_path:
-            return
+    def _append_log_line(self, line: str) -> None:
         directory = Path(self.config.store_path)
         directory.mkdir(parents=True, exist_ok=True)
         with (directory / EVENTS_FILE).open("a", encoding="utf-8", newline="\n") as fh:
-            fh.write(format_event_line(event))
-
-    def _write_snapshot_file(self) -> None:
-        if not self.config.store_path:
-            return
-        directory = Path(self.config.store_path)
-        directory.mkdir(parents=True, exist_ok=True)
-        (directory / SNAPSHOT_FILE).write_text(self.export_document(), "utf-8", newline="\n")
-
-    def snapshot(self) -> None:
-        if self.config.store_path:
-            snapshot_store(self.store, self.config.store_path, self.vocab)
+            fh.write(line)
 
 
 def render_tree(tree: TopicMap, frequencies: dict[str, int]) -> str:
@@ -371,11 +364,16 @@ def render_tree(tree: TopicMap, frequencies: dict[str, int]) -> str:
     return "\n".join(lines) + "\n"
 
 
-# -- snapshot files ----------------------------------------------------------
+# -- store directories ---------------------------------------------------------
 
 
 def format_event_line(event: AnnotationEvent) -> str:
     return f"{event.timestamp_ms}\t{event.tagger}\t{event.resource}\t{event.tag}\n"
+
+
+def format_attach_line(parent: str, child: str) -> str:
+    """Log line of an accepted attach; both labels already normalized."""
+    return f"{ATTACH_MARK}\t{parent}\t{child}\n"
 
 
 def parse_event_line(line: str) -> AnnotationEvent:
@@ -385,49 +383,86 @@ def parse_event_line(line: str) -> AnnotationEvent:
     return AnnotationEvent(int(parts[0]), uuid.UUID(parts[1]), Iri(parts[2]), parts[3])
 
 
-def snapshot_store(store: AnnotationStore, path: str, vocab: Optional[VocabConfig] = None) -> None:
-    """Write `snapshot.rdf` and `events.log` under `path`."""
-    vocab = vocab or VocabConfig()
+def _replay_line(store: AnnotationStore, line: str) -> None:
+    # Event lines start with an integer timestamp, so the mark cannot collide.
+    if not line.startswith(ATTACH_MARK + "\t"):
+        store.record(parse_event_line(line))
+        return
+    parts = line.split("\t")
+    if len(parts) != 3:
+        raise ValueError(f"attach line does not have 3 fields: {line!r}")
+    store.attach(parts[1], parts[2])
+
+
+def snapshot_store(store: AnnotationStore, path: str) -> None:
+    """Write the store under `path` as a fresh `events.log`.
+
+    Every event comes first, then each topic map's edges in insertion
+    order, which is a valid replay order: `attach` only ever appends to a
+    tree's `parent` dict, and growing a tree upward copies the old edges
+    before adding the new one. A stale `snapshot.rdf` from an older
+    version is deleted, since restore would replay its edges before the
+    log's.
+    """
     directory = Path(path)
     directory.mkdir(parents=True, exist_ok=True)
-    document = rdfxml.serialize(model.store_to_graph(store, vocab))
-    (directory / SNAPSHOT_FILE).write_text(document, "utf-8", newline="\n")
     with (directory / EVENTS_FILE).open("w", encoding="utf-8", newline="\n") as fh:
         for event in store.events:
             fh.write(format_event_line(event))
+        for tree in store.maps.values():
+            for child, parent in tree.parent.items():
+                fh.write(format_attach_line(parent, child))
+    (directory / SNAPSHOT_FILE).unlink(missing_ok=True)
 
 
 def restore_store(path: str) -> AnnotationStore:
-    """Rebuild a store from a snapshot directory.
+    """Rebuild a store by replaying a store directory's log.
 
-    Clouds come from replaying the event log; topic maps come from the
-    snapshot document's broader edges. Raises StoreLoadError and leaves
-    nothing half-built.
+    Event lines go through `AnnotationStore.record` and attach lines
+    through `AnnotationStore.attach`. A directory written by older
+    versions may also hold `snapshot.rdf`: only its `skos:broader` edges
+    are read, before the log, and its clouds are ignored because the log
+    holds the same events. An unterminated last line is what a crash
+    mid-append leaves behind; it is dropped with a warning. Raises
+    StoreLoadError and leaves nothing half-built.
     """
     directory = Path(path)
     if not directory.is_dir():
-        raise StoreLoadError(f"no snapshot directory at {path}")
+        raise StoreLoadError(f"no store directory at {path}")
     log_file = directory / EVENTS_FILE
     snapshot_file = directory / SNAPSHOT_FILE
     if not log_file.exists() and not snapshot_file.exists():
         raise StoreLoadError(f"{path} holds neither {EVENTS_FILE} nor {SNAPSHOT_FILE}")
     store = AnnotationStore()
-    if log_file.exists():
-        for lineno, line in enumerate(log_file.read_text("utf-8").splitlines(), 1):
-            if not line:
-                continue
-            try:
-                store.record(parse_event_line(line))
-            except ValueError as exc:
-                raise StoreLoadError(f"{log_file}:{lineno}: {exc}") from None
     if snapshot_file.exists():
         try:
-            graph = rdfxml.parse(snapshot_file.read_text("utf-8"))
-            recovered = model.store_from_graph(graph, VocabConfig())
+            model.attach_broader_edges(store, rdfxml.parse(snapshot_file.read_text("utf-8")))
         except (rdfxml.RdfParseError, model.CloudShapeError) as exc:
             raise StoreLoadError(f"{snapshot_file}: {exc}") from None
-        store.adopt_maps(recovered)
+    if log_file.exists():
+        # Split on LF only: IRIs may hold U+2028 or U+0085, which
+        # str.splitlines() would also treat as line ends.
+        *lines, torn = log_file.read_bytes().split(b"\n")
+        if torn:
+            log.warning("%s: dropping unterminated last line %r", log_file, torn)
+        for lineno, raw in enumerate(lines, 1):
+            if not raw:
+                continue
+            try:
+                _replay_line(store, raw.decode("utf-8"))
+            except (ValueError, model.AttachError) as exc:
+                raise StoreLoadError(f"{log_file}:{lineno}: {exc}") from None
     return store
+
+
+def _cut_torn_tail(log_file: Path) -> None:
+    """Truncate the log after its last LF, so the next append starts a line of its own."""
+    if not log_file.exists():
+        return
+    with log_file.open("r+b") as fh:
+        end = fh.read().rfind(b"\n") + 1
+        if end < fh.tell():
+            fh.truncate(end)
 
 
 # -- HTTP front door -----------------------------------------------------------
@@ -455,13 +490,16 @@ def make_http_server(service: AnnotationService, host: str = "127.0.0.1") -> Thr
 
 
 def serve(service: AnnotationService, host: str = "127.0.0.1") -> None:
-    """Run the blocking server loop; snapshots the store on the way out."""
+    """Run the blocking server loop; reports the bound port on stderr first.
+
+    Every mutation is already in the log when it is acknowledged, so
+    nothing is written on the way out.
+    """
     server = make_http_server(service, host)
-    log.info("serving on %s:%d", host, server.server_address[1])
+    print(f"serving on {host}:{server.server_address[1]}", file=sys.stderr, flush=True)
     try:
         server.serve_forever()
     except KeyboardInterrupt:
         pass
     finally:
         server.server_close()
-        service.snapshot()

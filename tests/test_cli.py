@@ -6,7 +6,7 @@ from scotcloud.cli import main
 from scotcloud.model import VocabConfig
 from scotcloud.service import AnnotationService, ServiceConfig, restore_store
 
-from conftest import TAGGER, seed_mouse, store_state
+from conftest import TAGGER, fetch_full, seed_mouse, store_state
 
 VOCAB = VocabConfig()
 
@@ -128,6 +128,17 @@ class TestExportImport:
         reloaded = fresh.handle_url("/cloud?resource=mouse").page.payload
         assert direct == reloaded
 
+    def test_import_of_custom_namespace_export_is_data_error(self, capsys, tmp_path):
+        custom = AnnotationService(ServiceConfig(scot_ns="http://example.org/myscot#"))
+        custom.handle_url(f"/tag?resource=mouse&tag=laser&tagger={TAGGER}")
+        custom.handle_url(f"/attach?parent=shoe&child=rubber&tagger={TAGGER}")
+        export = tmp_path / "export.rdf"
+        export.write_bytes(fetch_full(custom, "export", {}))
+        code, _, err = run(capsys, "import", "--in", str(export), "--store", str(tmp_path / "s"))
+        assert code == 3
+        assert "holds 5 triples, but only 1" in err
+        assert not (tmp_path / "s").exists()
+
     def test_import_of_garbage_is_data_error(self, capsys, tmp_path):
         bad = tmp_path / "bad.rdf"
         bad.write_text("<not-rdf", "utf-8")
@@ -185,7 +196,6 @@ class TestLayoutCommand:
         seed_mouse(service)
         service.handle_url(f"/attach?parent=shoe&child=rubber&tagger={TAGGER}")
         service.handle_url(f"/attach?parent=rubber&child=sole&tagger={TAGGER}")
-        service.snapshot()
         return str(tmp_path / "store")
 
     def test_cloud_layout_prints_scene(self, capsys, tmp_path):
@@ -235,6 +245,21 @@ class TestServeConfig:
         assert code == 0
         assert captured["service"].config.page_cap == 1024
         assert captured["service"].config.store_path == str(tmp_path / "s")
+
+    def test_serve_reports_the_bound_port(self, capsys, monkeypatch):
+        from scotcloud import service as service_mod
+
+        bound = {}
+
+        def stop_at_once(server, *args, **kwargs):
+            bound["port"] = server.server_address[1]
+
+        monkeypatch.delenv("SCOTCLOUD_PORT", raising=False)
+        monkeypatch.setattr(service_mod.ThreadingHTTPServer, "serve_forever", stop_at_once)
+        code, _, err = run(capsys, "serve", "--port", "0")
+        assert code == 0
+        assert bound["port"] != 0
+        assert err == f"serving on 127.0.0.1:{bound['port']}\n"
 
     def test_bad_config_is_data_error(self, capsys, tmp_path):
         config_file = tmp_path / "svc.conf"

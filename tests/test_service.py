@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from scotcloud.model import AnnotationStore, VocabConfig
-from scotcloud.rdfxml import parse, serialize
+from scotcloud.rdfxml import Iri, parse, serialize
 from scotcloud import model
 from scotcloud.service import (
     AnnotationService,
@@ -326,6 +326,19 @@ class TestPersistence:
         assert store_state(back) == store_state(store)
         assert len(back.events) == len(store.events)
 
+    def test_snapshot_restore_keeps_every_map_shape(self, tmp_path):
+        # random attaches grow trees downward, sideways and upward; the
+        # written edge order has to replay without a refusal
+        rng = random.Random(3)
+        store = AnnotationStore()
+        for _ in range(400):
+            try:
+                store.attach(f"n{rng.randrange(60)}", f"n{rng.randrange(60)}")
+            except model.AttachError:
+                pass
+        snapshot_store(store, str(tmp_path / "snap"))
+        assert store_state(restore_store(str(tmp_path / "snap"))) == store_state(store)
+
     def test_restore_missing_directory_errors(self, tmp_path):
         with pytest.raises(StoreLoadError):
             restore_store(str(tmp_path / "nothing"))
@@ -346,10 +359,9 @@ class TestPersistence:
 
     def test_snapshot_of_empty_store(self, tmp_path):
         snapshot_store(AnnotationStore(), str(tmp_path / "snap"))
-        rdf_text = (tmp_path / "snap" / "snapshot.rdf").read_text("utf-8")
-        assert "<rdf:Description" not in rdf_text
-        assert len(parse(rdf_text)) == 0
+        assert [p.name for p in (tmp_path / "snap").iterdir()] == ["events.log"]
         assert (tmp_path / "snap" / "events.log").read_text("utf-8") == ""
+        assert store_state(restore_store(str(tmp_path / "snap"))) == ({}, {})
 
     def test_event_log_line_roundtrip(self):
         event = model.AnnotationEvent(1234, TAGGER, VOCAB.mint("mouse"), "two words")
@@ -366,6 +378,97 @@ class TestPersistence:
         service.handle(ApiRequest("attach", {"parent": "shoe", "child": "rubber", "tagger": str(TAGGER)}))
         born_again = AnnotationService(ServiceConfig(store_path=str(tmp_path / "live")))
         assert store_state(born_again.store) == store_state(service.store)
+
+    def test_attach_appends_one_log_line_and_rewrites_nothing(self, tmp_path):
+        live = tmp_path / "live"
+        service = AnnotationService(ServiceConfig(store_path=str(live)))
+        seed_mouse(service)
+        before = (live / "events.log").read_bytes()
+        response = service.handle_url(f"/attach?parent=Shoe&child=%20rubber%20&tagger={TAGGER}")
+        assert response.status == 200
+        assert (live / "events.log").read_bytes() == before + b"attach\tshoe\trubber\n"
+        assert [p.name for p in live.iterdir()] == ["events.log"]
+
+    def test_refused_attach_line_errors(self, tmp_path):
+        target = tmp_path / "snap"
+        target.mkdir()
+        (target / "events.log").write_text("attach\tshoe\trubber\nattach\tboot\trubber\n", "utf-8")
+        with pytest.raises(StoreLoadError, match="already has a parent"):
+            restore_store(str(target))
+
+    def test_line_separator_characters_in_iri_survive_restart(self, tmp_path):
+        config = ServiceConfig(store_path=str(tmp_path / "live"))
+        service = AnnotationService(config)
+        for resource in ("a%E2%80%A8b", "c%C2%85d"):
+            response = service.handle_url(
+                f"/tag?resource=http://example.org/{resource}&tag=laser&tagger={TAGGER}"
+            )
+            assert response.status == 200
+        reborn = AnnotationService(config)
+        assert reborn.store.cloud_of(Iri("http://example.org/a\u2028b")).frequencies == {"laser": 1}
+        assert store_state(reborn.store) == store_state(service.store)
+
+    def test_log_cut_at_every_byte_restores_a_prefix(self, tmp_path, caplog):
+        mutations = [
+            "/tag?resource=mouse&tag=laser",
+            "/attach?parent=shoe&child=rubber",
+            "/tag?resource=mouse&tag=Caf%C3%A9",
+            "/attach?parent=boot&child=shoe",
+            "/tag?resource=http://example.org/x%E2%80%A8y&tag=optical",
+            "/attach?parent=rubber&child=sole",
+        ]
+        live = tmp_path / "live"
+        service = AnnotationService(ServiceConfig(store_path=str(live)))
+        states = [store_state(service.store)]
+        for mutation in mutations:
+            assert service.handle_url(f"{mutation}&tagger={TAGGER}").status == 200
+            states.append(store_state(service.store))
+        data = (live / "events.log").read_bytes()
+        assert data.count(b"\n") == len(mutations)
+
+        target = tmp_path / "cut"
+        target.mkdir()
+        for cut in range(len(data) + 1):
+            (target / "events.log").write_bytes(data[:cut])
+            done = data[:cut].count(b"\n")
+            caplog.clear()
+            restored = AnnotationService(ServiceConfig(store_path=str(target)))
+            assert store_state(restored.store) == states[done], cut
+            torn = cut > 0 and data[cut - 1 : cut] != b"\n"
+            assert any("unterminated" in r.getMessage() for r in caplog.records) == torn
+            # the torn tail is gone from disk, so the next write is a line of its own
+            assert restored.handle_url(f"/tag?resource=after&tag=next&tagger={TAGGER}").status == 200
+            clouds, maps = store_state(restore_store(str(target)))
+            assert clouds.pop(VOCAB.resource_iri("after")) == {"next": 1}
+            assert (clouds, maps) == states[done], cut
+
+    def legacy_directory(self, path, store: AnnotationStore) -> None:
+        """Write a directory the way earlier versions did: RDF snapshot plus a tag-only log."""
+        from scotcloud.service import format_event_line
+
+        path.mkdir()
+        (path / "snapshot.rdf").write_text(serialize(model.store_to_graph(store, VOCAB)), "utf-8")
+        (path / "events.log").write_text("".join(map(format_event_line, store.events)), "utf-8")
+
+    def test_legacy_directory_restores_and_takes_new_attaches(self, tmp_path):
+        store = self.random_store()
+        self.legacy_directory(tmp_path / "old", store)
+        assert store_state(restore_store(str(tmp_path / "old"))) == store_state(store)
+
+        config = ServiceConfig(store_path=str(tmp_path / "old"))
+        service = AnnotationService(config)
+        assert store_state(service.store) == store_state(store)
+        response = service.handle(ApiRequest("attach", {"parent": "sole", "child": "tread", "tagger": str(TAGGER)}))
+        assert response.status == 200
+        store.attach("sole", "tread")
+        assert store_state(AnnotationService(config).store) == store_state(store)
+
+    def test_snapshot_store_replaces_a_legacy_directory(self, tmp_path):
+        store = self.random_store()
+        self.legacy_directory(tmp_path / "old", store)
+        snapshot_store(restore_store(str(tmp_path / "old")), str(tmp_path / "old"))
+        assert [p.name for p in (tmp_path / "old").iterdir()] == ["events.log"]
+        assert store_state(restore_store(str(tmp_path / "old"))) == store_state(store)
 
 
 class TestHttpWire:
