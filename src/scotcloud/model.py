@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import re
 import uuid
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from typing import Optional
 from urllib.parse import quote, unquote
@@ -189,6 +190,8 @@ class AnnotationStore:
     Clouds are exactly the fold of `events` through `record`; topic maps
     are the fold of the accepted `attach` calls. A store is rebuilt by
     replaying both, in their original order, through those two methods.
+    `version` goes up on every `record` and every accepted `attach`, so
+    anything derived from the store can tell whether it is still current.
     """
 
     def __init__(self) -> None:
@@ -196,6 +199,7 @@ class AnnotationStore:
         self.clouds: dict[Iri, TagCloud] = {}
         self.maps: dict[str, TopicMap] = {}
         self._root_of: dict[str, str] = {}
+        self.version = 0
 
     # -- annotations ------------------------------------------------------
 
@@ -207,6 +211,7 @@ class AnnotationStore:
             self.clouds[event.resource] = cloud
         self.events.append(event)
         cloud.frequencies[event.tag] = cloud.frequencies.get(event.tag, 0) + 1
+        self.version += 1
         return cloud.frequencies[event.tag]
 
     def cloud_of(self, resource: Iri) -> TagCloud:
@@ -221,28 +226,37 @@ class AnnotationStore:
         root = self._root_of.get(label)
         return self.maps[root] if root is not None else None
 
+    def check_attach(self, parent: str, child: str) -> None:
+        """Raise AttachError if `attach(parent, child)` would be refused; changes nothing.
+
+        Both labels must already be normalized. The reason tokens are
+        "parented" when the child already has a parent, "cycle" when the
+        edge would close a cycle and "merge" when it would join two
+        existing trees.
+        """
+        if parent == child:
+            raise AttachError("cycle", f"cannot attach {child!r} to itself")
+        child_root = self._root_of.get(child)
+        if child_root is None:
+            return
+        parent_root = self._root_of.get(parent)
+        if child_root != child:
+            raise AttachError("parented", f"{child!r} already has a parent")
+        if parent_root == child:
+            raise AttachError("cycle", f"{parent!r} is a descendant of {child!r}")
+        if parent_root is not None:
+            raise AttachError("merge", f"{parent!r} and {child!r} live in different trees")
+
     def attach(self, parent_raw: str, child_raw: str) -> None:
         """Bind child under parent, keeping every map a tree.
 
-        Refused (reason token in the exception) when the child already has
-        a parent ("parented"), when the edge would close a cycle ("cycle"),
-        or when it would merge two existing trees ("merge").
+        Refused, with nothing changed, as `check_attach` says.
         """
         parent = normalize_tag(parent_raw)
         child = normalize_tag(child_raw)
-        if parent == child:
-            raise AttachError("cycle", f"cannot attach {child!r} to itself")
-
-        child_root = self._root_of.get(child)
+        self.check_attach(parent, child)
         parent_root = self._root_of.get(parent)
-
-        if child_root is not None:
-            if child_root != child:
-                raise AttachError("parented", f"{child!r} already has a parent")
-            if parent_root == child:
-                raise AttachError("cycle", f"{parent!r} is a descendant of {child!r}")
-            if parent_root is not None:
-                raise AttachError("merge", f"{parent!r} and {child!r} live in different trees")
+        if child in self.maps:
             # New parent above an existing root: the tree grows upward.
             old = self.maps.pop(child)
             tree = TopicMap(parent, dict(old.parent))
@@ -250,15 +264,14 @@ class AnnotationStore:
             self.maps[parent] = tree
             for node in tree.nodes:
                 self._root_of[node] = parent
-            return
-
-        if parent_root is not None:
+        elif parent_root is not None:
             self.maps[parent_root].parent[child] = parent
             self._root_of[child] = parent_root
         else:
             self.maps[parent] = TopicMap(parent, {child: parent})
             self._root_of[parent] = parent
             self._root_of[child] = parent
+        self.version += 1
 
     def subtree(self, root_raw: str, depth: int) -> TopicMap:
         """Tree below `root` truncated `depth` levels down (root is level 0)."""
@@ -391,16 +404,26 @@ def attach_broader_edges(store: AnnotationStore, graph: RdfGraph) -> None:
 
 
 def _replay_edges(store: AnnotationStore, edges: list[tuple[str, str]]) -> None:
-    # Attach in topological waves so parents exist before their children.
-    pending = list(edges)
-    while pending:
-        children = {c for _, c in pending}
-        wave = [(p, c) for p, c in pending if p not in children]
-        if not wave:
-            raise CloudShapeError("topic-map edges contain a cycle")
+    # Attach in topological waves so parents exist before their children:
+    # an edge joins the wave after the one holding the last edge into its
+    # parent, and each wave is attached in sorted order.
+    waiting = Counter(child for _, child in edges)
+    below: dict[str, list[tuple[str, str]]] = defaultdict(list)
+    for edge in edges:
+        below[edge[0]].append(edge)
+    wave = [edge for edge in edges if not waiting[edge[0]]]
+    attached = 0
+    while wave:
+        next_wave = []
         for parent, child in sorted(wave):
             try:
                 store.attach(parent, child)
             except AttachError as exc:
                 raise CloudShapeError(f"topic-map edges are not a forest: {exc}") from None
-        pending = [e for e in pending if e not in wave]
+            waiting[child] -= 1
+            if not waiting[child]:
+                next_wave.extend(below[child])
+        attached += len(wave)
+        wave = next_wave
+    if attached < len(edges):
+        raise CloudShapeError("topic-map edges contain a cycle")

@@ -36,6 +36,7 @@ from .rdfxml import Iri
 log = logging.getLogger(__name__)
 
 PAGE_HEADER_RESERVE = 32
+BODY_CACHE_ENTRIES = 64  # paged bodies kept per service; the oldest goes first
 SNAPSHOT_FILE = "snapshot.rdf"  # read-only: older versions kept topic maps here
 EVENTS_FILE = "events.log"
 ATTACH_MARK = "attach"
@@ -184,8 +185,14 @@ def _now_wall_ms() -> int:
 class AnnotationService:
     """In-process core of the server; the HTTP layer is a thin shell.
 
-    Mutations are serialized under one lock; a failed request never
-    touches the store or the on-disk log.
+    Requests are serialized under one lock. A mutation is appended to the
+    on-disk log before it changes the store, so a failed write answers
+    `storage` and leaves both as they were; any other failed request
+    touches neither. The paged bodies of `/cloud`, `/map` and `/export`
+    are built once and their pages served from a cache of at most
+    BODY_CACHE_ENTRIES bodies. The whole cache is dropped as soon as the
+    store's `version` moves, so every page comes from the document of the
+    store as it is when the page is asked for.
     """
 
     def __init__(
@@ -200,6 +207,8 @@ class AnnotationService:
         self.now_ms = now_ms or _now_wall_ms
         self._lock = threading.Lock()
         self._recent: deque[int] = deque()
+        self._bodies: dict[tuple, list[Page]] = {}
+        self._bodies_of: tuple[Optional[AnnotationStore], int] = (None, 0)
         if self.config.store_path and Path(self.config.store_path).exists():
             self.store = restore_store(self.config.store_path)
             _cut_torn_tail(Path(self.config.store_path) / EVENTS_FILE)
@@ -236,14 +245,33 @@ class AnnotationService:
 
     # -- responses ---------------------------------------------------------
 
-    def _paged(self, status: int, body: bytes, page_index: int) -> ApiResponse:
-        pages = paginate(body, self.config.page_cap)
+    def _page_of(self, pages: list[Page], page_index: int) -> ApiResponse:
         if not (0 <= page_index < len(pages)):
             return self._error(400, "badpage")
-        return ApiResponse(status, pages[page_index])
+        return ApiResponse(200, pages[page_index])
 
     def _ok(self, body: bytes, page_index: int = 0) -> ApiResponse:
-        return self._paged(200, body, page_index)
+        return self._page_of(paginate(body, self.config.page_cap), page_index)
+
+    def _cached_pages(self, key: tuple, build: Callable[[], bytes]) -> list[Page]:
+        """Pages of the body `build` returns for `key` at the current store state.
+
+        The caller holds `_lock`. Any change to the store, or a new store
+        object, drops every cached body: a `/tag` on one resource can
+        change the `/map` of a root named after it, so invalidation per
+        key would miss bodies. An exception from `build` caches nothing.
+        """
+        stamp = (self.store, self.store.version)  # stores compare by identity
+        if self._bodies_of != stamp:
+            self._bodies.clear()
+            self._bodies_of = stamp
+        pages = self._bodies.get(key)
+        if pages is None:
+            pages = paginate(build(), self.config.page_cap)
+            if len(self._bodies) >= BODY_CACHE_ENTRIES:
+                del self._bodies[next(iter(self._bodies))]
+            self._bodies[key] = pages
+        return pages
 
     def _error(self, status: int, token: str) -> ApiResponse:
         return ApiResponse(status, paginate(token.encode("ascii"), self.config.page_cap)[0])
@@ -274,9 +302,10 @@ class AnnotationService:
         except (model.TagError, rdfxml.ValidationError):
             return self._error(400, "badtag")
         with self._lock:
-            count = self.store.record(AnnotationEvent(self.now_ms(), tagger, resource, label))
-            if self.config.store_path:
-                self._append_log_line(format_event_line(self.store.events[-1]))
+            event = AnnotationEvent(self.now_ms(), tagger, resource, label)
+            if not self._append_log_line(format_event_line(event)):
+                return self._error(500, "storage")
+            count = self.store.record(event)
         return self._ok(f"ok {label} {count}".encode("utf-8"), request.page)
 
     def _op_cloud(self, request: ApiRequest) -> ApiResponse:
@@ -288,9 +317,12 @@ class AnnotationService:
         except (model.TagError, rdfxml.ValidationError):
             return self._error(400, "badtag")
         with self._lock:
-            cloud = self.store.cloud_of(resource)
-            document = rdfxml.serialize(model.cloud_to_rdf(cloud, self.vocab))
-        return self._ok(document.encode("utf-8"), request.page)
+            pages = self._cached_pages(("cloud", resource), lambda: self._cloud_body(resource))
+        return self._page_of(pages, request.page)
+
+    def _cloud_body(self, resource: Iri) -> bytes:
+        cloud = self.store.cloud_of(resource)
+        return rdfxml.serialize(model.cloud_to_rdf(cloud, self.vocab)).encode("utf-8")
 
     def _op_map(self, request: ApiRequest) -> ApiResponse:
         got = self._require(request, "root")
@@ -303,16 +335,21 @@ class AnnotationService:
             return self._error(400, "baddepth")
         if depth < 1:
             return self._error(400, "baddepth")
+        try:
+            root = model.normalize_tag(got[0])
+        except model.TagError:
+            return self._error(400, "badtag")
         with self._lock:
             try:
-                tree = self.store.subtree(got[0], depth)
-            except model.TagError:
-                return self._error(400, "badtag")
+                pages = self._cached_pages(("map", root, depth), lambda: self._map_body(root, depth))
             except model.UnknownConceptError:
                 return self._error(404, "unknown")
-            freqs = self.store.cloud_of(self.vocab.resource_iri(tree.root)).frequencies
-            text = render_tree(tree, freqs)
-        return self._ok(text.encode("utf-8"), request.page)
+        return self._page_of(pages, request.page)
+
+    def _map_body(self, root: str, depth: int) -> bytes:
+        tree = self.store.subtree(root, depth)
+        freqs = self.store.cloud_of(self.vocab.resource_iri(tree.root)).frequencies
+        return render_tree(tree, freqs).encode("utf-8")
 
     def _op_attach(self, request: ApiRequest) -> ApiResponse:
         got = self._require(request, "parent", "child", "tagger")
@@ -326,27 +363,42 @@ class AnnotationService:
         with self._lock:
             try:
                 parent, child = model.normalize_tag(parent_raw), model.normalize_tag(child_raw)
-                self.store.attach(parent, child)
+                self.store.check_attach(parent, child)
             except model.TagError:
                 return self._error(400, "badtag")
             except model.AttachError as exc:
                 return self._error(409, exc.reason)
-            if self.config.store_path:
-                self._append_log_line(format_attach_line(parent, child))
+            if not self._append_log_line(format_attach_line(parent, child)):
+                return self._error(500, "storage")
+            self.store.attach(parent, child)
         return self._ok(b"ok", request.page)
 
     def _op_export(self, request: ApiRequest) -> ApiResponse:
         with self._lock:
-            document = rdfxml.serialize(model.store_to_graph(self.store, self.vocab))
-        return self._ok(document.encode("utf-8"), request.page)
+            pages = self._cached_pages(("export",), self._export_body)
+        return self._page_of(pages, request.page)
+
+    def _export_body(self) -> bytes:
+        return rdfxml.serialize(model.store_to_graph(self.store, self.vocab)).encode("utf-8")
 
     # -- persistence ---------------------------------------------------------
 
-    def _append_log_line(self, line: str) -> None:
+    def _append_log_line(self, line: str) -> bool:
+        """Append one line to the store directory's log; False if the write failed.
+
+        True without writing when the service has no store directory.
+        """
+        if not self.config.store_path:
+            return True
         directory = Path(self.config.store_path)
-        directory.mkdir(parents=True, exist_ok=True)
-        with (directory / EVENTS_FILE).open("a", encoding="utf-8", newline="\n") as fh:
-            fh.write(line)
+        try:
+            directory.mkdir(parents=True, exist_ok=True)
+            with (directory / EVENTS_FILE).open("a", encoding="utf-8", newline="\n") as fh:
+                fh.write(line)
+        except OSError as exc:
+            log.error("%s: append failed: %s", directory / EVENTS_FILE, exc)
+            return False
+        return True
 
 
 def render_tree(tree: TopicMap, frequencies: dict[str, int]) -> str:

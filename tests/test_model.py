@@ -15,6 +15,7 @@ from scotcloud.model import (
     TagError,
     UnknownConceptError,
     VocabConfig,
+    _replay_edges,
     cloud_to_rdf,
     label_from_iri,
     normalize_tag,
@@ -280,6 +281,99 @@ class TestAttach:
             except AttachError:
                 pass
             assert is_forest(forest_edges(store))
+
+    def test_check_attach_refuses_as_attach_does_and_changes_nothing(self):
+        rng = random.Random(321)
+        store = AnnotationStore()
+        labels = [f"c{i}" for i in range(30)]
+        for _ in range(400):
+            parent, child = rng.choice(labels), rng.choice(labels)
+            before = ({r: dict(t.parent) for r, t in store.maps.items()}, store.version)
+            try:
+                store.check_attach(parent, child)
+            except AttachError as exc:
+                checked = exc.reason
+            else:
+                checked = None
+            assert ({r: dict(t.parent) for r, t in store.maps.items()}, store.version) == before
+            try:
+                store.attach(parent, child)
+            except AttachError as exc:
+                assert exc.reason == checked
+                assert store.version == before[1]
+            else:
+                assert checked is None
+                assert store.version == before[1] + 1
+
+    def test_version_counts_records_and_accepted_attaches(self):
+        store = AnnotationStore()
+        assert store.version == 0
+        store.record(event("mouse", "laser"))
+        store.record(event("mouse", "laser"))
+        store.attach("shoe", "rubber")
+        store.attach("clothing", "shoe")
+        with pytest.raises(AttachError):
+            store.attach("rubber", "clothing")
+        assert store.version == 4
+
+
+def _replay_edges_by_rescan(store: AnnotationStore, edges: list[tuple[str, str]]) -> None:
+    """Reference: the original wave order, found by rescanning every pending edge per wave."""
+    pending = list(edges)
+    while pending:
+        children = {c for _, c in pending}
+        wave = [(p, c) for p, c in pending if p not in children]
+        if not wave:
+            raise CloudShapeError("topic-map edges contain a cycle")
+        for parent, child in sorted(wave):
+            try:
+                store.attach(parent, child)
+            except AttachError as exc:
+                raise CloudShapeError(f"topic-map edges are not a forest: {exc}") from None
+        pending = [e for e in pending if e not in wave]
+
+
+def _replay_outcome(replay, edges):
+    store = AnnotationStore()
+    try:
+        replay(store, edges)
+        error = None
+    except CloudShapeError as exc:
+        error = str(exc)
+    return error, [(root, list(tree.parent.items())) for root, tree in store.maps.items()]
+
+
+class TestReplayEdges:
+    def random_edges(self, rng: random.Random) -> list[tuple[str, str]]:
+        labels = [f"n{i}" for i in range(rng.randint(1, 60))]
+        rng.shuffle(labels)
+        edges = []
+        for k in range(1, len(labels)):
+            if rng.random() < 0.85:  # else labels[k] roots a tree of its own
+                edges.append((labels[rng.randrange(k)], labels[k]))
+        flaw = rng.randrange(5)
+        if edges and flaw == 1:
+            edges.append(rng.choice(edges))  # duplicate edge
+        elif edges and flaw == 2:
+            edges.append((rng.choice(labels), rng.choice(edges)[1]))  # second parent
+        elif edges and flaw == 3:
+            parent, child = rng.choice(edges)
+            edges.append((child, parent))  # two-edge cycle
+        elif flaw == 4:
+            node = rng.choice(labels)
+            edges.append((node, node))
+        rng.shuffle(edges)
+        return edges
+
+    def test_wave_order_matches_rescan_reference(self):
+        rng = random.Random(2024)
+        errors = 0
+        for _ in range(400):
+            edges = self.random_edges(rng)
+            expected = _replay_outcome(_replay_edges_by_rescan, edges)
+            assert _replay_outcome(_replay_edges, edges) == expected, edges
+            errors += expected[0] is not None
+        assert 0 < errors < 400  # both clean and flawed inputs were drawn
 
 
 def bfs_to_depth(parent: dict[str, str], root: str, depth: int) -> set[str]:

@@ -1,14 +1,16 @@
 import random
+import sys
 import threading
 
 import pytest
 import requests
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from scotcloud.model import AnnotationStore, VocabConfig
 from scotcloud.rdfxml import Iri, parse, serialize
-from scotcloud import model
+from scotcloud import model, rdfxml
+from scotcloud import service as service_module
 from scotcloud.service import (
     AnnotationService,
     ApiRequest,
@@ -556,3 +558,234 @@ class TestRenderTree:
         from scotcloud.model import TopicMap
 
         assert render_tree(TopicMap("only"), {}) == "only (0)\n"
+
+
+def encoded_error(token: bytes, cap: int) -> bytes:
+    return paginate(token, cap)[0].encode()
+
+
+def fresh_read(store: AnnotationStore, operation: str, params: dict, page: int, cap: int) -> tuple[int, bytes]:
+    """Reference read: status and wire bytes built from scratch from the store."""
+    try:
+        if operation == "cloud":
+            cloud = store.cloud_of(VOCAB.resource_iri(params["resource"]))
+            body = serialize(model.cloud_to_rdf(cloud, VOCAB)).encode()
+        elif operation == "map":
+            if int(params["depth"]) < 1:
+                return 400, encoded_error(b"baddepth", cap)
+            tree = store.subtree(params["root"], int(params["depth"]))
+            body = render_tree(tree, store.cloud_of(VOCAB.resource_iri(tree.root)).frequencies).encode()
+        else:
+            body = serialize(model.store_to_graph(store, VOCAB)).encode()
+    except model.TagError:
+        return 400, encoded_error(b"badtag", cap)
+    except model.UnknownConceptError:
+        return 404, encoded_error(b"unknown", cap)
+    pages = paginate(body, cap)
+    if not 0 <= page < len(pages):
+        return 400, encoded_error(b"badpage", cap)
+    return 200, pages[page].encode()
+
+
+# Resource names double as concept labels, so a /tag can land on the
+# resource whose cloud a /map of the same root reads its counts from.
+NAMES = ["c0", "c1", "c2", "mouse"]
+LABELS = ["c0", "c1", "c2", "c3", "laser"]
+PAGES = st.integers(min_value=-1, max_value=24)
+REQUESTS = st.one_of(
+    st.tuples(st.just("tag"), st.fixed_dictionaries(
+        {"resource": st.sampled_from(NAMES), "tag": st.sampled_from(LABELS)}), st.just(0)),
+    st.tuples(st.just("attach"), st.fixed_dictionaries(
+        {"parent": st.sampled_from(LABELS), "child": st.sampled_from(LABELS)}), st.just(0)),
+    st.tuples(st.just("cloud"), st.fixed_dictionaries(
+        {"resource": st.sampled_from(NAMES + [" "])}), PAGES),
+    st.tuples(st.just("map"), st.fixed_dictionaries(
+        {"root": st.sampled_from(LABELS + [" "]), "depth": st.sampled_from(["0", "1", "2", "3"])}), PAGES),
+    st.tuples(st.just("export"), st.just({}), PAGES),
+)
+# A two-level map on c0, a cloud walk and a map walk with a /tag between
+# their pages, and a /tag on the resource named after the map's root.
+WALK_WITH_TAGS = [
+    ("attach", {"parent": "c0", "child": "c1"}, 0),
+    ("attach", {"parent": "c1", "child": "c2"}, 0),
+    ("tag", {"resource": "c0", "tag": "c1"}, 0),
+    ("cloud", {"resource": "c0"}, 0),
+    ("cloud", {"resource": "c0"}, 1),
+    ("tag", {"resource": "c0", "tag": "laser"}, 0),
+    ("cloud", {"resource": "c0"}, 2),
+    ("map", {"root": "c0", "depth": "2"}, 0),
+    ("tag", {"resource": "c0", "tag": "c2"}, 0),
+    ("map", {"root": "c0", "depth": "2"}, 0),
+    ("map", {"root": "c0", "depth": "2"}, 1),
+    ("export", {}, 3),
+]
+
+
+class TestBodyCache:
+    CAP = 64
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.lists(REQUESTS, max_size=30))
+    @example(WALK_WITH_TAGS)
+    def test_cached_service_matches_fresh_builds(self, requests_):
+        service = AnnotationService(ServiceConfig(page_cap=self.CAP))
+        reference = AnnotationStore()
+        for operation, params, page in requests_:
+            if operation == "tag":
+                count = reference.record(
+                    model.AnnotationEvent(0, TAGGER, VOCAB.resource_iri(params["resource"]), params["tag"])
+                )
+                expected = (200, paginate(f"ok {params['tag']} {count}".encode(), self.CAP)[0].encode())
+                params = dict(params, tagger=str(TAGGER))
+            elif operation == "attach":
+                try:
+                    reference.attach(params["parent"], params["child"])
+                    expected = (200, paginate(b"ok", self.CAP)[0].encode())
+                except model.AttachError as exc:
+                    expected = (409, encoded_error(exc.reason.encode(), self.CAP))
+                params = dict(params, tagger=str(TAGGER))
+            else:
+                expected = fresh_read(service.store, operation, params, page, self.CAP)
+            response = service.handle(ApiRequest(operation, params, page))
+            assert (response.status, response.encode()) == expected, (operation, params, page)
+            assert store_state(service.store) == store_state(reference)
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        """Count document builds and record every body handed to `paginate`."""
+        counted = {"builds": 0, "paginated": []}
+        real_serialize, real_render, real_paginate = rdfxml.serialize, service_module.render_tree, paginate
+
+        def serialize_(*args, **kwargs):
+            counted["builds"] += 1
+            return real_serialize(*args, **kwargs)
+
+        def render_(*args, **kwargs):
+            counted["builds"] += 1
+            return real_render(*args, **kwargs)
+
+        def paginate_(body, cap):
+            counted["paginated"].append(body)
+            return real_paginate(body, cap)
+
+        monkeypatch.setattr(rdfxml, "serialize", serialize_)
+        monkeypatch.setattr(service_module, "render_tree", render_)
+        monkeypatch.setattr(service_module, "paginate", paginate_)
+        return counted
+
+    def seed_walks(self, service):
+        for i in range(240):
+            assert service.handle_url(f"/tag?resource=big&tag=tag{i:03d}&tagger={TAGGER}").ok
+        # a 4-ary concept tree four levels deep (341 nodes)
+        for k in range(1, 341):
+            assert service.handle_url(f"/attach?parent=concept{(k - 1) // 4:04d}&child=concept{k:04d}&tagger={TAGGER}").ok
+
+    WALKS = [("cloud", {"resource": "big"}), ("map", {"root": "concept0000", "depth": "4"}), ("export", {})]
+
+    @pytest.mark.parametrize("operation, params", WALKS)
+    def test_page_walk_builds_body_once(self, service, builds, operation, params):
+        self.seed_walks(service)
+        builds["builds"], builds["paginated"] = 0, []
+        document = fetch_full(service, operation, params)
+        assert len(document) > 2 * 2048  # a walk of several pages
+        assert builds["builds"] == 1
+        assert builds["paginated"] == [document]
+
+    @pytest.mark.parametrize("operation, params", WALKS)
+    def test_tag_mid_walk_rebuilds_once(self, service, builds, operation, params):
+        self.seed_walks(service)
+        first = service.handle(ApiRequest(operation, params)).page
+        half = first.total // 2
+        for i in range(1, half):
+            assert service.handle(ApiRequest(operation, params, page=i)).ok
+        builds["builds"], builds["paginated"] = 0, []
+        # the map of concept0000 counts its concepts in the cloud of concept0000
+        tag = service.handle_url(f"/tag?resource=concept0000&tag=concept0001&tagger={TAGGER}")
+        assert tag.page.payload == b"ok concept0001 1"
+        after = [service.handle(ApiRequest(operation, params, page=i)).page for i in range(half, first.total)]
+        assert builds["builds"] == 1
+        assert len(builds["paginated"]) == 2  # the tag's own "ok" body, then one rebuild
+        # the later pages come from the document as it is after the tag
+        fresh = [fresh_read(service.store, operation, params, i, 2048) for i in range(half, first.total)]
+        assert [(200, page.encode()) for page in after] == fresh
+
+    def test_cache_holds_at_most_the_cap(self, service, builds):
+        cap = service_module.BODY_CACHE_ENTRIES
+        names = [f"r{i}" for i in range(cap + 5)]
+        for name in names:
+            assert service.handle(ApiRequest("cloud", {"resource": name})).ok
+        assert len(service._bodies) == cap
+        assert builds["builds"] == len(names)
+        service.handle(ApiRequest("cloud", {"resource": names[-1]}))
+        assert builds["builds"] == len(names)  # the newest body is still held
+        service.handle(ApiRequest("cloud", {"resource": names[0]}))
+        assert builds["builds"] == len(names) + 1  # the oldest went first
+        assert len(service._bodies) == cap
+
+    def test_concurrent_tags_and_walks_leave_no_stale_body(self, service):
+        def tagger(k):
+            for i in range(60):
+                service.handle(ApiRequest("tag", {"resource": f"r{k}", "tag": f"t{i % 7}", "tagger": str(TAGGER)}))
+
+        def reader(k):
+            for i in range(60):
+                for name in (f"r{k}", f"r{(k + 1) % 3}", "export"):
+                    request = ApiRequest("export", {}) if name == "export" else ApiRequest("cloud", {"resource": name})
+                    assert service.handle(request).ok
+
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=f, args=(k,)) for f in (tagger, reader) for k in range(3)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(switch)
+        assert not any(t.is_alive() for t in threads)
+        # every body cached at the current version is the current document
+        fresh = {("export",): serialize(model.store_to_graph(service.store, VOCAB)).encode()}
+        for name in ("r0", "r1", "r2"):
+            iri = VOCAB.resource_iri(name)
+            fresh[("cloud", iri)] = serialize(model.cloud_to_rdf(service.store.cloud_of(iri), VOCAB)).encode()
+        if service._bodies_of == (service.store, service.store.version):
+            for key, pages in service._bodies.items():
+                assert b"".join(page.payload for page in pages) == fresh[key], key
+        for name in ("r0", "r1", "r2"):
+            cloud = service.store.cloud_of(VOCAB.resource_iri(name))
+            assert sum(cloud.frequencies.values()) == 60
+            expected = serialize(model.cloud_to_rdf(cloud, VOCAB)).encode()
+            assert fetch_full(service, "cloud", {"resource": name}) == expected
+        assert fetch_full(service, "export", {}) == serialize(model.store_to_graph(service.store, VOCAB)).encode()
+
+
+class TestStorageFailure:
+    READS = ["/cloud?resource=shoe", "/cloud?resource=mouse", "/map?root=shoe&depth=2", "/export"]
+
+    @pytest.mark.parametrize(
+        "mutation",
+        [
+            "/tag?resource=shoe&tag=rubber",
+            "/tag?resource=pen&tag=ink",
+            "/attach?parent=rubber&child=sole",
+            "/attach?parent=boot&child=shoe",
+        ],
+    )
+    def test_failed_append_is_500_storage_and_changes_nothing(self, tmp_path, mutation):
+        live = tmp_path / "live"
+        service = AnnotationService(ServiceConfig(store_path=str(live)))
+        seed_mouse(service)
+        assert service.handle_url(f"/attach?parent=shoe&child=rubber&tagger={TAGGER}").ok
+        assert service.handle_url(f"/tag?resource=shoe&tag=rubber&tagger={TAGGER}").ok
+        before = [service.handle_url(url).encode() for url in self.READS]
+        state, version = store_state(service.store), service.store.version
+        (live / "events.log").unlink()
+        (live / "events.log").mkdir()
+
+        response = service.handle_url(f"{mutation}&tagger={TAGGER}")
+        assert (response.status, response.page.payload) == (500, b"storage")
+        assert (store_state(service.store), service.store.version) == (state, version)
+        assert [service.handle_url(url).encode() for url in self.READS] == before
+        uncached = AnnotationService(store=service.store)
+        assert [uncached.handle_url(url).encode() for url in self.READS] == before
