@@ -12,13 +12,12 @@ Human-readable output goes to stdout, diagnostics to stderr.
 from __future__ import annotations
 
 import argparse
+import http.client
 import os
 import sys
 import uuid
 from pathlib import Path
 from typing import Optional
-
-import requests
 
 from . import layout as layout_mod
 from . import model, rdfxml, service as service_mod, sim
@@ -49,16 +48,23 @@ def _server_url(args: argparse.Namespace) -> str:
     return getattr(args, "url", None) or os.environ.get(ENV_URL) or DEFAULT_URL
 
 
-def _emit(text: str, out: Optional[str]) -> None:
-    if out:
-        Path(out).write_text(text, "utf-8", newline="\n")
-    else:
+def _emit(text: str, out: Optional[str]) -> int:
+    if not out:
         sys.stdout.write(text)
+        return EXIT_OK
+    try:
+        Path(out).write_text(text, "utf-8", newline="\n")
+    except OSError as exc:
+        return _fail(EXIT_DATA, f"out: {exc}")
+    return EXIT_OK
 
 
 def _call(args: argparse.Namespace, path: str, params: list[tuple[str, str]]) -> tuple[int, str]:
     transport = sim.HttpTransport(_server_url(args))
-    status, body = sim.fetch_body(transport, path, params)
+    try:
+        status, body = sim.fetch_body(transport, path, params)
+    finally:
+        transport.close()
     return status, body.decode("utf-8")
 
 
@@ -90,9 +96,12 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         config.store_path = args.store
     try:
         svc = service_mod.AnnotationService(config)
-    except service_mod.StoreLoadError as exc:
+    except (service_mod.StoreLoadError, OSError) as exc:
         return _fail(EXIT_DATA, f"store: {exc}")
-    service_mod.serve(svc, args.host)
+    try:
+        service_mod.serve(svc, args.host)
+    except OSError as exc:  # e.g. the port is taken
+        return _fail(EXIT_PROTOCOL, f"serve: {exc}")
     return EXIT_OK
 
 
@@ -109,8 +118,7 @@ def _cmd_cloud(args: argparse.Namespace) -> int:
     status, body = _call(args, "cloud", [("resource", args.resource)])
     if status != 200:
         return _status_exit(status, body)
-    _emit(body, args.out)
-    return EXIT_OK
+    return _emit(body, args.out)
 
 
 def _cmd_map(args: argparse.Namespace) -> int:
@@ -118,8 +126,7 @@ def _cmd_map(args: argparse.Namespace) -> int:
     status, body = _call(args, "map", params)
     if status != 200:
         return _status_exit(status, body)
-    _emit(body, args.out)
-    return EXIT_OK
+    return _emit(body, args.out)
 
 
 def _cmd_attach(args: argparse.Namespace) -> int:
@@ -135,8 +142,7 @@ def _cmd_export(args: argparse.Namespace) -> int:
     status, body = _call(args, "export", [])
     if status != 200:
         return _status_exit(status, body)
-    _emit(body, args.out)
-    return EXIT_OK
+    return _emit(body, args.out)
 
 
 def _cmd_import(args: argparse.Namespace) -> int:
@@ -158,7 +164,10 @@ def _cmd_import(args: argparse.Namespace) -> int:
             f"import: the document holds {len(graph)} triples, but only {kept} of them "
             "describe clouds or topic maps in the default vocabulary; nothing written",
         )
-    service_mod.snapshot_store(store, args.store)
+    try:
+        service_mod.snapshot_store(store, args.store)
+    except OSError as exc:
+        return _fail(EXIT_DATA, f"import: {exc}")
     print(f"imported {len(store.clouds)} clouds, {len(store.maps)} maps into {args.store}", file=sys.stderr)
     return EXIT_OK
 
@@ -178,7 +187,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         if args.store:
             try:
                 store = service_mod.restore_store(args.store)
-            except service_mod.StoreLoadError as exc:
+            except (service_mod.StoreLoadError, OSError) as exc:
                 return _fail(EXIT_DATA, f"store: {exc}")
         target = service_mod.AnnotationService(store=store)
     simulator = sim.Simulator(
@@ -188,7 +197,11 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         latency=sim.LatencyModel(args.base_latency, args.jitter, args.seed),
         window_mode=args.window_mode,
     )
-    sys.stdout.write(simulator.run(script))
+    try:
+        sys.stdout.write(simulator.run(script))
+    finally:
+        if isinstance(target, sim.HttpTransport):
+            target.close()
     return EXIT_OK
 
 
@@ -198,7 +211,7 @@ def _cmd_layout(args: argparse.Namespace) -> int:
     if args.store:
         try:
             store = service_mod.restore_store(args.store)
-        except service_mod.StoreLoadError as exc:
+        except (service_mod.StoreLoadError, OSError) as exc:
             return _fail(EXIT_DATA, f"store: {exc}")
     else:
         store = model.AnnotationStore()
@@ -309,8 +322,10 @@ def main(argv: Optional[list[str]] = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except requests.exceptions.ConnectionError:
+    except (OSError, http.client.HTTPException):  # subcommands catch their own file errors
         return _fail(EXIT_PROTOCOL, f"cannot reach server at {_server_url(args)}")
+    except service_mod.PageError as exc:
+        return _fail(EXIT_PROTOCOL, f"server at {_server_url(args)} sent a body that is not a page: {exc}")
     except KeyboardInterrupt:
         return EXIT_OK
 

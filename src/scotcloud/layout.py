@@ -228,10 +228,11 @@ def layout_map(tree: TopicMap, cloud: TagCloud, params: LayoutParams, now: int) 
 
     levels: dict[int, list[Vec3]] = {}
     index = 1
+    children_by_label = tree.children()
 
     def place(label: str, level: int, sector_start: float, sector_width: float) -> None:
         nonlocal index
-        children = sorted(tree.children_of(label), key=lambda c: (-freqs.get(c, 0), c))
+        children = sorted(children_by_label.get(label, ()), key=lambda c: (-freqs.get(c, 0), c))
         if not children:
             return
         radius = (level + 1) * step

@@ -103,7 +103,17 @@ class TopicMap:
         return names
 
     def children_of(self, label: str) -> list[str]:
+        """Sorted children of one node; scans every edge, so walks use `children`."""
         return sorted(c for c, p in self.parent.items() if p == label)
+
+    def children(self) -> dict[str, list[str]]:
+        """Sorted children of every node that has any, in one pass over the edges."""
+        grouped: dict[str, list[str]] = {}
+        for child, parent in self.parent.items():
+            grouped.setdefault(parent, []).append(child)
+        for kids in grouped.values():
+            kids.sort()
+        return grouped
 
     def depth(self) -> int:
         best = 0
@@ -281,12 +291,13 @@ class AnnotationStore:
             raise UnknownConceptError(root)
         if depth < 1:
             raise ValueError("depth must be at least 1")
+        children = tree.children()
         result = TopicMap(root)
         frontier = [root]
         for _ in range(depth):
             next_frontier = []
             for node in frontier:
-                for child in tree.children_of(node):
+                for child in children.get(node, ()):
                     result.parent[child] = node
                     next_frontier.append(child)
             frontier = next_frontier

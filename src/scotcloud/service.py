@@ -18,6 +18,7 @@ still read, for its topic-map edges only, and never written.
 from __future__ import annotations
 
 import logging
+import os
 import sys
 import threading
 import time
@@ -94,6 +95,8 @@ def decode_page(raw: bytes) -> Page:
         raise PageError(f"bad page header: {head!r}") from None
     if length != len(payload):
         raise PageError(f"payload is {len(payload)} bytes, header says {length}")
+    if not 1 <= index <= total:
+        raise PageError(f"bad page header: {head!r}")
     return Page(index, total, payload)
 
 
@@ -404,11 +407,12 @@ class AnnotationService:
 def render_tree(tree: TopicMap, frequencies: dict[str, int]) -> str:
     """Line-per-concept tree text: two spaces per level, rank order among siblings."""
     lines: list[str] = []
+    children = tree.children()
 
     def walk(label: str, level: int) -> None:
         count = frequencies.get(label, 0)
         lines.append(f"{'  ' * level}{label} ({count})")
-        siblings = sorted(tree.children_of(label), key=lambda c: (-frequencies.get(c, 0), c))
+        siblings = sorted(children.get(label, ()), key=lambda c: (-frequencies.get(c, 0), c))
         for child in siblings:
             walk(child, level + 1)
 
@@ -447,7 +451,10 @@ def _replay_line(store: AnnotationStore, line: str) -> None:
 
 
 def snapshot_store(store: AnnotationStore, path: str) -> None:
-    """Write the store under `path` as a fresh `events.log`.
+    """Write the store under `path` as a fresh `events.log`, atomically.
+
+    The log is written to `events.log.tmp`, synced and renamed over the
+    old one, so an interrupted write leaves the old log as it was.
 
     Every event comes first, then each topic map's edges in insertion
     order, which is a valid replay order: `attach` only ever appends to a
@@ -458,12 +465,20 @@ def snapshot_store(store: AnnotationStore, path: str) -> None:
     """
     directory = Path(path)
     directory.mkdir(parents=True, exist_ok=True)
-    with (directory / EVENTS_FILE).open("w", encoding="utf-8", newline="\n") as fh:
-        for event in store.events:
-            fh.write(format_event_line(event))
-        for tree in store.maps.values():
-            for child, parent in tree.parent.items():
-                fh.write(format_attach_line(parent, child))
+    tmp = directory / (EVENTS_FILE + ".tmp")
+    try:
+        with tmp.open("w", encoding="utf-8", newline="\n") as fh:
+            for event in store.events:
+                fh.write(format_event_line(event))
+            for tree in store.maps.values():
+                for child, parent in tree.parent.items():
+                    fh.write(format_attach_line(parent, child))
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, directory / EVENTS_FILE)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
     (directory / SNAPSHOT_FILE).unlink(missing_ok=True)
 
 
@@ -521,14 +536,29 @@ def _cut_torn_tail(log_file: Path) -> None:
 
 
 class _Handler(BaseHTTPRequestHandler):
+    """GET-only shell over HTTP/1.1: a client keeps one connection for many requests.
+
+    TCP_NODELAY is required, not a tuning knob: headers and body go out in
+    two writes, and on a kept-alive connection Nagle's algorithm would hold
+    the body back until the client's delayed ACK, about 40 ms a response.
+    """
+
     service: AnnotationService
+    protocol_version = "HTTP/1.1"
+    disable_nagle_algorithm = True
 
     def do_GET(self) -> None:  # noqa: N802 (http.server API)
+        # The protocol has no request bodies; one left unread would be
+        # parsed as the next request, so such a connection is not reused.
+        if self.headers.get("Content-Length", "0").strip() != "0" or "Transfer-Encoding" in self.headers:
+            self.close_connection = True
         response = self.service.handle_url(self.path)
         raw = response.encode()
         self.send_response(response.status)
         self.send_header("Content-Type", "text/plain; charset=utf-8")
         self.send_header("Content-Length", str(len(raw)))
+        if self.close_connection:
+            self.send_header("Connection", "close")
         self.end_headers()
         self.wfile.write(raw)
 

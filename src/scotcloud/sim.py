@@ -17,16 +17,15 @@ from __future__ import annotations
 
 import hashlib
 import heapq
+import http.client
 import random
 import uuid
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Optional, Union
-from urllib.parse import urlencode
+from urllib.parse import urlencode, urlsplit
 
-import requests
-
-from .service import AnnotationService, Page, decode_page
+from .service import AnnotationService, Page, PageError, decode_page
 
 WINDOW_MS = 20000
 WINDOW_MAX = 25
@@ -134,16 +133,43 @@ class InProcessTransport:
         return response.status, response.encode()
 
 
-class HttpTransport:
-    """Wire transport against a live server."""
+# How a kept-alive connection that the server closed while idle fails:
+# before any byte of a response arrives.
+_STALE_CONNECTION = (http.client.RemoteDisconnected, ConnectionResetError, BrokenPipeError)
 
-    def __init__(self, base_url: str, session: Optional[requests.Session] = None):
-        self.base_url = base_url.rstrip("/")
-        self.session = session or requests.Session()
+
+class HttpTransport:
+    """Wire transport over one persistent HTTP/1.1 connection to a live server.
+
+    A request that fails with _STALE_CONNECTION on a reused connection is
+    sent once more on a new one. Nothing else is retried, since `/tag` and
+    `/attach` are not idempotent. Raises OSError or http.client.HTTPException
+    (InvalidURL for a URL that is not http[s]://host[:port][/prefix]).
+    """
+
+    def __init__(self, base_url: str):
+        split = urlsplit(base_url)
+        if split.scheme not in ("http", "https") or not split.netloc:
+            raise http.client.InvalidURL(f"not an http URL: {base_url!r}")
+        connection = http.client.HTTPSConnection if split.scheme == "https" else http.client.HTTPConnection
+        self._prefix = split.path.rstrip("/")
+        self._conn = connection(split.netloc)
 
     def get(self, path_query: str) -> tuple[int, bytes]:
-        r = self.session.get(self.base_url + path_query)
-        return r.status_code, r.content
+        retry = self._conn.sock is not None
+        while True:
+            try:
+                self._conn.request("GET", self._prefix + path_query)
+                response = self._conn.getresponse()
+                return response.status, response.read()
+            except BaseException as exc:
+                self._conn.close()  # its state is unknown after any failure
+                if not (retry and isinstance(exc, _STALE_CONNECTION)):
+                    raise
+                retry = False
+
+    def close(self) -> None:
+        self._conn.close()
 
 
 Transport = Union[InProcessTransport, HttpTransport]
@@ -452,11 +478,16 @@ class Simulator:
 
     def _on_response(self, unit: ScriptUnit, pending: _Pending, status: int, raw: bytes) -> None:
         self.memory_account(unit, -self.request_cost)
-        page = decode_page(raw)
         self._emit(f"response {unit.label} {status} {len(raw)} {_sha8(raw)}")
         command = pending.command
         if command.failed:
             return  # a sibling page already failed the command
+        try:
+            page = decode_page(raw)
+        except PageError:  # e.g. an HTML error page from a proxy, in wire mode
+            command.failed = True
+            self._emit(f"complete {command.kind} {status} badpage")
+            return
         if status != 200:
             command.failed = True
             self._emit(f"complete {command.kind} {status} {page.payload.decode('utf-8', 'replace')}")

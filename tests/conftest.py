@@ -1,9 +1,10 @@
+import random
 import threading
 import uuid
 
 import pytest
 
-from scotcloud.model import VocabConfig
+from scotcloud.model import AnnotationStore, AttachError, VocabConfig
 from scotcloud.service import AnnotationService, ServiceConfig, make_http_server
 
 TAGGER = uuid.UUID("12345678-1234-5678-1234-567812345678")
@@ -37,6 +38,20 @@ def store_state(store):
     clouds = {str(r): dict(c.frequencies) for r, c in store.clouds.items()}
     maps = {root: dict(tree.parent) for root, tree in store.maps.items()}
     return clouds, maps
+
+
+def random_forest(rng: random.Random, size: int) -> AnnotationStore:
+    """Topic maps from attaches in shuffled order, so trees also grow upward and some attaches are refused."""
+    edges = [(f"n{rng.randrange(i)}", f"n{i}") for i in range(1, size)]
+    edges += [(f"n{rng.randrange(size)}", f"n{rng.randrange(size)}") for _ in range(size // 10)]
+    rng.shuffle(edges)
+    store = AnnotationStore()
+    for parent, child in edges:
+        try:
+            store.attach(parent, child)
+        except AttachError:
+            pass
+    return store
 
 
 @pytest.fixture

@@ -1,7 +1,9 @@
+import socket
 import uuid
 
 import pytest
 
+from scotcloud import sim
 from scotcloud.cli import main
 from scotcloud.model import VocabConfig
 from scotcloud.service import AnnotationService, ServiceConfig, restore_store
@@ -97,6 +99,18 @@ class TestWireCommands:
         code, _, err = run(capsys, "tag", "--resource", "m", "--tag", "t", "--url", "http://127.0.0.1:9")
         assert code == 2
         assert "cannot reach" in err
+
+    def test_non_page_body_is_protocol_error(self, capsys, monkeypatch):
+        monkeypatch.setattr(sim.HttpTransport, "get", lambda self, path_query: (502, b"<html>"))
+        code, _, err = run(capsys, "cloud", "--resource", "m", "--url", "http://127.0.0.1:9")
+        assert code == 2
+        assert "not a page" in err
+
+    def test_unwritable_out_file_is_data_error(self, capsys, live_server, tmp_path):
+        url, _ = live_server
+        code, _, err = run(capsys, "export", "--url", url, "--out", str(tmp_path / "missing" / "x.rdf"))
+        assert code == 3
+        assert err.startswith("out: ")
 
     def test_env_var_supplies_url(self, capsys, live_server, monkeypatch):
         url, _ = live_server
@@ -260,6 +274,15 @@ class TestServeConfig:
         assert code == 0
         assert bound["port"] != 0
         assert err == f"serving on 127.0.0.1:{bound['port']}\n"
+
+    def test_taken_port_is_protocol_error_not_unreachable(self, capsys, monkeypatch):
+        monkeypatch.delenv("SCOTCLOUD_PORT", raising=False)
+        with socket.socket() as taken:
+            taken.bind(("127.0.0.1", 0))
+            taken.listen()
+            code, _, err = run(capsys, "serve", "--port", str(taken.getsockname()[1]))
+        assert code == 2
+        assert err.startswith("serve: ") and "cannot reach" not in err
 
     def test_bad_config_is_data_error(self, capsys, tmp_path):
         config_file = tmp_path / "svc.conf"

@@ -13,6 +13,7 @@ from scotcloud.model import (
     CloudShapeError,
     TagCloud,
     TagError,
+    TopicMap,
     UnknownConceptError,
     VocabConfig,
     _replay_edges,
@@ -25,7 +26,7 @@ from scotcloud.model import (
 )
 from scotcloud.rdfxml import RDF_TYPE, Iri, parse, serialize
 
-from conftest import TAGGER
+from conftest import TAGGER, random_forest
 
 VOCAB = VocabConfig()
 MOUSE = VOCAB.mint("mouse")
@@ -432,6 +433,49 @@ class TestSubtree:
             depth = rng.randint(1, 4)
             got = store.subtree(node, depth)
             assert got.nodes == bfs_to_depth(tree.parent, node, depth)
+
+
+def _subtree_by_rescan(store: AnnotationStore, root: str, depth: int) -> TopicMap:
+    """The former `AnnotationStore.subtree`: one `children_of` scan per node."""
+    tree = store.tree_of(root)
+    result = TopicMap(root)
+    frontier = [root]
+    for _ in range(depth):
+        next_frontier = []
+        for node in frontier:
+            for child in tree.children_of(node):
+                result.parent[child] = node
+                next_frontier.append(child)
+        frontier = next_frontier
+    return result
+
+
+class TestChildrenIndex:
+    def test_children_matches_children_of_on_random_forests(self):
+        rng = random.Random(5)
+        for _ in range(40):
+            store = random_forest(rng, rng.randint(2, 80))
+            for tree in store.maps.values():
+                expected = {n: tree.children_of(n) for n in tree.nodes if tree.children_of(n)}
+                assert tree.children() == expected
+
+    def test_subtree_matches_former_implementation_on_random_forests(self):
+        rng = random.Random(6)
+        for _ in range(40):
+            store = random_forest(rng, rng.randint(2, 80))
+            for tree in store.maps.values():
+                for node in rng.sample(sorted(tree.nodes), min(5, len(tree.nodes))):
+                    depth = rng.randint(1, 5)
+                    got = store.subtree(node, depth)
+                    want = _subtree_by_rescan(store, node, depth)
+                    assert got == want
+                    assert list(got.parent.items()) == list(want.parent.items())
+
+    def test_subtree_scans_the_edges_once(self, monkeypatch):
+        store = random_forest(random.Random(7), 200)
+        monkeypatch.setattr(TopicMap, "children_of", lambda self, label: pytest.fail("per-node scan"))
+        for root in store.maps:
+            store.subtree(root, 10)
 
 
 class TestStoreGraph:

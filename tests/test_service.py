@@ -1,9 +1,13 @@
+import contextlib
+import http.client
 import random
+import socket
 import sys
 import threading
+import time
+from urllib.parse import urlencode, urlsplit
 
 import pytest
-import requests
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -20,6 +24,7 @@ from scotcloud.service import (
     StoreLoadError,
     decode_page,
     load_config,
+    make_http_server,
     paginate,
     parse_event_line,
     render_tree,
@@ -28,7 +33,8 @@ from scotcloud.service import (
     snapshot_store,
 )
 
-from conftest import TAGGER, fetch_full, seed_mouse, store_state
+from conftest import TAGGER, fetch_full, random_forest, seed_mouse, store_state
+from scotcloud.sim import HttpTransport
 
 VOCAB = VocabConfig()
 
@@ -68,7 +74,7 @@ class TestPaging:
         assert decode_page(page.encode()) == page
 
     def test_decode_rejects_bad_headers(self):
-        for raw in [b"", b"nope", b"page 1/1 4\nabc", b"page x/1 0\n"]:
+        for raw in [b"", b"nope", b"page 1/1 4\nabc", b"page x/1 0\n", b"page 0/0 0\n", b"page 3/2 0\n"]:
             with pytest.raises(PageError):
                 decode_page(raw)
 
@@ -365,6 +371,27 @@ class TestPersistence:
         assert (tmp_path / "snap" / "events.log").read_text("utf-8") == ""
         assert store_state(restore_store(str(tmp_path / "snap"))) == ({}, {})
 
+    def test_interrupted_snapshot_leaves_the_old_log(self, tmp_path, monkeypatch):
+        target = tmp_path / "snap"
+        snapshot_store(self.random_store(0), str(target))
+        before = (target / "events.log").read_bytes()
+        written = 0
+
+        def failing_line(event):
+            nonlocal written
+            written += 1
+            if written == 50:
+                raise OSError(28, "No space left on device")
+            return service_module.format_event_line.__wrapped__(event)
+
+        failing_line.__wrapped__ = service_module.format_event_line
+        monkeypatch.setattr(service_module, "format_event_line", failing_line)
+        with pytest.raises(OSError):
+            snapshot_store(self.random_store(1), str(target))
+        assert written == 50
+        assert (target / "events.log").read_bytes() == before
+        assert [p.name for p in target.iterdir()] == ["events.log"]
+
     def test_event_log_line_roundtrip(self):
         event = model.AnnotationEvent(1234, TAGGER, VOCAB.mint("mouse"), "two words")
         from scotcloud.service import format_event_line
@@ -473,41 +500,53 @@ class TestPersistence:
         assert store_state(restore_store(str(tmp_path / "old"))) == store_state(store)
 
 
+def http_get(url: str, path: str, params: dict | None = None) -> tuple[int, bytes]:
+    """One GET on a connection of its own: (status, body)."""
+    conn = http.client.HTTPConnection(urlsplit(url).netloc, timeout=10)
+    try:
+        conn.request("GET", f"{path}?{urlencode(params)}" if params else path)
+        response = conn.getresponse()
+        return response.status, response.read()
+    finally:
+        conn.close()
+
+
 class TestHttpWire:
     def test_tag_cloud_map_attach_over_http(self, live_server):
         url, svc = live_server
-        r = requests.get(f"{url}/tag", params={"resource": "mouse", "tag": "laser", "tagger": str(TAGGER)})
-        assert r.status_code == 200
-        assert r.content == b"page 1/1 10\nok laser 1"
+        status, body = http_get(url, "/tag", {"resource": "mouse", "tag": "laser", "tagger": str(TAGGER)})
+        assert status == 200
+        assert body == b"page 1/1 10\nok laser 1"
 
-        r = requests.get(f"{url}/attach", params={"parent": "shoe", "child": "rubber", "tagger": str(TAGGER)})
-        assert r.status_code == 200
+        status, _ = http_get(url, "/attach", {"parent": "shoe", "child": "rubber", "tagger": str(TAGGER)})
+        assert status == 200
 
-        r = requests.get(f"{url}/cloud", params={"resource": "mouse"})
-        page = decode_page(r.content)
+        _, body = http_get(url, "/cloud", {"resource": "mouse"})
+        page = decode_page(body)
         assert b"laser" in page.payload
 
-        r = requests.get(f"{url}/map", params={"root": "shoe", "depth": 1})
-        assert decode_page(r.content).payload == b"shoe (0)\n  rubber (0)\n"
+        _, body = http_get(url, "/map", {"root": "shoe", "depth": 1})
+        assert decode_page(body).payload == b"shoe (0)\n  rubber (0)\n"
 
-        r = requests.get(f"{url}/export")
-        assert decode_page(r.content).total == 1
+        _, body = http_get(url, "/export")
+        assert decode_page(body).total == 1
 
     def test_error_statuses_over_http(self, live_server):
         url, _ = live_server
-        assert requests.get(f"{url}/tag").status_code == 400
-        assert requests.get(f"{url}/map", params={"root": "ghost"}).status_code == 404
-        assert requests.get(f"{url}/bogus").status_code == 404
-        assert requests.get(f"{url}/cloud", params={"resource": "x", "page": 7}).status_code == 400
+        assert http_get(url, "/tag")[0] == 400
+        assert http_get(url, "/map", {"root": "ghost"})[0] == 404
+        assert http_get(url, "/bogus")[0] == 404
+        assert http_get(url, "/cloud", {"resource": "x", "page": 7})[0] == 400
 
     def test_concurrent_tagging_is_serialized(self, live_server):
         url, svc = live_server
 
         def worker():
+            conn = http.client.HTTPConnection(urlsplit(url).netloc, timeout=10)
             for _ in range(25):
-                requests.get(
-                    f"{url}/tag", params={"resource": "shared", "tag": "t", "tagger": str(TAGGER)}
-                )
+                conn.request("GET", "/tag?" + urlencode({"resource": "shared", "tag": "t", "tagger": str(TAGGER)}))
+                conn.getresponse().read()
+            conn.close()
 
         threads = [threading.Thread(target=worker) for _ in range(4)]
         for t in threads:
@@ -516,6 +555,155 @@ class TestHttpWire:
             t.join()
         cloud = svc.store.cloud_of(VOCAB.resource_iri("shared"))
         assert cloud.frequencies["t"] == 100
+
+
+@contextlib.contextmanager
+def http_server(service: AnnotationService, handler_mixin: type):
+    """A live server whose handler has `handler_mixin` in front; yields (url, server).
+
+    `server.connections` counts the connections the server accepted.
+    """
+    server = make_http_server(service)
+    server.connections = 0
+    server.RequestHandlerClass = type("Handler", (handler_mixin, server.RequestHandlerClass), {})
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    try:
+        yield f"http://127.0.0.1:{server.server_address[1]}", server
+    finally:
+        server.shutdown()
+        server.server_close()
+
+
+class _Counting:
+    def setup(self):
+        super().setup()
+        self.server.connections += 1
+
+
+class _ClosesAfterEachResponse(_Counting):
+    """Closes the connection after answering without saying so, as an idle timeout would."""
+
+    def do_GET(self):
+        super().do_GET()
+        self.close_connection = True
+
+
+class _AppliesButNeverAnswers(_Counting):
+    def do_GET(self):
+        self.service.handle_url(self.path)
+        self.close_connection = True
+
+
+class _CutsTheSecondResponse(_Counting):
+    answered = 0
+
+    def do_GET(self):
+        if _CutsTheSecondResponse.answered == 0:
+            _CutsTheSecondResponse.answered += 1
+            super().do_GET()
+            return
+        raw = self.service.handle_url(self.path).encode()
+        self.send_response(200)
+        self.send_header("Content-Length", str(len(raw) + 100))
+        self.end_headers()
+        self.wfile.write(raw)
+        self.close_connection = True
+
+
+def _tag_query(tag: str = "t") -> str:
+    return "/tag?" + urlencode({"resource": "kept", "tag": tag, "tagger": str(TAGGER)})
+
+
+def _tag_page(count: int) -> bytes:
+    return Page(1, 1, b"ok t %d" % count).encode()
+
+
+def _kept_count(service: AnnotationService, tag: str = "t") -> int:
+    return service.store.cloud_of(VOCAB.resource_iri("kept")).frequencies.get(tag, 0)
+
+
+class TestKeepAlive:
+    def test_200_tags_share_one_socket_without_nagle_stalls(self, live_server):
+        # With Nagle on, each response body waits ~40 ms for a delayed ACK: >= 8 s.
+        url, svc = live_server
+        conn = http.client.HTTPConnection(urlsplit(url).netloc, timeout=10)
+        first_socket = None
+        start = time.perf_counter()
+        for i in range(1, 201):
+            conn.request("GET", _tag_query())
+            response = conn.getresponse()
+            assert (response.status, response.read()) == (200, _tag_page(i))
+            assert conn.sock is not None  # http.client drops a socket the server will close
+            first_socket = first_socket or conn.sock
+            assert conn.sock is first_socket
+        elapsed = time.perf_counter() - start
+        conn.close()
+        assert elapsed < 2.0
+
+    def test_malformed_request_line_gets_400_and_a_close(self, live_server):
+        url, _ = live_server
+        with socket.create_connection(("127.0.0.1", urlsplit(url).port), timeout=5) as sock:
+            sock.sendall(b"GET %s HTTP/1.1\r\nHost: x\r\n\r\n" % _tag_query().encode())
+            first = b""
+            while not first.endswith(_tag_page(1)):  # headers and body may come apart
+                first += sock.recv(65536)
+            assert first.startswith(b"HTTP/1.1 200 ")
+            sock.sendall(b"GET /tag with spaces HTTP/1.1\r\nHost: x\r\n\r\n")
+            rest = b""
+            while chunk := sock.recv(65536):  # a hang fails with socket.timeout
+                rest += chunk
+        assert rest.startswith(b"HTTP/1.1 400 ")
+        assert b"Connection: close" in rest
+
+    def test_request_with_a_body_is_answered_and_not_kept(self, live_server):
+        url, svc = live_server
+        conn = http.client.HTTPConnection(urlsplit(url).netloc, timeout=5)
+        conn.request("GET", _tag_query(), body=b"GET /export HTTP/1.1\r\n\r\n")
+        response = conn.getresponse()
+        assert (response.status, response.read()) == (200, _tag_page(1))
+        assert response.will_close
+        conn.close()
+        assert _kept_count(svc) == 1
+
+    def test_transport_reconnects_once_after_the_server_closed(self):
+        svc = AnnotationService(ServiceConfig(port=0))
+        with http_server(svc, _ClosesAfterEachResponse) as (url, server):
+            transport = HttpTransport(url)
+            for i in range(1, 4):
+                assert transport.get(_tag_query()) == (200, _tag_page(i))
+            transport.close()
+        assert server.connections == 3
+        assert _kept_count(svc) == 3
+
+    def test_tag_without_an_answer_on_a_fresh_connection_is_not_retried(self):
+        svc = AnnotationService(ServiceConfig(port=0))
+        with http_server(svc, _AppliesButNeverAnswers) as (url, server):
+            with pytest.raises(http.client.RemoteDisconnected):
+                HttpTransport(url).get(_tag_query())
+        assert server.connections == 1
+        assert _kept_count(svc) == 1
+
+    def test_tag_with_a_cut_response_is_not_retried(self):
+        svc = AnnotationService(ServiceConfig(port=0))
+        with http_server(svc, _CutsTheSecondResponse) as (url, server):
+            transport = HttpTransport(url)
+            assert transport.get(_tag_query()) == (200, _tag_page(1))
+            with pytest.raises(http.client.IncompleteRead):
+                transport.get(_tag_query())
+        assert server.connections == 1
+        assert _kept_count(svc) == 2
+
+    def test_transport_keeps_a_base_path_prefix(self, live_server):
+        url, _ = live_server
+        transport = HttpTransport(url + "/")
+        assert transport.get("/cloud?resource=x")[0] == 200
+        transport.close()
+        transport = HttpTransport(url + "/api/")  # sent as /api/cloud, which is no operation
+        assert transport.get("/cloud?resource=x") == (404, Page(1, 1, b"unknown").encode())
+        transport.close()
+        with pytest.raises(http.client.InvalidURL):
+            HttpTransport("ftp://127.0.0.1:1")
 
 
 class TestRateLimiter:
@@ -558,6 +746,25 @@ class TestRenderTree:
         from scotcloud.model import TopicMap
 
         assert render_tree(TopicMap("only"), {}) == "only (0)\n"
+
+    def test_matches_former_implementation_on_random_forests(self):
+        def render_by_rescan(tree, frequencies):
+            lines = []
+
+            def walk(label, level):
+                lines.append(f"{'  ' * level}{label} ({frequencies.get(label, 0)})")
+                for child in sorted(tree.children_of(label), key=lambda c: (-frequencies.get(c, 0), c)):
+                    walk(child, level + 1)
+
+            walk(tree.root, 0)
+            return "\n".join(lines) + "\n"
+
+        rng = random.Random(8)
+        for _ in range(40):
+            store = random_forest(rng, rng.randint(2, 80))
+            for tree in store.maps.values():
+                frequencies = {n: rng.randrange(4) for n in tree.nodes}
+                assert render_tree(tree, frequencies) == render_by_rescan(tree, frequencies)
 
 
 def encoded_error(token: bytes, cap: int) -> bytes:

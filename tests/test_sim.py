@@ -1,3 +1,4 @@
+import hashlib
 import random
 import uuid
 
@@ -5,6 +6,7 @@ import pytest
 
 from scotcloud.service import AnnotationService, Page, paginate
 from scotcloud.sim import (
+    InProcessTransport,
     LatencyModel,
     ReassemblyError,
     ScriptFormatError,
@@ -248,6 +250,44 @@ class TestReassembly:
 
         body = fetch_full(service, "cloud", {"resource": "big"})
         assert completes[0].endswith(f"{len(body)} {hashlib.sha256(body).hexdigest()[:8]}")
+
+
+class _ProxyErrorTransport(InProcessTransport):
+    """Answers the queries that contain `broken` with a proxy's HTML page."""
+
+    def __init__(self, service: AnnotationService, broken: str):
+        super().__init__(service)
+        self.broken = broken
+
+    def get(self, path_query: str) -> tuple[int, bytes]:
+        if self.broken in path_query:
+            return 502, b"<html>"
+        return super().get(path_query)
+
+
+class TestNonPageBody:
+    def test_html_body_fails_only_that_command(self):
+        sim = Simulator(_ProxyErrorTransport(AnnotationService(), "/cloud"), units=1)
+        chat_at(sim, 0, "tag r t")
+        chat_at(sim, 10, "cloud r")
+        chat_at(sim, 20, "tag r u")
+        lines = sim.run([]).splitlines()
+        completes = [line.split()[2:5] for line in lines if " complete " in line]
+        assert completes == [["tag", "200", "6"], ["cloud", "502", "badpage"], ["tag", "200", "6"]]
+        assert [c.failed for c in sim.commands] == [False, True, False]
+        assert any(line.endswith(f"response u1 502 6 {hashlib.sha256(b'<html>').hexdigest()[:8]}") for line in lines)
+
+    def test_html_page_mid_walk_fails_the_command_once(self):
+        service = AnnotationService()
+        for i in range(120):
+            service.handle_url(f"/tag?resource=big&tag=tag{i:03d}&tagger={TAGGER}")
+        assert service.handle_url("/cloud?resource=big").page.total >= 3
+        sim = Simulator(_ProxyErrorTransport(service, "page=1"), units=1)
+        chat_at(sim, 0, "cloud big")
+        trace = sim.run([])
+        completes = [line for line in trace.splitlines() if " complete " in line]
+        assert [line.split(" ", 1)[1] for line in completes] == ["complete cloud 502 badpage"]
+        assert sim.commands[0].failed
 
 
 class TestMemory:
