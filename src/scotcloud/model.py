@@ -116,15 +116,13 @@ class TopicMap:
         return grouped
 
     def depth(self) -> int:
-        best = 0
-        for node in self.parent:
-            steps = 0
-            cursor = node
-            while cursor != self.root:
-                cursor = self.parent[cursor]
-                steps += 1
-            best = max(best, steps)
-        return best
+        """Edges on the longest path down from the root, in one breadth-first pass."""
+        children = self.children()
+        levels, frontier = 0, children.get(self.root, [])
+        while frontier:
+            levels += 1
+            frontier = [kid for node in frontier for kid in children.get(node, ())]
+        return levels
 
 
 @dataclass

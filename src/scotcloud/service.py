@@ -38,6 +38,7 @@ log = logging.getLogger(__name__)
 
 PAGE_HEADER_RESERVE = 32
 BODY_CACHE_ENTRIES = 64  # paged bodies kept per service; the oldest goes first
+IDLE_TIMEOUT_S = 30  # a kept-alive connection idle this long is closed, freeing its thread
 SNAPSHOT_FILE = "snapshot.rdf"  # read-only: older versions kept topic maps here
 EVENTS_FILE = "events.log"
 ATTACH_MARK = "attach"
@@ -541,11 +542,14 @@ class _Handler(BaseHTTPRequestHandler):
     TCP_NODELAY is required, not a tuning knob: headers and body go out in
     two writes, and on a kept-alive connection Nagle's algorithm would hold
     the body back until the client's delayed ACK, about 40 ms a response.
+    Each connection holds a thread, so one left idle is closed after
+    IDLE_TIMEOUT_S; clients reconnect on their next request.
     """
 
     service: AnnotationService
     protocol_version = "HTTP/1.1"
     disable_nagle_algorithm = True
+    timeout = IDLE_TIMEOUT_S
 
     def do_GET(self) -> None:  # noqa: N802 (http.server API)
         # The protocol has no request bodies; one left unread would be

@@ -1,8 +1,10 @@
 """Deterministic simulator of the in-world client stack.
 
-Three script tiers: a listener that hears chat commands on a public
-channel, a communication center that owns the request queue, and a pool
-of communication units that actually talk to the server. Each unit may
+The in-world client has three kinds of script: a listener that hears
+chat commands on a public channel, a communication center that owns the
+request queue, and a pool of communication units that talk to the server.
+The listener and the center are stages here (`post_chat` and
+`center_assign`); only the units are modelled as scripts. Each unit may
 issue at most 25 requests in any sliding 20-second window and lives
 inside a 64 KiB memory budget, so the center defers work until some unit
 has headroom and fans multi-page responses back together.
@@ -51,18 +53,6 @@ class ScriptFormatError(ValueError):
 
 
 @dataclass
-class SimClock:
-    """Simulated milliseconds; only ever moves forward, only explicitly."""
-
-    now: int = 0
-
-    def advance_to(self, t: int) -> None:
-        if t < self.now:
-            raise SimError(f"clock cannot move backwards ({t} < {self.now})")
-        self.now = t
-
-
-@dataclass
 class LatencyModel:
     """Seeded request latency: base plus uniform jitter."""
 
@@ -80,25 +70,13 @@ class LatencyModel:
 
 
 @dataclass
-class ChannelMessage:
-    channel: int
-    sender: uuid.UUID
-    text: str
-
-    def __post_init__(self) -> None:
-        if not self.text:
-            raise ValueError("channel message text must be non-empty")
-
-
-@dataclass
 class ScriptUnit:
-    uid: uuid.UUID
-    role: str  # listener | center | comm-unit
+    """A communication unit: its memory use and the issue times still in its rate window."""
+
     label: str
-    memory_budget: int = MEMORY_BUDGET
     memory_used: int = 0
     frozen: bool = False
-    issued: list[int] = field(default_factory=list)
+    issued: deque[int] = field(default_factory=deque)
 
 
 def reassemble(pages: list[Page]) -> bytes:
@@ -248,6 +226,8 @@ def parse_script(text: str) -> list[ScriptLine]:
             raise ScriptFormatError(f"line {lineno}: {exc}") from None
         if time_ms < last_time:
             raise ScriptFormatError(f"line {lineno}: lines must be sorted by time")
+        if not parts[3]:
+            raise ScriptFormatError(f"line {lineno}: empty command")
         last_time = time_ms
         lines.append(ScriptLine(time_ms, channel, sender, parts[3]))
     return lines
@@ -269,11 +249,7 @@ class _Command:
 @dataclass
 class _Pending:
     command: _Command
-    page_param: int
-
-    @property
-    def query(self) -> str:
-        return build_query(self.command.kind, self.command.params, self.page_param)
+    query: str
 
 
 def _sha8(data: bytes) -> str:
@@ -288,13 +264,6 @@ class Simulator:
         seed: int = 0,
         latency: Optional[LatencyModel] = None,
         window_mode: str = "sliding",
-        window_ms: int = WINDOW_MS,
-        max_in_window: int = WINDOW_MAX,
-        request_cost: int = REQUEST_COST,
-        memory_budget: int = MEMORY_BUDGET,
-        warn_threshold: int = MEMORY_WARN,
-        public_channel: int = PUBLIC_CHANNEL,
-        center_channel: int = CENTER_CHANNEL,
     ):
         if units < 1:
             raise SimError("at least one communication unit is required")
@@ -304,25 +273,12 @@ class Simulator:
             target = InProcessTransport(target)
         self.transport = target
         if isinstance(self.transport, InProcessTransport):
-            self.transport.service.now_ms = lambda: self.clock.now
+            self.transport.service.now_ms = lambda: self.now
 
-        self.clock = SimClock()
+        self.now = 0  # simulated ms; moves only forward, only in `advance`
         self.window_mode = window_mode
-        self.window_ms = window_ms
-        self.max_in_window = max_in_window
-        self.request_cost = request_cost
-        self.memory_budget = memory_budget
-        self.warn_threshold = warn_threshold
-        self.public_channel = public_channel
-        self.center_channel = center_channel
         self.latency = latency or LatencyModel(seed=seed)
-
-        self._rng = random.Random(seed)
-        self.listener = self.spawn_unit("listener")
-        self.center = self.spawn_unit("center")
-        self.units: list[ScriptUnit] = []
-        for _ in range(units):
-            self.spawn_unit("comm-unit", memory_budget)
+        self.units = [ScriptUnit(f"u{i + 1}") for i in range(units)]
 
         self._rr = 0
         self._heap: list[tuple[int, int, str, object]] = []
@@ -334,56 +290,42 @@ class Simulator:
 
     # -- units -----------------------------------------------------------------
 
-    def spawn_unit(self, role: str, budget: int = MEMORY_BUDGET) -> ScriptUnit:
-        if budget <= 0:
-            raise SimError("memory budget must be positive")
-        uid = uuid.UUID(int=self._rng.getrandbits(128), version=4)
-        if role == "comm-unit":
-            label = f"u{len(self.units) + 1}"
-            unit = ScriptUnit(uid, role, label, budget)
-            self.units.append(unit)
-        elif role in ("listener", "center"):
-            unit = ScriptUnit(uid, role, role, budget)
-        else:
-            raise SimError(f"unknown role {role!r}")
-        return unit
-
     def memory_account(self, unit: ScriptUnit, delta: int) -> None:
         """Adjust a unit's memory; crossing thresholds emits events, exceeding freezes."""
         before = unit.memory_used
         unit.memory_used = max(0, before + delta)
-        if before < self.warn_threshold <= unit.memory_used:
+        if before < MEMORY_WARN <= unit.memory_used:
             self._emit(f"memory-warn {unit.label} {unit.memory_used}")
-        if unit.memory_used > unit.memory_budget and not unit.frozen:
+        if unit.memory_used > MEMORY_BUDGET and not unit.frozen:
             unit.frozen = True
             self._emit(f"memory-exceeded {unit.label} {unit.memory_used}")
 
     # -- rate window -------------------------------------------------------------
 
     def _headroom(self, unit: ScriptUnit) -> bool:
-        t = self.clock.now
+        """Forget the stamps that have left the window, then count the rest."""
         if self.window_mode == "fixed":
-            bucket = t // self.window_ms
-            count = sum(1 for s in unit.issued if s // self.window_ms == bucket)
+            start = self.now // WINDOW_MS * WINDOW_MS
         else:
-            count = sum(1 for s in unit.issued if s >= t - self.window_ms)
-        return count < self.max_in_window
+            start = self.now - WINDOW_MS
+        issued = unit.issued
+        while issued and issued[0] < start:
+            issued.popleft()
+        return len(issued) < WINDOW_MAX
 
     def _next_free_time(self, unit: ScriptUnit) -> int:
-        t = self.clock.now
         if self._headroom(unit):
-            return t
+            return self.now
         if self.window_mode == "fixed":
-            return (t // self.window_ms + 1) * self.window_ms
-        in_window = sorted(s for s in unit.issued if s >= t - self.window_ms)
-        # The (count-max+1)-th oldest stamp must age out before a slot opens.
-        kth = in_window[len(in_window) - self.max_in_window]
-        return kth + self.window_ms + 1
+            return (self.now // WINDOW_MS + 1) * WINDOW_MS
+        # Stamps are appended in clock order, so `issued` is sorted: the
+        # (count-max+1)-th oldest stamp must age out before a slot opens.
+        return unit.issued[len(unit.issued) - WINDOW_MAX] + WINDOW_MS + 1
 
     # -- event plumbing -----------------------------------------------------------
 
     def _emit(self, detail: str) -> str:
-        line = f"{self.clock.now} {detail}"
+        line = f"{self.now} {detail}"
         self.trace.append(line)
         return line
 
@@ -394,17 +336,18 @@ class Simulator:
     # -- chat front end --------------------------------------------------------------
 
     def post_chat(self, channel: int, sender: uuid.UUID, text: str) -> list[str]:
-        """Deliver one chat line at the current instant; returns new trace lines."""
-        message = ChannelMessage(channel, sender, text)
+        """The listener: deliver one chat line at the current instant; returns new trace lines."""
+        if not text:
+            raise ValueError("channel message text must be non-empty")
         mark = len(self.trace)
-        self._emit(f"chat {message.channel} {message.sender} {message.text}")
-        if message.channel == self.public_channel:
-            parsed = parse_command(message.text)
+        self._emit(f"chat {channel} {sender} {text}")
+        if channel == PUBLIC_CHANNEL:
+            parsed = parse_command(text)
             if parsed is None or parsed[0] == "help":
-                self._emit(f"usage {message.channel} {USAGE}")
+                self._emit(f"usage {channel} {USAGE}")
             else:
                 kind, args = parsed
-                self._accept(kind, args, message.sender)
+                self._accept(kind, args, sender)
         return self.trace[mark:]
 
     def _accept(self, kind: str, args: list[str], sender: uuid.UUID) -> None:
@@ -419,17 +362,15 @@ class Simulator:
         command = _Command(kind, params)
         command.requested.add(1)
         self.commands.append(command)
-        pending = _Pending(command, 0)
+        pending = _Pending(command, build_query(kind, params))
         # listener hands the parsed command to the center on the private channel
-        self._emit(f"request {self.center_channel} {kind} {pending.query}")
+        self._emit(f"request {CENTER_CHANNEL} {kind} {pending.query}")
         self.center_assign(pending)
 
     # -- center and units ---------------------------------------------------------------
 
     def center_assign(self, pending: _Pending) -> Optional[ScriptUnit]:
-        """Hand the request to a unit with window headroom, or defer it."""
-        if not self.units:
-            raise SimError("no communication units spawned")
+        """The center: hand the request to a unit with window headroom, or defer it."""
         unit = self._try_assign(pending)
         if unit is None:
             self._emit(f"defer {pending.query}")
@@ -452,11 +393,11 @@ class Simulator:
             raise SimError(f"{unit.label} is frozen")
         if not self._headroom(unit):
             raise SimError(f"{unit.label} has no window headroom")
-        unit.issued.append(self.clock.now)
-        self.memory_account(unit, self.request_cost)
+        unit.issued.append(self.now)
+        self.memory_account(unit, REQUEST_COST)
         self._emit(f"issue {unit.label} {pending.query}")
         status, raw = self.transport.get(pending.query)
-        self._push(self.clock.now + self.latency.sample(), "response", (unit, pending, status, raw))
+        self._push(self.now + self.latency.sample(), "response", (unit, pending, status, raw))
 
     def _schedule_retry(self) -> None:
         candidates = [self._next_free_time(u) for u in self.units if not u.frozen]
@@ -477,7 +418,7 @@ class Simulator:
             self._schedule_retry()
 
     def _on_response(self, unit: ScriptUnit, pending: _Pending, status: int, raw: bytes) -> None:
-        self.memory_account(unit, -self.request_cost)
+        self.memory_account(unit, -REQUEST_COST)
         self._emit(f"response {unit.label} {status} {len(raw)} {_sha8(raw)}")
         command = pending.command
         if command.failed:
@@ -501,7 +442,7 @@ class Simulator:
         for index in range(1, command.total + 1):
             if index not in command.requested:
                 command.requested.add(index)
-                self.center_assign(_Pending(command, index - 1))
+                self.center_assign(_Pending(command, build_query(command.kind, command.params, index - 1)))
 
     # -- the loop ------------------------------------------------------------------------
 
@@ -509,11 +450,13 @@ class Simulator:
         """Move the clock forward, firing every event due on the way."""
         if ms < 0:
             raise SimError("cannot advance by a negative amount")
-        target = self.clock.now + ms
+        target = self.now + ms
         mark = len(self.trace)
         while self._heap and self._heap[0][0] <= target:
             time_ms, _, kind, payload = heapq.heappop(self._heap)
-            self.clock.advance_to(time_ms)
+            if time_ms < self.now:
+                raise SimError(f"clock cannot move backwards ({time_ms} < {self.now})")
+            self.now = time_ms
             if kind == "chat":
                 line: ScriptLine = payload  # type: ignore[assignment]
                 self.post_chat(line.channel, line.sender, line.text)
@@ -522,7 +465,7 @@ class Simulator:
                 self._on_retry()
             elif kind == "response":
                 self._on_response(*payload)  # type: ignore[misc]
-        self.clock.advance_to(target)
+        self.now = target
         return self.trace[mark:]
 
     def run(self, script: list[ScriptLine]) -> str:
@@ -530,5 +473,5 @@ class Simulator:
         for line in script:
             self._push(line.time_ms, "chat", line)
         while self._heap:
-            self.advance(self._heap[0][0] - self.clock.now)
+            self.advance(self._heap[0][0] - self.now)
         return "".join(line + "\n" for line in self.trace)

@@ -195,6 +195,13 @@ class TestSimulate:
         code, _, _ = run(capsys, "simulate", "--script", str(script))
         assert code == 3
 
+    def test_empty_command_is_data_error(self, capsys, tmp_path):
+        script = tmp_path / "bots.txt"
+        script.write_text(f"@0 0 {TAGGER} help\n@5 0 {TAGGER} \n", "utf-8")
+        code, out, err = run(capsys, "simulate", "--script", str(script))
+        assert (code, out) == (3, "")
+        assert "script: line 2: empty command" in err
+
     def test_wire_mode_against_live_server(self, capsys, live_server, tmp_path):
         url, svc = live_server
         script = tmp_path / "bots.txt"

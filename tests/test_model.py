@@ -450,7 +450,33 @@ def _subtree_by_rescan(store: AnnotationStore, root: str, depth: int) -> TopicMa
     return result
 
 
+def _depth_by_walking_up(tree: TopicMap) -> int:
+    """The former `TopicMap.depth`: a walk to the root from every node."""
+    best = 0
+    for node in tree.parent:
+        steps = 0
+        cursor = node
+        while cursor != tree.root:
+            cursor = tree.parent[cursor]
+            steps += 1
+        best = max(best, steps)
+    return best
+
+
 class TestChildrenIndex:
+    def test_depth_matches_former_implementation_on_random_forests(self):
+        rng = random.Random(8)
+        for _ in range(40):
+            store = random_forest(rng, rng.randint(2, 120))
+            for tree in store.maps.values():
+                assert tree.depth() == _depth_by_walking_up(tree)
+                node = rng.choice(sorted(tree.nodes))
+                part = store.subtree(node, rng.randint(1, 4))
+                assert part.depth() == _depth_by_walking_up(part)
+        chain = TopicMap("n0", {f"n{i}": f"n{i - 1}" for i in range(1, 60)})
+        assert chain.depth() == _depth_by_walking_up(chain) == 59
+        assert TopicMap("alone").depth() == 0
+
     def test_children_matches_children_of_on_random_forests(self):
         rng = random.Random(5)
         for _ in range(40):

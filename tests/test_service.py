@@ -611,6 +611,12 @@ class _CutsTheSecondResponse(_Counting):
         self.close_connection = True
 
 
+class _RecordsItsThread:
+    def setup(self):
+        super().setup()
+        self.server.handler_threads.append(threading.current_thread())
+
+
 def _tag_query(tag: str = "t") -> str:
     return "/tag?" + urlencode({"resource": "kept", "tag": tag, "tagger": str(TAGGER)})
 
@@ -693,6 +699,25 @@ class TestKeepAlive:
                 transport.get(_tag_query())
         assert server.connections == 1
         assert _kept_count(svc) == 2
+
+    def test_idle_connections_do_not_pin_handler_threads(self):
+        svc = AnnotationService(ServiceConfig(port=0))
+        with http_server(svc, _RecordsItsThread) as (url, server):
+            server.handler_threads = []
+            assert server.RequestHandlerClass.timeout == service_module.IDLE_TIMEOUT_S > 0
+            server.RequestHandlerClass.timeout = 0.2
+            conns = [http.client.HTTPConnection(urlsplit(url).netloc, timeout=5) for _ in range(5)]
+            for conn in conns:
+                conn.request("GET", "/cloud?resource=x")
+                assert conn.getresponse().read().startswith(b"page 1/1 ")
+            assert len(server.handler_threads) == 5
+            deadline = time.monotonic() + 3
+            while any(t.is_alive() for t in server.handler_threads) and time.monotonic() < deadline:
+                time.sleep(0.02)
+            alive = sum(t.is_alive() for t in server.handler_threads)
+            for conn in conns:
+                conn.close()
+        assert alive == 0
 
     def test_transport_keeps_a_base_path_prefix(self, live_server):
         url, _ = live_server

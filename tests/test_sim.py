@@ -1,17 +1,18 @@
 import hashlib
 import random
 import uuid
+from collections import deque
 
 import pytest
 
 from scotcloud.service import AnnotationService, Page, paginate
 from scotcloud.sim import (
+    WINDOW_MAX,
     InProcessTransport,
     LatencyModel,
     ReassemblyError,
     ScriptFormatError,
     ScriptLine,
-    SimClock,
     SimError,
     Simulator,
     parse_command,
@@ -48,10 +49,11 @@ def window_ok(times: list[int], window_ms: int = 20000, cap: int = 25) -> bool:
 
 class TestClock:
     def test_monotone(self):
-        clock = SimClock()
-        clock.advance_to(10)
-        with pytest.raises(SimError):
-            clock.advance_to(5)
+        sim = make_sim()
+        sim.advance(1000)
+        chat_at(sim, 0, "help")
+        with pytest.raises(SimError, match="backwards"):
+            sim.advance(0)
 
     def test_advance_zero_fires_nothing(self):
         sim = make_sim()
@@ -77,16 +79,6 @@ class TestLatency:
 
 
 class TestSpawn:
-    def test_listener_starts_empty(self):
-        sim = make_sim()
-        assert sim.listener.role == "listener"
-        assert sim.listener.memory_used == 0
-
-    def test_zero_budget_rejected(self):
-        sim = make_sim()
-        with pytest.raises(SimError):
-            sim.spawn_unit("comm-unit", 0)
-
     def test_zero_units_rejected(self):
         with pytest.raises(SimError):
             make_sim(units=0)
@@ -195,11 +187,31 @@ class TestRateLimit:
     def test_direct_issue_without_headroom_raises(self):
         sim = make_sim(units=1)
         unit = sim.units[0]
-        unit.issued = [0] * 25
+        unit.issued = deque([0] * 25)
         from scotcloud.sim import _Command, _Pending
 
         with pytest.raises(SimError):
-            sim.unit_issue(unit, _Pending(_Command("cloud", [("resource", "r")]), 0))
+            sim.unit_issue(unit, _Pending(_Command("cloud", [("resource", "r")]), "/cloud?resource=r"))
+
+    @pytest.mark.parametrize("mode", ["sliding", "fixed"])
+    def test_window_holds_at_most_window_max_stamps(self, mode):
+        sim = make_sim(units=2, window_mode=mode)
+        sizes = []
+        for name in ("post_chat", "_on_retry", "_on_response"):  # every kind of event
+            handler = getattr(sim, name)
+
+            def checked(*args, _handler=handler):
+                result = _handler(*args)
+                sizes.append(max(len(unit.issued) for unit in sim.units))
+                return result
+
+            setattr(sim, name, checked)
+        for i in range(1500):
+            chat_at(sim, i * 150, f"tag r{i % 7} t{i % 13}")
+        trace = sim.run([])
+        assert len(issue_times(trace)) == 1500
+        assert max(sizes) == WINDOW_MAX
+        assert len(sizes) > 3000
 
 
 class TestReassembly:
@@ -328,7 +340,7 @@ class TestMemory:
         assert issue_times(trace) == []
 
     def test_pending_requests_cost_memory(self):
-        sim = make_sim(units=1, request_cost=512)
+        sim = make_sim(units=1)
         chat_at(sim, 0, "tag r t")
         sim.advance(0)
         assert sim.units[0].memory_used == 512
@@ -437,6 +449,75 @@ class TestScriptFormat:
             parse_script(text)
 
     def test_malformed_lines_rejected(self):
-        for bad in ["nope", "@x 0 u help", f"@1 zero {AVATAR} help", "@1 0 not-a-uuid help"]:
+        for bad in ["nope", "@x 0 u help", f"@1 zero {AVATAR} help", "@1 0 not-a-uuid help", f"@0 0 {AVATAR} "]:
             with pytest.raises(ScriptFormatError):
                 parse_script(bad + "\n")
+
+
+def mixed_script(seed: int, n: int) -> list[ScriptLine]:
+    """Bursty chat from three avatars: tags, a cloud that grows past one page
+    early on, clouds, attaches (some refused), maps, help, junk and lines on
+    other channels."""
+    rng = random.Random(seed)
+    avatars = [uuid.UUID(int=rng.getrandbits(128), version=4) for _ in range(3)]
+    lines = []
+    t = 0
+    for i in range(n):
+        t += rng.choice((0, 0, 0, 20, 50, 300, 2500))
+        roll = rng.random()
+        channel = 0
+        if roll < (0.15 if i < n // 5 else 0.003):
+            text = f"tag big b{rng.randrange(300):03d}"
+        elif roll < 0.65:
+            text = f"tag r{rng.randrange(6)} t{rng.randrange(40)}"
+        elif roll < 0.75:
+            text = f"cloud {rng.choice(['big', 'big', 'r0', 'r1', 'nothing'])}"
+        elif roll < 0.82:
+            text = f"attach c{rng.randrange(12)} c{rng.randrange(40)}"
+        elif roll < 0.87:
+            text = f"map c{rng.randrange(4)} {rng.randint(1, 4)}"
+        elif roll < 0.90:
+            text = "help"
+        elif roll < 0.95:
+            text = rng.choice(("frobnicate the spline", "tag onlyone", "map c0 zero"))
+        else:
+            channel = rng.choice((5, -1))
+            text = f"tag r{rng.randrange(6)} elsewhere"
+        lines.append(ScriptLine(t, channel, rng.choice(avatars), text))
+    return lines
+
+
+class TestPinnedTraces:
+    """SHA-256 of whole traces of 1500-command mixed scripts, recorded from the
+    former simulator (listener and center units, rescanned rate windows).
+    A run that a torn cloud walk aborts is pinned up to the abort."""
+
+    PINNED = {
+        (1, "sliding", 1): ("43afc1a573ed8b120e15b79d69e5a5a9394c4da7e824ef928de7fe4b2e19c1ab", "aborted"),
+        (1, "sliding", 3): ("5f6edfb8acc454e1e25fcf06c73c27a839fa4d6ef3d3c3b782abf0db036c4658", "aborted"),
+        (1, "fixed", 1): ("077f32137098bd9902f49481bbcb287e0cad60d6ecebdd12bb364812eca54892", "aborted"),
+        (1, "fixed", 3): ("dd693276fe0ce768c27aa8ca2ac28828681c1bfb76c26b093f20981aeb05f2db", "aborted"),
+        (2, "sliding", 1): ("563ebfc1ee51bd9f189ccb51ffe5c2fa8fc460acbfeb7fe20dc42d7a9084b985", "aborted"),
+        (2, "sliding", 3): ("70d20167c5ec4603541d4e2d56f040b24a3bac2bdd1758daa8789ea3ca6363b3", "ok"),
+        (2, "fixed", 1): ("21fd54d0231112aa1e3a8c8c69fab3318e299dc1641152712b91a9bdd65a7477", "aborted"),
+        (2, "fixed", 3): ("f9315fa1b241dcc5ef0ef239b8162b55f5888ad80093d18fcb73a4a87b889e67", "ok"),
+        (3, "sliding", 1): ("4e756d0a24b2c104c794fdd83ef94236a874abadf53dc6f9f0b84450821954d4", "aborted"),
+        (3, "sliding", 3): ("8a860556afab6626c0adfd3ddc75f62acf0a3c5f13d6e6a19fb59c113d2b2678", "aborted"),
+        (3, "fixed", 1): ("42ac5bf4e7255f5065763bb1cf8dae0b68845ce381658c9a7da998e669941026", "aborted"),
+        (3, "fixed", 3): ("1961727c8238a0e8341c231d46849b9dd153377a4836c083b9b79d4028a16ea8", "ok"),
+        (4, "sliding", 1): ("1ed72521316b633440f7661b0d31a017164b877b363e9c80dd517ea651f7f5ed", "aborted"),
+        (4, "sliding", 3): ("9696ff4c35e23f6d057e77d104ff108ec0e18908ee93c658110db3bbff400254", "aborted"),
+        (4, "fixed", 1): ("7aac1bfc3c4bcc4abed4d127ae4e810c8aec41d811f82b0743f1703fa142fb31", "aborted"),
+        (4, "fixed", 3): ("763db3fe9fe496178b01cc6d5f99c2dbf2350bef4a2f7f35bdf3c432e5781236", "aborted"),
+    }
+
+    @pytest.mark.parametrize("seed,mode,units", sorted(PINNED))
+    def test_trace_is_byte_identical(self, seed, mode, units):
+        sim = make_sim(units=units, seed=seed, latency=LatencyModel(30, 90, seed), window_mode=mode)
+        ending = "ok"
+        try:
+            sim.run(mixed_script(seed, 1500))
+        except ReassemblyError:
+            ending = "aborted"
+        text = "".join(line + "\n" for line in sim.trace)
+        assert (hashlib.sha256(text.encode("utf-8")).hexdigest(), ending) == self.PINNED[(seed, mode, units)]
