@@ -88,8 +88,12 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             return _fail(EXIT_DATA, f"config: {exc}")
     else:
         config = service_mod.ServiceConfig()
-    if os.environ.get(ENV_PORT):
-        config.port = int(os.environ[ENV_PORT])
+    port_env = os.environ.get(ENV_PORT)
+    if port_env:
+        try:
+            config.port = int(port_env)
+        except ValueError:
+            return _fail(EXIT_USAGE, f"serve: {ENV_PORT} is not a port number: {port_env!r}")
     if args.port is not None:
         config.port = args.port
     if args.store:
@@ -156,13 +160,13 @@ def _cmd_import(args: argparse.Namespace) -> int:
         store = model.store_from_graph(graph, vocab)
     except (rdfxml.RdfParseError, model.CloudShapeError) as exc:
         return _fail(EXIT_DATA, f"import: {exc}")
-    # A document in another vocabulary parses but yields fewer triples back.
+    # Triples outside the SCOT mapping parse but are not rebuilt, so fewer come back.
     kept = len(model.store_to_graph(store, vocab))
     if kept < len(graph):
         return _fail(
             EXIT_DATA,
             f"import: the document holds {len(graph)} triples, but only {kept} of them "
-            "describe clouds or topic maps in the default vocabulary; nothing written",
+            "describe SCOT clouds or topic maps; nothing written",
         )
     try:
         service_mod.snapshot_store(store, args.store)
@@ -208,6 +212,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 def _cmd_layout(args: argparse.Namespace) -> int:
     if bool(args.resource) == bool(args.root):
         return _fail(EXIT_USAGE, "layout: give exactly one of --resource or --root")
+    if args.depth is not None and args.depth < 1:
+        return _fail(EXIT_DATA, "layout: depth must be at least 1")
     if args.store:
         try:
             store = service_mod.restore_store(args.store)
@@ -326,6 +332,8 @@ def main(argv: Optional[list[str]] = None) -> int:
         return _fail(EXIT_PROTOCOL, f"cannot reach server at {_server_url(args)}")
     except service_mod.PageError as exc:
         return _fail(EXIT_PROTOCOL, f"server at {_server_url(args)} sent a body that is not a page: {exc}")
+    except sim.ReassemblyError as exc:
+        return _fail(EXIT_PROTOCOL, f"the document changed during the page walk ({exc}); try again")
     except KeyboardInterrupt:
         return EXIT_OK
 

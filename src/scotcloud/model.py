@@ -15,12 +15,14 @@ from dataclasses import dataclass, field
 from typing import Optional
 from urllib.parse import quote, unquote
 
-from .rdfxml import RDF_TYPE, XSD_FLOAT, Iri, Literal, RdfGraph, Triple
+from .rdfxml import RDF_TYPE, XSD_FLOAT, Iri, Literal, RdfGraph, Term, Triple
 
-SCOT_NS_DEFAULT = "http://scot-project.org/scot/ns#"
-SIOC_HAS_TAG_DEFAULT = "http://rdfs.org/sioc/ns#has_tag"
+SCOT_NS = "http://scot-project.org/scot/ns#"
+SIOC_NS = "http://rdfs.org/sioc/ns#"
 SKOS_NS = "http://www.w3.org/2004/02/skos/core#"
 SKOS_BROADER = Iri(SKOS_NS + "broader")
+BINDINGS = {"scot": SCOT_NS, "sioc": SIOC_NS}
+_FLOAT = Iri(XSD_FLOAT)
 
 
 class TagError(ValueError):
@@ -127,27 +129,14 @@ class TopicMap:
 
 @dataclass
 class VocabConfig:
-    """IRIs and minting rules for the emitted RDF vocabulary."""
+    """The SCOT vocabulary every document uses, and the deployment's base URI for minting."""
 
     base_uri: str = "http://yourdns.com"
-    scot_ns: str = SCOT_NS_DEFAULT
-    has_tag_iri: str = SIOC_HAS_TAG_DEFAULT
 
-    @property
-    def tag_cloud_class(self) -> Iri:
-        return Iri(self.scot_ns + "TagCloud")
-
-    @property
-    def tag_class(self) -> Iri:
-        return Iri(self.scot_ns + "Tag")
-
-    @property
-    def frequency_property(self) -> Iri:
-        return Iri(self.scot_ns + "ownAFrequency")
-
-    @property
-    def has_tag(self) -> Iri:
-        return Iri(self.has_tag_iri)
+    tag_cloud_class = Iri(SCOT_NS + "TagCloud")
+    tag_class = Iri(SCOT_NS + "Tag")
+    frequency_property = Iri(SCOT_NS + "ownAFrequency")
+    has_tag = Iri(SIOC_NS + "has_tag")
 
     def mint(self, name: str) -> Iri:
         return Iri(f"{self.base_uri}/rdfs/{quote(name, safe='')}.rdf")
@@ -163,15 +152,6 @@ class VocabConfig:
         if "://" in name_or_iri:
             return Iri(name_or_iri)
         return self.mint(normalize_tag(name_or_iri))
-
-    def bindings(self) -> dict[str, str]:
-        sioc_ns = _namespace_of(self.has_tag_iri)
-        return {"scot": self.scot_ns, "sioc": sioc_ns}
-
-
-def _namespace_of(iri: str) -> str:
-    cut = max(iri.rfind("#"), iri.rfind("/"))
-    return iri[: cut + 1]
 
 
 def label_from_iri(iri: str) -> str:
@@ -291,14 +271,14 @@ class AnnotationStore:
             raise ValueError("depth must be at least 1")
         children = tree.children()
         result = TopicMap(root)
-        frontier = [root]
-        for _ in range(depth):
+        frontier, levels = [root], 0
+        while frontier and levels < depth:
             next_frontier = []
             for node in frontier:
                 for child in children.get(node, ()):
                     result.parent[child] = node
                     next_frontier.append(child)
-            frontier = next_frontier
+            frontier, levels = next_frontier, levels + 1
         return result
 
 
@@ -307,30 +287,50 @@ class AnnotationStore:
 
 def cloud_to_rdf(cloud: TagCloud, config: VocabConfig) -> RdfGraph:
     """Describe the cloud the way the SCOT vocabulary expects."""
-    graph = RdfGraph(config.bindings())
+    graph = RdfGraph(BINDINGS)
     _add_cloud_triples(graph, cloud, config, scoped=False)
     return graph
 
 
 def _add_cloud_triples(graph: RdfGraph, cloud: TagCloud, config: VocabConfig, scoped: bool) -> None:
-    graph.add(Triple(cloud.resource, RDF_TYPE, config.tag_cloud_class))
+    graph.add(Triple(cloud.resource, RDF_TYPE, VocabConfig.tag_cloud_class))
     for label, count in cloud.frequencies.items():
         if scoped:
             tag_iri = config.scoped_tag_iri(cloud.resource, label)
         else:
             tag_iri = config.mint(label)
-        graph.add(Triple(cloud.resource, config.has_tag, tag_iri))
-        graph.add(Triple(tag_iri, RDF_TYPE, config.tag_class))
-        graph.add(
-            Triple(tag_iri, config.frequency_property, Literal(f"{count}.0", Iri(XSD_FLOAT)))
-        )
+        graph.add(Triple(cloud.resource, VocabConfig.has_tag, tag_iri))
+        graph.add(Triple(tag_iri, RDF_TYPE, VocabConfig.tag_class))
+        graph.add(Triple(tag_iri, VocabConfig.frequency_property, Literal(f"{count}.0", _FLOAT)))
 
 
-def _frequency_of(graph: RdfGraph, tag_iri: Iri, config: VocabConfig) -> int:
-    hits = graph.matching(subject=tag_iri, predicate=config.frequency_property)
+# A graph is read through its descriptions: subject -> predicate -> objects,
+# each list in serialization order, so "the first object" means what it
+# means in the document (IRI objects before literals).
+_Described = dict[Iri, dict[Iri, list[Term]]]
+
+
+def _descriptions(graph: RdfGraph) -> _Described:
+    """Group every triple of the graph by subject and predicate, in one pass."""
+    described: _Described = {}
+    for triple in graph:
+        described.setdefault(triple.subject, {}).setdefault(triple.predicate, []).append(triple.object)
+    return described
+
+
+def _cloud_subjects(described: _Described) -> list[Iri]:
+    return [
+        subject
+        for subject, properties in described.items()
+        if VocabConfig.tag_cloud_class in properties.get(RDF_TYPE, ())
+    ]
+
+
+def _frequency_of(described: _Described, tag_iri: Iri) -> int:
+    hits = described.get(tag_iri, {}).get(VocabConfig.frequency_property)
     if not hits:
         raise CloudShapeError(f"tag {tag_iri} has no frequency")
-    obj = hits[0].object
+    obj = hits[0]
     if not isinstance(obj, Literal):
         raise CloudShapeError(f"frequency of {tag_iri} is not a literal")
     try:
@@ -342,31 +342,31 @@ def _frequency_of(graph: RdfGraph, tag_iri: Iri, config: VocabConfig) -> int:
     return int(value)
 
 
-def _cloud_from_subject(graph: RdfGraph, subject: Iri, config: VocabConfig) -> TagCloud:
+def _cloud_from_subject(described: _Described, subject: Iri) -> TagCloud:
     cloud = TagCloud(subject)
-    for triple in graph.matching(subject=subject, predicate=config.has_tag):
-        tag_iri = triple.object
+    for tag_iri in described[subject].get(VocabConfig.has_tag, ()):
         if not isinstance(tag_iri, Iri):
             raise CloudShapeError(f"tag reference of {subject} is a literal")
         try:
             label = _check_label(label_from_iri(tag_iri))
         except TagError as exc:
             raise CloudShapeError(str(exc)) from None
-        cloud.frequencies[label] = _frequency_of(graph, tag_iri, config)
+        cloud.frequencies[label] = _frequency_of(described, tag_iri)
     return cloud
 
 
 def rdf_to_cloud(graph: RdfGraph, config: VocabConfig) -> TagCloud:
     """Inverse of :func:`cloud_to_rdf`; the graph must hold exactly one cloud."""
-    subjects = [t.subject for t in graph.matching(predicate=RDF_TYPE, object=config.tag_cloud_class)]
+    described = _descriptions(graph)
+    subjects = _cloud_subjects(described)
     if len(subjects) != 1:
         raise CloudShapeError(f"expected exactly one tag cloud subject, found {len(subjects)}")
-    return _cloud_from_subject(graph, subjects[0], config)
+    return _cloud_from_subject(described, subjects[0])
 
 
 def store_to_graph(store: AnnotationStore, config: VocabConfig) -> RdfGraph:
     """Every cloud plus the topic-map edges, as one graph."""
-    graph = RdfGraph(config.bindings())
+    graph = RdfGraph(BINDINGS)
     graph.bind("skos", SKOS_NS)
     for resource in sorted(store.clouds):
         _add_cloud_triples(graph, store.clouds[resource], config, scoped=True)
@@ -388,11 +388,12 @@ def store_from_graph(
     if tagger is None:
         tagger = uuid.uuid5(uuid.NAMESPACE_URL, "scotcloud:import")
     store = AnnotationStore()
-    for triple in graph.matching(predicate=RDF_TYPE, object=config.tag_cloud_class):
-        cloud = _cloud_from_subject(graph, triple.subject, config)
+    described = _descriptions(graph)
+    for subject in _cloud_subjects(described):
+        cloud = _cloud_from_subject(described, subject)
         for label, count in sorted(cloud.frequencies.items()):
             for _ in range(count):
-                store.record(AnnotationEvent(0, tagger, triple.subject, label))
+                store.record(AnnotationEvent(0, tagger, subject, label))
     attach_broader_edges(store, graph)
     return store
 
@@ -400,7 +401,9 @@ def store_from_graph(
 def attach_broader_edges(store: AnnotationStore, graph: RdfGraph) -> None:
     """Attach the graph's `skos:broader` edges to the store's topic maps."""
     edges = []
-    for triple in graph.matching(predicate=SKOS_BROADER):
+    for triple in graph:
+        if triple.predicate != SKOS_BROADER:
+            continue
         if not isinstance(triple.object, Iri):
             raise CloudShapeError("broader edge points at a literal")
         try:

@@ -157,26 +157,6 @@ class RdfGraph:
     def bindings(self) -> dict[str, Iri]:
         return dict(self._bindings)
 
-    def matching(
-        self,
-        subject: Optional[Iri] = None,
-        predicate: Optional[Iri] = None,
-        object: Optional[Term] = None,
-    ) -> list[Triple]:
-        """All triples agreeing with every bound position, in serialization order."""
-        found = [
-            t
-            for t in self._triples
-            if (subject is None or t.subject == subject)
-            and (predicate is None or t.predicate == predicate)
-            and (object is None or t.object == object)
-        ]
-        found.sort(key=_sort_key)
-        return found
-
-    def subjects(self) -> list[Iri]:
-        return sorted({t.subject for t in self._triples})
-
     def __len__(self) -> int:
         return len(self._triples)
 

@@ -126,8 +126,6 @@ class ServiceConfig:
     port: int = 8765
     store_path: Optional[str] = None
     base_uri: str = "http://yourdns.com"
-    scot_ns: str = model.SCOT_NS_DEFAULT
-    has_tag_iri: str = model.SIOC_HAS_TAG_DEFAULT
     page_cap: int = 2048
     rate_limit_max: Optional[int] = None
     rate_limit_window_ms: int = 20000
@@ -137,15 +135,13 @@ class ServiceConfig:
             raise ValueError("page cap must be at least 64 bytes")
 
     def vocab(self) -> VocabConfig:
-        return VocabConfig(self.base_uri, self.scot_ns, self.has_tag_iri)
+        return VocabConfig(self.base_uri)
 
 
 _CONFIG_KEYS = {
     "port": int,
     "store": str,
     "base_uri": str,
-    "scot_ns": str,
-    "has_tag_iri": str,
     "page_cap": int,
     "rate_limit_max": int,
     "rate_limit_window_ms": int,

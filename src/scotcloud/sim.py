@@ -224,6 +224,8 @@ def parse_script(text: str) -> list[ScriptLine]:
             sender = uuid.UUID(parts[2])
         except ValueError as exc:
             raise ScriptFormatError(f"line {lineno}: {exc}") from None
+        if time_ms < 0:
+            raise ScriptFormatError(f"line {lineno}: time must not be negative")
         if time_ms < last_time:
             raise ScriptFormatError(f"line {lineno}: lines must be sorted by time")
         if not parts[3]:

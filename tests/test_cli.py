@@ -143,11 +143,13 @@ class TestExportImport:
         assert direct == reloaded
 
     def test_import_of_custom_namespace_export_is_data_error(self, capsys, tmp_path):
-        custom = AnnotationService(ServiceConfig(scot_ns="http://example.org/myscot#"))
-        custom.handle_url(f"/tag?resource=mouse&tag=laser&tagger={TAGGER}")
-        custom.handle_url(f"/attach?parent=shoe&child=rubber&tagger={TAGGER}")
+        # Moving the scot namespace puts the cloud triples outside the SCOT mapping.
+        svc = AnnotationService()
+        svc.handle_url(f"/tag?resource=mouse&tag=laser&tagger={TAGGER}")
+        svc.handle_url(f"/attach?parent=shoe&child=rubber&tagger={TAGGER}")
+        document = fetch_full(svc, "export", {})
         export = tmp_path / "export.rdf"
-        export.write_bytes(fetch_full(custom, "export", {}))
+        export.write_bytes(document.replace(b"http://scot-project.org/scot/ns#", b"http://example.org/myscot#"))
         code, _, err = run(capsys, "import", "--in", str(export), "--store", str(tmp_path / "s"))
         assert code == 3
         assert "holds 5 triples, but only 1" in err
@@ -211,6 +213,39 @@ class TestSimulate:
         assert svc.store.cloud_of(VOCAB.resource_iri("mouse")).frequencies["laser"] == 2
 
 
+class TestTornWalk:
+    """A batch of tags lands between the first and second page fetch."""
+
+    @pytest.mark.parametrize("argv", [["cloud", "--resource", "big"], ["export"]])
+    def test_torn_walk_is_protocol_error(self, capsys, monkeypatch, argv):
+        svc = AnnotationService()
+        for i in range(60):
+            svc.handle_url(f"/tag?resource=big&tag=w{i}&tagger={TAGGER}")
+        fetches = []
+
+        class TornTransport(sim.InProcessTransport):
+            def __init__(self, base_url):
+                super().__init__(svc)
+
+            def get(self, path_query):
+                fetches.append(path_query)
+                if len(fetches) == 2:
+                    for i in range(60, 400):
+                        svc.handle_url(f"/tag?resource=big&tag=w{i}&tagger={TAGGER}")
+                return super().get(path_query)
+
+            def close(self):
+                pass
+
+        monkeypatch.setattr(sim, "HttpTransport", TornTransport)
+        code, out, err = run(capsys, *argv)
+        assert len(fetches) >= 2
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1
+        assert "the document changed during the page walk" in err
+
+
 class TestLayoutCommand:
     def seeded_store(self, tmp_path) -> str:
         service = AnnotationService(ServiceConfig(store_path=str(tmp_path / "store")))
@@ -240,6 +275,14 @@ class TestLayoutCommand:
         store = self.seeded_store(tmp_path)
         code, _, _ = run(capsys, "layout", "--store", store, "--root", "ghost")
         assert code == 3
+
+    @pytest.mark.parametrize("depth", ["0", "-2"])
+    def test_depth_below_one_is_data_error(self, capsys, tmp_path, depth):
+        store = self.seeded_store(tmp_path)
+        code, out, err = run(capsys, "layout", "--store", store, "--root", "shoe", "--depth", depth)
+        assert code == 3
+        assert out == ""
+        assert err == "layout: depth must be at least 1\n"
 
     def test_layout_without_store_is_empty_scene(self, capsys):
         code, out, _ = run(capsys, "layout", "--resource", "mouse")
@@ -290,6 +333,26 @@ class TestServeConfig:
             code, _, err = run(capsys, "serve", "--port", str(taken.getsockname()[1]))
         assert code == 2
         assert err.startswith("serve: ") and "cannot reach" not in err
+
+    def test_non_numeric_port_variable_is_usage_error(self, capsys, monkeypatch):
+        from scotcloud import cli as cli_mod
+
+        monkeypatch.setenv("SCOTCLOUD_PORT", "abc")
+        monkeypatch.setattr(cli_mod.service_mod, "serve", lambda service, host: pytest.fail("served"))
+        code, _, err = run(capsys, "serve")
+        assert code == 1
+        assert "SCOTCLOUD_PORT" in err and "abc" in err
+
+    @pytest.mark.parametrize("key", ["scot_ns", "has_tag_iri"])
+    def test_vocabulary_keys_are_refused(self, capsys, tmp_path, monkeypatch, key):
+        from scotcloud import cli as cli_mod
+
+        monkeypatch.setattr(cli_mod.service_mod, "serve", lambda service, host: pytest.fail("served"))
+        config_file = tmp_path / "svc.conf"
+        config_file.write_text(f"port=0\n{key}=http://example.org/myscot#\n", "utf-8")
+        code, _, err = run(capsys, "serve", "--config", str(config_file))
+        assert code == 3
+        assert "svc.conf:2: bad config line" in err
 
     def test_bad_config_is_data_error(self, capsys, tmp_path):
         config_file = tmp_path / "svc.conf"

@@ -1,9 +1,12 @@
+import itertools
 import random
+import re
+import time
 import uuid
 from collections import Counter
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from scotcloud.model import (
@@ -15,7 +18,9 @@ from scotcloud.model import (
     TagError,
     TopicMap,
     UnknownConceptError,
+    SKOS_BROADER,
     VocabConfig,
+    _check_label,
     _replay_edges,
     cloud_to_rdf,
     label_from_iri,
@@ -24,9 +29,9 @@ from scotcloud.model import (
     store_from_graph,
     store_to_graph,
 )
-from scotcloud.rdfxml import RDF_TYPE, Iri, parse, serialize
+from scotcloud.rdfxml import RDF_TYPE, XSD_FLOAT, Iri, Literal, RdfGraph, Triple, parse, serialize
 
-from conftest import TAGGER, random_forest
+from conftest import TAGGER, random_forest, store_state
 
 VOCAB = VocabConfig()
 MOUSE = VOCAB.mint("mouse")
@@ -160,7 +165,7 @@ class TestRdfMapping:
     def test_empty_cloud_is_just_the_typing_triple(self):
         graph = cloud_to_rdf(TagCloud(MOUSE), VOCAB)
         assert len(graph) == 1
-        assert graph.matching(predicate=RDF_TYPE, object=VOCAB.tag_cloud_class)
+        assert Triple(MOUSE, RDF_TYPE, VOCAB.tag_cloud_class) in graph
 
     def test_fig_document_reads_back_laser_three(self):
         cloud = TagCloud(MOUSE, {"laser": 3, "scroll": 1})
@@ -531,3 +536,236 @@ class TestStoreGraph:
         back = store_from_graph(store_to_graph(store, VOCAB), VOCAB)
         assert len(back.events) == 3
         assert back.cloud_of(MOUSE).frequencies == {"laser": 3}
+
+
+# -- reference readers: the former mapping, one whole-graph scan per lookup ------
+
+
+def ref_matching(graph, subject=None, predicate=None, object=None):
+    """The former `RdfGraph.matching`: every agreeing triple, in serialization order."""
+    return [
+        t
+        for t in graph
+        if (subject is None or t.subject == subject)
+        and (predicate is None or t.predicate == predicate)
+        and (object is None or t.object == object)
+    ]
+
+
+def ref_frequency_of(graph, tag_iri):
+    hits = ref_matching(graph, subject=tag_iri, predicate=VOCAB.frequency_property)
+    if not hits:
+        raise CloudShapeError(f"tag {tag_iri} has no frequency")
+    obj = hits[0].object
+    if not isinstance(obj, Literal):
+        raise CloudShapeError(f"frequency of {tag_iri} is not a literal")
+    try:
+        value = float(obj.lexical)
+    except ValueError:
+        raise CloudShapeError(f"frequency of {tag_iri} is not numeric: {obj.lexical!r}") from None
+    if not value.is_integer() or value < 1:
+        raise CloudShapeError(f"frequency of {tag_iri} is not a positive integer: {obj.lexical}")
+    return int(value)
+
+
+def ref_cloud_from_subject(graph, subject):
+    cloud = TagCloud(subject)
+    for triple in ref_matching(graph, subject=subject, predicate=VOCAB.has_tag):
+        tag_iri = triple.object
+        if not isinstance(tag_iri, Iri):
+            raise CloudShapeError(f"tag reference of {subject} is a literal")
+        try:
+            label = _check_label(label_from_iri(tag_iri))
+        except TagError as exc:
+            raise CloudShapeError(str(exc)) from None
+        cloud.frequencies[label] = ref_frequency_of(graph, tag_iri)
+    return cloud
+
+
+def ref_rdf_to_cloud(graph):
+    subjects = [t.subject for t in ref_matching(graph, predicate=RDF_TYPE, object=VOCAB.tag_cloud_class)]
+    if len(subjects) != 1:
+        raise CloudShapeError(f"expected exactly one tag cloud subject, found {len(subjects)}")
+    return ref_cloud_from_subject(graph, subjects[0])
+
+
+def ref_store_from_graph(graph):
+    tagger = uuid.uuid5(uuid.NAMESPACE_URL, "scotcloud:import")
+    store = AnnotationStore()
+    for triple in ref_matching(graph, predicate=RDF_TYPE, object=VOCAB.tag_cloud_class):
+        cloud = ref_cloud_from_subject(graph, triple.subject)
+        for label, count in sorted(cloud.frequencies.items()):
+            for _ in range(count):
+                store.record(AnnotationEvent(0, tagger, triple.subject, label))
+    edges = []
+    for triple in ref_matching(graph, predicate=SKOS_BROADER):
+        if not isinstance(triple.object, Iri):
+            raise CloudShapeError("broader edge points at a literal")
+        try:
+            child = _check_label(label_from_iri(triple.subject))
+            parent = _check_label(label_from_iri(triple.object))
+        except TagError as exc:
+            raise CloudShapeError(str(exc)) from None
+        edges.append((parent, child))
+    _replay_edges(store, edges)
+    return store
+
+
+def read_outcome(read, graph):
+    """What a reader makes of a graph, with every order it fixes."""
+    try:
+        result = read(graph)
+    except CloudShapeError as exc:
+        return "error", str(exc)
+    if isinstance(result, TagCloud):
+        return "cloud", result.resource, list(result.frequencies.items())
+    events = [(e.timestamp_ms, e.tagger, e.resource, e.tag) for e in result.events]
+    return "store", events, [(root, list(tree.parent.items())) for root, tree in result.maps.items()]
+
+
+LABELS = st.text(alphabet="ab /%\u00fc", min_size=1, max_size=5).map(lambda s: " ".join(s.split())).filter(bool)
+CLOUDS = st.builds(
+    lambda name, freqs: TagCloud(VOCAB.mint(name), freqs),
+    st.sampled_from(["mouse", "shoe", "res 1"]),
+    st.dictionaries(LABELS, st.integers(1, 20), max_size=8),
+)
+NODES = st.sampled_from([f"n{i}" for i in range(6)])
+
+
+@st.composite
+def stores(draw) -> AnnotationStore:
+    store = AnnotationStore()
+    for cloud in draw(st.lists(CLOUDS, max_size=4)):
+        for label, count in cloud.frequencies.items():
+            for _ in range(min(count, 3)):
+                store.record(AnnotationEvent(0, TAGGER, cloud.resource, label))
+    for parent, child in draw(st.lists(st.tuples(NODES, NODES), max_size=8)):
+        try:
+            store.attach(parent, child)
+        except AttachError:
+            pass
+    return store
+
+
+def _pick(items, k):
+    return items[k % len(items)]
+
+
+def _cloud_subjects(triples):
+    return [t.subject for t in triples if t.predicate == RDF_TYPE and t.object == VOCAB.tag_cloud_class] or [MOUSE]
+
+
+def _tag_subjects(triples):
+    return [t.subject for t in triples if t.predicate == FREQ] or [VOCAB.mint("laser")]
+
+
+def _without(triples, predicate, k):
+    hits = [t for t in triples if t.predicate == predicate]
+    return [t for t in triples if not hits or t != _pick(hits, k)]
+
+
+def _bad_frequency(triples, k):
+    hits = [t for t in triples if t.predicate == FREQ]
+    if not hits:
+        return triples
+    old = _pick(hits, k)
+    return [t for t in triples if t != old] + [Triple(old.subject, FREQ, _pick(BAD_FREQUENCIES, k))]
+
+
+FREQ = VOCAB.frequency_property
+FLOAT = Iri(XSD_FLOAT)
+BAD_FREQUENCIES = [
+    Literal("7.0", FLOAT),
+    Literal("0.0", FLOAT),
+    Literal("-2.0", FLOAT),
+    Literal("2.5", FLOAT),
+    Literal("abc"),
+    Literal("inf"),
+    Iri("http://example.org/seven"),
+]
+# Each flaw maps (triples, k) to new triples; k picks the target and the variant.
+FLAWS = {
+    "literal reference": lambda ts, k: ts + [Triple(_pick(_cloud_subjects(ts), k), VOCAB.has_tag, _pick([Literal("x"), Literal("1.0")], k))],
+    "dangling reference": lambda ts, k: ts + [Triple(_pick(_cloud_subjects(ts), k), VOCAB.has_tag, VOCAB.mint(f"ghost{k % 2}"))],
+    "unnormalized reference": lambda ts, k: ts + [Triple(_pick(_cloud_subjects(ts), k), VOCAB.has_tag, Iri("http://yourdns.com/rdfs/Upper.rdf"))],
+    "missing frequency": lambda ts, k: _without(ts, FREQ, k),
+    "bad frequency": _bad_frequency,
+    "second frequency": lambda ts, k: ts + [Triple(_pick(_tag_subjects(ts), k), FREQ, _pick(BAD_FREQUENCIES, k))],
+    "second cloud": lambda ts, k: ts + [Triple(VOCAB.mint(f"other{k % 3}"), RDF_TYPE, VOCAB.tag_cloud_class)],
+    "no cloud": lambda ts, k: [t for t in ts if t.object != VOCAB.tag_cloud_class],
+    "literal broader": lambda ts, k: ts + [Triple(VOCAB.mint(f"n{k % 6}"), SKOS_BROADER, Literal("n0"))],
+    "unnormalized broader": lambda ts, k: ts + [Triple(Iri("http://yourdns.com/rdfs/A%20%20B.rdf"), SKOS_BROADER, VOCAB.mint("n0"))],
+    "extra broader": lambda ts, k: ts + [Triple(VOCAB.mint(f"n{k % 6}"), SKOS_BROADER, VOCAB.mint(f"n{k // 6 % 6}"))],
+    "dropped broader": lambda ts, k: _without(ts, SKOS_BROADER, k),
+}
+
+
+def flawed(graph: RdfGraph, flaws) -> RdfGraph:
+    triples = list(graph)
+    for name, k in flaws:
+        triples = FLAWS[name](triples, k)
+    out = RdfGraph()
+    for triple in triples:
+        out.add(triple)
+    return out
+
+
+FLAW_LISTS = st.lists(st.tuples(st.sampled_from(sorted(FLAWS)), st.integers(0, 10**6)), max_size=3)
+
+
+class TestOnePassReaders:
+    """The one-pass readers against the former scan-per-lookup readers."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(CLOUDS, FLAW_LISTS)
+    def test_rdf_to_cloud_matches_reference(self, cloud, flaws):
+        graph = flawed(cloud_to_rdf(cloud, VOCAB), flaws)
+        expected = read_outcome(ref_rdf_to_cloud, graph)
+        assert read_outcome(lambda g: rdf_to_cloud(g, VOCAB), graph) == expected
+        if not flaws:
+            assert expected[:2] == ("cloud", cloud.resource)
+            assert dict(expected[2]) == cloud.frequencies
+
+    @settings(max_examples=150, deadline=None)
+    @given(stores(), FLAW_LISTS)
+    def test_store_from_graph_matches_reference(self, store, flaws):
+        graph = flawed(store_to_graph(store, VOCAB), flaws)
+        expected = read_outcome(ref_store_from_graph, graph)
+        assert read_outcome(lambda g: store_from_graph(g, VOCAB), graph) == expected
+        if not flaws:
+            assert store_state(store_from_graph(graph, VOCAB)) == store_state(store)
+
+    def test_every_pair_of_flaws_is_reported_as_the_reference_reports_it(self):
+        cloud = TagCloud(MOUSE, {"laser": 3, "two words": 1})
+        store = AnnotationStore()
+        for label in ("laser", "laser", "optical"):
+            store.record(AnnotationEvent(0, TAGGER, MOUSE, label))
+        store.attach("n0", "n1")
+        errors = set()
+        for first, second in itertools.product(FLAWS, repeat=2):
+            for k in range(4):
+                for source in (cloud_to_rdf(cloud, VOCAB), store_to_graph(store, VOCAB)):
+                    graph = flawed(source, [(first, k), (second, 3 * k + 1)])
+                    for read, ref in ((rdf_to_cloud, ref_rdf_to_cloud), (store_from_graph, ref_store_from_graph)):
+                        expected = read_outcome(ref, graph)
+                        assert read_outcome(lambda g: read(g, VOCAB), graph) == expected, (first, second, k)
+                        if expected[0] == "error":
+                            errors.add(re.sub(r"http\S+", "<iri>", expected[1]))
+        assert len(errors) >= 12, errors
+
+
+class TestImportTime:
+    def test_20k_event_export_rebuilds_in_under_2_s(self):
+        rng = random.Random(20_000)
+        store = AnnotationStore()
+        for _ in range(20_000):
+            label = f"tag{int(rng.paretovariate(0.4)) % 1000}"
+            store.record(AnnotationEvent(0, TAGGER, VOCAB.mint(f"res{rng.randrange(100)}"), label))
+        for k in range(1, 2000):
+            store.attach(f"c{(k - 1) // 4}", f"c{k}")
+        graph = parse(serialize(store_to_graph(store, VOCAB)))
+        started = time.perf_counter()
+        back = store_from_graph(graph, VOCAB)
+        elapsed = time.perf_counter() - started
+        assert store_state(back) == store_state(store)
+        assert elapsed < 2.0

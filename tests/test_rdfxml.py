@@ -305,42 +305,3 @@ class TestRoundtrip:
         graph = random_graph(rng)
         text = serialize(graph)
         assert serialize(parse(text)) == text
-
-
-class TestMatching:
-    def scan(self, graph, s=None, p=None, o=None):
-        # independent linear-scan oracle, sorted the same way for comparison
-        hits = [
-            t
-            for t in set(graph)
-            if (s is None or t.subject == s)
-            and (p is None or t.predicate == p)
-            and (o is None or t.object == o)
-        ]
-        return set(hits)
-
-    def test_all_unbound_returns_whole_graph(self):
-        rng = random.Random(9)
-        graph = random_graph(rng)
-        assert set(graph.matching()) == self.scan(graph)
-        assert len(graph.matching()) == len(graph)
-
-    def test_predicate_pattern_matches_scan_oracle(self):
-        rng = random.Random(10)
-        graph = random_graph(rng)
-        got = graph.matching(predicate=RDF_TYPE)
-        assert set(got) == self.scan(graph, p=RDF_TYPE)
-        assert got == sorted(got, key=lambda t: str(t.subject))
-
-    def test_unmatched_subject_is_empty(self):
-        graph = RdfGraph()
-        graph.add(Triple(MOUSE, RDF_TYPE, Iri(SCOT + "TagCloud")))
-        assert graph.matching(subject=Iri("http://nowhere.example/x")) == []
-
-    def test_subject_and_object_pattern(self):
-        graph = RdfGraph({"ex": EX})
-        a = Triple(Iri("http://a/1"), Iri(EX + "p"), Literal("x"))
-        b = Triple(Iri("http://a/1"), Iri(EX + "p"), Literal("y"))
-        graph.add(a)
-        graph.add(b)
-        assert graph.matching(subject=Iri("http://a/1"), object=Literal("x")) == [a]

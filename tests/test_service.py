@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import http.client
 import random
 import socket
@@ -265,6 +266,16 @@ class TestMapEndpoint:
             assert response.status == 400
             assert response.page.payload == b"baddepth"
 
+    def test_huge_depth_answers_the_whole_tree_at_once(self):
+        store = random_forest(random.Random(49), 49)
+        service = AnnotationService(store=store)
+        for root, tree in store.maps.items():
+            whole = fetch_full(service, "map", {"root": root, "depth": str(max(1, tree.depth()))})
+            started = time.perf_counter()
+            huge = fetch_full(service, "map", {"root": root, "depth": str(10**12)})
+            assert time.perf_counter() - started < 0.5
+            assert huge == whole
+
 
 class TestAttachEndpoint:
     def test_attach_returns_ok(self, service):
@@ -308,6 +319,33 @@ class TestExportEndpoint:
         rebuilt = model.store_from_graph(graph, VOCAB)
         assert store_state(rebuilt)[0] == store_state(service.store)[0]
         assert store_state(rebuilt)[1] == store_state(service.store)[1]
+
+
+class TestPinnedBodies:
+    """SHA-256 of whole paged bodies, recorded from the former RDF mapping
+    (namespaces from the config, every read a scan of the whole graph)."""
+
+    EXPORT_SHA256 = "20cbc9b6e3c0853d49729ca8c655aa6234a891e9fa6ad9f8715dc989e921a6a0"
+    CLOUD_240_SHA256 = "26c11424d72f6c457bbc20b7a41e7f51e7a064eb9a961263e4a8eec958562360"
+
+    def test_export_of_a_random_store_is_byte_identical(self):
+        rng = random.Random(2026)
+        store = random_forest(rng, 80)
+        words = ["laser", "two words", "a/b", "perc%ent", "\u00fcml\u00e4ut"]
+        for t in range(1500):
+            label = f"{rng.choice(words)} {rng.randrange(40)}"
+            store.record(model.AnnotationEvent(t, TAGGER, VOCAB.mint(f"res {rng.randrange(15)}"), label))
+        body = fetch_full(AnnotationService(store=store), "export", {})
+        assert hashlib.sha256(body).hexdigest() == self.EXPORT_SHA256
+
+    def test_cloud_of_240_tags_is_byte_identical(self):
+        rng = random.Random(240)
+        store = AnnotationStore()
+        for i in range(240):
+            for _ in range(rng.randint(1, 6)):
+                store.record(model.AnnotationEvent(i, TAGGER, VOCAB.mint("big"), f"w{i:03d}"))
+        body = fetch_full(AnnotationService(store=store), "cloud", {"resource": "big"})
+        assert hashlib.sha256(body).hexdigest() == self.CLOUD_240_SHA256
 
 
 class TestPersistence:

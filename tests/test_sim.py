@@ -449,9 +449,12 @@ class TestScriptFormat:
             parse_script(text)
 
     def test_malformed_lines_rejected(self):
-        for bad in ["nope", "@x 0 u help", f"@1 zero {AVATAR} help", "@1 0 not-a-uuid help", f"@0 0 {AVATAR} "]:
+        negative = f"@-5 0 {AVATAR} help"
+        for bad in ["nope", "@x 0 u help", f"@1 zero {AVATAR} help", "@1 0 not-a-uuid help", f"@0 0 {AVATAR} ", negative]:
             with pytest.raises(ScriptFormatError):
                 parse_script(bad + "\n")
+        with pytest.raises(ScriptFormatError, match="^line 1: time must not be negative$"):
+            parse_script(negative + "\n")
 
 
 def mixed_script(seed: int, n: int) -> list[ScriptLine]:
