@@ -28,8 +28,11 @@ XSD_FLOAT = XSD_NS + "float"
 _RDF_TYPE = RDF_NS + "type"
 _NCNAME_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_.\-]*$")
 
-# Characters RFC 3987 keeps out of IRIs; also keeps attribute escaping trivial.
-_IRI_BAD_CHARS = set('<>"{}|\\^`')
+# Characters RFC 3987 keeps out of IRIs (controls, space, DEL and these
+# punctuation marks); also keeps attribute escaping trivial.
+_IRI_BAD_CHAR = re.compile(r'[\x00-\x20\x7f<>"{}|\\^`]')
+# C0 controls other than tab, LF and CR, which XML 1.0 cannot carry.
+_LITERAL_BAD_CHAR = re.compile(r"[\x00-\x08\x0b\x0c\x0e-\x1f]")
 
 
 class ValidationError(ValueError):
@@ -65,9 +68,9 @@ class Iri(str):
             raise ValidationError("IRI must be a non-empty string")
         if "://" not in value:
             raise ValidationError(f"IRI has no scheme separator: {value!r}")
-        for ch in value:
-            if ch <= " " or ch == "\x7f" or ch in _IRI_BAD_CHARS:
-                raise ValidationError(f"IRI contains forbidden character {ch!r}: {value!r}")
+        bad = _IRI_BAD_CHAR.search(value)
+        if bad:
+            raise ValidationError(f"IRI contains forbidden character {bad.group()!r}: {value!r}")
         return super().__new__(cls, value)
 
 
@@ -81,9 +84,9 @@ class Literal:
     def __post_init__(self) -> None:
         if not isinstance(self.lexical, str):
             raise ValidationError("literal lexical form must be a string")
-        for ch in self.lexical:
-            if ord(ch) < 32 and ch not in "\t\n\r":
-                raise ValidationError(f"literal contains control character {ch!r}")
+        bad = _LITERAL_BAD_CHAR.search(self.lexical)
+        if bad:
+            raise ValidationError(f"literal contains control character {bad.group()!r}")
         if self.datatype is not None and not isinstance(self.datatype, Iri):
             object.__setattr__(self, "datatype", Iri(self.datatype))
         if self.datatype == XSD_FLOAT:

@@ -13,6 +13,12 @@ LF-terminated, tab-separated line: an annotation event
 (`attach parent child`). Every accepted mutation appends one line, and a
 restart replays them in order. A `snapshot.rdf` left by older versions is
 still read, for its topic-map edges only, and never written.
+
+A service keeps `events.log` open for appending between writes, so a write
+costs one `write` call. Before each append it compares the path's inode
+with the open descriptor's and reopens through the path when they differ,
+so a log renamed over it (`snapshot_store`, `scotcloud import`) or
+removed is followed, not written past.
 """
 
 from __future__ import annotations
@@ -39,6 +45,7 @@ log = logging.getLogger(__name__)
 PAGE_HEADER_RESERVE = 32
 BODY_CACHE_ENTRIES = 64  # paged bodies kept per service; the oldest goes first
 IDLE_TIMEOUT_S = 30  # a kept-alive connection idle this long is closed, freeing its thread
+RESPONSE_HEAD_ROOM = 1024  # status line and headers of a response, with room to spare
 SNAPSHOT_FILE = "snapshot.rdf"  # read-only: older versions kept topic maps here
 EVENTS_FILE = "events.log"
 ATTACH_MARK = "attach"
@@ -193,6 +200,13 @@ class AnnotationService:
     BODY_CACHE_ENTRIES bodies. The whole cache is dropped as soon as the
     store's `version` moves, so every page comes from the document of the
     store as it is when the page is asked for.
+
+    With a store directory, the first append opens `events.log` with
+    O_APPEND and the descriptor stays open; each line is one unbuffered
+    `os.write`, so it is in the kernel before memory changes. The path's
+    inode is checked before each append, and a log that was replaced or
+    removed is opened again through the path. A failed append closes the
+    descriptor. `close` releases it.
     """
 
     def __init__(
@@ -209,6 +223,9 @@ class AnnotationService:
         self._recent: deque[int] = deque()
         self._bodies: dict[tuple, list[Page]] = {}
         self._bodies_of: tuple[Optional[AnnotationStore], int] = (None, 0)
+        self._heights: dict[str, int] = {}
+        self._log_fd: Optional[int] = None
+        self._log_id = (0, 0)  # (st_dev, st_ino) of the file _log_fd is open on
         if self.config.store_path and Path(self.config.store_path).exists():
             self.store = restore_store(self.config.store_path)
             _cut_torn_tail(Path(self.config.store_path) / EVENTS_FILE)
@@ -253,18 +270,26 @@ class AnnotationService:
     def _ok(self, body: bytes, page_index: int = 0) -> ApiResponse:
         return self._page_of(paginate(body, self.config.page_cap), page_index)
 
-    def _cached_pages(self, key: tuple, build: Callable[[], bytes]) -> list[Page]:
-        """Pages of the body `build` returns for `key` at the current store state.
+    def _drop_stale_caches(self) -> None:
+        """Empty the caches if the store changed since they were filled.
 
         The caller holds `_lock`. Any change to the store, or a new store
         object, drops every cached body: a `/tag` on one resource can
         change the `/map` of a root named after it, so invalidation per
-        key would miss bodies. An exception from `build` caches nothing.
+        key would miss bodies.
         """
         stamp = (self.store, self.store.version)  # stores compare by identity
         if self._bodies_of != stamp:
             self._bodies.clear()
+            self._heights.clear()
             self._bodies_of = stamp
+
+    def _cached_pages(self, key: tuple, build: Callable[[], bytes]) -> list[Page]:
+        """Pages of the body `build` returns for `key` at the current store state.
+
+        The caller holds `_lock`. An exception from `build` caches nothing.
+        """
+        self._drop_stale_caches()
         pages = self._bodies.get(key)
         if pages is None:
             pages = paginate(build(), self.config.page_cap)
@@ -341,10 +366,27 @@ class AnnotationService:
             return self._error(400, "badtag")
         with self._lock:
             try:
+                # Every depth from the root's height on gives the same body: one key for them all.
+                depth = min(depth, self._height(root))
                 pages = self._cached_pages(("map", root, depth), lambda: self._map_body(root, depth))
             except model.UnknownConceptError:
                 return self._error(404, "unknown")
         return self._page_of(pages, request.page)
+
+    def _height(self, root: str) -> int:
+        """Levels below `root` in its tree, at least 1; worked out once per store version.
+
+        The caller holds `_lock`. `root` need not be its tree's top.
+        Raises UnknownConceptError for a label in no tree.
+        """
+        self._drop_stale_caches()
+        height = self._heights.get(root)
+        if height is None:
+            tree = self.store.tree_of(root)
+            if tree is None:
+                raise model.UnknownConceptError(root)
+            height = self._heights[root] = max(1, TopicMap(root, tree.parent).depth())
+        return height
 
     def _map_body(self, root: str, depth: int) -> bytes:
         tree = self.store.subtree(root, depth)
@@ -387,18 +429,48 @@ class AnnotationService:
         """Append one line to the store directory's log; False if the write failed.
 
         True without writing when the service has no store directory.
+        The caller holds `_lock`.
         """
         if not self.config.store_path:
             return True
-        directory = Path(self.config.store_path)
+        path = os.path.join(self.config.store_path, EVENTS_FILE)
+        data = line.encode("utf-8")
         try:
-            directory.mkdir(parents=True, exist_ok=True)
-            with (directory / EVENTS_FILE).open("a", encoding="utf-8", newline="\n") as fh:
-                fh.write(line)
+            fd = self._log_descriptor(path)
+            while data:
+                data = data[os.write(fd, data) :]
         except OSError as exc:
-            log.error("%s: append failed: %s", directory / EVENTS_FILE, exc)
+            log.error("%s: append failed: %s", path, exc)
+            self._close_log()
             return False
         return True
+
+    def _log_descriptor(self, path: str) -> int:
+        """The open descriptor of the file now at `path`, opening it if need be."""
+        if self._log_fd is not None:
+            try:
+                st = os.stat(path)
+                if (st.st_dev, st.st_ino) == self._log_id:
+                    return self._log_fd
+            except FileNotFoundError:
+                pass
+            self._close_log()
+        os.makedirs(self.config.store_path, exist_ok=True)
+        # Held before fstat, so that the caller's failure path closes it too.
+        self._log_fd = os.open(path, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o666)
+        st = os.fstat(self._log_fd)
+        self._log_id = (st.st_dev, st.st_ino)
+        return self._log_fd
+
+    def _close_log(self) -> None:
+        fd, self._log_fd = self._log_fd, None
+        if fd is not None:
+            os.close(fd)
+
+    def close(self) -> None:
+        """Close the log descriptor, if one is open; a later append opens it again."""
+        with self._lock:
+            self._close_log()
 
 
 def render_tree(tree: TopicMap, frequencies: dict[str, int]) -> str:
@@ -535,11 +607,14 @@ def _cut_torn_tail(log_file: Path) -> None:
 class _Handler(BaseHTTPRequestHandler):
     """GET-only shell over HTTP/1.1: a client keeps one connection for many requests.
 
-    TCP_NODELAY is required, not a tuning knob: headers and body go out in
-    two writes, and on a kept-alive connection Nagle's algorithm would hold
-    the body back until the client's delayed ACK, about 40 ms a response.
-    Each connection holds a thread, so one left idle is closed after
-    IDLE_TIMEOUT_S; clients reconnect on their next request.
+    Status line, headers and body collect in a write buffer that holds a
+    whole response (`make_http_server` sizes it), and the flush after
+    `do_GET` sends them in one write. TCP_NODELAY is still required, not
+    a tuning knob: a response longer than one segment would otherwise
+    have its last segment held back by Nagle's algorithm until the
+    client's delayed ACK, about 40 ms a response. Each connection holds a
+    thread, so one left idle is closed after IDLE_TIMEOUT_S; clients
+    reconnect on their next request.
     """
 
     service: AnnotationService
@@ -567,7 +642,9 @@ class _Handler(BaseHTTPRequestHandler):
 
 
 def make_http_server(service: AnnotationService, host: str = "127.0.0.1") -> ThreadingHTTPServer:
-    handler = type("Handler", (_Handler,), {"service": service})
+    # One page is at most page_cap bytes, so the buffer holds any response.
+    wbufsize = service.config.page_cap + RESPONSE_HEAD_ROOM
+    handler = type("Handler", (_Handler,), {"service": service, "wbufsize": wbufsize})
     return ThreadingHTTPServer((host, service.config.port), handler)
 
 
@@ -575,7 +652,7 @@ def serve(service: AnnotationService, host: str = "127.0.0.1") -> None:
     """Run the blocking server loop; reports the bound port on stderr first.
 
     Every mutation is already in the log when it is acknowledged, so
-    nothing is written on the way out.
+    nothing is written on the way out; the log descriptor is closed.
     """
     server = make_http_server(service, host)
     print(f"serving on {host}:{server.server_address[1]}", file=sys.stderr, flush=True)
@@ -585,3 +662,4 @@ def serve(service: AnnotationService, host: str = "127.0.0.1") -> None:
         pass
     finally:
         server.server_close()
+        service.close()

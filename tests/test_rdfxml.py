@@ -77,6 +77,41 @@ class TestTerms:
         with pytest.raises(ValidationError):
             Literal("a\x00b")
 
+    @staticmethod
+    def loop_iri_check(value):
+        """The former per-character IRI check, kept as the reference."""
+        for ch in value:
+            if ch <= " " or ch == "\x7f" or ch in '<>"{}|\\^`':
+                raise ValidationError(f"IRI contains forbidden character {ch!r}: {value!r}")
+
+    @staticmethod
+    def loop_literal_check(lexical):
+        """The former per-character literal check, kept as the reference."""
+        for ch in lexical:
+            if ord(ch) < 32 and ch not in "\t\n\r":
+                raise ValidationError(f"literal contains control character {ch!r}")
+
+    @staticmethod
+    def outcome(check, value):
+        try:
+            check(value)
+        except ValidationError as exc:
+            return type(exc), str(exc)
+        return None
+
+    def test_character_checks_match_the_former_loops(self):
+        rng = random.Random(3)
+        code_points = list(range(0x3000)) + rng.sample(range(0x3000, 0x110000), 4000)
+        for cp in code_points:
+            ch = chr(cp)
+            # a later bad character shows that the leftmost one is reported
+            for tail in ("", "y", "y<\x01"):
+                iri = f"http://a/{ch}{tail}"
+                assert self.outcome(Iri, iri) == self.outcome(self.loop_iri_check, iri), hex(cp)
+                lexical = f"a{ch}{tail}"
+                got = self.outcome(Literal, lexical)
+                assert got == self.outcome(self.loop_literal_check, lexical), hex(cp)
+
 
 class TestGraph:
     def test_add_same_triple_twice_keeps_size_one(self):

@@ -1,11 +1,14 @@
 import contextlib
 import hashlib
 import http.client
+import os
 import random
+import shutil
 import socket
 import sys
 import threading
 import time
+from http.server import ThreadingHTTPServer
 from urllib.parse import urlencode, urlsplit
 
 import pytest
@@ -24,6 +27,7 @@ from scotcloud.service import (
     ServiceConfig,
     StoreLoadError,
     decode_page,
+    format_event_line,
     load_config,
     make_http_server,
     paginate,
@@ -992,6 +996,28 @@ class TestBodyCache:
         assert builds["builds"] == len(names) + 1  # the oldest went first
         assert len(service._bodies) == cap
 
+    def test_map_depths_past_the_tree_share_one_body(self, service, builds):
+        TestMapEndpoint().seed_shoe(service)  # shoe - rubber - {sole, heel}: two levels
+        tree = service.store.subtree("shoe", 10**6)
+        freqs = service.store.cloud_of(VOCAB.resource_iri("shoe")).frequencies
+        unclamped = {
+            d: paginate(render_tree(service.store.subtree("shoe", d), freqs).encode(), 2048)[0].encode()
+            for d in range(2, 80)
+        }
+        assert len(set(unclamped.values())) == 1 and tree.depth() == 2
+        builds["builds"] = 0
+        for d in range(2, 80):
+            response = service.handle_url(f"/map?root=shoe&depth={d}")
+            assert (response.status, response.encode()) == (200, unclamped[d]), d
+        assert builds["builds"] == 1
+        assert len(service._bodies) == 1
+        # below the top, a node's own height bounds the key: rubber has one level
+        for d in (1, 2, 7):
+            assert service.handle_url(f"/map?root=rubber&depth={d}").page.payload.count(b"\n") == 3
+        assert builds["builds"] == 2
+        response = service.handle_url("/map?root=ghost&depth=5")
+        assert (response.status, response.page.payload) == (404, b"unknown")
+
     def test_concurrent_tags_and_walks_leave_no_stale_body(self, service):
         def tagger(k):
             for i in range(60):
@@ -1059,3 +1085,136 @@ class TestStorageFailure:
         assert [service.handle_url(url).encode() for url in self.READS] == before
         uncached = AnnotationService(store=service.store)
         assert [uncached.handle_url(url).encode() for url in self.READS] == before
+
+
+def _log_opens(monkeypatch) -> list:
+    """Record every os.open of an events.log from now on."""
+    opened = []
+    real_open = service_module.os.open
+
+    def open_(path, *args, **kwargs):
+        if str(path).endswith(service_module.EVENTS_FILE):
+            opened.append(path)
+        return real_open(path, *args, **kwargs)
+
+    monkeypatch.setattr(service_module.os, "open", open_)
+    return opened
+
+
+class TestOpenLog:
+    def tag(self, service, tag="laser"):
+        response = service.handle_url(f"/tag?resource=mouse&tag={tag}&tagger={TAGGER}")
+        assert response.ok, response
+        return response
+
+    def test_200_tags_open_the_log_once(self, tmp_path, monkeypatch):
+        opened = _log_opens(monkeypatch)
+        service = AnnotationService(ServiceConfig(store_path=str(tmp_path / "live")))
+        for _ in range(200):
+            self.tag(service)
+        assert len(opened) == 1
+        assert (tmp_path / "live" / "events.log").read_bytes().count(b"\n") == 200
+        service.close()
+
+    def test_a_log_renamed_over_the_open_one_takes_the_next_line(self, tmp_path):
+        live = tmp_path / "live"
+        service = AnnotationService(ServiceConfig(store_path=str(live)))
+        seed_mouse(service)
+        assert service.handle_url(f"/attach?parent=shoe&child=rubber&tagger={TAGGER}").ok
+        snapshot_store(service.store, str(live))  # a new inode at the same path
+        rewritten = (live / "events.log").read_bytes()
+        self.tag(service, "optical")
+        assert (live / "events.log").read_bytes() == rewritten + format_event_line(service.store.events[-1]).encode()
+        restarted = AnnotationService(ServiceConfig(store_path=str(live)))
+        assert store_state(restarted.store) == store_state(service.store)
+        assert restarted.store.cloud_of(VOCAB.resource_iri("mouse")).frequencies["optical"] == 2
+        service.close()
+
+    def test_a_removed_log_is_created_again(self, tmp_path):
+        live = tmp_path / "live"
+        service = AnnotationService(ServiceConfig(store_path=str(live)))
+        self.tag(service)
+        (live / "events.log").unlink()
+        self.tag(service)
+        assert (live / "events.log").read_bytes() == format_event_line(service.store.events[-1]).encode()
+        shutil.rmtree(live)
+        self.tag(service)
+        assert (live / "events.log").read_bytes() == format_event_line(service.store.events[-1]).encode()
+        service.close()
+
+    def test_a_failed_append_closes_the_descriptor(self, tmp_path):
+        live = tmp_path / "live"
+        service = AnnotationService(ServiceConfig(store_path=str(live)))
+        self.tag(service)
+        fd = service._log_fd
+        (live / "events.log").unlink()
+        (live / "events.log").mkdir()
+        assert service.handle_url(f"/tag?resource=mouse&tag=laser&tagger={TAGGER}").status == 500
+        assert service._log_fd is None
+        with pytest.raises(OSError):
+            os.fstat(fd)
+
+    def test_close_releases_the_descriptor(self, tmp_path):
+        service = AnnotationService(ServiceConfig(store_path=str(tmp_path / "live")))
+        service.close()  # nothing open yet
+        self.tag(service)
+        fd = service._log_fd
+        os.fstat(fd)
+        service.close()
+        assert service._log_fd is None
+        with pytest.raises(OSError):
+            os.fstat(fd)
+        self.tag(service, "optical")  # a later append opens the log again
+        assert restore_store(str(tmp_path / "live")).cloud_of(VOCAB.resource_iri("mouse")).frequencies == {
+            "laser": 1,
+            "optical": 1,
+        }
+        service.close()
+
+    def test_serve_closes_the_log_on_exit(self, tmp_path, monkeypatch):
+        service = AnnotationService(ServiceConfig(port=0, store_path=str(tmp_path / "live")))
+        self.tag(service)
+        fd = service._log_fd
+
+        def interrupted(server, *args, **kwargs):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(ThreadingHTTPServer, "serve_forever", interrupted)
+        service_module.serve(service)
+        assert service._log_fd is None
+        with pytest.raises(OSError):
+            os.fstat(fd)
+
+
+class TestOneSendPerResponse:
+    def test_each_kept_alive_response_is_one_send_and_arrives_whole(self, tmp_path, monkeypatch):
+        opened = _log_opens(monkeypatch)
+        service = AnnotationService(ServiceConfig(port=0, store_path=str(tmp_path / "live")))
+        with http_server(service, _Counting) as (url, server):
+            port = server.server_address[1]
+            sends = []
+
+            def spy(real):
+                def send(sock, data, *args):
+                    if sock.getsockname()[1] == port:  # server side of a connection
+                        sends.append(bytes(data))
+                    return real(sock, data, *args)
+
+                return send
+
+            monkeypatch.setattr(socket.socket, "send", spy(socket.socket.send))
+            monkeypatch.setattr(socket.socket, "sendall", spy(socket.socket.sendall))
+            with socket.create_connection(("127.0.0.1", port), timeout=5) as sock:
+                for i in range(1, 201):
+                    sock.sendall(b"GET %s HTTP/1.1\r\nHost: x\r\n\r\n" % _tag_query().encode())
+                    response = sock.recv(65536)
+                    head, _, body = response.partition(b"\r\n\r\n")
+                    assert head.startswith(b"HTTP/1.1 200 ")
+                    assert head.endswith(b"\r\nContent-Length: %d" % len(_tag_page(i)))
+                    assert body == _tag_page(i), i
+                    assert len(sends) == i and sends[-1] == response
+        service.close()
+        assert server.connections == 1
+        assert len(sends) == 200
+        assert len(opened) == 1
+        assert _kept_count(service) == 200
