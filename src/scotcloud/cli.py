@@ -104,7 +104,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         return _fail(EXIT_DATA, f"store: {exc}")
     try:
         service_mod.serve(svc, args.host)
-    except OSError as exc:  # e.g. the port is taken
+    except (OSError, OverflowError) as exc:  # the port is taken, or out of range
         return _fail(EXIT_PROTOCOL, f"serve: {exc}")
     return EXIT_OK
 

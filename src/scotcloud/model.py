@@ -180,13 +180,17 @@ class AnnotationStore:
     replaying both, in their original order, through those two methods.
     `version` goes up on every `record` and every accepted `attach`, so
     anything derived from the store can tell whether it is still current.
+
+    `_tree_of` files each tree object under every label it holds, and a
+    new parent above a root re-roots that object in place, so an attach
+    costs the same whatever the size of its tree.
     """
 
     def __init__(self) -> None:
         self.events: list[AnnotationEvent] = []
         self.clouds: dict[Iri, TagCloud] = {}
         self.maps: dict[str, TopicMap] = {}
-        self._root_of: dict[str, str] = {}
+        self._tree_of: dict[str, TopicMap] = {}
         self.version = 0
 
     # -- annotations ------------------------------------------------------
@@ -211,8 +215,7 @@ class AnnotationStore:
     # -- topic maps -------------------------------------------------------
 
     def tree_of(self, label: str) -> Optional[TopicMap]:
-        root = self._root_of.get(label)
-        return self.maps[root] if root is not None else None
+        return self._tree_of.get(label)
 
     def check_attach(self, parent: str, child: str) -> None:
         """Raise AttachError if `attach(parent, child)` would be refused; changes nothing.
@@ -224,41 +227,33 @@ class AnnotationStore:
         """
         if parent == child:
             raise AttachError("cycle", f"cannot attach {child!r} to itself")
-        child_root = self._root_of.get(child)
-        if child_root is None:
+        tree = self._tree_of.get(child)
+        if tree is None:
             return
-        parent_root = self._root_of.get(parent)
-        if child_root != child:
+        if tree.root != child:
             raise AttachError("parented", f"{child!r} already has a parent")
-        if parent_root == child:
+        parent_tree = self._tree_of.get(parent)
+        if parent_tree is tree:
             raise AttachError("cycle", f"{parent!r} is a descendant of {child!r}")
-        if parent_root is not None:
+        if parent_tree is not None:
             raise AttachError("merge", f"{parent!r} and {child!r} live in different trees")
 
     def attach(self, parent_raw: str, child_raw: str) -> None:
         """Bind child under parent, keeping every map a tree.
 
-        Refused, with nothing changed, as `check_attach` says.
+        Refused, with nothing changed, as `check_attach` says. A parent in no
+        tree becomes the root of the child's tree, which moves to the end of `maps`.
         """
         parent = normalize_tag(parent_raw)
         child = normalize_tag(child_raw)
         self.check_attach(parent, child)
-        parent_root = self._root_of.get(parent)
-        if child in self.maps:
-            # New parent above an existing root: the tree grows upward.
-            old = self.maps.pop(child)
-            tree = TopicMap(parent, dict(old.parent))
-            tree.parent[child] = parent
-            self.maps[parent] = tree
-            for node in tree.nodes:
-                self._root_of[node] = parent
-        elif parent_root is not None:
-            self.maps[parent_root].parent[child] = parent
-            self._root_of[child] = parent_root
-        else:
-            self.maps[parent] = TopicMap(parent, {child: parent})
-            self._root_of[parent] = parent
-            self._root_of[child] = parent
+        tree = self._tree_of.get(parent)
+        if tree is None:
+            tree = self.maps.pop(child) if child in self.maps else TopicMap(parent)
+            tree.root = parent
+            self.maps[parent] = self._tree_of[parent] = tree
+        tree.parent[child] = parent
+        self._tree_of[child] = tree
         self.version += 1
 
     def subtree(self, root_raw: str, depth: int) -> TopicMap:

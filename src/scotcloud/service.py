@@ -43,6 +43,8 @@ from .rdfxml import Iri
 log = logging.getLogger(__name__)
 
 PAGE_HEADER_RESERVE = 32
+MIN_PAGE_CAP = 64  # smallest page a response may be split into, header line included
+PAGE_CAP_TOO_SMALL = f"page cap must be at least {MIN_PAGE_CAP} bytes"
 BODY_CACHE_ENTRIES = 64  # paged bodies kept per service; the oldest goes first
 IDLE_TIMEOUT_S = 30  # a kept-alive connection idle this long is closed, freeing its thread
 RESPONSE_HEAD_ROOM = 1024  # status line and headers of a response, with room to spare
@@ -79,8 +81,8 @@ class Page:
 
 def paginate(body: bytes, cap: int) -> list[Page]:
     """Split a body so that header + payload never exceeds `cap` bytes."""
-    if cap < 64:
-        raise ValueError("page cap must be at least 64 bytes")
+    if cap < MIN_PAGE_CAP:
+        raise ValueError(PAGE_CAP_TOO_SMALL)
     chunk = cap - PAGE_HEADER_RESERVE
     total = max(1, -(-len(body) // chunk))
     return [
@@ -138,8 +140,12 @@ class ServiceConfig:
     rate_limit_window_ms: int = 20000
 
     def __post_init__(self) -> None:
-        if self.page_cap < 64:
-            raise ValueError("page cap must be at least 64 bytes")
+        if self.page_cap < MIN_PAGE_CAP:
+            raise ValueError(PAGE_CAP_TOO_SMALL)
+        try:
+            Iri(self.base_uri)  # every minted resource and tag IRI starts with it
+        except rdfxml.ValidationError as exc:
+            raise ValueError(f"base_uri is not an IRI: {exc}") from None
 
     def vocab(self) -> VocabConfig:
         return VocabConfig(self.base_uri)
@@ -477,15 +483,12 @@ def render_tree(tree: TopicMap, frequencies: dict[str, int]) -> str:
     """Line-per-concept tree text: two spaces per level, rank order among siblings."""
     lines: list[str] = []
     children = tree.children()
-
-    def walk(label: str, level: int) -> None:
-        count = frequencies.get(label, 0)
-        lines.append(f"{'  ' * level}{label} ({count})")
+    stack = [(tree.root, 0)]  # an explicit stack: a tree may be deeper than the recursion limit
+    while stack:
+        label, level = stack.pop()
+        lines.append(f"{'  ' * level}{label} ({frequencies.get(label, 0)})")
         siblings = sorted(children.get(label, ()), key=lambda c: (-frequencies.get(c, 0), c))
-        for child in siblings:
-            walk(child, level + 1)
-
-    walk(tree.root, 0)
+        stack.extend((child, level + 1) for child in reversed(siblings))
     return "\n".join(lines) + "\n"
 
 
@@ -527,10 +530,10 @@ def snapshot_store(store: AnnotationStore, path: str) -> None:
 
     Every event comes first, then each topic map's edges in insertion
     order, which is a valid replay order: `attach` only ever appends to a
-    tree's `parent` dict, and growing a tree upward copies the old edges
-    before adding the new one. A stale `snapshot.rdf` from an older
-    version is deleted, since restore would replay its edges before the
-    log's.
+    tree's `parent` dict, even when a tree grows upward: it keeps its dict
+    and gets the new root's edge last. A stale `snapshot.rdf` from an
+    older version is deleted, since restore would replay its edges before
+    the log's.
     """
     directory = Path(path)
     directory.mkdir(parents=True, exist_ok=True)

@@ -190,7 +190,7 @@ def parse_command(text: str) -> Optional[tuple[str, list[str]]]:
     if kind == "cloud" and len(args) == 1:
         return kind, args
     if kind == "map" and len(args) in (1, 2):
-        if len(args) == 2 and (not args[1].isdigit() or int(args[1]) < 1):
+        if len(args) == 2 and (not args[1].isdecimal() or int(args[1]) < 1):
             return None
         return kind, args
     if kind == "attach" and len(args) == 2:

@@ -204,6 +204,13 @@ class TestSimulate:
         assert (code, out) == (3, "")
         assert "script: line 2: empty command" in err
 
+    def test_superscript_map_depth_gets_usage_not_a_traceback(self, capsys, tmp_path):
+        script = tmp_path / "bots.txt"
+        script.write_text(f"@0 0 {TAGGER} map shoe \u00b2\n", "utf-8")
+        code, out, _ = run(capsys, "simulate", "--script", str(script))
+        assert code == 0
+        assert " usage " in out and " issue " not in out
+
     def test_wire_mode_against_live_server(self, capsys, live_server, tmp_path):
         url, svc = live_server
         script = tmp_path / "bots.txt"
@@ -333,6 +340,27 @@ class TestServeConfig:
             code, _, err = run(capsys, "serve", "--port", str(taken.getsockname()[1]))
         assert code == 2
         assert err.startswith("serve: ") and "cannot reach" not in err
+
+    @pytest.mark.parametrize("source", ["flag", "environment"])
+    def test_out_of_range_port_is_protocol_error(self, capsys, monkeypatch, source):
+        if source == "flag":
+            monkeypatch.delenv("SCOTCLOUD_PORT", raising=False)
+            code, _, err = run(capsys, "serve", "--port", "70000")
+        else:
+            monkeypatch.setenv("SCOTCLOUD_PORT", "70000")
+            code, _, err = run(capsys, "serve")
+        assert code == 2
+        assert err.startswith("serve: ") and "65535" in err
+
+    def test_base_uri_that_is_not_an_iri_is_data_error(self, capsys, tmp_path, monkeypatch):
+        from scotcloud import cli as cli_mod
+
+        monkeypatch.setattr(cli_mod.service_mod, "serve", lambda service, host: pytest.fail("served"))
+        config_file = tmp_path / "svc.conf"
+        config_file.write_text("port=0\nbase_uri=yourdns.com\n", "utf-8")
+        code, _, err = run(capsys, "serve", "--config", str(config_file))
+        assert code == 3
+        assert err.startswith("config: base_uri is not an IRI: ") and "'yourdns.com'" in err
 
     def test_non_numeric_port_variable_is_usage_error(self, capsys, monkeypatch):
         from scotcloud import cli as cli_mod

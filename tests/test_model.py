@@ -323,6 +323,110 @@ class TestAttach:
         assert store.version == 4
 
 
+class _RootOfStore:
+    """Reference: the topic-map half of the store when `attach` copied a tree to grow it upward."""
+
+    def __init__(self) -> None:
+        self.maps: dict[str, TopicMap] = {}
+        self._root_of: dict[str, str] = {}
+        self.version = 0
+
+    def tree_of(self, label: str):
+        root = self._root_of.get(label)
+        return self.maps[root] if root is not None else None
+
+    def check_attach(self, parent: str, child: str) -> None:
+        if parent == child:
+            raise AttachError("cycle", f"cannot attach {child!r} to itself")
+        child_root = self._root_of.get(child)
+        if child_root is None:
+            return
+        parent_root = self._root_of.get(parent)
+        if child_root != child:
+            raise AttachError("parented", f"{child!r} already has a parent")
+        if parent_root == child:
+            raise AttachError("cycle", f"{parent!r} is a descendant of {child!r}")
+        if parent_root is not None:
+            raise AttachError("merge", f"{parent!r} and {child!r} live in different trees")
+
+    def attach(self, parent_raw: str, child_raw: str) -> None:
+        parent = normalize_tag(parent_raw)
+        child = normalize_tag(child_raw)
+        self.check_attach(parent, child)
+        parent_root = self._root_of.get(parent)
+        if child in self.maps:
+            old = self.maps.pop(child)
+            tree = TopicMap(parent, dict(old.parent))
+            tree.parent[child] = parent
+            self.maps[parent] = tree
+            for node in tree.nodes:
+                self._root_of[node] = parent
+        elif parent_root is not None:
+            self.maps[parent_root].parent[child] = parent
+            self._root_of[child] = parent_root
+        else:
+            self.maps[parent] = TopicMap(parent, {child: parent})
+            self._root_of[parent] = parent
+            self._root_of[child] = parent
+        self.version += 1
+
+
+def _attach_outcome(store, method: str, parent: str, child: str):
+    try:
+        getattr(store, method)(parent, child)
+    except (AttachError, TagError) as exc:
+        return type(exc), getattr(exc, "reason", None), str(exc)
+    return None
+
+
+def _topic_state(store, labels: list[str]):
+    roots = [None if store.tree_of(label) is None else store.tree_of(label).root for label in labels]
+    return [(root, list(t.parent.items())) for root, t in store.maps.items()], roots, store.version
+
+
+class TestReRootInPlace:
+    LABELS = [f"n{i}" for i in range(30)]
+
+    def random_operation(self, rng: random.Random, store: AnnotationStore) -> tuple[str, str]:
+        placed = [label for label in self.LABELS if store.tree_of(label) is not None]
+        free = [label for label in self.LABELS if store.tree_of(label) is None] or self.LABELS
+        roll = rng.random()
+        if roll < 0.3 and placed:  # down or sideways: a new child below any node
+            return rng.choice(placed), rng.choice(free)
+        if roll < 0.5 and store.maps:  # upward: a new parent above a root
+            return rng.choice(free), rng.choice(list(store.maps))
+        if roll < 0.55:
+            label = rng.choice(self.LABELS)
+            return label, label
+        if roll < 0.58:
+            return "  ", rng.choice(self.LABELS)
+        parent, child = rng.choice(self.LABELS), rng.choice(self.LABELS)
+        return (f" {parent.upper()}", child) if roll < 0.62 else (parent, child)
+
+    def test_matches_the_copying_attach_on_random_sequences(self):
+        rng = random.Random(2024)
+        seen = Counter()
+        for _ in range(1000):
+            store, reference = AnnotationStore(), _RootOfStore()
+            for _ in range(rng.randint(1, 50)):
+                parent, child = self.random_operation(rng, store)
+                upward = child in store.maps
+                # check_attach takes normalized labels only
+                methods = ["check_attach", "attach"] if parent in self.LABELS else ["attach"]
+                for method in methods:
+                    outcome = _attach_outcome(store, method, parent, child)
+                    assert outcome == _attach_outcome(reference, method, parent, child)
+                    assert _topic_state(store, self.LABELS) == _topic_state(reference, self.LABELS)
+                if outcome is None:
+                    seen["upward" if upward else "accepted"] += 1
+                else:
+                    seen[outcome[1] or "badtag"] += 1
+                for label in self.LABELS:
+                    tree = store.tree_of(label)
+                    assert tree is None or store.maps[tree.root] is tree
+        assert min(seen[key] for key in ("upward", "accepted", "cycle", "parented", "merge", "badtag")) > 100
+
+
 def _replay_edges_by_rescan(store: AnnotationStore, edges: list[tuple[str, str]]) -> None:
     """Reference: the original wave order, found by rescanning every pending edge per wave."""
     pending = list(edges)

@@ -280,6 +280,19 @@ class TestMapEndpoint:
             assert time.perf_counter() - started < 0.5
             assert huge == whole
 
+    def test_a_chain_deeper_than_the_recursion_limit_answers_200(self, service):
+        for i in range(1500):
+            response = service.handle_url(f"/attach?parent=n{i}&child=n{i + 1}&tagger={TAGGER}")
+            assert response.status == 200
+        first = service.handle_url("/map?root=n0&depth=2000")
+        assert first.status == 200
+        chunks = [first.page.payload]
+        for i in range(1, first.page.total):
+            response = service.handle_url(f"/map?root=n0&depth=2000&page={i}")
+            assert response.status == 200
+            chunks.append(response.page.payload)
+        assert b"".join(chunks).decode() == "".join(f"{'  ' * i}n{i} (0)\n" for i in range(1501))
+
 
 class TestAttachEndpoint:
     def test_attach_returns_ok(self, service):
@@ -388,6 +401,18 @@ class TestPersistence:
                 pass
         snapshot_store(store, str(tmp_path / "snap"))
         assert store_state(restore_store(str(tmp_path / "snap"))) == store_state(store)
+
+    def test_a_log_of_trees_grown_upward_restores_in_linear_time(self, tmp_path):
+        # each line puts a new root above the last one, so work per line that grows with the tree is quadratic
+        target = tmp_path / "snap"
+        target.mkdir()
+        (target / "events.log").write_text("".join(f"attach\tn{i + 1}\tn{i}\n" for i in range(8000)), "utf-8")
+        started = time.perf_counter()
+        store = restore_store(str(target))
+        assert time.perf_counter() - started < 1.0
+        assert list(store.maps) == ["n8000"]
+        assert list(store.maps["n8000"].parent.items()) == [(f"n{i}", f"n{i + 1}") for i in range(8000)]
+        assert store.tree_of("n0") is store.maps["n8000"]
 
     def test_restore_missing_directory_errors(self, tmp_path):
         with pytest.raises(StoreLoadError):
@@ -806,6 +831,18 @@ class TestConfigFile:
     def test_page_cap_floor(self):
         with pytest.raises(ValueError):
             ServiceConfig(page_cap=32)
+
+    @pytest.mark.parametrize("base_uri", ["yourdns.com", "", "http://your dns.com"])
+    def test_base_uri_that_is_not_an_iri_is_refused(self, base_uri):
+        with pytest.raises(ValueError, match="^base_uri is not an IRI: "):
+            ServiceConfig(base_uri=base_uri)
+
+    def test_default_config_is_unchanged(self, tmp_path):
+        path = tmp_path / "svc.conf"
+        path.write_text("# nothing set\n", "utf-8")
+        expected = ServiceConfig(8765, None, "http://yourdns.com", 2048, None, 20000)
+        assert ServiceConfig() == load_config(str(path)) == expected
+        assert ServiceConfig().vocab().mint("shoe") == "http://yourdns.com/rdfs/shoe.rdf"
 
 
 class TestRenderTree:

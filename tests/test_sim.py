@@ -141,6 +141,8 @@ class TestChat:
             ("tag onlyone", None),
             ("map shoe zero", None),
             ("map shoe 0", None),
+            ("map shoe \u00b2", None),  # a digit to str.isdigit, but not to int
+            ("map shoe \u0663", ("map", ["shoe", "\u0663"])),  # ARABIC-INDIC DIGIT THREE: int reads 3
             ("", None),
         ],
     )
