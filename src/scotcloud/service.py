@@ -23,14 +23,18 @@ removed is followed, not written past.
 
 from __future__ import annotations
 
+import io
 import logging
 import os
+import re
 import sys
 import threading
 import time
 import uuid
 from collections import deque
 from dataclasses import dataclass, field
+from email.utils import formatdate
+from http import HTTPStatus
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 from typing import Callable, Optional
@@ -146,6 +150,11 @@ class ServiceConfig:
             Iri(self.base_uri)  # every minted resource and tag IRI starts with it
         except rdfxml.ValidationError as exc:
             raise ValueError(f"base_uri is not an IRI: {exc}") from None
+        # 0 would throttle every request; a window under 1 ms would never hold one.
+        if self.rate_limit_max is not None and self.rate_limit_max < 1:
+            raise ValueError(f"rate_limit_max must be at least 1, not {self.rate_limit_max}")
+        if self.rate_limit_window_ms < 1:
+            raise ValueError(f"rate_limit_window_ms must be at least 1, not {self.rate_limit_window_ms}")
 
     def vocab(self) -> VocabConfig:
         return VocabConfig(self.base_uri)
@@ -172,7 +181,11 @@ def load_config(path: str) -> ServiceConfig:
         key = key.strip()
         if not sep or key not in _CONFIG_KEYS:
             raise ValueError(f"{path}:{lineno}: bad config line {line!r}")
-        values["store_path" if key == "store" else key] = _CONFIG_KEYS[key](value.strip())
+        value = value.strip()
+        try:
+            values["store_path" if key == "store" else key] = _CONFIG_KEYS[key](value)
+        except ValueError:
+            raise ValueError(f"{path}:{lineno}: bad value for {key}: {value!r}") from None
     return ServiceConfig(**values)  # type: ignore[arg-type]
 
 
@@ -607,38 +620,207 @@ def _cut_torn_tail(log_file: Path) -> None:
 # -- HTTP front door -----------------------------------------------------------
 
 
+# As http.client reads a request head: the longest header line, and the most
+# lines in a head, the blank line that ends it included.
+MAX_HEADER_LINE = 65536
+MAX_HEADER_LINES = 100
+
+# A header line that email.feedparser reads as one whole field: a name of
+# token characters, a colon, and a value without CR or LF.
+_PLAIN_FIELD = re.compile(rb"([!-9;-~]+):[ \t]*([^\r\n]*)\r?\n")
+# email.feedparser.headerRE: a line that continues the header section.
+_HEADER_LINE = re.compile(r"From |[!-9;-~]*:|[\t ]")
+# An HTTP version as http.server accepts it since Python 3.11: two numbers
+# of 1 to 10 digits. (str.isdigit() there also passes '\xb2', which int()
+# then refuses.)
+_VERSION = re.compile(r"HTTP/([0-9]{1,10})\.([0-9]{1,10})")
+
+_RESPONSE = (
+    b"HTTP/1.1 %d %s\r\nServer: %s\r\nDate: %s\r\n"
+    b"Content-Type: text/plain; charset=utf-8\r\nContent-Length: %d\r\n%s\r\n%s"
+)
+
+
+def _header_fields(lines: list[bytes]) -> tuple[dict[str, str], bool]:
+    """The first value of each field of a request head, by lower-cased name.
+
+    `lines` are the head's header lines without the line that ends it.
+    The flag is True when every line is a plain `name: value` line; the
+    fields are then read without the email package. Otherwise they are
+    read by email.feedparser's rules, which _feedparser_fields copies,
+    and the flag is False.
+    """
+    fields: dict[str, str] = {}
+    for line in lines:
+        match = _PLAIN_FIELD.fullmatch(line)
+        if match is None:
+            return _feedparser_fields(lines), False
+        fields.setdefault(match[1].decode("ascii").lower(), match[2].decode("iso-8859-1"))
+    return fields, True
+
+
+def _feedparser_fields(lines: list[bytes]) -> dict[str, str]:
+    """Fields as http.client.parse_headers reads them through email.feedparser.
+
+    The head is split at CR, LF and CRLF; a line that does not match the
+    feedparser's header pattern ends the fields; a line that starts with a
+    space or tab folds into the field before it; an envelope (`From `)
+    line and a line with no name before its colon hold no field; a value
+    loses the spaces and tabs after its colon and its trailing CR and LF.
+    """
+    fields: dict[str, str] = {}
+    name = value = ""
+    for piece in io.StringIO(b"".join(lines).decode("iso-8859-1"), newline="").readlines():
+        if not _HEADER_LINE.match(piece):
+            break
+        if piece[0] in " \t":
+            value += piece
+            continue
+        if name:
+            fields.setdefault(name.lower(), value.rstrip("\r\n"))
+        name, _, value = piece.partition(":")
+        if piece.startswith("From "):
+            name = ""
+        value = value.lstrip(" \t")
+    if name:
+        fields.setdefault(name.lower(), value.rstrip("\r\n"))
+    return fields
+
+
+class _DateHeader:
+    """The value of the Date header, formatted at most once a second."""
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._second = -1
+        self._value = b""
+
+    def value(self) -> bytes:
+        now = int(time.time())
+        with self._lock:
+            if now != self._second:
+                self._second, self._value = now, formatdate(now, usegmt=True).encode("ascii")
+            return self._value
+
+
 class _Handler(BaseHTTPRequestHandler):
     """GET-only shell over HTTP/1.1: a client keeps one connection for many requests.
 
-    Status line, headers and body collect in a write buffer that holds a
-    whole response (`make_http_server` sizes it), and the flush after
-    `do_GET` sends them in one write. TCP_NODELAY is still required, not
-    a tuning knob: a response longer than one segment would otherwise
-    have its last segment held back by Nagle's algorithm until the
-    client's delayed ACK, about 40 ms a response. Each connection holds a
-    thread, so one left idle is closed after IDLE_TIMEOUT_S; clients
-    reconnect on their next request.
+    Requests are parsed without the email package: `parse_request` reads
+    the header lines itself and looks up only `Connection`,
+    `Content-Length`, `Transfer-Encoding` and `Expect`. The limits and
+    error replies are http.server's (Python 3.11): 414 for a request line
+    over 65536 bytes, 431 for a longer header line or more than 100 lines
+    in a head, 400 for a bad request line, 505 for HTTP/2 and later, 501
+    for any method but GET. A head with a line that is not a plain
+    `name: value` line (a folded line, a line with no colon) is read by the
+    email package's rules and its connection is closed after the answer,
+    so no connection the standard library would close is kept open.
+
+    Status line, headers and body are formatted as one `bytes` and go out
+    in one write; the Date value is refreshed once a second. TCP_NODELAY
+    is still required, not a tuning knob: a response longer than one
+    segment would otherwise have its last segment held back by Nagle's
+    algorithm until the client's delayed ACK, about 40 ms a response. Each
+    connection holds a thread, so one left idle is closed after
+    IDLE_TIMEOUT_S; clients reconnect on their next request.
     """
 
     service: AnnotationService
+    date: _DateHeader
     protocol_version = "HTTP/1.1"
     disable_nagle_algorithm = True
     timeout = IDLE_TIMEOUT_S
 
-    def do_GET(self) -> None:  # noqa: N802 (http.server API)
+    def parse_request(self) -> bool:
+        self.command = None  # set in case of error on the first line
+        self.request_version = self.default_request_version
+        self.close_connection = True
+        self.requestline = requestline = str(self.raw_requestline, "iso-8859-1").rstrip("\r\n")
+        words = requestline.split()
+        if not words:
+            return False
+        if len(words) >= 3:
+            version = words[-1]
+            match = _VERSION.fullmatch(version)
+            if match is None:
+                self.send_error(HTTPStatus.BAD_REQUEST, "Bad request version (%r)" % version)
+                return False
+            number = int(match[1]), int(match[2])
+            if number >= (1, 1):
+                self.close_connection = False
+            if number >= (2, 0):
+                self.send_error(HTTPStatus.HTTP_VERSION_NOT_SUPPORTED, "Invalid HTTP version (%s)" % version[5:])
+                return False
+            self.request_version = version
+        if not 2 <= len(words) <= 3:
+            self.send_error(HTTPStatus.BAD_REQUEST, "Bad request syntax (%r)" % requestline)
+            return False
+        command, path = words[:2]
+        if len(words) == 2:
+            self.close_connection = True
+            if command != "GET":
+                self.send_error(HTTPStatus.BAD_REQUEST, "Bad HTTP/0.9 request type (%r)" % command)
+                return False
+        if path.startswith("//"):  # a client would read //host/path as another host
+            path = "/" + path.lstrip("/")
+        self.command, self.path = command, path
+
+        lines = []
+        while True:
+            line = self.rfile.readline(MAX_HEADER_LINE + 1)
+            if len(line) > MAX_HEADER_LINE:
+                self.send_error(
+                    HTTPStatus.REQUEST_HEADER_FIELDS_TOO_LARGE,
+                    "Line too long",
+                    f"got more than {MAX_HEADER_LINE} bytes when reading header line",
+                )
+                return False
+            if len(lines) == MAX_HEADER_LINES:  # this line, even a blank one, is one too many
+                self.send_error(
+                    HTTPStatus.REQUEST_HEADER_FIELDS_TOO_LARGE,
+                    "Too many headers",
+                    f"got more than {MAX_HEADER_LINES} headers",
+                )
+                return False
+            if line in (b"\r\n", b"\n", b""):
+                break
+            lines.append(line)
+        fields, plain = _header_fields(lines)
+        connection = fields.get("connection", "").lower()
+        if connection == "close":
+            self.close_connection = True
+        elif connection == "keep-alive":
+            self.close_connection = False
         # The protocol has no request bodies; one left unread would be
         # parsed as the next request, so such a connection is not reused.
-        if self.headers.get("Content-Length", "0").strip() != "0" or "Transfer-Encoding" in self.headers:
+        has_body = fields.get("content-length", "0").strip() != "0" or "transfer-encoding" in fields
+        if has_body or not plain:
             self.close_connection = True
+        if fields.get("expect", "").lower() == "100-continue" and self.request_version >= "HTTP/1.1":
+            return self.handle_expect_100()
+        return True
+
+    def do_GET(self) -> None:  # noqa: N802 (http.server API)
         response = self.service.handle_url(self.path)
-        raw = response.encode()
-        self.send_response(response.status)
-        self.send_header("Content-Type", "text/plain; charset=utf-8")
-        self.send_header("Content-Length", str(len(raw)))
-        if self.close_connection:
-            self.send_header("Connection", "close")
-        self.end_headers()
-        self.wfile.write(raw)
+        if log.isEnabledFor(logging.DEBUG):
+            self.log_request(response.status)
+        body = response.encode()
+        if self.request_version == "HTTP/0.9":  # a bare body, as http.server answers HTTP/0.9
+            self.wfile.write(body)
+            return
+        self.wfile.write(
+            _RESPONSE
+            % (
+                response.status,
+                self.responses[response.status][0].encode("latin-1"),
+                self.version_string().encode("latin-1"),
+                self.date.value(),
+                len(body),
+                b"Connection: close\r\n" if self.close_connection else b"",
+                body,
+            )
+        )
 
     def log_message(self, fmt: str, *args) -> None:
         log.debug("http: " + fmt, *args)
@@ -647,7 +829,7 @@ class _Handler(BaseHTTPRequestHandler):
 def make_http_server(service: AnnotationService, host: str = "127.0.0.1") -> ThreadingHTTPServer:
     # One page is at most page_cap bytes, so the buffer holds any response.
     wbufsize = service.config.page_cap + RESPONSE_HEAD_ROOM
-    handler = type("Handler", (_Handler,), {"service": service, "wbufsize": wbufsize})
+    handler = type("Handler", (_Handler,), {"service": service, "wbufsize": wbufsize, "date": _DateHeader()})
     return ThreadingHTTPServer((host, service.config.port), handler)
 
 

@@ -21,6 +21,7 @@ import hashlib
 import heapq
 import http.client
 import random
+import socket
 import uuid
 from collections import deque
 from dataclasses import dataclass, field
@@ -116,13 +117,32 @@ class InProcessTransport:
 _STALE_CONNECTION = (http.client.RemoteDisconnected, ConnectionResetError, BrokenPipeError)
 
 
+def _closed_by_server(sock: socket.socket) -> bool:
+    """Whether the server has already ended an idle connection: EOF or a reset is queued."""
+    timeout = sock.gettimeout()
+    sock.settimeout(0)  # a peek that finds nothing queued returns at once
+    try:
+        # socket.socket's own recv: an SSLSocket's refuses flags.
+        return socket.socket.recv(sock, 1, socket.MSG_PEEK) == b""
+    except BlockingIOError:
+        return False
+    except OSError:
+        return True
+    finally:
+        sock.settimeout(timeout)
+
+
 class HttpTransport:
     """Wire transport over one persistent HTTP/1.1 connection to a live server.
 
-    A request that fails with _STALE_CONNECTION on a reused connection is
-    sent once more on a new one. Nothing else is retried, since `/tag` and
-    `/attach` are not idempotent. Raises OSError or http.client.HTTPException
-    (InvalidURL for a URL that is not http[s]://host[:port][/prefix]).
+    Before a connection is reused it is checked for a close the server has
+    already sent, as after its idle timeout; such a connection is replaced
+    before anything is sent on it. A request that still fails with
+    _STALE_CONNECTION on a reused connection, because the close crossed it
+    on the wire, is sent once more on a new one. Nothing else is retried,
+    since `/tag` and `/attach` are not idempotent. Raises OSError or
+    http.client.HTTPException (InvalidURL for a URL that is not
+    http[s]://host[:port][/prefix]).
     """
 
     def __init__(self, base_url: str):
@@ -134,6 +154,8 @@ class HttpTransport:
         self._conn = connection(split.netloc)
 
     def get(self, path_query: str) -> tuple[int, bytes]:
+        if self._conn.sock is not None and _closed_by_server(self._conn.sock):
+            self._conn.close()
         retry = self._conn.sock is not None
         while True:
             try:

@@ -362,6 +362,28 @@ class TestServeConfig:
         assert code == 3
         assert err.startswith("config: base_uri is not an IRI: ") and "'yourdns.com'" in err
 
+    @pytest.mark.parametrize("line", ["rate_limit_max=0", "rate_limit_window_ms=-1000"])
+    def test_rate_limit_that_would_break_the_limiter_is_data_error(self, capsys, tmp_path, monkeypatch, line):
+        from scotcloud import cli as cli_mod
+
+        monkeypatch.setattr(cli_mod.service_mod, "serve", lambda service, host: pytest.fail("served"))
+        config_file = tmp_path / "svc.conf"
+        config_file.write_text(f"port=0\n{line}\n", "utf-8")
+        code, _, err = run(capsys, "serve", "--config", str(config_file))
+        assert code == 3
+        key, _, value = line.partition("=")
+        assert err == f"config: {key} must be at least 1, not {value}\n"
+
+    def test_value_that_does_not_parse_is_data_error_with_its_line(self, capsys, tmp_path, monkeypatch):
+        from scotcloud import cli as cli_mod
+
+        monkeypatch.setattr(cli_mod.service_mod, "serve", lambda service, host: pytest.fail("served"))
+        config_file = tmp_path / "svc.conf"
+        config_file.write_text("port=abc\n", "utf-8")
+        code, _, err = run(capsys, "serve", "--config", str(config_file))
+        assert code == 3
+        assert err == f"config: {config_file}:1: bad value for port: 'abc'\n"
+
     def test_non_numeric_port_variable_is_usage_error(self, capsys, monkeypatch):
         from scotcloud import cli as cli_mod
 

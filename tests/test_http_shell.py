@@ -1,0 +1,307 @@
+"""The HTTP shell's own request parse and response head, against http.server's.
+
+`_Handler` reads request heads without the email package and formats each
+response in one piece. The reference here is the shell as http.server
+builds it: `BaseHTTPRequestHandler.parse_request`, which parses headers
+through `email.feedparser`, and `send_response`/`send_header`. Both
+servers get the same raw bytes and must send back the same bytes, Date
+value aside, and agree on whether the connection stays open.
+"""
+
+import contextlib
+import email.parser
+import re
+import socket
+import threading
+from email.utils import formatdate
+from types import SimpleNamespace
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from http.server import BaseHTTPRequestHandler
+
+from scotcloud import service as service_module
+from scotcloud.service import AnnotationService, ServiceConfig, make_http_server
+
+from conftest import TAGGER
+
+
+class _StdlibShell:
+    """http.server's parse and response head, with the shell's GET logic on top."""
+
+    parse_request = BaseHTTPRequestHandler.parse_request
+
+    def do_GET(self):  # noqa: N802 (http.server API)
+        if self.headers.get("Content-Length", "0").strip() != "0" or "Transfer-Encoding" in self.headers:
+            self.close_connection = True
+        response = self.service.handle_url(self.path)
+        raw = response.encode()
+        self.send_response(response.status)
+        self.send_header("Content-Type", "text/plain; charset=utf-8")
+        self.send_header("Content-Length", str(len(raw)))
+        if self.close_connection:
+            self.send_header("Connection", "close")
+        self.end_headers()
+        self.wfile.write(raw)
+
+
+@contextlib.contextmanager
+def _running(server):
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    try:
+        yield server.server_address[1]
+    finally:
+        server.shutdown()
+        server.server_close()
+
+
+# Sent after every head: it is answered only on a connection that stayed open.
+PROBE = b"GET /cloud?resource=probe HTTP/1.1\r\n\r\n"
+_DATE = re.compile(rb"\r\nDate: [^\r\n]*")
+
+
+def _seeded() -> AnnotationService:
+    service = AnnotationService(ServiceConfig(port=0))
+    assert service.handle_url(f"/tag?resource=shoe&tag=red&tagger={TAGGER}").ok
+    return service
+
+
+@pytest.fixture(scope="module")
+def servers():
+    """A server with the shell and one with the reference: their ports, handler classes, and answer to PROBE."""
+    lean = make_http_server(_seeded())
+    reference = make_http_server(_seeded())
+    reference.RequestHandlerClass = type("Reference", (_StdlibShell, reference.RequestHandlerClass), {})
+    with _running(lean) as lean_port, _running(reference) as reference_port:
+        yield SimpleNamespace(
+            lean=lean_port,
+            reference=reference_port,
+            handlers=(lean.RequestHandlerClass, reference.RequestHandlerClass),
+            probe_answer=exchange(reference_port, b""),
+        )
+
+
+def exchange(port: int, head: bytes) -> bytes:
+    """Send `head`, then PROBE; all the server sends until it closes, its Date values masked."""
+    received = b""
+    with socket.create_connection(("127.0.0.1", port), timeout=10) as sock:
+        sock.sendall(head + PROBE)
+        sock.shutdown(socket.SHUT_WR)
+        try:
+            while chunk := sock.recv(65536):
+                received += chunk
+        except ConnectionResetError:  # a server that closes with input unread resets; what came first stays
+            pass
+    return _DATE.sub(b"\r\nDate: -", received)
+
+
+_PLAIN = re.compile(rb"[!-9;-~]+:[^\r\n]*\r?\n")
+
+
+def _header_lines(head: bytes) -> list[bytes]:
+    lines = []
+    for line in head.split(b"\n")[1:]:  # after the request line, up to the blank one
+        if line in (b"", b"\r"):
+            break
+        lines.append(line + b"\n")
+    return lines
+
+
+def assert_same_as_stdlib(servers, head: bytes) -> tuple[bytes, bool]:
+    """Compare both servers on `head`; the shell's answer, and whether it kept the connection."""
+    for handler in servers.handlers:  # the same store on both sides, whatever earlier heads did
+        handler.service = _seeded()
+    answer = servers.probe_answer
+    lean, reference = exchange(servers.lean, head), exchange(servers.reference, head)
+    lean_kept, reference_kept = lean.endswith(answer), reference.endswith(answer)
+    if lean != reference:
+        # The one allowed difference: a head with a line that is not a plain
+        # `name: value` line (folded, no colon, ...) is answered and closed
+        # where http.server may keep the connection open.
+        assert not all(_PLAIN.fullmatch(line) for line in _header_lines(head)), (head, lean, reference)
+        assert reference_kept and not lean_kept, (head, lean, reference)
+        first = reference[: -len(answer)]
+        end = first.rfind(b"\r\n\r\n")
+        if end >= 0:
+            first = first[:end] + b"\r\nConnection: close" + first[end:]
+        assert lean == first, (head, lean, reference)
+    return (lean[: -len(answer)] if lean_kept else lean), lean_kept
+
+
+_METHODS = ["GET", "GET", "GET", "POST", "HEAD", "get", "G\xe9T"]
+_PATHS = [
+    "/cloud?resource=shoe",
+    "//cloud?resource=shoe",
+    "///map?root=shoe",
+    f"/tag?resource=shoe&tag=red&tagger={TAGGER}",
+    "/export?page=3",
+    "/nowhere",
+    "/cloud?resource=a%20b",
+]
+# Tokens that http.server reads alike in Python 3.10 and 3.11+; those it does not are fixed cases below.
+_VERSIONS = ["HTTP/1.1", "HTTP/1.1", "HTTP/1.0", "HTTP/0.9", "HTTP/01.01", "HTTP/2.0", "HTTP/3", "HTTP/1",
+             "HTTP/1.1.1", "HTTX/1.1", "http/1.1", "HTTP/"]
+_SEPARATORS = [" ", " ", "  ", "\t", "\xa0", "\x85"]
+# Field names, each with values that the shell reads differently, or that it must not.
+_FIELDS = {
+    "Connection": ["close", "keep-alive", "Keep-Alive", "close ", "\tclose", "x", ""],
+    "Content-Length": ["0", " 0 ", "00", "5", ""],
+    "Transfer-Encoding": ["chunked", ""],
+    "Expect": ["100-continue", "100-Continue", "100-continue ", "x"],
+    "Host": ["127.0.0.1", "\xe9"],
+}
+_ODD_LINES = [" folded", "\tclose", "NoColon", ":no-name", "From x", "From: x", "Bad Name: close",
+              "A: b\rConnection: close", "Connection: keep-alive\r", "X\xe9: y", "\rConnection: close"]
+
+
+@st.composite
+def request_lines(draw) -> str:
+    words = [draw(st.sampled_from(_METHODS)), draw(st.sampled_from(_PATHS)), draw(st.sampled_from(_VERSIONS))]
+    words = words[: draw(st.sampled_from([3, 3, 3, 2, 1]))] + draw(st.lists(st.just("x"), max_size=1))
+    return draw(st.sampled_from(_SEPARATORS)).join(words)
+
+
+@st.composite
+def heads(draw) -> bytes:
+    # Mostly a request line that is accepted, so that the header lines decide the answer.
+    accepted = st.builds("GET {} HTTP/1.{}".format, st.sampled_from(_PATHS), st.sampled_from("1110"))
+    request_line = draw(st.one_of(accepted, accepted, request_lines()))
+    plain = st.sampled_from(sorted(_FIELDS)).flatmap(
+        lambda name: st.builds(
+            "{}{}{}".format,
+            st.sampled_from([name, name.lower(), name.upper()]),
+            st.sampled_from([": ", ":", ":\t", ":  "]),
+            st.sampled_from(_FIELDS[name]),
+        )
+    )
+    lines = draw(st.lists(st.one_of(plain, plain, plain, st.sampled_from(_ODD_LINES)), max_size=5))
+    end = draw(st.sampled_from(["\r\n", "\r\n", "\n"]))
+    return "".join(line + end for line in [request_line, *lines, ""]).encode("iso-8859-1")
+
+
+@settings(max_examples=300, deadline=None)
+@given(heads())
+def test_drawn_heads_are_answered_as_http_server_answers_them(servers, head):
+    assert_same_as_stdlib(servers, head)
+
+
+def _head(request_line: str, *lines: str) -> bytes:
+    return "".join(f"{line}\r\n" for line in [request_line, *lines, ""]).encode("iso-8859-1")
+
+
+_LONG = 65536  # http.server's limit on the request line and on each header line, in bytes
+
+# (id, raw head, a piece of the shell's answer, whether it keeps the connection)
+FIXED = [
+    ("request-line-too-long", b"GET /" + b"a" * (_LONG - 4), b"HTTP/1.1 414 ", False),
+    ("header-line-too-long", _head("GET /export HTTP/1.1")[:-2] + b"X: " + b"a" * (_LONG - 2),
+     b"HTTP/1.1 431 Line too long\r\n", False),
+    ("header-line-at-the-limit", _head("GET /export HTTP/1.1", "X: " + "a" * (_LONG - 5)), b"HTTP/1.1 200 ", True),
+    ("101-head-lines", _head("GET /export HTTP/1.1", *["Host: x"] * 100), b"HTTP/1.1 431 Too many headers\r\n", False),
+    ("100-head-lines", _head("GET /export HTTP/1.1", *["Host: x"] * 99), b"HTTP/1.1 200 ", True),
+    # http.server answers a request line it refuses without a status line, as for HTTP/0.9.
+    ("bad-version", _head("GET /export HTTX/1.1"), b"<p>Message: Bad request version ('HTTX/1.1').", False),
+    ("version-with-three-parts", _head("GET /export HTTP/1.1.1"), b"<p>Message: Bad request version (", False),
+    ("bad-syntax", _head("GET /export x HTTP/1.1"), b"<p>Message: Bad request syntax ('GET /export x", False),
+    ("http-0.9-post", _head("POST /export"), b"<p>Message: Bad HTTP/0.9 request type ('POST').", False),
+    ("http-2", _head("GET /export HTTP/2.0"), b"<p>Message: Invalid HTTP version (2.0).", False),
+    ("http-1.9", _head("GET /export HTTP/1.9"), b"HTTP/1.1 200 ", True),
+    ("post", _head("POST /export HTTP/1.1"), b"HTTP/1.1 501 Unsupported method ('POST')", False),
+    ("double-slash", _head("GET //cloud?resource=shoe HTTP/1.1"), b"HTTP/1.1 200 ", True),
+    ("triple-slash", _head("GET ///cloud?resource=shoe HTTP/1.1"), b"HTTP/1.1 200 ", True),
+    ("connection-close", _head("GET /export HTTP/1.1", "Connection: Close"), b"HTTP/1.1 200 ", False),
+    ("connection-close-padded", _head("GET /export HTTP/1.1", "Connection: close "), b"HTTP/1.1 200 ", True),
+    ("second-connection-field", _head("GET /export HTTP/1.1", "Connection: x", "Connection: close"),
+     b"HTTP/1.1 200 ", True),
+    ("http-1.0", _head("GET /export HTTP/1.0"), b"HTTP/1.1 200 ", False),
+    ("http-1.0-keep-alive", _head("GET /export HTTP/1.0", "connection: KEEP-ALIVE"), b"HTTP/1.1 200 ", True),
+    ("http-0.9", _head("GET /tag"), b"page 1/1 7\nmissing", False),
+    ("http-0.9-keep-alive", _head("GET /tag", "Connection: keep-alive"), b"page 1/1 7\nmissing", True),
+    ("expect-100", _head("GET /export HTTP/1.1", "Expect: 100-Continue"), b"HTTP/1.1 100 Continue\r\n\r\n", True),
+    ("expect-100-http-1.0", _head("GET /export HTTP/1.0", "Expect: 100-continue"), b"HTTP/1.1 200 ", False),
+    ("content-length", _head("GET /export HTTP/1.1", "Content-Length:  0 "), b"HTTP/1.1 200 ", True),
+    ("body", _head("GET /export HTTP/1.1", "content-length: 5"), b"HTTP/1.1 200 ", False),
+    ("chunked-body", _head("GET /export HTTP/1.1", "Transfer-Encoding: chunked"), b"HTTP/1.1 200 ", False),
+    ("folded-line", _head("GET /export HTTP/1.1", "Host: x", " y"), b"HTTP/1.1 200 ", False),
+    ("line-without-colon", _head("GET /export HTTP/1.1", "Host"), b"HTTP/1.1 200 ", False),
+    ("fold-hides-close", _head("GET /export HTTP/1.1", "Connection: close", " x"), b"HTTP/1.1 200 ", False),
+    ("fold-keeps-expect", _head("GET /export HTTP/1.1", "Host: x", " y", "Expect: 100-continue"),
+     b"HTTP/1.1 100 Continue\r\n\r\n", False),
+    ("fold-spoils-expect", _head("GET /export HTTP/1.1", "Expect: 100-continue", "\ty"), b"HTTP/1.1 200 ", False),
+    ("no-colon-ends-fields", _head("GET /export HTTP/1.1", "Host", "Expect: 100-continue"), b"HTTP/1.1 200 ", False),
+    ("cr-splits-a-line", _head("GET /export HTTP/1.1", "A: b\rExpect: 100-continue"),
+     b"HTTP/1.1 100 Continue\r\n\r\n", False),
+    ("empty-request-line", b"\r\n", b"", False),
+]
+
+
+@pytest.mark.parametrize("head, piece, kept", [case[1:] for case in FIXED], ids=[case[0] for case in FIXED])
+def test_limits_and_errors_are_answered_as_http_server_answers_them(servers, head, piece, kept):
+    lean, lean_kept = assert_same_as_stdlib(servers, head)
+    assert piece in lean
+    assert lean_kept == kept
+
+
+@pytest.mark.parametrize("version", ["HTTP/+1.1", "HTTP/1_1.1", "HTTP/1.00000000001", "HTTP/\xb2.1"])
+def test_version_tokens_are_checked_as_python_3_11_checks_them(servers, version):
+    # Python 3.10's http.server accepts the first three; 3.11 added the
+    # digit and length checks, so the answer is stated here, not compared.
+    lean = exchange(servers.lean, _head(f"GET /export {version}"))
+    assert lean.startswith(b"<!DOCTYPE HTML>")
+    assert b"<p>Message: Bad request version (%s).</p>" % repr(version).encode("utf-8") in lean
+    assert not lean.endswith(servers.probe_answer)
+
+
+def _read_response(sock: socket.socket, buffered: bytes) -> tuple[bytes, bytes, bytes]:
+    """(head, body, bytes past the body) of the next response on `sock`."""
+    while b"\r\n\r\n" not in buffered:
+        chunk = sock.recv(65536)
+        assert chunk, "the server closed the connection"
+        buffered += chunk
+    head, _, rest = buffered.partition(b"\r\n\r\n")
+    length = int(re.search(rb"\r\nContent-Length: (\d+)", head)[1])
+    while len(rest) < length:
+        chunk = sock.recv(65536)
+        assert chunk, "the server closed the connection"
+        rest += chunk
+    return head, rest[:length], rest[length:]
+
+
+def test_kept_alive_tags_and_clouds_never_run_the_email_parser(servers, monkeypatch):
+    parsed = []
+    real = email.parser.Parser.parsestr
+
+    def spy(self, *args, **kwargs):
+        parsed.append(args)
+        return real(self, *args, **kwargs)
+
+    monkeypatch.setattr(email.parser.Parser, "parsestr", spy)
+    with socket.create_connection(("127.0.0.1", servers.lean), timeout=10) as sock:
+        buffered = b""
+        for i in range(200):
+            path = f"/tag?resource=spied&tag=t&tagger={TAGGER}" if i % 2 else "/cloud?resource=spied"
+            sock.sendall(b"GET %s HTTP/1.1\r\nHost: 127.0.0.1\r\nAccept-Encoding: identity\r\n\r\n" % path.encode())
+            head, _, buffered = _read_response(sock, buffered)
+            assert head.startswith(b"HTTP/1.1 200 OK\r\n"), head
+            assert b"Connection: close" not in head
+    assert parsed == []
+    exchange(servers.reference, _head("GET /export HTTP/1.1"))  # the spy sees http.server's parse
+    assert parsed
+
+
+def test_date_is_formatted_once_a_second(monkeypatch):
+    clock = [1_000_000.25]
+    formatted = []
+    monkeypatch.setattr(service_module, "time", SimpleNamespace(time=lambda: clock[0]))
+    real = service_module.formatdate
+    monkeypatch.setattr(service_module, "formatdate", lambda *args, **kw: formatted.append(args) or real(*args, **kw))
+    date = service_module._DateHeader()
+    first = date.value()
+    assert first == formatdate(clock[0], usegmt=True).encode("ascii")  # what http.server would send
+    clock[0] = 1_000_000.99
+    assert date.value() == first
+    clock[0] = 1_000_001.0
+    assert date.value() == formatdate(clock[0], usegmt=True).encode("ascii") != first
+    assert len(formatted) == 2

@@ -3,6 +3,7 @@ import hashlib
 import http.client
 import os
 import random
+import select
 import shutil
 import socket
 import sys
@@ -749,6 +750,23 @@ class TestKeepAlive:
         assert server.connections == 3
         assert _kept_count(svc) == 3
 
+    def test_transport_sends_nothing_on_a_connection_the_server_closed(self, monkeypatch):
+        sent = []
+        request = http.client.HTTPConnection.request
+        monkeypatch.setattr(
+            http.client.HTTPConnection, "request", lambda conn, *args: sent.append(args) or request(conn, *args)
+        )
+        svc = AnnotationService(ServiceConfig(port=0))
+        with http_server(svc, _ClosesAfterEachResponse) as (url, server):
+            transport = HttpTransport(url)
+            for i in range(1, 4):
+                assert transport.get(_tag_query()) == (200, _tag_page(i))
+                select.select([transport._conn.sock], [], [], 5)  # until the server's close has arrived
+            transport.close()
+        assert len(sent) == 3  # without the check each reuse fails and is sent again: 5
+        assert server.connections == 3
+        assert _kept_count(svc) == 3
+
     def test_tag_without_an_answer_on_a_fresh_connection_is_not_retried(self):
         svc = AnnotationService(ServiceConfig(port=0))
         with http_server(svc, _AppliesButNeverAnswers) as (url, server):
@@ -836,6 +854,28 @@ class TestConfigFile:
     def test_base_uri_that_is_not_an_iri_is_refused(self, base_uri):
         with pytest.raises(ValueError, match="^base_uri is not an IRI: "):
             ServiceConfig(base_uri=base_uri)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("rate_limit_max", 0), ("rate_limit_max", -3), ("rate_limit_window_ms", 0),
+         ("rate_limit_window_ms", -1000)],
+    )
+    def test_rate_limit_that_would_break_the_limiter_is_refused(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be at least 1, not {value}$"):
+            ServiceConfig(**{field: value})
+
+    def test_smallest_rate_limit_is_accepted(self):
+        config = ServiceConfig(rate_limit_max=1, rate_limit_window_ms=1)
+        assert (config.rate_limit_max, config.rate_limit_window_ms) == (1, 1)
+
+    @pytest.mark.parametrize("line", ["port=abc", "page_cap=", "rate_limit_max=2.5"])
+    def test_value_that_does_not_parse_names_file_and_line(self, tmp_path, line):
+        path = tmp_path / "svc.conf"
+        path.write_text(f"# comment\n{line}\n", "utf-8")
+        key, _, value = line.partition("=")
+        with pytest.raises(ValueError) as caught:
+            load_config(str(path))
+        assert str(caught.value) == f"{path}:2: bad value for {key}: {value!r}"
 
     def test_default_config_is_unchanged(self, tmp_path):
         path = tmp_path / "svc.conf"
