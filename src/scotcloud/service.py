@@ -713,9 +713,10 @@ class _Handler(BaseHTTPRequestHandler):
     over 65536 bytes, 431 for a longer header line or more than 100 lines
     in a head, 400 for a bad request line, 505 for HTTP/2 and later, 501
     for any method but GET. A head with a line that is not a plain
-    `name: value` line (a folded line, a line with no colon) is read by the
-    email package's rules and its connection is closed after the answer,
-    so no connection the standard library would close is kept open.
+    `name: value` line (a folded line, a line with no colon) is read by
+    email.feedparser's rules, copied in `_feedparser_fields`, and its
+    connection is closed after the answer, so no connection the standard
+    library would close is kept open.
 
     Status line, headers and body are formatted as one `bytes` and go out
     in one write; the Date value is refreshed once a second. TCP_NODELAY

@@ -750,23 +750,6 @@ class TestKeepAlive:
         assert server.connections == 3
         assert _kept_count(svc) == 3
 
-    def test_transport_sends_nothing_on_a_connection_the_server_closed(self, monkeypatch):
-        sent = []
-        request = http.client.HTTPConnection.request
-        monkeypatch.setattr(
-            http.client.HTTPConnection, "request", lambda conn, *args: sent.append(args) or request(conn, *args)
-        )
-        svc = AnnotationService(ServiceConfig(port=0))
-        with http_server(svc, _ClosesAfterEachResponse) as (url, server):
-            transport = HttpTransport(url)
-            for i in range(1, 4):
-                assert transport.get(_tag_query()) == (200, _tag_page(i))
-                select.select([transport._conn.sock], [], [], 5)  # until the server's close has arrived
-            transport.close()
-        assert len(sent) == 3  # without the check each reuse fails and is sent again: 5
-        assert server.connections == 3
-        assert _kept_count(svc) == 3
-
     def test_tag_without_an_answer_on_a_fresh_connection_is_not_retried(self):
         svc = AnnotationService(ServiceConfig(port=0))
         with http_server(svc, _AppliesButNeverAnswers) as (url, server):
@@ -814,6 +797,25 @@ class TestKeepAlive:
         transport.close()
         with pytest.raises(http.client.InvalidURL):
             HttpTransport("ftp://127.0.0.1:1")
+
+
+class TestTransportReuse:
+    def test_transport_sends_nothing_on_a_connection_the_server_closed(self, monkeypatch):
+        sent = []
+        request = http.client.HTTPConnection.request
+        monkeypatch.setattr(
+            http.client.HTTPConnection, "request", lambda conn, *args: sent.append(args) or request(conn, *args)
+        )
+        svc = AnnotationService(ServiceConfig(port=0))
+        with http_server(svc, _ClosesAfterEachResponse) as (url, server):
+            transport = HttpTransport(url)
+            for i in range(1, 4):
+                assert transport.get(_tag_query()) == (200, _tag_page(i))
+                select.select([transport._conn.sock], [], [], 5)  # until the server's close has arrived
+            transport.close()
+        assert len(sent) == 3  # without the check each reuse fails and is sent again: 5
+        assert server.connections == 3
+        assert _kept_count(svc) == 3
 
 
 class TestRateLimiter:
