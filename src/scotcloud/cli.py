@@ -194,13 +194,16 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             except (service_mod.StoreLoadError, OSError) as exc:
                 return _fail(EXIT_DATA, f"store: {exc}")
         target = service_mod.AnnotationService(store=store)
-    simulator = sim.Simulator(
-        target,
-        units=args.units,
-        seed=args.seed,
-        latency=sim.LatencyModel(args.base_latency, args.jitter, args.seed),
-        window_mode=args.window_mode,
-    )
+    try:
+        simulator = sim.Simulator(
+            target,
+            units=args.units,
+            seed=args.seed,
+            latency=sim.LatencyModel(args.base_latency, args.jitter, args.seed),
+            window_mode=args.window_mode,
+        )
+    except (sim.SimError, ValueError) as exc:
+        return _fail(EXIT_USAGE, f"simulate: {exc}")
     try:
         sys.stdout.write(simulator.run(script))
     finally:

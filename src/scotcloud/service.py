@@ -23,7 +23,6 @@ removed is followed, not written past.
 
 from __future__ import annotations
 
-import io
 import logging
 import os
 import re
@@ -47,6 +46,7 @@ from .rdfxml import Iri
 log = logging.getLogger(__name__)
 
 PAGE_HEADER_RESERVE = 32
+_PAGE_HEADER = re.compile(rb"page ([0-9]+)/([0-9]+) ([0-9]+)")
 MIN_PAGE_CAP = 64  # smallest page a response may be split into, header line included
 PAGE_CAP_TOO_SMALL = f"page cap must be at least {MIN_PAGE_CAP} bytes"
 BODY_CACHE_ENTRIES = 64  # paged bodies kept per service; the oldest goes first
@@ -54,6 +54,7 @@ IDLE_TIMEOUT_S = 30  # a kept-alive connection idle this long is closed, freeing
 RESPONSE_HEAD_ROOM = 1024  # status line and headers of a response, with room to spare
 SNAPSHOT_FILE = "snapshot.rdf"  # read-only: older versions kept topic maps here
 EVENTS_FILE = "events.log"
+EVENTS_TMP = EVENTS_FILE + ".tmp"  # snapshot_store writes here, then renames over EVENTS_FILE
 ATTACH_MARK = "attach"
 
 OPERATIONS = ("tag", "cloud", "map", "attach", "export")
@@ -99,19 +100,28 @@ def decode_page(raw: bytes) -> Page:
     head, sep, payload = raw.partition(b"\n")
     if not sep:
         raise PageError("missing page header line")
-    parts = head.split(b" ")
-    if len(parts) != 3 or parts[0] != b"page" or b"/" not in parts[1]:
+    match = _PAGE_HEADER.fullmatch(head)
+    if match is None:
         raise PageError(f"bad page header: {head!r}")
-    index_raw, _, total_raw = parts[1].partition(b"/")
     try:
-        index, total, length = int(index_raw), int(total_raw), int(parts[2])
-    except ValueError:
+        index, total, length = map(int, match.groups())
+    except ValueError:  # more digits than int() converts
         raise PageError(f"bad page header: {head!r}") from None
     if length != len(payload):
         raise PageError(f"payload is {len(payload)} bytes, header says {length}")
     if not 1 <= index <= total:
         raise PageError(f"bad page header: {head!r}")
     return Page(index, total, payload)
+
+
+def parse_digits(raw: str) -> Optional[int]:
+    """`raw` as a number if it is `[0-9]+`, else None (int() also takes signs, `_`, spaces, other digits)."""
+    if not (raw.isascii() and raw.isdigit()):
+        return None
+    try:
+        return int(raw)
+    except ValueError:  # more digits than int() converts
+        return None
 
 
 @dataclass
@@ -197,10 +207,9 @@ def request_from_url(path_query: str) -> ApiRequest:
         raise ValueError(f"unknown operation {operation!r}")
     params = dict(parse_qsl(split.query, keep_blank_values=True))
     page_raw = params.pop("page", "0")
-    try:
-        page = int(page_raw)
-    except ValueError:
-        raise ValueError(f"bad page number {page_raw!r}") from None
+    page = parse_digits(page_raw)
+    if page is None:
+        raise ValueError(f"bad page number {page_raw!r}")
     return ApiRequest(operation, params, page)
 
 
@@ -372,12 +381,8 @@ class AnnotationService:
         got = self._require(request, "root")
         if got is None:
             return self._error(400, "missing")
-        depth_raw = request.params.get("depth", "1")
-        try:
-            depth = int(depth_raw)
-        except ValueError:
-            return self._error(400, "baddepth")
-        if depth < 1:
+        depth = parse_digits(request.params.get("depth", "1"))
+        if depth is None or depth < 1:
             return self._error(400, "baddepth")
         try:
             root = model.normalize_tag(got[0])
@@ -550,7 +555,7 @@ def snapshot_store(store: AnnotationStore, path: str) -> None:
     """
     directory = Path(path)
     directory.mkdir(parents=True, exist_ok=True)
-    tmp = directory / (EVENTS_FILE + ".tmp")
+    tmp = directory / EVENTS_TMP
     try:
         with tmp.open("w", encoding="utf-8", newline="\n") as fh:
             for event in store.events:
@@ -575,8 +580,11 @@ def restore_store(path: str) -> AnnotationStore:
     versions may also hold `snapshot.rdf`: only its `skos:broader` edges
     are read, before the log, and its clouds are ignored because the log
     holds the same events. An unterminated last line is what a crash
-    mid-append leaves behind; it is dropped with a warning. Raises
-    StoreLoadError and leaves nothing half-built.
+    mid-append leaves behind; it is dropped with a warning. A directory
+    that is empty, or holds only the temporary file of a `snapshot_store`
+    that never finished, is an empty store: a crash can leave either
+    before the first line is written. Raises StoreLoadError and leaves
+    nothing half-built.
     """
     directory = Path(path)
     if not directory.is_dir():
@@ -584,7 +592,8 @@ def restore_store(path: str) -> AnnotationStore:
     log_file = directory / EVENTS_FILE
     snapshot_file = directory / SNAPSHOT_FILE
     if not log_file.exists() and not snapshot_file.exists():
-        raise StoreLoadError(f"{path} holds neither {EVENTS_FILE} nor {SNAPSHOT_FILE}")
+        if any(entry.name != EVENTS_TMP for entry in directory.iterdir()):
+            raise StoreLoadError(f"{path} holds neither {EVENTS_FILE} nor {SNAPSHOT_FILE}")
     store = AnnotationStore()
     if snapshot_file.exists():
         try:
@@ -625,11 +634,10 @@ def _cut_torn_tail(log_file: Path) -> None:
 MAX_HEADER_LINE = 65536
 MAX_HEADER_LINES = 100
 
-# A header line that email.feedparser reads as one whole field: a name of
-# token characters, a colon, and a value without CR or LF.
+# A header line as RFC 9112 §5 writes it: a name of token characters, a colon
+# right after it, and a value without CR or LF. Any other line (whitespace
+# before the colon, an obs-fold, no colon at all) is answered 400.
 _PLAIN_FIELD = re.compile(rb"([!-9;-~]+):[ \t]*([^\r\n]*)\r?\n")
-# email.feedparser.headerRE: a line that continues the header section.
-_HEADER_LINE = re.compile(r"From |[!-9;-~]*:|[\t ]")
 # An HTTP version as http.server accepts it since Python 3.11: two numbers
 # of 1 to 10 digits. (str.isdigit() there also passes '\xb2', which int()
 # then refuses.)
@@ -639,52 +647,6 @@ _RESPONSE = (
     b"HTTP/1.1 %d %s\r\nServer: %s\r\nDate: %s\r\n"
     b"Content-Type: text/plain; charset=utf-8\r\nContent-Length: %d\r\n%s\r\n%s"
 )
-
-
-def _header_fields(lines: list[bytes]) -> tuple[dict[str, str], bool]:
-    """The first value of each field of a request head, by lower-cased name.
-
-    `lines` are the head's header lines without the line that ends it.
-    The flag is True when every line is a plain `name: value` line; the
-    fields are then read without the email package. Otherwise they are
-    read by email.feedparser's rules, which _feedparser_fields copies,
-    and the flag is False.
-    """
-    fields: dict[str, str] = {}
-    for line in lines:
-        match = _PLAIN_FIELD.fullmatch(line)
-        if match is None:
-            return _feedparser_fields(lines), False
-        fields.setdefault(match[1].decode("ascii").lower(), match[2].decode("iso-8859-1"))
-    return fields, True
-
-
-def _feedparser_fields(lines: list[bytes]) -> dict[str, str]:
-    """Fields as http.client.parse_headers reads them through email.feedparser.
-
-    The head is split at CR, LF and CRLF; a line that does not match the
-    feedparser's header pattern ends the fields; a line that starts with a
-    space or tab folds into the field before it; an envelope (`From `)
-    line and a line with no name before its colon hold no field; a value
-    loses the spaces and tabs after its colon and its trailing CR and LF.
-    """
-    fields: dict[str, str] = {}
-    name = value = ""
-    for piece in io.StringIO(b"".join(lines).decode("iso-8859-1"), newline="").readlines():
-        if not _HEADER_LINE.match(piece):
-            break
-        if piece[0] in " \t":
-            value += piece
-            continue
-        if name:
-            fields.setdefault(name.lower(), value.rstrip("\r\n"))
-        name, _, value = piece.partition(":")
-        if piece.startswith("From "):
-            name = ""
-        value = value.lstrip(" \t")
-    if name:
-        fields.setdefault(name.lower(), value.rstrip("\r\n"))
-    return fields
 
 
 class _DateHeader:
@@ -712,11 +674,12 @@ class _Handler(BaseHTTPRequestHandler):
     error replies are http.server's (Python 3.11): 414 for a request line
     over 65536 bytes, 431 for a longer header line or more than 100 lines
     in a head, 400 for a bad request line, 505 for HTTP/2 and later, 501
-    for any method but GET. A head with a line that is not a plain
-    `name: value` line (a folded line, a line with no colon) is read by
-    email.feedparser's rules, copied in `_feedparser_fields`, and its
-    connection is closed after the answer, so no connection the standard
-    library would close is kept open.
+    for any method but GET. A head with any line that is not a plain
+    `name: value` line is answered 400 and closed; it is read to its blank
+    line first, so a 431 is answered as before. A refused version gets a
+    status line, where http.server answers with a bare HTML body that an
+    HTTP/1.1 client cannot read; only a two-word HTTP/0.9 request line is
+    answered bare.
 
     Status line, headers and body are formatted as one `bytes` and go out
     in one write; the Date value is refreshed once a second. TCP_NODELAY
@@ -742,7 +705,8 @@ class _Handler(BaseHTTPRequestHandler):
         if not words:
             return False
         if len(words) >= 3:
-            version = words[-1]
+            # Set first, so that a refused version's error goes out with a status line.
+            version = self.request_version = words[-1]
             match = _VERSION.fullmatch(version)
             if match is None:
                 self.send_error(HTTPStatus.BAD_REQUEST, "Bad request version (%r)" % version)
@@ -753,7 +717,6 @@ class _Handler(BaseHTTPRequestHandler):
             if number >= (2, 0):
                 self.send_error(HTTPStatus.HTTP_VERSION_NOT_SUPPORTED, "Invalid HTTP version (%s)" % version[5:])
                 return False
-            self.request_version = version
         if not 2 <= len(words) <= 3:
             self.send_error(HTTPStatus.BAD_REQUEST, "Bad request syntax (%r)" % requestline)
             return False
@@ -787,7 +750,13 @@ class _Handler(BaseHTTPRequestHandler):
             if line in (b"\r\n", b"\n", b""):
                 break
             lines.append(line)
-        fields, plain = _header_fields(lines)
+        fields: dict[str, str] = {}
+        for line in lines:
+            match = _PLAIN_FIELD.fullmatch(line)
+            if match is None:
+                self.send_error(HTTPStatus.BAD_REQUEST, "Bad header line")
+                return False
+            fields.setdefault(match[1].decode("ascii").lower(), match[2].decode("iso-8859-1"))
         connection = fields.get("connection", "").lower()
         if connection == "close":
             self.close_connection = True
@@ -796,7 +765,7 @@ class _Handler(BaseHTTPRequestHandler):
         # The protocol has no request bodies; one left unread would be
         # parsed as the next request, so such a connection is not reused.
         has_body = fields.get("content-length", "0").strip() != "0" or "transfer-encoding" in fields
-        if has_body or not plain:
+        if has_body:
             self.close_connection = True
         if fields.get("expect", "").lower() == "100-continue" and self.request_version >= "HTTP/1.1":
             return self.handle_expect_100()

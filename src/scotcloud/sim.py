@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Union
 from urllib.parse import urlencode, urlsplit
 
-from .service import AnnotationService, Page, PageError, decode_page
+from .service import AnnotationService, Page, PageError, decode_page, parse_digits
 
 WINDOW_MS = 20000
 WINDOW_MAX = 25
@@ -212,7 +212,7 @@ def parse_command(text: str) -> Optional[tuple[str, list[str]]]:
     if kind == "cloud" and len(args) == 1:
         return kind, args
     if kind == "map" and len(args) in (1, 2):
-        if len(args) == 2 and (not args[1].isdecimal() or int(args[1]) < 1):
+        if len(args) == 2 and not parse_digits(args[1]):  # a depth the server takes: 1 or more
             return None
         return kind, args
     if kind == "attach" and len(args) == 2:

@@ -204,6 +204,14 @@ class TestSimulate:
         assert (code, out) == (3, "")
         assert "script: line 2: empty command" in err
 
+    @pytest.mark.parametrize("flags", [["--units", "0"], ["--base-latency", "-1"], ["--jitter", "-5"]])
+    def test_bad_numbers_are_usage_errors_not_tracebacks(self, capsys, tmp_path, flags):
+        script = tmp_path / "bots.txt"
+        script.write_text(SCRIPT, "utf-8")
+        code, out, err = run(capsys, "simulate", "--script", str(script), *flags)
+        assert (code, out) == (1, "")
+        assert err.startswith("simulate: ")
+
     def test_superscript_map_depth_gets_usage_not_a_traceback(self, capsys, tmp_path):
         script = tmp_path / "bots.txt"
         script.write_text(f"@0 0 {TAGGER} map shoe \u00b2\n", "utf-8")

@@ -5,11 +5,21 @@ response in one piece. The reference here is the shell as http.server
 builds it: `BaseHTTPRequestHandler.parse_request`, which parses headers
 through `email.feedparser`, and `send_response`/`send_header`. Both
 servers get the same raw bytes and must send back the same bytes, Date
-value aside, and agree on whether the connection stays open.
+value aside, and agree on whether the connection stays open, with two
+intended differences:
+
+- a head with a line that is not a plain `name: value` line is answered
+  400 and closed (RFC 9112 §5.1 and §5.2), unless a 414, 431 or
+  request-line error comes first;
+- a refused version token on a request line of three or more words is
+  answered with a status line and send_error's headers before the
+  standard library's own HTML body, which http.server sends bare.
 """
 
 import contextlib
 import email.parser
+import html
+import http.client
 import re
 import socket
 import threading
@@ -98,6 +108,13 @@ def exchange(port: int, head: bytes) -> bytes:
 
 
 _PLAIN = re.compile(rb"[!-9;-~]+:[^\r\n]*\r?\n")
+# The code of an error answer, with or without its head, that send_error sent first.
+_ERROR_CODE = re.compile(rb"(?:HTTP/1.1 [^\r\n]*\r\n(?:[^\r\n]+\r\n)*\r\n)?<!DOCTYPE.*?<p>Error code: (\d+)</p>", re.S)
+# The errors http.server answers before what the header lines say counts: 414, 431 and a bad request line.
+_PARSE_ERRORS = {b"400", b"414", b"431"}
+_REFUSED_VERSION = re.compile(
+    rb"<!DOCTYPE.*<p>Error code: (\d+)</p>\s*<p>Message: ((?:Bad request version|Invalid HTTP version) [^<]*)\.</p>", re.S
+)
 
 
 def _header_lines(head: bytes) -> list[bytes]:
@@ -109,24 +126,42 @@ def _header_lines(head: bytes) -> list[bytes]:
     return lines
 
 
+def _error_head(code: int, message: str, length: int) -> bytes:
+    """The head send_error writes before an error body of `length` bytes, its Date masked."""
+    server = f"{BaseHTTPRequestHandler.server_version} {BaseHTTPRequestHandler.sys_version}"
+    return (
+        f"HTTP/1.1 {code} {message}\r\nServer: {server}\r\nDate: -\r\nConnection: close\r\n"
+        f"Content-Type: {BaseHTTPRequestHandler.error_content_type}\r\nContent-Length: {length}\r\n\r\n"
+    ).encode("latin-1")
+
+
+_BAD_HEADER_LINE = (
+    BaseHTTPRequestHandler.error_message_format
+    % {"code": 400, "message": "Bad header line", "explain": BaseHTTPRequestHandler.responses[400][1]}
+).encode("utf-8")
+
+
 def assert_same_as_stdlib(servers, head: bytes) -> tuple[bytes, bool]:
     """Compare both servers on `head`; the shell's answer, and whether it kept the connection."""
     for handler in servers.handlers:  # the same store on both sides, whatever earlier heads did
         handler.service = _seeded()
     answer = servers.probe_answer
     lean, reference = exchange(servers.lean, head), exchange(servers.reference, head)
-    lean_kept, reference_kept = lean.endswith(answer), reference.endswith(answer)
-    if lean != reference:
-        # The one allowed difference: a head with a line that is not a plain
-        # `name: value` line (folded, no colon, ...) is answered and closed
-        # where http.server may keep the connection open.
-        assert not all(_PLAIN.fullmatch(line) for line in _header_lines(head)), (head, lean, reference)
-        assert reference_kept and not lean_kept, (head, lean, reference)
-        first = reference[: -len(answer)]
-        end = first.rfind(b"\r\n\r\n")
-        if end >= 0:
-            first = first[:end] + b"\r\nConnection: close" + first[end:]
-        assert lean == first, (head, lean, reference)
+    refused_version = _REFUSED_VERSION.match(reference)
+    error = _ERROR_CODE.match(reference)
+    if refused_version:
+        # http.server sends this error bare; the shell puts a status line before the same body.
+        code, message = int(refused_version[1]), html.unescape(refused_version[2].decode("utf-8"))
+        assert lean == _error_head(code, message, len(reference)) + reference, (head, lean, reference)
+    elif not all(_PLAIN.fullmatch(line) for line in _header_lines(head)) and not (error and error[1] in _PARSE_ERRORS):
+        # A head with a line that is not a plain `name: value` line is answered 400 and closed,
+        # with a status line unless the request line is HTTP/0.9's, and no body for HEAD.
+        status = _error_head(400, "Bad header line", len(_BAD_HEADER_LINE)) if reference.startswith(b"HTTP/") else b""
+        body = b"" if head.decode("iso-8859-1").split()[:1] == ["HEAD"] else _BAD_HEADER_LINE
+        assert lean == status + body, (head, lean, reference)
+    else:
+        assert lean == reference, (head, lean, reference)
+    lean_kept = lean.endswith(answer)
     return (lean[: -len(answer)] if lean_kept else lean), lean_kept
 
 
@@ -201,12 +236,14 @@ FIXED = [
     ("header-line-at-the-limit", _head("GET /export HTTP/1.1", "X: " + "a" * (_LONG - 5)), b"HTTP/1.1 200 ", True),
     ("101-head-lines", _head("GET /export HTTP/1.1", *["Host: x"] * 100), b"HTTP/1.1 431 Too many headers\r\n", False),
     ("100-head-lines", _head("GET /export HTTP/1.1", *["Host: x"] * 99), b"HTTP/1.1 200 ", True),
-    # http.server answers a request line it refuses without a status line, as for HTTP/0.9.
-    ("bad-version", _head("GET /export HTTX/1.1"), b"<p>Message: Bad request version ('HTTX/1.1').", False),
-    ("version-with-three-parts", _head("GET /export HTTP/1.1.1"), b"<p>Message: Bad request version (", False),
+    # A refused version gets a status line; only a two-word HTTP/0.9 request line is answered bare.
+    ("bad-version", _head("GET /export HTTX/1.1"), b"HTTP/1.1 400 Bad request version ('HTTX/1.1')\r\n", False),
+    ("version-with-three-parts", _head("GET /export HTTP/1.1.1"),
+     b"HTTP/1.1 400 Bad request version ('HTTP/1.1.1')\r\n", False),
     ("bad-syntax", _head("GET /export x HTTP/1.1"), b"<p>Message: Bad request syntax ('GET /export x", False),
-    ("http-0.9-post", _head("POST /export"), b"<p>Message: Bad HTTP/0.9 request type ('POST').", False),
-    ("http-2", _head("GET /export HTTP/2.0"), b"<p>Message: Invalid HTTP version (2.0).", False),
+    ("http-0.9-post", _head("POST /export"), b"<!DOCTYPE HTML", False),
+    ("http-2", _head("GET /export HTTP/2.0"), b"HTTP/1.1 505 Invalid HTTP version (2.0)\r\n", False),
+    ("http-2-with-fold", _head("GET /export HTTP/2.0", "Host: x", " y"), b"HTTP/1.1 505 ", False),
     ("http-1.9", _head("GET /export HTTP/1.9"), b"HTTP/1.1 200 ", True),
     ("post", _head("POST /export HTTP/1.1"), b"HTTP/1.1 501 Unsupported method ('POST')", False),
     ("double-slash", _head("GET //cloud?resource=shoe HTTP/1.1"), b"HTTP/1.1 200 ", True),
@@ -224,15 +261,18 @@ FIXED = [
     ("content-length", _head("GET /export HTTP/1.1", "Content-Length:  0 "), b"HTTP/1.1 200 ", True),
     ("body", _head("GET /export HTTP/1.1", "content-length: 5"), b"HTTP/1.1 200 ", False),
     ("chunked-body", _head("GET /export HTTP/1.1", "Transfer-Encoding: chunked"), b"HTTP/1.1 200 ", False),
-    ("folded-line", _head("GET /export HTTP/1.1", "Host: x", " y"), b"HTTP/1.1 200 ", False),
-    ("line-without-colon", _head("GET /export HTTP/1.1", "Host"), b"HTTP/1.1 200 ", False),
-    ("fold-hides-close", _head("GET /export HTTP/1.1", "Connection: close", " x"), b"HTTP/1.1 200 ", False),
+    ("folded-line", _head("GET /export HTTP/1.1", "Host: x", " y"), b"HTTP/1.1 400 Bad header line\r\n", False),
+    ("line-without-colon", _head("GET /export HTTP/1.1", "Host"), b"HTTP/1.1 400 ", False),
+    ("space-before-colon", _head("GET /export HTTP/1.1", "Host : x"), b"HTTP/1.1 400 ", False),
+    ("fold-hides-close", _head("GET /export HTTP/1.1", "Connection: close", " x"), b"HTTP/1.1 400 ", False),
     ("fold-keeps-expect", _head("GET /export HTTP/1.1", "Host: x", " y", "Expect: 100-continue"),
-     b"HTTP/1.1 100 Continue\r\n\r\n", False),
-    ("fold-spoils-expect", _head("GET /export HTTP/1.1", "Expect: 100-continue", "\ty"), b"HTTP/1.1 200 ", False),
-    ("no-colon-ends-fields", _head("GET /export HTTP/1.1", "Host", "Expect: 100-continue"), b"HTTP/1.1 200 ", False),
-    ("cr-splits-a-line", _head("GET /export HTTP/1.1", "A: b\rExpect: 100-continue"),
-     b"HTTP/1.1 100 Continue\r\n\r\n", False),
+     b"HTTP/1.1 400 ", False),
+    ("fold-spoils-expect", _head("GET /export HTTP/1.1", "Expect: 100-continue", "\ty"), b"HTTP/1.1 400 ", False),
+    ("no-colon-ends-fields", _head("GET /export HTTP/1.1", "Host", "Expect: 100-continue"), b"HTTP/1.1 400 ", False),
+    ("cr-splits-a-line", _head("GET /export HTTP/1.1", "A: b\rExpect: 100-continue"), b"HTTP/1.1 400 ", False),
+    ("fold-in-101-head-lines", _head("GET /export HTTP/1.1", " y", *["Host: x"] * 99),
+     b"HTTP/1.1 431 Too many headers\r\n", False),
+    ("http-0.9-fold", _head("GET /tag", "Host: x", " y"), b"<p>Message: Bad header line.</p>", False),
     ("empty-request-line", b"\r\n", b"", False),
 ]
 
@@ -249,9 +289,23 @@ def test_version_tokens_are_checked_as_python_3_11_checks_them(servers, version)
     # Python 3.10's http.server accepts the first three; 3.11 added the
     # digit and length checks, so the answer is stated here, not compared.
     lean = exchange(servers.lean, _head(f"GET /export {version}"))
-    assert lean.startswith(b"<!DOCTYPE HTML>")
-    assert b"<p>Message: Bad request version (%s).</p>" % repr(version).encode("utf-8") in lean
+    message = "Bad request version (%r)" % version
+    assert lean.startswith(b"HTTP/1.1 400 %s\r\n" % message.encode("latin-1"))
+    assert b"<p>Message: %s.</p>" % message.encode("utf-8") in lean
     assert not lean.endswith(servers.probe_answer)
+
+
+@pytest.mark.parametrize("version, status", [("HTTP/2.0", 505), ("HTTX/1.1", 400)])
+def test_http_client_reads_the_status_of_a_refused_version(servers, version, status):
+    connection = http.client.HTTPConnection("127.0.0.1", servers.lean, timeout=10)
+    connection._http_vsn_str = version  # the version token http.client writes on its request line
+    try:
+        connection.request("GET", "/export")
+        response = connection.getresponse()  # raised BadStatusLine on a bare HTML body
+        assert (response.status, response.getheader("Connection")) == (status, "close")
+        assert b"<!DOCTYPE HTML" in response.read()
+    finally:
+        connection.close()
 
 
 def _read_response(sock: socket.socket, buffered: bytes) -> tuple[bytes, bytes, bytes]:

@@ -80,9 +80,12 @@ class TestPaging:
         assert decode_page(page.encode()) == page
 
     def test_decode_rejects_bad_headers(self):
-        for raw in [b"", b"nope", b"page 1/1 4\nabc", b"page x/1 0\n", b"page 0/0 0\n", b"page 3/2 0\n"]:
+        for raw in [b"", b"nope", b"page 1/1 4\nabc", b"page x/1 0\n", b"page 0/0 0\n", b"page 3/2 0\n",
+                    b"page 1_0/10 3\nabc", b"page +1/1 3\nabc", b"page 1/1 +3\nabc", b"page 1/ 1 3\nabc",
+                    b"page \xd9\xa1/1 3\nabc"]:
             with pytest.raises(PageError):
                 decode_page(raw)
+        assert decode_page(b"page 01/1 3\nabc") == Page(1, 1, b"abc")  # still ASCII digits
 
     def test_page_index_invariant(self):
         with pytest.raises(ValueError):
@@ -106,6 +109,11 @@ class TestRequestParsing:
     def test_unknown_operation(self):
         with pytest.raises(ValueError):
             request_from_url("/nonsense?x=1")
+
+    @pytest.mark.parametrize("page", ["+0", "%200", "%D9%A0", "1_0", "-1", "x", ""])
+    def test_page_that_is_not_ascii_digits_is_400_badpage(self, page):
+        response = AnnotationService().handle_url(f"/cloud?resource=mouse&page={page}")
+        assert (response.status, response.page.payload) == (400, b"badpage")
 
 
 class TestTagEndpoint:
@@ -266,7 +274,7 @@ class TestMapEndpoint:
 
     def test_bad_depth_is_400(self, service):
         self.seed_shoe(service)
-        for depth in ["0", "-3", "x"]:
+        for depth in ["0", "-3", "x", "1_0", "+1", " 1", "\u0661", ""]:
             response = service.handle(ApiRequest("map", {"root": "shoe", "depth": depth}))
             assert response.status == 400
             assert response.page.payload == b"baddepth"
@@ -418,6 +426,22 @@ class TestPersistence:
     def test_restore_missing_directory_errors(self, tmp_path):
         with pytest.raises(StoreLoadError):
             restore_store(str(tmp_path / "nothing"))
+
+    def test_restore_refuses_a_directory_of_other_files(self, tmp_path):
+        (tmp_path / "notes.txt").write_text("not a store", "utf-8")
+        with pytest.raises(StoreLoadError, match="holds neither"):
+            restore_store(str(tmp_path))
+
+    @pytest.mark.parametrize("leftovers", [[], ["events.log.tmp"]], ids=["empty", "unfinished-snapshot"])
+    def test_a_directory_a_crash_left_empty_restarts_as_an_empty_store(self, tmp_path, leftovers):
+        for name in leftovers:
+            (tmp_path / name).write_text(f"1\t{TAGGER}\thttp://yourdns.com/rdfs/m", "utf-8")  # cut short
+        service = AnnotationService(ServiceConfig(store_path=str(tmp_path)))
+        assert store_state(service.store) == ({}, {})
+        assert service.handle_url(f"/tag?resource=mouse&tag=laser&tagger={TAGGER}").ok
+        service.close()
+        assert store_state(restore_store(str(tmp_path))) == store_state(service.store)
+        assert service.store.cloud_of(VOCAB.resource_iri("mouse")).frequencies == {"laser": 1}
 
     def test_restore_corrupt_log_errors(self, tmp_path):
         target = tmp_path / "snap"

@@ -142,7 +142,9 @@ class TestChat:
             ("map shoe zero", None),
             ("map shoe 0", None),
             ("map shoe \u00b2", None),  # a digit to str.isdigit, but not to int
-            ("map shoe \u0663", ("map", ["shoe", "\u0663"])),  # ARABIC-INDIC DIGIT THREE: int reads 3
+            ("map shoe \u0663", None),  # ARABIC-INDIC DIGIT THREE: int reads 3, the server refuses it
+            ("map shoe 1_0", None),
+            ("map shoe +1", None),
             ("", None),
         ],
     )
