@@ -240,7 +240,7 @@ FIXED = [
     ("version-with-three-parts", _head("GET /export HTTP/1.1.1"),
      b"HTTP/1.1 400 Bad request version ('HTTP/1.1.1')\r\n", False),
     ("bad-syntax", _head("GET /export x HTTP/1.1"), b"<p>Message: Bad request syntax ('GET /export x", False),
-    ("http-0.9-post", _head("POST /export"), b"<!DOCTYPE HTML", False),
+    ("http-0.9-post", _head("POST /export"), b"<p>Message: Bad HTTP/0.9 request type ('POST').", False),
     ("http-2", _head("GET /export HTTP/2.0"), b"HTTP/1.1 505 Invalid HTTP version (2.0)\r\n", False),
     ("http-2-with-fold", _head("GET /export HTTP/2.0", "Host: x", " y"), b"HTTP/1.1 505 ", False),
     ("http-1.9", _head("GET /export HTTP/1.9"), b"HTTP/1.1 200 ", True),
