@@ -180,6 +180,11 @@ class AnnotationStore:
     replaying both, in their original order, through those two methods.
     `version` goes up on every `record` and every accepted `attach`, so
     anything derived from the store can tell whether it is still current.
+    Two finer stamps move in step with it: `cloud_version(r)` is the
+    `version` at which the cloud of `r` last changed (0 if it never has),
+    and `trees_version` is the `version` of the last accepted `attach`. So
+    something built from one cloud, or from the trees alone, is still
+    current as long as its own stamp has not moved.
 
     `_tree_of` files each tree object under every label it holds, and a
     new parent above a root re-roots that object in place, so an attach
@@ -192,6 +197,8 @@ class AnnotationStore:
         self.maps: dict[str, TopicMap] = {}
         self._tree_of: dict[str, TopicMap] = {}
         self.version = 0
+        self.trees_version = 0
+        self._cloud_versions: dict[Iri, int] = {}
 
     # -- annotations ------------------------------------------------------
 
@@ -204,7 +211,12 @@ class AnnotationStore:
         self.events.append(event)
         cloud.frequencies[event.tag] = cloud.frequencies.get(event.tag, 0) + 1
         self.version += 1
+        self._cloud_versions[event.resource] = self.version
         return cloud.frequencies[event.tag]
+
+    def cloud_version(self, resource: Iri) -> int:
+        """The `version` at which the cloud of `resource` last changed; 0 if it never has."""
+        return self._cloud_versions.get(resource, 0)
 
     def cloud_of(self, resource: Iri) -> TagCloud:
         cloud = self.clouds.get(Iri(resource))
@@ -255,6 +267,7 @@ class AnnotationStore:
         tree.parent[child] = parent
         self._tree_of[child] = tree
         self.version += 1
+        self.trees_version = self.version
 
     def subtree(self, root_raw: str, depth: int) -> TopicMap:
         """Tree below `root` truncated `depth` levels down (root is level 0)."""

@@ -212,6 +212,7 @@ def _qname(iri: Iri, bindings: dict[str, Iri]) -> Optional[str]:
 def serialize(graph: RdfGraph) -> str:
     """Write the graph as an RDF/XML document (UTF-8 text, LF endings)."""
     bindings = graph.bindings
+    qnames: dict[Iri, str] = {}  # each distinct predicate is looked up once
     lines = ['<?xml version="1.0" encoding="UTF-8"?>', "<rdf:RDF"]
     prefixes = sorted(bindings)
     for i, prefix in enumerate(prefixes):
@@ -225,9 +226,12 @@ def serialize(graph: RdfGraph) -> str:
                 lines.append("  </rdf:Description>")
             current_subject = triple.subject
             lines.append(f'  <rdf:Description rdf:about="{_escape_attr(current_subject)}">')
-        qname = _qname(triple.predicate, bindings)
+        qname = qnames.get(triple.predicate)
         if qname is None:
-            raise SerializationError(f"predicate has no namespace binding: {triple.predicate}")
+            qname = _qname(triple.predicate, bindings)
+            if qname is None:
+                raise SerializationError(f"predicate has no namespace binding: {triple.predicate}")
+            qnames[triple.predicate] = qname
         obj = triple.object
         if isinstance(obj, Literal):
             text = _escape_text(obj.lexical)
@@ -245,16 +249,56 @@ def serialize(graph: RdfGraph) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _split_clark(tag: str) -> tuple[str, str]:
-    # ElementTree spells namespaced tags "{namespace}local".
-    if not tag.startswith("{"):
-        raise RdfParseError(f"element {tag!r} has no namespace")
-    namespace, _, local = tag[1:].partition("}")
-    return namespace, local
+_ABOUT = f"{{{RDF_NS}}}about"
+_RESOURCE = f"{{{RDF_NS}}}resource"
+_DATATYPE = f"{{{RDF_NS}}}datatype"
 
 
 def _wrap_validation(exc: ValidationError) -> RdfParseError:
     return RdfParseError(f"document encodes an invalid term: {exc}")
+
+
+class _Terms:
+    """One document's terms, each distinct raw string validated at its first occurrence.
+
+    Only successes are kept, and a miss runs today's checks in today's
+    order, so a bad document raises the same error it always did.
+    """
+
+    def __init__(self) -> None:
+        self._iris: dict[str, Iri] = {}
+        self._tags: dict[str, tuple[str, str]] = {}
+        self._literals: dict[tuple[str, Optional[str]], Literal] = {}
+
+    def iri(self, raw: str) -> Iri:
+        iri = self._iris.get(raw)
+        if iri is None:
+            try:
+                iri = self._iris[raw] = Iri(raw)
+            except ValidationError as exc:
+                raise _wrap_validation(exc) from None
+        return iri
+
+    def split(self, tag: str) -> tuple[str, str]:
+        """(namespace, local) of an ElementTree tag, which spells them "{namespace}local"."""
+        split = self._tags.get(tag)
+        if split is None:
+            if not tag.startswith("{"):
+                raise RdfParseError(f"element {tag!r} has no namespace")
+            namespace, _, local = tag[1:].partition("}")
+            split = self._tags[tag] = (namespace, local)
+        return split
+
+    def literal(self, text: str, datatype: Optional[str]) -> Literal:
+        key = (text, datatype)
+        literal = self._literals.get(key)
+        if literal is None:
+            typed = self.iri(datatype) if datatype else None
+            try:
+                literal = self._literals[key] = Literal(text, typed)
+            except ValidationError as exc:
+                raise _wrap_validation(exc) from None
+        return literal
 
 
 def parse(text: Union[str, bytes]) -> RdfGraph:
@@ -263,7 +307,10 @@ def parse(text: Union[str, bytes]) -> RdfGraph:
     Understands everything :func:`serialize` emits, plus the typed-node
     shorthand for rdf:type and descriptions nested inside a property
     element. Raises :class:`RdfParseError` with line/column for malformed
-    XML (unbound prefixes included, courtesy of expat).
+    XML (unbound prefixes included, courtesy of expat). Each distinct IRI,
+    element tag and literal is validated once per document, at its first
+    occurrence, so a cloud's repeated predicates, classes and datatypes
+    cost one check each.
     """
     data = text.encode("utf-8") if isinstance(text, str) else text
     ns_pairs: list[tuple[str, str]] = []
@@ -279,7 +326,8 @@ def parse(text: Union[str, bytes]) -> RdfGraph:
     if root is None:
         raise RdfParseError("empty document")
 
-    namespace, local = _split_clark(root.tag)
+    terms = _Terms()
+    namespace, local = terms.split(root.tag)
     if namespace != RDF_NS or local != "RDF":
         raise RdfParseError(f"document root is not rdf:RDF: {root.tag!r}")
 
@@ -293,50 +341,34 @@ def parse(text: Union[str, bytes]) -> RdfGraph:
         except ValidationError:
             continue
     for node in root:
-        _read_description(node, graph)
+        _read_description(node, graph, terms)
     return graph
 
 
-def _read_description(elem: ET.Element, graph: RdfGraph) -> Iri:
-    namespace, local = _split_clark(elem.tag)
-    about = elem.get(f"{{{RDF_NS}}}about")
+def _read_description(elem: ET.Element, graph: RdfGraph, terms: _Terms) -> Iri:
+    namespace, local = terms.split(elem.tag)
+    about = elem.get(_ABOUT)
     if about is None:
         raise RdfParseError("node element has no rdf:about (blank nodes are not supported)")
-    try:
-        subject = Iri(about)
-    except ValidationError as exc:
-        raise _wrap_validation(exc) from None
+    subject = terms.iri(about)
 
     if not (namespace == RDF_NS and local == "Description"):
         # Typed node element: the tag itself is the rdf:type.
-        try:
-            graph.add(Triple(subject, RDF_TYPE, Iri(namespace + local)))
-        except ValidationError as exc:
-            raise _wrap_validation(exc) from None
+        graph.add(Triple(subject, RDF_TYPE, terms.iri(namespace + local)))
 
     for prop in elem:
-        p_ns, p_local = _split_clark(prop.tag)
-        try:
-            predicate = Iri(p_ns + p_local)
-        except ValidationError as exc:
-            raise _wrap_validation(exc) from None
+        p_ns, p_local = terms.split(prop.tag)
+        predicate = terms.iri(p_ns + p_local)
 
-        resource = prop.get(f"{{{RDF_NS}}}resource")
+        resource = prop.get(_RESOURCE)
         nested = list(prop)
         if resource is not None:
-            try:
-                obj: Term = Iri(resource)
-            except ValidationError as exc:
-                raise _wrap_validation(exc) from None
+            obj: Term = terms.iri(resource)
         elif nested:
             if len(nested) > 1:
                 raise RdfParseError(f"property {p_local!r} holds more than one nested node")
-            obj = _read_description(nested[0], graph)
+            obj = _read_description(nested[0], graph, terms)
         else:
-            datatype = prop.get(f"{{{RDF_NS}}}datatype")
-            try:
-                obj = Literal(prop.text or "", Iri(datatype) if datatype else None)
-            except ValidationError as exc:
-                raise _wrap_validation(exc) from None
+            obj = terms.literal(prop.text or "", prop.get(_DATATYPE))
         graph.add(Triple(subject, predicate, obj))
     return subject

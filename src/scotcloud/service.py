@@ -225,9 +225,13 @@ class AnnotationService:
     `storage` and leaves both as they were; any other failed request
     touches neither. The paged bodies of `/cloud`, `/map` and `/export`
     are built once and their pages served from a cache of at most
-    BODY_CACHE_ENTRIES bodies. The whole cache is dropped as soon as the
-    store's `version` moves, so every page comes from the document of the
-    store as it is when the page is asked for.
+    BODY_CACHE_ENTRIES bodies, the oldest build going first. A page comes
+    from one build of its document until something that document depends
+    on changes: each body is stamped with the store object and the store
+    stamps of just what it was built from (`_stamp`), and one whose stamp
+    has moved is built again. So a `/tag` on one resource leaves every
+    other resource's `/cloud` cached, and every page is still the document
+    of the store as it is when the page is asked for.
 
     With a store directory, the first append opens `events.log` with
     O_APPEND and the descriptor stays open; each line is one unbuffered
@@ -249,9 +253,9 @@ class AnnotationService:
         self.now_ms = now_ms or _now_wall_ms
         self._lock = threading.Lock()
         self._recent: deque[int] = deque()
-        self._bodies: dict[tuple, list[Page]] = {}
-        self._bodies_of: tuple[Optional[AnnotationStore], int] = (None, 0)
+        self._bodies: dict[tuple, tuple[tuple, list[Page]]] = {}  # key -> (stamp, pages)
         self._heights: dict[str, int] = {}
+        self._heights_of: tuple[Optional[AnnotationStore], int] = (None, 0)
         self._log_fd: Optional[int] = None
         self._log_id = (0, 0)  # (st_dev, st_ino) of the file _log_fd is open on
         if self.config.store_path and Path(self.config.store_path).exists():
@@ -298,32 +302,38 @@ class AnnotationService:
     def _ok(self, body: bytes, page_index: int = 0) -> ApiResponse:
         return self._page_of(paginate(body, self.config.page_cap), page_index)
 
-    def _drop_stale_caches(self) -> None:
-        """Empty the caches if the store changed since they were filled.
+    def _stamp(self, key: tuple) -> tuple:
+        """The state of the store that the body cached under `key` is built from.
 
-        The caller holds `_lock`. Any change to the store, or a new store
-        object, drops every cached body: a `/tag` on one resource can
-        change the `/map` of a root named after it, so invalidation per
-        key would miss bodies.
+        Stores compare by identity, so a new store object moves every
+        stamp. A `/cloud` reads one cloud; a `/map` reads the trees and
+        the cloud of the resource named after its root (`_map_body`), so
+        a `/tag` there changes its counts; an `/export` reads everything.
         """
-        stamp = (self.store, self.store.version)  # stores compare by identity
-        if self._bodies_of != stamp:
-            self._bodies.clear()
-            self._heights.clear()
-            self._bodies_of = stamp
+        store = self.store
+        if key[0] == "cloud":
+            return (store, store.cloud_version(key[1]))
+        if key[0] == "map":
+            return (store, store.trees_version, store.cloud_version(self.vocab.resource_iri(key[1])))
+        return (store, store.version)
 
     def _cached_pages(self, key: tuple, build: Callable[[], bytes]) -> list[Page]:
         """Pages of the body `build` returns for `key` at the current store state.
 
-        The caller holds `_lock`. An exception from `build` caches nothing.
+        The caller holds `_lock`. A held body whose stamp has moved is
+        dropped and built again, as the newest entry. An exception from
+        `build` caches nothing.
         """
-        self._drop_stale_caches()
-        pages = self._bodies.get(key)
-        if pages is None:
-            pages = paginate(build(), self.config.page_cap)
-            if len(self._bodies) >= BODY_CACHE_ENTRIES:
-                del self._bodies[next(iter(self._bodies))]
-            self._bodies[key] = pages
+        stamp = self._stamp(key)
+        held = self._bodies.get(key)
+        if held is not None:
+            if held[0] == stamp:
+                return held[1]
+            del self._bodies[key]
+        pages = paginate(build(), self.config.page_cap)
+        if len(self._bodies) >= BODY_CACHE_ENTRIES:
+            del self._bodies[next(iter(self._bodies))]
+        self._bodies[key] = (stamp, pages)
         return pages
 
     def _error(self, status: int, token: str) -> ApiResponse:
@@ -398,12 +408,15 @@ class AnnotationService:
         return self._page_of(pages, request.page)
 
     def _height(self, root: str) -> int:
-        """Levels below `root` in its tree, at least 1; worked out once per store version.
+        """Levels below `root` in its tree, at least 1; worked out once per state of the trees.
 
         The caller holds `_lock`. `root` need not be its tree's top.
         Raises UnknownConceptError for a label in no tree.
         """
-        self._drop_stale_caches()
+        trees = (self.store, self.store.trees_version)
+        if self._heights_of != trees:
+            self._heights.clear()
+            self._heights_of = trees
         height = self._heights.get(root)
         if height is None:
             tree = self.store.tree_of(root)
@@ -523,16 +536,28 @@ def format_attach_line(parent: str, child: str) -> str:
 
 
 def parse_event_line(line: str) -> AnnotationEvent:
+    return _read_event_line(line, {}, {})
+
+
+def _read_event_line(line: str, taggers: dict[str, uuid.UUID], resources: dict[str, Iri]) -> AnnotationEvent:
+    """`parse_event_line`, with each raw tagger and resource parsed at its first sight in the two dicts."""
     parts = line.rstrip("\n").split("\t")
     if len(parts) != 4:
         raise ValueError(f"event line does not have 4 fields: {line!r}")
-    return AnnotationEvent(int(parts[0]), uuid.UUID(parts[1]), Iri(parts[2]), parts[3])
+    timestamp = int(parts[0])
+    tagger = taggers.get(parts[1])
+    if tagger is None:
+        tagger = taggers[parts[1]] = uuid.UUID(parts[1])
+    resource = resources.get(parts[2])
+    if resource is None:
+        resource = resources[parts[2]] = Iri(parts[2])
+    return AnnotationEvent(timestamp, tagger, resource, parts[3])
 
 
-def _replay_line(store: AnnotationStore, line: str) -> None:
+def _replay_line(store: AnnotationStore, line: str, taggers: dict[str, uuid.UUID], resources: dict[str, Iri]) -> None:
     # Event lines start with an integer timestamp, so the mark cannot collide.
     if not line.startswith(ATTACH_MARK + "\t"):
-        store.record(parse_event_line(line))
+        store.record(_read_event_line(line, taggers, resources))
         return
     parts = line.split("\t")
     if len(parts) != 3:
@@ -606,11 +631,14 @@ def restore_store(path: str) -> AnnotationStore:
         *lines, torn = log_file.read_bytes().split(b"\n")
         if torn:
             log.warning("%s: dropping unterminated last line %r", log_file, torn)
+        # A store has few taggers and resources and many lines: each is parsed once.
+        taggers: dict[str, uuid.UUID] = {}
+        resources: dict[str, Iri] = {}
         for lineno, raw in enumerate(lines, 1):
             if not raw:
                 continue
             try:
-                _replay_line(store, raw.decode("utf-8"))
+                _replay_line(store, raw.decode("utf-8"), taggers, resources)
             except (ValueError, model.AttachError) as exc:
                 raise StoreLoadError(f"{log_file}:{lineno}: {exc}") from None
     return store

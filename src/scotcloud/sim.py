@@ -425,8 +425,9 @@ class Simulator:
 
     def _schedule_retry(self) -> None:
         candidates = [self._next_free_time(u) for u in self.units if not u.frozen]
-        if not candidates:
-            return  # every unit is frozen; queued work can never run
+        if not candidates:  # every unit is frozen: the queued commands can never run
+            self._emit(f"stall {len(self._queue)}")
+            return
         t = min(candidates)
         if t not in self._retry_times:
             self._retry_times.add(t)

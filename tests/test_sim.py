@@ -343,6 +343,14 @@ class TestMemory:
         trace = sim.run([])
         assert issue_times(trace) == []
 
+    def test_a_command_queued_behind_frozen_units_reports_a_stall(self):
+        sim = make_sim(units=1)
+        sim.memory_account(sim.units[0], 70000)
+        chat_at(sim, 0, "tag r t")
+        trace = sim.run([]).splitlines()
+        assert trace[-2:] == ["0 defer /tag?resource=r&tag=t&tagger=" + str(AVATAR), "0 stall 1"]
+        assert not any(" complete " in line for line in trace)
+
     def test_pending_requests_cost_memory(self):
         sim = make_sim(units=1)
         chat_at(sim, 0, "tag r t")
