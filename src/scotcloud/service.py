@@ -228,10 +228,11 @@ class AnnotationService:
     BODY_CACHE_ENTRIES bodies, the oldest build going first. A page comes
     from one build of its document until something that document depends
     on changes: each body is stamped with the store object and the store
-    stamps of just what it was built from (`_stamp`), and one whose stamp
-    has moved is built again. So a `/tag` on one resource leaves every
-    other resource's `/cloud` cached, and every page is still the document
-    of the store as it is when the page is asked for.
+    stamps of just what it was built from (`_stamp`); one whose stamp has
+    moved is built again, and the next build lets go of it. So a `/tag` on
+    one resource leaves every other resource's `/cloud` cached, and every
+    page is still the document of the store as it is when the page is
+    asked for.
 
     With a store directory, the first append opens `events.log` with
     O_APPEND and the descriptor stays open; each line is one unbuffered
@@ -321,16 +322,18 @@ class AnnotationService:
         """Pages of the body `build` returns for `key` at the current store state.
 
         The caller holds `_lock`. A held body whose stamp has moved is
-        dropped and built again, as the newest entry. An exception from
-        `build` caches nothing.
+        built again, as the newest entry. Each build first lets go of
+        every body whose stamp has moved, since no read can be served from
+        it; an export can be megabytes. An exception from `build` caches
+        nothing.
         """
         stamp = self._stamp(key)
         held = self._bodies.get(key)
-        if held is not None:
-            if held[0] == stamp:
-                return held[1]
-            del self._bodies[key]
+        if held is not None and held[0] == stamp:
+            return held[1]
         pages = paginate(build(), self.config.page_cap)
+        for stale in [k for k, (built_from, _) in self._bodies.items() if built_from != self._stamp(k)]:
+            del self._bodies[stale]
         if len(self._bodies) >= BODY_CACHE_ENTRIES:
             del self._bodies[next(iter(self._bodies))]
         self._bodies[key] = (stamp, pages)

@@ -1167,6 +1167,15 @@ class TestBodyCache:
         assert builds["builds"] == len(names) + 1  # the oldest went first
         assert len(service._bodies) == cap
 
+    def test_a_build_lets_go_of_the_bodies_a_write_made_stale(self, service):
+        seed_mouse(service)
+        for operation, params in (("export", {}), ("cloud", {"resource": "mouse"})):
+            assert service.handle(ApiRequest(operation, params)).ok
+        assert service.handle_url(f"/tag?resource=shoe&tag=rubber&tagger={TAGGER}").ok
+        assert len(service._bodies) == 2  # nothing is built by a write
+        assert service.handle(ApiRequest("cloud", {"resource": "shoe"})).ok
+        assert set(service._bodies) == {("cloud", VOCAB.resource_iri(name)) for name in ("mouse", "shoe")}
+
     def test_map_depths_past_the_tree_share_one_body(self, service, builds):
         TestMapEndpoint().seed_shoe(service)  # shoe - rubber - {sole, heel}: two levels
         tree = service.store.subtree("shoe", 10**6)
