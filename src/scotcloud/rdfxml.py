@@ -261,8 +261,9 @@ def _wrap_validation(exc: ValidationError) -> RdfParseError:
 class _Terms:
     """One document's terms, each distinct raw string validated at its first occurrence.
 
-    Only successes are kept, and a miss runs today's checks in today's
-    order, so a bad document raises the same error it always did.
+    Only successes are kept, and a miss runs every check of the term's
+    constructor, so a bad document raises the same error, at the same
+    string, as a read that keeps nothing.
     """
 
     def __init__(self) -> None:
