@@ -231,11 +231,11 @@ def _cmd_layout(args: argparse.Namespace) -> int:
             cloud = store.cloud_of(vocab.resource_iri(args.resource))
             scene = layout_mod.layout_cloud(cloud, params, args.now)
         else:
-            full = store.tree_of(model.normalize_tag(args.root))
-            if full is None:
+            try:
+                height = store.height(model.normalize_tag(args.root))
+            except model.UnknownConceptError:
                 return _fail(EXIT_DATA, f"layout: unknown concept {args.root!r}")
-            depth = args.depth if args.depth is not None else max(1, full.depth())
-            tree = store.subtree(args.root, depth)
+            tree = store.subtree(args.root, args.depth or height)
             cloud = store.cloud_of(vocab.resource_iri(tree.root))
             scene = layout_mod.layout_map(tree, cloud, params, args.now)
     except (model.TagError, rdfxml.ValidationError) as exc:

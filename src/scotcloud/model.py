@@ -188,7 +188,8 @@ class AnnotationStore:
 
     `_tree_of` files each tree object under every label it holds, and a
     new parent above a root re-roots that object in place, so an attach
-    costs the same whatever the size of its tree.
+    costs the same whatever the size of its tree. `height(label)` is
+    worked out once per label and kept until the next accepted `attach`.
     """
 
     def __init__(self) -> None:
@@ -196,6 +197,7 @@ class AnnotationStore:
         self.clouds: dict[Iri, TagCloud] = {}
         self.maps: dict[str, TopicMap] = {}
         self._tree_of: dict[str, TopicMap] = {}
+        self._heights: dict[str, int] = {}
         self.version = 0
         self.trees_version = 0
         self._cloud_versions: dict[Iri, int] = {}
@@ -266,8 +268,22 @@ class AnnotationStore:
             self.maps[parent] = self._tree_of[parent] = tree
         tree.parent[child] = parent
         self._tree_of[child] = tree
+        self._heights.clear()
         self.version += 1
         self.trees_version = self.version
+
+    def height(self, label: str) -> int:
+        """Levels below the normalized `label` in its tree, at least 1; `label` need not be its root.
+
+        Raises UnknownConceptError for a label in no tree.
+        """
+        height = self._heights.get(label)
+        if height is None:
+            tree = self._tree_of.get(label)
+            if tree is None:
+                raise UnknownConceptError(label)
+            height = self._heights[label] = max(1, TopicMap(label, tree.parent).depth())
+        return height
 
     def subtree(self, root_raw: str, depth: int) -> TopicMap:
         """Tree below `root` truncated `depth` levels down (root is level 0)."""

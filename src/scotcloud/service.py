@@ -51,7 +51,6 @@ MIN_PAGE_CAP = 64  # smallest page a response may be split into, header line inc
 PAGE_CAP_TOO_SMALL = f"page cap must be at least {MIN_PAGE_CAP} bytes"
 BODY_CACHE_ENTRIES = 64  # paged bodies kept per service; the oldest goes first
 IDLE_TIMEOUT_S = 30  # a kept-alive connection idle this long is closed, freeing its thread
-RESPONSE_HEAD_ROOM = 1024  # status line and headers of a response, with room to spare
 SNAPSHOT_FILE = "snapshot.rdf"  # read-only: older versions kept topic maps here
 EVENTS_FILE = "events.log"
 EVENTS_TMP = EVENTS_FILE + ".tmp"  # snapshot_store writes here, then renames over EVENTS_FILE
@@ -148,7 +147,7 @@ class ApiResponse:
 class ServiceConfig:
     port: int = 8765
     store_path: Optional[str] = None
-    base_uri: str = "http://yourdns.com"
+    base_uri: str = VocabConfig.base_uri
     page_cap: int = 2048
     rate_limit_max: Optional[int] = None
     rate_limit_window_ms: int = 20000
@@ -223,16 +222,21 @@ class AnnotationService:
     Requests are serialized under one lock. A mutation is appended to the
     on-disk log before it changes the store, so a failed write answers
     `storage` and leaves both as they were; any other failed request
-    touches neither. The paged bodies of `/cloud`, `/map` and `/export`
-    are built once and their pages served from a cache of at most
-    BODY_CACHE_ENTRIES bodies, the oldest build going first. A page comes
-    from one build of its document until something that document depends
-    on changes: each body is stamped with the store object and the store
-    stamps of just what it was built from (`_stamp`); one whose stamp has
-    moved is built again, and the next build lets go of it. So a `/tag` on
-    one resource leaves every other resource's `/cloud` cached, and every
-    page is still the document of the store as it is when the page is
-    asked for.
+    touches neither. That includes a `/tag` or `/attach` that asks for a
+    page other than 0, and a `/tag` whose `ok` answer would not fit in one
+    page: they are refused before anything is written. Every answer but a
+    `/cloud`, `/map` or `/export` document is one page (`_answer`).
+
+    The paged bodies of `/cloud`, `/map` and `/export` are built once and
+    their pages served from a cache of at most BODY_CACHE_ENTRIES bodies,
+    the oldest build going first. A page comes from one build of its
+    document until something that document depends on changes: each body
+    is stamped with the store stamps of just what it was built from
+    (`_stamp`); one whose stamp has moved is built again, and the next
+    build lets go of it. So a `/tag` on one resource leaves every other
+    resource's `/cloud` cached, and every page is still the document of
+    the store as it is when the page is asked for. `store` is bound once,
+    here, so a stamp need not name it.
 
     With a store directory, the first append opens `events.log` with
     O_APPEND and the descriptor stays open; each line is one unbuffered
@@ -250,27 +254,25 @@ class AnnotationService:
     ):
         self.config = config or ServiceConfig()
         self.vocab = self.config.vocab()
+        if self.config.store_path and Path(self.config.store_path).exists():
+            store = restore_store(self.config.store_path)
+            _cut_torn_tail(Path(self.config.store_path) / EVENTS_FILE)
         self.store = store if store is not None else AnnotationStore()
         self.now_ms = now_ms or _now_wall_ms
         self._lock = threading.Lock()
         self._recent: deque[int] = deque()
         self._bodies: dict[tuple, tuple[tuple, list[Page]]] = {}  # key -> (stamp, pages)
-        self._heights: dict[str, int] = {}
-        self._heights_of: tuple[Optional[AnnotationStore], int] = (None, 0)
         self._log_fd: Optional[int] = None
         self._log_id = (0, 0)  # (st_dev, st_ino) of the file _log_fd is open on
-        if self.config.store_path and Path(self.config.store_path).exists():
-            self.store = restore_store(self.config.store_path)
-            _cut_torn_tail(Path(self.config.store_path) / EVENTS_FILE)
 
     # -- dispatch ----------------------------------------------------------
 
     def handle(self, request: ApiRequest) -> ApiResponse:
         if self.config.rate_limit_max is not None and self._throttled():
-            return self._error(429, "throttled")
+            return self._answer(429, "throttled")
         handler = getattr(self, f"_op_{request.operation}", None)
         if handler is None:
-            return self._error(404, "unknown")
+            return self._answer(404, "unknown")
         return handler(request)
 
     def handle_url(self, path_query: str) -> ApiResponse:
@@ -278,8 +280,8 @@ class AnnotationService:
             request = request_from_url(path_query)
         except ValueError as exc:
             if str(exc).startswith("bad page"):
-                return self._error(400, "badpage")
-            return self._error(404, "unknown")
+                return self._answer(400, "badpage")
+            return self._answer(404, "unknown")
         return self.handle(request)
 
     def _throttled(self) -> bool:
@@ -297,26 +299,23 @@ class AnnotationService:
 
     def _page_of(self, pages: list[Page], page_index: int) -> ApiResponse:
         if not (0 <= page_index < len(pages)):
-            return self._error(400, "badpage")
+            return self._answer(400, "badpage")
         return ApiResponse(200, pages[page_index])
 
-    def _ok(self, body: bytes, page_index: int = 0) -> ApiResponse:
-        return self._page_of(paginate(body, self.config.page_cap), page_index)
-
     def _stamp(self, key: tuple) -> tuple:
-        """The state of the store that the body cached under `key` is built from.
+        """The store stamps of just what the body cached under `key` is built from.
 
-        Stores compare by identity, so a new store object moves every
-        stamp. A `/cloud` reads one cloud; a `/map` reads the trees and
-        the cloud of the resource named after its root (`_map_body`), so
-        a `/tag` there changes its counts; an `/export` reads everything.
+        A `("cloud", resource)` body reads that one cloud. A
+        `("map", root, depth, resource)` body reads the trees and the
+        cloud of `resource`, the one named after its root, so a `/tag`
+        there changes its counts. An `("export",)` body reads everything.
         """
         store = self.store
         if key[0] == "cloud":
-            return (store, store.cloud_version(key[1]))
+            return (store.cloud_version(key[1]),)
         if key[0] == "map":
-            return (store, store.trees_version, store.cloud_version(self.vocab.resource_iri(key[1])))
-        return (store, store.version)
+            return (store.trees_version, store.cloud_version(key[3]))
+        return (store.version,)
 
     def _cached_pages(self, key: tuple, build: Callable[[], bytes]) -> list[Page]:
         """Pages of the body `build` returns for `key` at the current store state.
@@ -339,8 +338,10 @@ class AnnotationService:
         self._bodies[key] = (stamp, pages)
         return pages
 
-    def _error(self, status: int, token: str) -> ApiResponse:
-        return ApiResponse(status, paginate(token.encode("ascii"), self.config.page_cap)[0])
+    def _answer(self, status: int, text: str) -> ApiResponse:
+        """The one page of an answer that is not a document: an error token, or a mutation's `ok`."""
+        (page,) = paginate(text.encode("utf-8"), self.config.page_cap)
+        return ApiResponse(status, page)
 
     def _require(self, request: ApiRequest, *names: str) -> Optional[list[str]]:
         values = []
@@ -356,32 +357,38 @@ class AnnotationService:
     def _op_tag(self, request: ApiRequest) -> ApiResponse:
         got = self._require(request, "resource", "tag", "tagger")
         if got is None:
-            return self._error(400, "missing")
+            return self._answer(400, "missing")
         resource_raw, tag_raw, tagger_raw = got
         try:
             tagger = uuid.UUID(tagger_raw)
         except ValueError:
-            return self._error(400, "badtagger")
+            return self._answer(400, "badtagger")
         try:
             label = model.normalize_tag(tag_raw)
             resource = self.vocab.resource_iri(resource_raw)
         except (model.TagError, rdfxml.ValidationError):
-            return self._error(400, "badtag")
+            return self._answer(400, "badtag")
+        if request.page != 0:
+            return self._answer(400, "badpage")
         with self._lock:
+            cloud = self.store.clouds.get(resource)
+            answer = f"ok {label} {(cloud.frequencies.get(label, 0) if cloud else 0) + 1}"
+            if len(answer.encode("utf-8")) > self.config.page_cap - PAGE_HEADER_RESERVE:
+                return self._answer(400, "badtag")  # the answer would not fit in one page
             event = AnnotationEvent(self.now_ms(), tagger, resource, label)
             if not self._append_log_line(format_event_line(event)):
-                return self._error(500, "storage")
-            count = self.store.record(event)
-        return self._ok(f"ok {label} {count}".encode("utf-8"), request.page)
+                return self._answer(500, "storage")
+            self.store.record(event)
+        return self._answer(200, answer)
 
     def _op_cloud(self, request: ApiRequest) -> ApiResponse:
         got = self._require(request, "resource")
         if got is None:
-            return self._error(400, "missing")
+            return self._answer(400, "missing")
         try:
             resource = self.vocab.resource_iri(got[0])
         except (model.TagError, rdfxml.ValidationError):
-            return self._error(400, "badtag")
+            return self._answer(400, "badtag")
         with self._lock:
             pages = self._cached_pages(("cloud", resource), lambda: self._cloud_body(resource))
         return self._page_of(pages, request.page)
@@ -393,67 +400,55 @@ class AnnotationService:
     def _op_map(self, request: ApiRequest) -> ApiResponse:
         got = self._require(request, "root")
         if got is None:
-            return self._error(400, "missing")
+            return self._answer(400, "missing")
         depth = parse_digits(request.params.get("depth", "1"))
         if depth is None or depth < 1:
-            return self._error(400, "baddepth")
+            return self._answer(400, "baddepth")
         try:
             root = model.normalize_tag(got[0])
         except model.TagError:
-            return self._error(400, "badtag")
+            return self._answer(400, "badtag")
         with self._lock:
             try:
                 # Every depth from the root's height on gives the same body: one key for them all.
-                depth = min(depth, self._height(root))
-                pages = self._cached_pages(("map", root, depth), lambda: self._map_body(root, depth))
+                depth = min(depth, self.store.height(root))
             except model.UnknownConceptError:
-                return self._error(404, "unknown")
+                return self._answer(404, "unknown")
+            try:
+                resource = self.vocab.resource_iri(root)  # its cloud gives the counts
+            except rdfxml.ValidationError:
+                return self._answer(400, "badtag")
+            key = ("map", root, depth, resource)
+            pages = self._cached_pages(key, lambda: self._map_body(root, depth, resource))
         return self._page_of(pages, request.page)
 
-    def _height(self, root: str) -> int:
-        """Levels below `root` in its tree, at least 1; worked out once per state of the trees.
-
-        The caller holds `_lock`. `root` need not be its tree's top.
-        Raises UnknownConceptError for a label in no tree.
-        """
-        trees = (self.store, self.store.trees_version)
-        if self._heights_of != trees:
-            self._heights.clear()
-            self._heights_of = trees
-        height = self._heights.get(root)
-        if height is None:
-            tree = self.store.tree_of(root)
-            if tree is None:
-                raise model.UnknownConceptError(root)
-            height = self._heights[root] = max(1, TopicMap(root, tree.parent).depth())
-        return height
-
-    def _map_body(self, root: str, depth: int) -> bytes:
-        tree = self.store.subtree(root, depth)
-        freqs = self.store.cloud_of(self.vocab.resource_iri(tree.root)).frequencies
-        return render_tree(tree, freqs).encode("utf-8")
+    def _map_body(self, root: str, depth: int, resource: Iri) -> bytes:
+        freqs = self.store.cloud_of(resource).frequencies
+        return render_tree(self.store.subtree(root, depth), freqs).encode("utf-8")
 
     def _op_attach(self, request: ApiRequest) -> ApiResponse:
         got = self._require(request, "parent", "child", "tagger")
         if got is None:
-            return self._error(400, "missing")
+            return self._answer(400, "missing")
         parent_raw, child_raw, tagger_raw = got
         try:
             uuid.UUID(tagger_raw)
         except ValueError:
-            return self._error(400, "badtagger")
+            return self._answer(400, "badtagger")
         with self._lock:
             try:
                 parent, child = model.normalize_tag(parent_raw), model.normalize_tag(child_raw)
                 self.store.check_attach(parent, child)
             except model.TagError:
-                return self._error(400, "badtag")
+                return self._answer(400, "badtag")
             except model.AttachError as exc:
-                return self._error(409, exc.reason)
+                return self._answer(409, exc.reason)
+            if request.page != 0:
+                return self._answer(400, "badpage")
             if not self._append_log_line(format_attach_line(parent, child)):
-                return self._error(500, "storage")
+                return self._answer(500, "storage")
             self.store.attach(parent, child)
-        return self._ok(b"ok", request.page)
+        return self._answer(200, "ok")
 
     def _op_export(self, request: ApiRequest) -> ApiResponse:
         with self._lock:
@@ -712,13 +707,16 @@ class _Handler(BaseHTTPRequestHandler):
     HTTP/1.1 client cannot read; only a two-word HTTP/0.9 request line is
     answered bare.
 
-    Status line, headers and body are formatted as one `bytes` and go out
-    in one write; the Date value is refreshed once a second. TCP_NODELAY
-    is still required, not a tuning knob: a response longer than one
-    segment would otherwise have its last segment held back by Nagle's
-    algorithm until the client's delayed ACK, about 40 ms a response. Each
-    connection holds a thread, so one left idle is closed after
-    IDLE_TIMEOUT_S; clients reconnect on their next request.
+    Status line, headers and body of each answer of the service are
+    formatted as one `bytes` and go out in one unbuffered write, one
+    `sendall`; the Date value is refreshed once a second. The replies of
+    http.server's own `send_error` go out as it sends them: head first,
+    then body. TCP_NODELAY is still required, not a tuning knob: a
+    response longer than one segment would otherwise have its last
+    segment held back by Nagle's algorithm until the client's delayed
+    ACK, about 40 ms a response. Each connection holds a thread, so one
+    left idle is closed after IDLE_TIMEOUT_S; clients reconnect on their
+    next request.
     """
 
     service: AnnotationService
@@ -828,9 +826,8 @@ class _Handler(BaseHTTPRequestHandler):
 
 
 def make_http_server(service: AnnotationService, host: str = "127.0.0.1") -> ThreadingHTTPServer:
-    # One page is at most page_cap bytes, so the buffer holds any response.
-    wbufsize = service.config.page_cap + RESPONSE_HEAD_ROOM
-    handler = type("Handler", (_Handler,), {"service": service, "wbufsize": wbufsize, "date": _DateHeader()})
+    """A threading server over `service`; unbuffered, it sends each answer in one `sendall`, whatever the page cap."""
+    handler = type("Handler", (_Handler,), {"service": service, "date": _DateHeader()})
     return ThreadingHTTPServer((host, service.config.port), handler)
 
 

@@ -95,6 +95,13 @@ class TestWireCommands:
         assert code == 3
         assert "badtag" in err
 
+    def test_tag_whose_answer_would_need_two_pages_is_data_error(self, capsys, live_server):
+        url, svc = live_server
+        code, out, err = run(capsys, "tag", "--resource", "pen", "--tag", "y" * 2100, "--url", url)
+        assert (code, out) == (3, "")
+        assert "badtag" in err
+        assert svc.store.version == 0
+
     def test_unreachable_server_is_protocol_error(self, capsys):
         code, _, err = run(capsys, "tag", "--resource", "m", "--tag", "t", "--url", "http://127.0.0.1:9")
         assert code == 2
@@ -285,6 +292,12 @@ class TestLayoutCommand:
 
         payload = json.loads(out.split("\n", 1)[1])
         assert len(payload["prims"]) == 3
+
+    def test_map_layout_below_the_top_takes_the_whole_subtree(self, capsys, tmp_path):
+        store = self.seeded_store(tmp_path)
+        code, out, _ = run(capsys, "layout", "--store", store, "--root", "rubber")
+        assert code == 0
+        assert out.count("\nprim\t") == 2  # rubber and sole
 
     def test_unknown_root_is_data_error(self, capsys, tmp_path):
         store = self.seeded_store(tmp_path)

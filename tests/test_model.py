@@ -606,6 +606,25 @@ class TestChildrenIndex:
                     assert got == want
                     assert list(got.parent.items()) == list(want.parent.items())
 
+    def test_height_after_every_attach_matches_a_fresh_depth(self):
+        rng = random.Random(10)
+        for _ in range(20):
+            size = rng.randint(2, 40)
+            edges = [(f"n{rng.randrange(i)}", f"n{i}") for i in range(1, size)]
+            edges += [(f"n{rng.randrange(size)}", f"n{rng.randrange(size)}") for _ in range(size // 10)]
+            rng.shuffle(edges)
+            store = AnnotationStore()
+            for parent, child in edges:
+                try:
+                    store.attach(parent, child)
+                except AttachError:
+                    pass
+                for tree in store.maps.values():
+                    for label in tree.nodes:  # heights are kept: a stale one would show here
+                        assert store.height(label) == max(1, TopicMap(label, tree.parent).depth())
+            with pytest.raises(UnknownConceptError):
+                store.height(f"n{size}")
+
     def test_subtree_scans_the_edges_once(self, monkeypatch):
         store = random_forest(random.Random(7), 200)
         monkeypatch.setattr(TopicMap, "children_of", lambda self, label: pytest.fail("per-node scan"))

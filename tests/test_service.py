@@ -8,9 +8,11 @@ import select
 import shutil
 import socket
 import sys
+import tempfile
 import threading
 import time
 from http.server import ThreadingHTTPServer
+from pathlib import Path
 from urllib.parse import urlencode, urlsplit
 
 import pytest
@@ -273,6 +275,15 @@ class TestMapEndpoint:
         assert response.status == 404
         assert response.page.payload == b"unknown"
 
+    def test_root_whose_name_is_taken_as_an_iri_but_is_not_one_is_400_badtag(self, service):
+        # A name with "://" names its resource itself, as in /cloud and /tag.
+        assert service.handle_url("/map?root=a://b%20c").page.payload == b"unknown"
+        assert service.handle_url(f"/attach?parent=a://b%20c&child=x&tagger={TAGGER}").ok
+        response = service.handle_url("/map?root=a://b%20c")
+        assert (response.status, response.page.payload) == (400, b"badtag")
+        assert service.handle_url("/cloud?resource=a://b%20c").page.payload == b"badtag"
+        assert service.handle_url("/map?root=x").page.payload == b"x (0)\n"
+
     def test_bad_depth_is_400(self, service):
         self.seed_shoe(service)
         for depth in ["0", "-3", "x", "1_0", "+1", " 1", "\u0661", ""]:
@@ -333,6 +344,57 @@ class TestAttachEndpoint:
         before = store_state(service.store)
         service.handle(ApiRequest("attach", {"parent": "rubber", "child": "shoe", "tagger": str(TAGGER)}))
         assert store_state(service.store) == before
+
+
+class TestRefusedMutation:
+    """A mutation refused for its page or for the length of its answer changes nothing."""
+
+    @pytest.mark.parametrize(
+        "query, token",
+        [
+            ("/tag?resource=pen&tag=nib&page=1", b"badpage"),
+            ("/attach?parent=pen&child=nib&page=3", b"badpage"),
+            ("/tag?resource=pen&tag=" + "y" * 2100, b"badtag"),  # "ok <label> 1" needs two pages
+        ],
+        ids=["tag-page", "attach-page", "long-tag"],
+    )
+    def test_refused_mutation_touches_neither_memory_nor_disk(self, tmp_path, query, token):
+        log_file = tmp_path / "store" / "events.log"
+        service = AnnotationService(ServiceConfig(store_path=str(log_file.parent)))
+        assert service.handle_url(f"/tag?resource=pen&tag=ink&tagger={TAGGER}").ok
+        before = store_state(service.store), service.store.version, log_file.read_bytes()
+        response = service.handle_url(f"{query}&tagger={TAGGER}")
+        assert (response.status, response.page) == (400, Page(1, 1, token))
+        assert (store_state(service.store), service.store.version, log_file.read_bytes()) == before
+        service.close()
+
+    def test_page_0_of_a_mutation_is_its_answer(self, service):
+        assert service.handle_url(f"/tag?resource=pen&tag=ink&tagger={TAGGER}&page=0").page.payload == b"ok ink 1"
+        assert service.handle_url(f"/attach?parent=pen&child=ink&tagger={TAGGER}&page=0").page.payload == b"ok"
+
+    def test_refusals_of_a_mutation_keep_their_order(self, service):
+        # badpage comes after every check the parameters already had
+        for query, answer in [
+            ("/tag?resource=pen&tag=ink&page=1", (400, b"missing")),
+            ("/tag?resource=pen&tag=ink&tagger=x&page=1", (400, b"badtagger")),
+            (f"/tag?resource=pen&tag=%20&tagger={TAGGER}&page=1", (400, b"badtag")),
+            (f"/attach?parent=pen&child=pen&tagger={TAGGER}&page=1", (409, b"cycle")),
+        ]:
+            response = service.handle_url(query)
+            assert (response.status, response.page.payload) == answer, query
+        assert service.store.version == 0
+
+    def test_the_longest_tag_answer_that_fits_in_a_page_is_taken(self):
+        cap = 64
+        service = AnnotationService(ServiceConfig(page_cap=cap))
+        label = "y" * (cap - service_module.PAGE_HEADER_RESERVE - len("ok  9"))
+        for count in range(1, 10):
+            response = service.handle_url(f"/tag?resource=pen&tag={label}&tagger={TAGGER}")
+            assert response.page.payload == f"ok {label} {count}".encode()
+        assert len(response.page.payload) == cap - service_module.PAGE_HEADER_RESERVE  # a full page
+        response = service.handle_url(f"/tag?resource=pen&tag={label}&tagger={TAGGER}")  # count 10: one digit more
+        assert (response.status, response.page.payload) == (400, b"badtag")
+        assert service.store.version == 9
 
 
 class TestExportEndpoint:
@@ -720,6 +782,20 @@ def _tag_page(count: int) -> bytes:
 
 def _kept_count(service: AnnotationService, tag: str = "t") -> int:
     return service.store.cloud_of(VOCAB.resource_iri("kept")).frequencies.get(tag, 0)
+
+
+class TestUnbufferedWrites:
+    def test_a_page_cap_larger_than_memory_serves_over_http(self):
+        service = AnnotationService(ServiceConfig(port=0, page_cap=10**12))
+        seed_mouse(service)
+        with http_server(service, _Counting) as (url, server):
+            status, body = http_get(url, "/cloud", {"resource": "mouse"})
+            assert (status, body) == (200, service.handle_url("/cloud?resource=mouse").encode())
+            assert http_get(url, "/tag", {"resource": "mouse", "tag": "laser", "tagger": str(TAGGER)}) == (
+                200,
+                b"page 1/1 10\nok laser 4",
+            )
+        assert server.connections == 2
 
 
 class TestKeepAlive:
@@ -1237,6 +1313,66 @@ class TestBodyCache:
             expected = serialize(model.cloud_to_rdf(cloud, VOCAB)).encode()
             assert fetch_full(service, "cloud", {"resource": name}) == expected
         assert fetch_full(service, "export", {}) == serialize(model.store_to_graph(service.store, VOCAB)).encode()
+
+
+# Requests as they come off the wire: names with spaces, `%` and `://`,
+# some in a tree and some not; labels long enough that `ok <label> <count>`
+# needs more than one page; good and bad taggers; any `page` and `depth`.
+WIRE_NAMES = st.one_of(
+    st.sampled_from(["mouse", "shoe", "a://b c", "http://example.org/r", "50%", "%zz", " ", ""]),
+    st.text(st.sampled_from(" %:/ab"), max_size=8),
+    st.integers(1, 2200).map(lambda n: "y" * n),
+)
+WIRE_NUMBERS = st.sampled_from(["0", "1", "2", "9", "01", "-1", "+1", "x", "", "\u00b2", "9" * 30])
+WIRE_REQUESTS = st.tuples(
+    st.sampled_from(["tag", "attach", "cloud", "map", "export", "bogus"]),
+    st.fixed_dictionaries(
+        {
+            "resource": WIRE_NAMES,
+            "tag": WIRE_NAMES,
+            "parent": WIRE_NAMES,
+            "child": WIRE_NAMES,
+            "root": WIRE_NAMES,
+            "tagger": st.sampled_from([str(TAGGER), str(TAGGER).upper(), "not-a-uuid", ""]),
+        },
+        optional={"page": WIRE_NUMBERS, "depth": WIRE_NUMBERS},
+    ),
+)
+_WIRE_TAG = {"tagger": str(TAGGER)}
+MAP_OF_A_NAME_THAT_IS_NOT_AN_IRI = [
+    ("attach", {"parent": "a://b c", "child": "x", **_WIRE_TAG}),
+    ("map", {"root": "a://b c"}),
+]
+TAG_WITH_A_PAGE = [("tag", {"resource": "mouse", "tag": "laser", "page": "1", **_WIRE_TAG})]
+TAG_WITH_A_LONG_LABEL = [("tag", {"resource": "pen", "tag": "y" * 2100, **_WIRE_TAG})]
+
+
+class TestWireInput:
+    @settings(max_examples=120, deadline=None)
+    @given(st.lists(WIRE_REQUESTS, min_size=1, max_size=20), st.sampled_from([64, 2048]))
+    @example(MAP_OF_A_NAME_THAT_IS_NOT_AN_IRI, 2048)
+    @example(TAG_WITH_A_PAGE, 2048)
+    @example(TAG_WITH_A_LONG_LABEL, 2048)
+    def test_any_request_gets_capped_pages_and_a_refusal_changes_nothing(self, requests_, cap):
+        with tempfile.TemporaryDirectory() as directory:
+            log_file = Path(directory) / "store" / "events.log"
+            service = AnnotationService(ServiceConfig(store_path=str(log_file.parent), page_cap=cap))
+
+            def state():
+                logged = log_file.read_bytes() if log_file.exists() else b""
+                return store_state(service.store), service.store.version, logged
+
+            try:
+                for operation, params in requests_:
+                    before = state()
+                    response = service.handle_url(f"/{operation}?{urlencode(params)}")
+                    assert len(response.encode()) <= cap
+                    if not (response.ok and operation in ("cloud", "map", "export")):
+                        assert response.page.total == 1, (operation, params)
+                    if not response.ok:
+                        assert state() == before, (operation, params)
+            finally:
+                service.close()
 
 
 class TestStorageFailure:

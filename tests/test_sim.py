@@ -306,6 +306,18 @@ class TestNonPageBody:
         assert sim.commands[0].failed
 
 
+class TestOnePageMutation:
+    def test_a_tag_whose_answer_would_need_two_pages_is_sent_once_and_refused(self):
+        service = AnnotationService()
+        sim = Simulator(service, units=1)
+        chat_at(sim, 0, "tag pen " + "y" * 2100)
+        trace = sim.run([])
+        assert len(issue_times(trace)) == 1
+        completes = [line.split(" ", 1)[1] for line in trace.splitlines() if " complete " in line]
+        assert completes == ["complete tag 400 badtag"]
+        assert service.store.version == 0
+
+
 class TestMemory:
     def test_65537_bytes_exceeds_default_budget(self):
         sim = make_sim()
