@@ -19,8 +19,10 @@ import uuid
 from pathlib import Path
 from typing import Optional
 
-from . import layout as layout_mod
-from . import model, rdfxml, service as service_mod, sim
+from . import model, rdfxml, service as service_mod
+
+# The simulator and the layout engine are imported by the subcommands that
+# use them, so `serve` loads only the server's modules.
 
 ENV_URL = "SCOTCLOUD_URL"
 ENV_PORT = "SCOTCLOUD_PORT"
@@ -60,6 +62,8 @@ def _emit(text: str, out: Optional[str]) -> int:
 
 
 def _call(args: argparse.Namespace, path: str, params: list[tuple[str, str]]) -> tuple[int, str]:
+    from . import sim
+
     transport = sim.HttpTransport(_server_url(args))
     try:
         status, body = sim.fetch_body(transport, path, params)
@@ -177,6 +181,8 @@ def _cmd_import(args: argparse.Namespace) -> int:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
+    from . import sim
+
     try:
         script = sim.parse_script(Path(args.script).read_text("utf-8"))
     except OSError as exc:
@@ -213,6 +219,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _cmd_layout(args: argparse.Namespace) -> int:
+    from . import layout as layout_mod
+
     if bool(args.resource) == bool(args.root):
         return _fail(EXIT_USAGE, "layout: give exactly one of --resource or --root")
     if args.depth is not None and args.depth < 1:
@@ -335,7 +343,11 @@ def main(argv: Optional[list[str]] = None) -> int:
         return _fail(EXIT_PROTOCOL, f"cannot reach server at {_server_url(args)}")
     except service_mod.PageError as exc:
         return _fail(EXIT_PROTOCOL, f"server at {_server_url(args)} sent a body that is not a page: {exc}")
-    except sim.ReassemblyError as exc:
+    except ValueError as exc:
+        from .sim import ReassemblyError  # loaded already by any subcommand that walks pages
+
+        if not isinstance(exc, ReassemblyError):
+            raise
         return _fail(EXIT_PROTOCOL, f"the document changed during the page walk ({exc}); try again")
     except KeyboardInterrupt:
         return EXIT_OK

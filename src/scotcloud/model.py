@@ -221,10 +221,11 @@ class AnnotationStore:
         return self._cloud_versions.get(resource, 0)
 
     def cloud_of(self, resource: Iri) -> TagCloud:
-        cloud = self.clouds.get(Iri(resource))
-        if cloud is None:
-            return TagCloud(Iri(resource))
-        return cloud
+        """The resource's cloud, empty if it has none; a plain str is validated as an IRI first."""
+        if not isinstance(resource, Iri):
+            resource = Iri(resource)
+        cloud = self.clouds.get(resource)
+        return TagCloud(resource) if cloud is None else cloud
 
     # -- topic maps -------------------------------------------------------
 

@@ -14,7 +14,6 @@ subject, remaining properties sorted.
 
 from __future__ import annotations
 
-import io
 import math
 import re
 import xml.etree.ElementTree as ET
@@ -302,6 +301,17 @@ class _Terms:
         return literal
 
 
+class _NamespaceRecorder(ET.TreeBuilder):
+    """Builds the element tree and keeps every (prefix, uri) declaration, in document order."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.ns_pairs: list[tuple[str, str]] = []
+
+    def start_ns(self, prefix: str, uri: str) -> None:
+        self.ns_pairs.append((prefix, uri))
+
+
 def parse(text: Union[str, bytes]) -> RdfGraph:
     """Read an RDF/XML document back into a graph.
 
@@ -314,18 +324,14 @@ def parse(text: Union[str, bytes]) -> RdfGraph:
     cost one check each.
     """
     data = text.encode("utf-8") if isinstance(text, str) else text
-    ns_pairs: list[tuple[str, str]] = []
+    builder = _NamespaceRecorder()
+    parser = ET.XMLParser(target=builder)
     try:
-        stream = io.BytesIO(data)
-        events = ET.iterparse(stream, events=("start-ns",))
-        for _, pair in events:
-            ns_pairs.append(pair)
-        root = events.root  # type: ignore[attr-defined]
+        parser.feed(data)
+        root = parser.close()
     except ET.ParseError as exc:
         line, column = exc.position if exc.position else (None, None)
         raise RdfParseError(f"malformed XML: {exc.msg if hasattr(exc, 'msg') else exc}", line, column) from None
-    if root is None:
-        raise RdfParseError("empty document")
 
     terms = _Terms()
     namespace, local = terms.split(root.tag)
@@ -333,7 +339,7 @@ def parse(text: Union[str, bytes]) -> RdfGraph:
         raise RdfParseError(f"document root is not rdf:RDF: {root.tag!r}")
 
     graph = RdfGraph()
-    for prefix, uri in ns_pairs:
+    for prefix, uri in builder.ns_pairs:
         if not prefix:
             continue  # default namespaces are not used by this subset
         try:

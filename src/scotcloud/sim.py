@@ -265,7 +265,7 @@ class _Command:
     kind: str
     params: list[tuple[str, str]]
     pages: dict[int, Page] = field(default_factory=dict)
-    requested: set[int] = field(default_factory=set)
+    requested: int = 1  # pages 1..requested have been asked for
     total: Optional[int] = None
     failed: bool = False
 
@@ -280,7 +280,29 @@ def _sha8(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()[:8]
 
 
+class _Clock:
+    """The simulated time in ms; calling it reads the time, as `AnnotationService.now_ms` does."""
+
+    __slots__ = ("ms",)
+
+    def __init__(self) -> None:
+        self.ms = 0
+
+    def __call__(self) -> int:
+        return self.ms
+
+
 class Simulator:
+    """Replays chat commands through the listener, the center and the units.
+
+    A simulator owns its units, its event heap, its deferred queue, its
+    trace and its commands, and it holds its transport. An in-process
+    service is lent only the simulated clock, as its `now_ms`: the service
+    keeps no reference to the simulator, so a finished simulator, with
+    its trace and pages, is freed as soon as its last reference goes, and
+    the service stays usable after it.
+    """
+
     def __init__(
         self,
         target: Union[AnnotationService, Transport],
@@ -296,10 +318,10 @@ class Simulator:
         if isinstance(target, AnnotationService):
             target = InProcessTransport(target)
         self.transport = target
+        self._clock = _Clock()  # moves only forward, only in `advance`
         if isinstance(self.transport, InProcessTransport):
-            self.transport.service.now_ms = lambda: self.now
+            self.transport.service.now_ms = self._clock
 
-        self.now = 0  # simulated ms; moves only forward, only in `advance`
         self.window_mode = window_mode
         self.latency = latency or LatencyModel(seed=seed)
         self.units = [ScriptUnit(f"u{i + 1}") for i in range(units)]
@@ -311,6 +333,11 @@ class Simulator:
         self._retry_times: set[int] = set()
         self.trace: list[str] = []
         self.commands: list[_Command] = []
+
+    @property
+    def now(self) -> int:
+        """The simulated time in ms."""
+        return self._clock.ms
 
     # -- units -----------------------------------------------------------------
 
@@ -384,7 +411,6 @@ class Simulator:
         else:  # attach
             params = [("parent", args[0]), ("child", args[1]), ("tagger", str(sender))]
         command = _Command(kind, params)
-        command.requested.add(1)
         self.commands.append(command)
         pending = _Pending(command, build_query(kind, params))
         # listener hands the parsed command to the center on the private channel
@@ -464,10 +490,9 @@ class Simulator:
             body = reassemble(list(command.pages.values()))
             self._emit(f"complete {command.kind} {status} {len(body)} {_sha8(body)}")
             return
-        for index in range(1, command.total + 1):
-            if index not in command.requested:
-                command.requested.add(index)
-                self.center_assign(_Pending(command, build_query(command.kind, command.params, index - 1)))
+        for index in range(command.requested + 1, command.total + 1):
+            command.requested = index
+            self.center_assign(_Pending(command, build_query(command.kind, command.params, index - 1)))
 
     # -- the loop ------------------------------------------------------------------------
 
@@ -481,7 +506,7 @@ class Simulator:
             time_ms, _, kind, payload = heapq.heappop(self._heap)
             if time_ms < self.now:
                 raise SimError(f"clock cannot move backwards ({time_ms} < {self.now})")
-            self.now = time_ms
+            self._clock.ms = time_ms
             if kind == "chat":
                 line: ScriptLine = payload  # type: ignore[assignment]
                 self.post_chat(line.channel, line.sender, line.text)
@@ -490,7 +515,7 @@ class Simulator:
                 self._on_retry()
             elif kind == "response":
                 self._on_response(*payload)  # type: ignore[misc]
-        self.now = target
+        self._clock.ms = target
         return self.trace[mark:]
 
     def run(self, script: list[ScriptLine]) -> str:

@@ -1,3 +1,4 @@
+import gc
 import random
 import threading
 import uuid
@@ -38,6 +39,26 @@ def store_state(store):
     clouds = {str(r): dict(c.frequencies) for r, c in store.clouds.items()}
     maps = {root: dict(tree.parent) for root, tree in store.maps.items()}
     return clouds, maps
+
+
+def cyclic_garbage(action) -> list[str]:
+    """Type names of what `action()` leaves that only the cyclic collector can free.
+
+    The collector is off while `action` runs, so nothing is freed early.
+    """
+    enabled, flags = gc.isenabled(), gc.get_debug()
+    gc.disable()
+    try:
+        gc.collect()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        action()
+        gc.collect()
+        return sorted(type(thing).__name__ for thing in gc.garbage)
+    finally:
+        gc.set_debug(flags)
+        gc.garbage.clear()
+        if enabled:
+            gc.enable()
 
 
 def random_forest(rng: random.Random, size: int) -> AnnotationStore:

@@ -1,5 +1,8 @@
 import socket
+import subprocess
+import sys
 import uuid
+from pathlib import Path
 
 import pytest
 
@@ -41,6 +44,19 @@ class TestUsage:
         assert code == 1
         code, _, _ = run(capsys, "layout")
         assert code == 1
+
+    def test_the_parser_loads_neither_the_simulator_nor_the_layout_engine(self):
+        from scotcloud import cli as cli_mod
+
+        probe = (
+            "import sys\n"
+            f"sys.path.insert(0, {str(Path(cli_mod.__file__).parents[1])!r})\n"
+            "import scotcloud.cli\n"
+            "scotcloud.cli.build_parser()\n"
+            "print(sorted(m for m in ('scotcloud.sim', 'scotcloud.layout', 'scotcloud.service') if m in sys.modules))\n"
+        )
+        done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True)
+        assert done.stdout == "['scotcloud.service']\n"
 
 
 class TestWireCommands:
@@ -225,6 +241,17 @@ class TestSimulate:
         code, out, _ = run(capsys, "simulate", "--script", str(script))
         assert code == 0
         assert " usage " in out and " issue " not in out
+
+    def test_a_torn_cloud_walk_is_protocol_error(self, capsys, tmp_path):
+        lines = [f"@0 0 {TAGGER} tag big word{i}" for i in range(60)]
+        lines.append(f"@1000 0 {TAGGER} cloud big")
+        lines += [f"@1010 0 {TAGGER} tag big more{i}" for i in range(40)]
+        script = tmp_path / "bots.txt"
+        script.write_text("\n".join(lines) + "\n", "utf-8")
+        code, out, err = run(capsys, "simulate", "--script", str(script), "--units", "8")
+        assert (code, out) == (2, "")
+        assert err.count("\n") == 1
+        assert "the document changed during the page walk (inconsistent totals: " in err
 
     def test_wire_mode_against_live_server(self, capsys, live_server, tmp_path):
         url, svc = live_server

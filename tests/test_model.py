@@ -29,7 +29,7 @@ from scotcloud.model import (
     store_from_graph,
     store_to_graph,
 )
-from scotcloud.rdfxml import RDF_TYPE, XSD_FLOAT, Iri, Literal, RdfGraph, Triple, parse, serialize
+from scotcloud.rdfxml import RDF_TYPE, XSD_FLOAT, Iri, Literal, RdfGraph, Triple, ValidationError, parse, serialize
 
 from conftest import TAGGER, random_forest, store_state
 
@@ -109,6 +109,15 @@ class TestCloudOf:
         store = AnnotationStore()
         cloud = store.cloud_of(VOCAB.mint("ghost"))
         assert cloud.frequencies == {}
+
+    def test_a_plain_string_is_validated_and_an_iri_is_taken_as_given(self):
+        store = AnnotationStore()
+        store.record(event("mouse", "laser"))
+        assert store.cloud_of(str(MOUSE)) is store.cloud_of(MOUSE)
+        ghost = store.cloud_of("http://example.org/ghost")
+        assert type(ghost.resource) is Iri and ghost.frequencies == {}
+        with pytest.raises(ValidationError):
+            store.cloud_of("http://example.org/a b")
 
     def test_mouse_history_has_six_tags(self):
         store = AnnotationStore()

@@ -20,6 +20,8 @@ from scotcloud.rdfxml import (
     serialize,
 )
 
+from conftest import cyclic_garbage
+
 EX = "http://example.org/ns#"
 SCOT = "http://scot-project.org/scot/ns#"
 MOUSE = Iri("http://yourdns.com/rdfs/mouse.rdf")
@@ -312,6 +314,48 @@ class TestParse:
     def test_non_xml_garbage(self):
         with pytest.raises(RdfParseError):
             parse("this is not xml")
+
+    def test_declared_prefixes_become_bindings_and_the_first_declaration_wins(self):
+        doc = (
+            f'<rdf:RDF xmlns:rdf="{RDF_NS}" xmlns="http://default/" xmlns:ex="{EX}">'
+            f'<rdf:Description rdf:about="http://a/x" xmlns:ex="http://later/" xmlns:scot="{SCOT}">'
+            f"<ex:name>why</ex:name>"
+            f"</rdf:Description></rdf:RDF>"
+        )
+        graph = parse(doc)
+        assert graph.bindings == {"rdf": RDF_NS, "ex": EX, "scot": SCOT}
+        assert set(graph) == {Triple(Iri("http://a/x"), Iri("http://later/name"), Literal("why"))}
+
+    def test_an_error_far_into_a_large_document_gives_its_own_line_and_column(self):
+        graph = RdfGraph({"ex": EX})
+        for i in range(600):
+            graph.add(Triple(Iri(f"http://example.org/r/{i}"), Iri(EX + "name"), Literal(f"resource number {i}")))
+        lines = serialize(graph).splitlines()
+        assert sum(len(line) + 1 for line in lines[:-40]) > 64 * 1024
+        lines[-40] = "    <ex:name>x</ex:nam>"
+        with pytest.raises(RdfParseError) as info:
+            parse("\n".join(lines) + "\n")
+        assert (info.value.line, info.value.column) == (len(lines) - 39, 16)
+
+    def test_empty_document_is_a_parse_error_at_its_start(self):
+        with pytest.raises(RdfParseError) as info:
+            parse(b"")
+        assert (info.value.line, info.value.column) == (1, 0)
+
+
+class TestNoCyclicGarbage:
+    """A parse leaves nothing that waits for the cyclic garbage collector."""
+
+    def test_parse_of_a_document(self):
+        text = serialize(random_graph(random.Random(8)))
+        assert cyclic_garbage(lambda: parse(text)) == []
+
+    def test_parse_that_fails(self):
+        def malformed():
+            with pytest.raises(RdfParseError):
+                parse('<?xml version="1.0"?>\n<rdf:RDF xmlns:rdf="x://y">\n  <broken\n')
+
+        assert cyclic_garbage(malformed) == []
 
 
 class TestRoundtrip:

@@ -42,7 +42,7 @@ from scotcloud.service import (
     snapshot_store,
 )
 
-from conftest import TAGGER, fetch_full, random_forest, seed_mouse, store_state
+from conftest import TAGGER, cyclic_garbage, fetch_full, random_forest, seed_mouse, store_state
 from scotcloud.sim import HttpTransport
 
 VOCAB = VocabConfig()
@@ -1537,3 +1537,44 @@ class TestOneSendPerResponse:
         assert len(sends) == 200
         assert len(opened) == 1
         assert _kept_count(service) == 200
+
+
+class TestNoCyclicGarbage:
+    """Restores and in-process requests leave nothing that waits for the cyclic garbage collector."""
+
+    def mixed_batch(self, service: AnnotationService) -> None:
+        statuses = set()
+        for i in range(40):
+            for query in (
+                f"/tag?resource=big&tag=word{i}&tagger={TAGGER}",
+                f"/tag?resource=mouse&tag=laser&tagger={TAGGER}",
+                f"/attach?parent=word{i}&child=word{i + 1}&tagger={TAGGER}",
+                f"/attach?parent=word{i + 1}&child=word0&tagger={TAGGER}",  # a cycle
+                "/cloud?resource=big",
+                "/cloud?resource=big&page=1",
+                "/map?root=word0&depth=3",
+                "/map?root=ghost",
+                "/export",
+                "/export?page=1",
+                f"/tag?resource=a%20b&tag=x&tagger={TAGGER}",
+                "/nowhere",
+            ):
+                statuses.add(service.handle_url(query).status)
+        assert statuses == {200, 400, 404, 409}
+
+    def test_restore_store(self, tmp_path):
+        service = AnnotationService(ServiceConfig(store_path=str(tmp_path / "live")))
+        self.mixed_batch(service)
+        service.close()
+        assert cyclic_garbage(lambda: restore_store(str(tmp_path / "live"))) == []
+
+    def test_a_mixed_batch_of_requests(self):
+        service = AnnotationService()
+        assert cyclic_garbage(lambda: self.mixed_batch(service)) == []
+
+    def test_a_mixed_batch_of_requests_that_write_through(self, tmp_path):
+        service = AnnotationService(ServiceConfig(store_path=str(tmp_path / "live")))
+        try:
+            assert cyclic_garbage(lambda: self.mixed_batch(service)) == []
+        finally:
+            service.close()

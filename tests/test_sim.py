@@ -1,10 +1,12 @@
 import hashlib
 import random
 import uuid
+import weakref
 from collections import deque
 
 import pytest
 
+from scotcloud.model import VocabConfig
 from scotcloud.service import AnnotationService, Page, paginate
 from scotcloud.sim import (
     WINDOW_MAX,
@@ -20,9 +22,10 @@ from scotcloud.sim import (
     reassemble,
 )
 
-from conftest import TAGGER, store_state
+from conftest import TAGGER, cyclic_garbage, store_state
 
 AVATAR = uuid.UUID("00000000-0000-4000-8000-00000000beef")
+VOCAB = VocabConfig()
 
 
 def make_sim(units=1, seed=0, **kwargs) -> Simulator:
@@ -306,6 +309,25 @@ class TestNonPageBody:
         assert sim.commands[0].failed
 
 
+class TestPageFanOut:
+    def test_a_walk_longer_than_the_rate_window_asks_for_each_page_once_in_order(self):
+        service = AnnotationService()
+        for i in range(400):
+            service.handle_url(f"/tag?resource=big&tag=tag{i:03d}&tagger={TAGGER}")
+        total = service.handle_url("/cloud?resource=big").page.total
+        assert total > 2 * WINDOW_MAX
+
+        sim = Simulator(service, units=1)
+        chat_at(sim, 0, "cloud big")
+        trace = sim.run([])
+        pages = [line.rsplit("page=", 1)[1] if "page=" in line else "0"
+                 for line in trace.splitlines() if line.split(" ")[1] == "issue"]
+        assert pages == [str(i) for i in range(total)]
+        assert [line.split(" ", 1)[1].split(" ")[:3] for line in trace.splitlines() if " complete " in line] == [
+            ["complete", "cloud", "200"]
+        ]
+
+
 class TestOnePageMutation:
     def test_a_tag_whose_answer_would_need_two_pages_is_sent_once_and_refused(self):
         service = AnnotationService()
@@ -453,6 +475,55 @@ class TestDeterminism:
             elif kind == "attach":
                 direct.handle_url(f"/attach?parent={args[0]}&child={args[1]}&tagger={line.sender}")
         assert store_state(service.store)[0] == store_state(direct.store)[0]
+
+
+def torn_walk(service: AnnotationService) -> list[ScriptLine]:
+    """A script whose `cloud big` walk is torn: tags that add pages land between its first and second page."""
+    for i in range(60):
+        service.handle_url(f"/tag?resource=big&tag=word{i}&tagger={TAGGER}")
+    return [ScriptLine(0, 0, AVATAR, "cloud big")] + [ScriptLine(10, 0, AVATAR, f"tag big more{i}") for i in range(40)]
+
+
+class TestFreedAtOnce:
+    """A simulator lends its in-process service only the clock, so with the
+    cyclic garbage collector off it is freed as soon as its last reference goes."""
+
+    def run_and_drop(self, service: AnnotationService, script: list[ScriptLine]) -> tuple[str, int]:
+        sim = Simulator(service, units=4, seed=3)
+        ending = "ok"
+        try:
+            sim.run(script)
+        except ReassemblyError:
+            ending = "aborted"
+        last = sim.now
+        ref = weakref.ref(sim)
+        del sim
+        assert ref() is None
+        return ending, last
+
+    def test_a_run_that_completes(self):
+        service = AnnotationService()
+        script = TestDeterminism().build_script()
+        outcome = []
+        assert cyclic_garbage(lambda: outcome.append(self.run_and_drop(service, script))) == []
+        assert outcome[0][0] == "ok"
+
+    def test_a_run_that_a_torn_walk_aborts(self):
+        service = AnnotationService()
+        script = torn_walk(service)
+        outcome = []
+        assert cyclic_garbage(lambda: outcome.append(self.run_and_drop(service, script))) == []
+        assert outcome[0][0] == "aborted"
+
+    def test_the_service_outlives_its_simulator_and_keeps_its_last_time(self):
+        service = AnnotationService()
+        ending, last = self.run_and_drop(service, TestDeterminism().build_script())
+        assert ending == "ok"
+        assert last > 0
+        response = service.handle_url(f"/tag?resource=after&tag=late&tagger={TAGGER}")
+        assert (response.status, response.page.payload) == (200, b"ok late 1")
+        assert service.store.events[-1].resource == VOCAB.resource_iri("after")
+        assert service.store.events[-1].timestamp_ms == last
 
 
 class TestScriptFormat:
