@@ -64,11 +64,7 @@ def _emit(text: str, out: Optional[str]) -> int:
 def _call(args: argparse.Namespace, path: str, params: list[tuple[str, str]]) -> tuple[int, str]:
     from . import sim
 
-    transport = sim.HttpTransport(_server_url(args))
-    try:
-        status, body = sim.fetch_body(transport, path, params)
-    finally:
-        transport.close()
+    status, body = sim.fetch_body(sim.HttpTransport(_server_url(args)), path, params)
     return status, body.decode("utf-8")
 
 
@@ -210,11 +206,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         )
     except (sim.SimError, ValueError) as exc:
         return _fail(EXIT_USAGE, f"simulate: {exc}")
-    try:
-        sys.stdout.write(simulator.run(script))
-    finally:
-        if isinstance(target, sim.HttpTransport):
-            target.close()
+    sys.stdout.write(simulator.run(script))
     return EXIT_OK
 
 

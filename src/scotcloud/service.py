@@ -560,7 +560,7 @@ def _replay_line(store: AnnotationStore, line: str, taggers: dict[str, uuid.UUID
     parts = line.split("\t")
     if len(parts) != 3:
         raise ValueError(f"attach line does not have 3 fields: {line!r}")
-    store.attach(parts[1], parts[2])
+    store.attach(model._check_label(parts[1]), model._check_label(parts[2]))
 
 
 def snapshot_store(store: AnnotationStore, path: str) -> None:
@@ -599,15 +599,15 @@ def restore_store(path: str) -> AnnotationStore:
     """Rebuild a store by replaying a store directory's log.
 
     Event lines go through `AnnotationStore.record` and attach lines
-    through `AnnotationStore.attach`. A directory written by older
-    versions may also hold `snapshot.rdf`: only its `skos:broader` edges
-    are read, before the log, and its clouds are ignored because the log
-    holds the same events. An unterminated last line is what a crash
-    mid-append leaves behind; it is dropped with a warning. A directory
-    that is empty, or holds only the temporary file of a `snapshot_store`
-    that never finished, is an empty store: a crash can leave either
-    before the first line is written. Raises StoreLoadError and leaves
-    nothing half-built.
+    through `AnnotationStore.attach`; either is refused if a label in it
+    is not normalized. A directory written by older versions may also hold
+    `snapshot.rdf`: only its `skos:broader` edges are read, before the
+    log, and its clouds are ignored because the log holds the same events.
+    An unterminated last line is what a crash mid-append leaves behind; it
+    is dropped with a warning. A directory that is empty, or holds only
+    the temporary file of a `snapshot_store` that never finished, is an
+    empty store: a crash can leave either before the first line is
+    written. Raises StoreLoadError and leaves nothing half-built.
     """
     directory = Path(path)
     if not directory.is_dir():

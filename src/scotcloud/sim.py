@@ -21,7 +21,6 @@ import hashlib
 import heapq
 import http.client
 import random
-import socket
 import uuid
 from collections import deque
 from dataclasses import dataclass, field
@@ -112,64 +111,33 @@ class InProcessTransport:
         return response.status, response.encode()
 
 
-# How a kept-alive connection that the server closed while idle fails:
-# before any byte of a response arrives.
-_STALE_CONNECTION = (http.client.RemoteDisconnected, ConnectionResetError, BrokenPipeError)
-
-
-def _closed_by_server(sock: socket.socket) -> bool:
-    """Whether the server has already ended an idle connection: EOF or a reset is queued."""
-    timeout = sock.gettimeout()
-    sock.settimeout(0)  # a peek that finds nothing queued returns at once
-    try:
-        # socket.socket's own recv: an SSLSocket's refuses flags.
-        return socket.socket.recv(sock, 1, socket.MSG_PEEK) == b""
-    except BlockingIOError:
-        return False
-    except OSError:
-        return True
-    finally:
-        sock.settimeout(timeout)
-
-
 class HttpTransport:
-    """Wire transport over one persistent HTTP/1.1 connection to a live server.
+    """Wire transport to a live server, one HTTP/1.1 connection per request.
 
-    Before a connection is reused it is checked for a close the server has
-    already sent, as after its idle timeout; such a connection is replaced
-    before anything is sent on it. A request that still fails with
-    _STALE_CONNECTION on a reused connection, because the close crossed it
-    on the wire, is sent once more on a new one. Nothing else is retried,
-    since `/tag` and `/attach` are not idempotent. Raises OSError or
-    http.client.HTTPException (InvalidURL for a URL that is not
-    http[s]://host[:port][/prefix]).
+    Each request goes out on a connection of its own, which is closed once
+    the answer is read, and it is never sent twice: `/tag` and `/attach`
+    are not idempotent. A request whose answer is lost raises, and the
+    server may or may not have applied it. An https URL pays one TLS
+    handshake per request. Raises OSError or http.client.HTTPException
+    (InvalidURL for a URL that is not http[s]://host[:port][/prefix]).
     """
 
     def __init__(self, base_url: str):
         split = urlsplit(base_url)
         if split.scheme not in ("http", "https") or not split.netloc:
             raise http.client.InvalidURL(f"not an http URL: {base_url!r}")
-        connection = http.client.HTTPSConnection if split.scheme == "https" else http.client.HTTPConnection
+        self._connection = http.client.HTTPSConnection if split.scheme == "https" else http.client.HTTPConnection
+        self._netloc = split.netloc
         self._prefix = split.path.rstrip("/")
-        self._conn = connection(split.netloc)
 
     def get(self, path_query: str) -> tuple[int, bytes]:
-        if self._conn.sock is not None and _closed_by_server(self._conn.sock):
-            self._conn.close()
-        retry = self._conn.sock is not None
-        while True:
-            try:
-                self._conn.request("GET", self._prefix + path_query)
-                response = self._conn.getresponse()
-                return response.status, response.read()
-            except BaseException as exc:
-                self._conn.close()  # its state is unknown after any failure
-                if not (retry and isinstance(exc, _STALE_CONNECTION)):
-                    raise
-                retry = False
-
-    def close(self) -> None:
-        self._conn.close()
+        conn = self._connection(self._netloc)
+        try:
+            conn.request("GET", self._prefix + path_query)
+            response = conn.getresponse()
+            return response.status, response.read()
+        finally:
+            conn.close()
 
 
 Transport = Union[InProcessTransport, HttpTransport]
@@ -295,8 +263,9 @@ class _Clock:
 class Simulator:
     """Replays chat commands through the listener, the center and the units.
 
-    A simulator owns its units, its event heap, its deferred queue, its
-    trace and its commands, and it holds its transport. An in-process
+    A simulator owns its units, its event heap, its deferred queue and its
+    trace, and it holds its transport. A command lives only as long as a
+    request or page of it is queued or in flight. An in-process
     service is lent only the simulated clock, as its `now_ms`: the service
     keeps no reference to the simulator, so a finished simulator, with
     its trace and pages, is freed as soon as its last reference goes, and
@@ -332,7 +301,6 @@ class Simulator:
         self._queue: deque[_Pending] = deque()
         self._retry_times: set[int] = set()
         self.trace: list[str] = []
-        self.commands: list[_Command] = []
 
     @property
     def now(self) -> int:
@@ -411,7 +379,6 @@ class Simulator:
         else:  # attach
             params = [("parent", args[0]), ("child", args[1]), ("tagger", str(sender))]
         command = _Command(kind, params)
-        self.commands.append(command)
         pending = _Pending(command, build_query(kind, params))
         # listener hands the parsed command to the center on the private channel
         self._emit(f"request {CENTER_CHANNEL} {kind} {pending.query}")

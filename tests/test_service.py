@@ -4,7 +4,6 @@ import hashlib
 import http.client
 import os
 import random
-import select
 import shutil
 import socket
 import sys
@@ -580,6 +579,17 @@ class TestPersistence:
         with pytest.raises(StoreLoadError, match="already has a parent"):
             restore_store(str(target))
 
+    @pytest.mark.parametrize(
+        "line, label",
+        [(f"1\t{TAGGER}\thttp://yourdns.com/rdfs/m\tSole", "Sole"), ("attach\tShoe  \t SOLE", "Shoe  "),
+         ("attach\tshoe\t SOLE", " SOLE")],
+    )
+    def test_line_with_a_label_that_is_not_normalized_errors(self, tmp_path, line, label):
+        (tmp_path / "events.log").write_text(f"attach\tboot\tshoe\n{line}\n", "utf-8")
+        with pytest.raises(StoreLoadError) as caught:
+            restore_store(str(tmp_path))
+        assert str(caught.value) == f"{tmp_path / 'events.log'}:2: label is not normalized: {label!r}"
+
     def test_line_separator_characters_in_iri_survive_restart(self, tmp_path):
         config = ServiceConfig(store_path=str(tmp_path / "live"))
         service = AnnotationService(config)
@@ -766,10 +776,26 @@ class _CutsTheSecondResponse(_Counting):
         self.close_connection = True
 
 
+class _AppliesTheSecondButNeverAnswers(_Counting):
+    """Answers every request but the second, which it applies and then closes on, as a server that dies would."""
+
+    def do_GET(self):
+        self.server.requests = getattr(self.server, "requests", 0) + 1
+        if self.server.requests != 2:
+            super().do_GET()
+            return
+        self.service.handle_url(self.path)
+        self.close_connection = True
+
+
 class _RecordsItsThread:
     def setup(self):
         super().setup()
         self.server.handler_threads.append(threading.current_thread())
+
+
+class _CountsAndRecordsItsThread(_RecordsItsThread, _Counting):
+    pass
 
 
 def _tag_query(tag: str = "t") -> str:
@@ -847,7 +873,6 @@ class TestKeepAlive:
             transport = HttpTransport(url)
             for i in range(1, 4):
                 assert transport.get(_tag_query()) == (200, _tag_page(i))
-            transport.close()
         assert server.connections == 3
         assert _kept_count(svc) == 3
 
@@ -866,8 +891,33 @@ class TestKeepAlive:
             assert transport.get(_tag_query()) == (200, _tag_page(1))
             with pytest.raises(http.client.IncompleteRead):
                 transport.get(_tag_query())
-        assert server.connections == 1
+        assert server.connections == 2
         assert _kept_count(svc) == 2
+
+    def test_tag_whose_answer_is_lost_is_not_sent_again(self):
+        svc = AnnotationService(ServiceConfig(port=0))
+        with http_server(svc, _AppliesTheSecondButNeverAnswers) as (url, server):
+            transport = HttpTransport(url)
+            assert transport.get(_tag_query()) == (200, _tag_page(1))
+            with pytest.raises(http.client.RemoteDisconnected):
+                transport.get(_tag_query())
+        assert server.connections == 2
+        assert _kept_count(svc) == 2
+
+    def test_a_request_leaves_no_connection_open(self):
+        svc = AnnotationService(ServiceConfig(port=0))
+        with http_server(svc, _CountsAndRecordsItsThread) as (url, server):
+            server.handler_threads = []
+            assert server.RequestHandlerClass.timeout == service_module.IDLE_TIMEOUT_S == 30
+            transport = HttpTransport(url)
+            for i in range(1, 4):
+                assert transport.get(_tag_query()) == (200, _tag_page(i))
+            deadline = time.monotonic() + 2
+            while any(t.is_alive() for t in server.handler_threads) and time.monotonic() < deadline:
+                time.sleep(0.02)
+            alive = sum(t.is_alive() for t in server.handler_threads)
+        assert server.connections == 3
+        assert alive == 0
 
     def test_idle_connections_do_not_pin_handler_threads(self):
         svc = AnnotationService(ServiceConfig(port=0))
@@ -892,10 +942,8 @@ class TestKeepAlive:
         url, _ = live_server
         transport = HttpTransport(url + "/")
         assert transport.get("/cloud?resource=x")[0] == 200
-        transport.close()
         transport = HttpTransport(url + "/api/")  # sent as /api/cloud, which is no operation
         assert transport.get("/cloud?resource=x") == (404, Page(1, 1, b"unknown").encode())
-        transport.close()
         with pytest.raises(http.client.InvalidURL):
             HttpTransport("ftp://127.0.0.1:1")
 
@@ -912,8 +960,6 @@ class TestTransportReuse:
             transport = HttpTransport(url)
             for i in range(1, 4):
                 assert transport.get(_tag_query()) == (200, _tag_page(i))
-                select.select([transport._conn.sock], [], [], 5)  # until the server's close has arrived
-            transport.close()
         assert len(sent) == 3  # without the check each reuse fails and is sent again: 5
         assert server.connections == 3
         assert _kept_count(svc) == 3

@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import random
 import uuid
@@ -6,6 +7,7 @@ from collections import deque
 
 import pytest
 
+from scotcloud import sim as sim_module
 from scotcloud.model import VocabConfig
 from scotcloud.service import AnnotationService, Page, paginate
 from scotcloud.sim import (
@@ -293,7 +295,6 @@ class TestNonPageBody:
         lines = sim.run([]).splitlines()
         completes = [line.split()[2:5] for line in lines if " complete " in line]
         assert completes == [["tag", "200", "6"], ["cloud", "502", "badpage"], ["tag", "200", "6"]]
-        assert [c.failed for c in sim.commands] == [False, True, False]
         assert any(line.endswith(f"response u1 502 6 {hashlib.sha256(b'<html>').hexdigest()[:8]}") for line in lines)
 
     def test_html_page_mid_walk_fails_the_command_once(self):
@@ -306,7 +307,6 @@ class TestNonPageBody:
         trace = sim.run([])
         completes = [line for line in trace.splitlines() if " complete " in line]
         assert [line.split(" ", 1)[1] for line in completes] == ["complete cloud 502 badpage"]
-        assert sim.commands[0].failed
 
 
 class TestPageFanOut:
@@ -514,6 +514,19 @@ class TestFreedAtOnce:
         outcome = []
         assert cyclic_garbage(lambda: outcome.append(self.run_and_drop(service, script))) == []
         assert outcome[0][0] == "aborted"
+
+    def test_no_command_outlives_its_run(self):
+        service = AnnotationService()
+        for i in range(120):
+            service.handle_url(f"/tag?resource=held&tag=tag{i:03d}&tagger={TAGGER}")
+        assert service.handle_url("/cloud?resource=held").page.total >= 3
+        sim = Simulator(service, units=4)
+        for t in range(0, 400, 20):
+            chat_at(sim, t, "cloud held")
+        trace = sim.run([])
+        assert trace.count(" complete cloud 200 ") == 20
+        commands = [o for o in gc.get_objects() if isinstance(o, sim_module._Command)]
+        assert [c for c in commands if c.params == [("resource", "held")]] == []
 
     def test_the_service_outlives_its_simulator_and_keeps_its_last_time(self):
         service = AnnotationService()
