@@ -170,7 +170,7 @@ def _cmd_import(args: argparse.Namespace) -> int:
         )
     try:
         service_mod.snapshot_store(store, args.store)
-    except OSError as exc:
+    except (service_mod.StoreLoadError, OSError) as exc:
         return _fail(EXIT_DATA, f"import: {exc}")
     print(f"imported {len(store.clouds)} clouds, {len(store.maps)} maps into {args.store}", file=sys.stderr)
     return EXIT_OK
@@ -331,8 +331,15 @@ def main(argv: Optional[list[str]] = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (OSError, http.client.HTTPException):  # subcommands catch their own file errors
-        return _fail(EXIT_PROTOCOL, f"cannot reach server at {_server_url(args)}")
+    except (OSError, http.client.HTTPException) as exc:  # subcommands catch their own file errors
+        from .sim import Unreachable  # loaded already by any subcommand that talks to a server
+
+        if isinstance(exc, (Unreachable, http.client.InvalidURL)):
+            return _fail(EXIT_PROTOCOL, f"cannot reach server at {_server_url(args)}")
+        return _fail(
+            EXIT_PROTOCOL,
+            f"the server at {_server_url(args)} may have applied the request, but its answer was lost ({exc!r})",
+        )
     except service_mod.PageError as exc:
         return _fail(EXIT_PROTOCOL, f"server at {_server_url(args)} sent a body that is not a page: {exc}")
     except ValueError as exc:

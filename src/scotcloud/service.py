@@ -11,8 +11,23 @@ only source of truth for clouds and topic maps alike. It has two kinds of
 LF-terminated, tab-separated line: an annotation event
 (`timestamp_ms tagger resource tag`) and an accepted attach
 (`attach parent child`). Every accepted mutation appends one line, and a
-restart replays them in order. A `snapshot.rdf` left by older versions is
-still read, for its topic-map edges only, and never written.
+restart replays them in order. A directory that holds the `snapshot.rdf`
+of older versions is refused by name: restore and `snapshot_store` raise
+StoreLoadError before they read or write anything.
+
+Every byte this module writes to a store directory goes through
+`_write_all`, one loop over `os.write` that continues a short write;
+the other calls that change the directory are `os.fsync`, `os.replace`,
+`os.unlink` and `os.ftruncate`. A crash at any of them leaves a directory
+that restores to the store before the operation or after it:
+
+- an append leaves at most part of its line, which restore drops;
+- `snapshot_store` leaves the old log until its rename, the new one after;
+- opening the log for appending cuts any partial last line first.
+
+A failed append answers `storage` and cuts what it wrote of its line at
+once; if that cut fails too, the next opening of the log makes it. So
+no line is ever written after a partial one.
 
 A service keeps `events.log` open for appending between writes, so a write
 costs one `write` call. Before each append it compares the path's inode
@@ -23,6 +38,7 @@ removed is followed, not written past.
 
 from __future__ import annotations
 
+import contextlib
 import logging
 import os
 import re
@@ -51,9 +67,11 @@ MIN_PAGE_CAP = 64  # smallest page a response may be split into, header line inc
 PAGE_CAP_TOO_SMALL = f"page cap must be at least {MIN_PAGE_CAP} bytes"
 BODY_CACHE_ENTRIES = 64  # paged bodies kept per service; the oldest goes first
 IDLE_TIMEOUT_S = 30  # a kept-alive connection idle this long is closed, freeing its thread
-SNAPSHOT_FILE = "snapshot.rdf"  # read-only: older versions kept topic maps here
+SNAPSHOT_FILE = "snapshot.rdf"  # older versions kept topic maps here; a directory holding it is refused
 EVENTS_FILE = "events.log"
 EVENTS_TMP = EVENTS_FILE + ".tmp"  # snapshot_store writes here, then renames over EVENTS_FILE
+WRITE_CHUNK = 1 << 16  # snapshot_store passes os.write about this many bytes at a time
+TAIL_READ = 4096  # _cut_torn_tail reads the log backwards this many bytes at a time
 ATTACH_MARK = "attach"
 
 OPERATIONS = ("tag", "cloud", "map", "attach", "export")
@@ -239,11 +257,12 @@ class AnnotationService:
     here, so a stamp need not name it.
 
     With a store directory, the first append opens `events.log` with
-    O_APPEND and the descriptor stays open; each line is one unbuffered
-    `os.write`, so it is in the kernel before memory changes. The path's
-    inode is checked before each append, and a log that was replaced or
-    removed is opened again through the path. A failed append closes the
-    descriptor. `close` releases it.
+    O_APPEND, cuts any partial last line a crash left, and keeps the
+    descriptor open; each line is one unbuffered `os.write`, so it is in
+    the kernel before memory changes. The path's inode is checked before
+    each append, and a log that was replaced or removed is opened again
+    through the path. A failed append cuts what it wrote of its line and
+    closes the descriptor. `close` releases it.
     """
 
     def __init__(
@@ -256,7 +275,6 @@ class AnnotationService:
         self.vocab = self.config.vocab()
         if self.config.store_path and Path(self.config.store_path).exists():
             store = restore_store(self.config.store_path)
-            _cut_torn_tail(Path(self.config.store_path) / EVENTS_FILE)
         self.store = store if store is not None else AnnotationStore()
         self.now_ms = now_ms or _now_wall_ms
         self._lock = threading.Lock()
@@ -464,24 +482,30 @@ class AnnotationService:
         """Append one line to the store directory's log; False if the write failed.
 
         True without writing when the service has no store directory.
-        The caller holds `_lock`.
+        A failed append cuts what it may have written of its line; if
+        that fails too, the next opening of the log cuts it. The caller
+        holds `_lock`.
         """
         if not self.config.store_path:
             return True
         path = os.path.join(self.config.store_path, EVENTS_FILE)
-        data = line.encode("utf-8")
         try:
-            fd = self._log_descriptor(path)
-            while data:
-                data = data[os.write(fd, data) :]
+            _write_all(self._log_descriptor(path), line.encode("utf-8"))
         except OSError as exc:
             log.error("%s: append failed: %s", path, exc)
+            if self._log_fd is not None:
+                with contextlib.suppress(OSError):
+                    _cut_torn_tail(self._log_fd)
             self._close_log()
             return False
         return True
 
     def _log_descriptor(self, path: str) -> int:
-        """The open descriptor of the file now at `path`, opening it if need be."""
+        """The open descriptor of the file now at `path`, opening it if need be.
+
+        Opening cuts any partial last line, which a crash or a failed
+        append whose cut also failed leaves behind.
+        """
         if self._log_fd is not None:
             try:
                 st = os.stat(path)
@@ -492,9 +516,10 @@ class AnnotationService:
             self._close_log()
         os.makedirs(self.config.store_path, exist_ok=True)
         # Held before fstat, so that the caller's failure path closes it too.
-        self._log_fd = os.open(path, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o666)
+        self._log_fd = os.open(path, os.O_RDWR | os.O_APPEND | os.O_CREAT, 0o666)
         st = os.fstat(self._log_fd)
         self._log_id = (st.st_dev, st.st_ino)
+        _cut_torn_tail(self._log_fd)
         return self._log_fd
 
     def _close_log(self) -> None:
@@ -563,36 +588,62 @@ def _replay_line(store: AnnotationStore, line: str, taggers: dict[str, uuid.UUID
     store.attach(model._check_label(parts[1]), model._check_label(parts[2]))
 
 
+def _write_all(fd: int, data: bytes) -> None:
+    """Write all of `data` at `fd`, continuing after a short write: the one writer of store bytes."""
+    while data:
+        data = data[os.write(fd, data) :]
+
+
+def _refuse_legacy(path: str) -> None:
+    legacy = os.path.join(path, SNAPSHOT_FILE)
+    if os.path.lexists(legacy):
+        raise StoreLoadError(f"{legacy}: a store directory of an older version, which this version does not read")
+
+
 def snapshot_store(store: AnnotationStore, path: str) -> None:
     """Write the store under `path` as a fresh `events.log`, atomically.
 
-    The log is written to `events.log.tmp`, synced and renamed over the
-    old one, so an interrupted write leaves the old log as it was.
+    The log is written to `events.log.tmp` in chunks of about
+    WRITE_CHUNK bytes, synced and renamed over the old one. A crash or a
+    failed call before the rename leaves the old log as it was, and
+    perhaps the temporary file, which restore ignores; one after it
+    leaves the new log. A directory that holds `snapshot.rdf` is refused
+    with StoreLoadError before anything is written.
 
     Every event comes first, then each topic map's edges in insertion
     order, which is a valid replay order: `attach` only ever appends to a
     tree's `parent` dict, even when a tree grows upward: it keeps its dict
-    and gets the new root's edge last. A stale `snapshot.rdf` from an
-    older version is deleted, since restore would replay its edges before
-    the log's.
+    and gets the new root's edge last.
     """
-    directory = Path(path)
-    directory.mkdir(parents=True, exist_ok=True)
-    tmp = directory / EVENTS_TMP
+    _refuse_legacy(path)
+    os.makedirs(path, exist_ok=True)
+    tmp = os.path.join(path, EVENTS_TMP)
     try:
-        with tmp.open("w", encoding="utf-8", newline="\n") as fh:
-            for event in store.events:
-                fh.write(format_event_line(event))
-            for tree in store.maps.values():
-                for child, parent in tree.parent.items():
-                    fh.write(format_attach_line(parent, child))
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, directory / EVENTS_FILE)
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
+        try:
+            chunk = bytearray()
+            for line in _store_lines(store):
+                chunk += line.encode("utf-8")
+                if len(chunk) >= WRITE_CHUNK:
+                    _write_all(fd, chunk)
+                    chunk.clear()
+            _write_all(fd, chunk)
+            os.fsync(fd)
+        finally:
+            os.close(fd)
+        os.replace(tmp, os.path.join(path, EVENTS_FILE))
     except BaseException:
-        tmp.unlink(missing_ok=True)
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp)
         raise
-    (directory / SNAPSHOT_FILE).unlink(missing_ok=True)
+
+
+def _store_lines(store: AnnotationStore):
+    for event in store.events:
+        yield format_event_line(event)
+    for tree in store.maps.values():
+        for child, parent in tree.parent.items():
+            yield format_attach_line(parent, child)
 
 
 def restore_store(path: str) -> AnnotationStore:
@@ -600,56 +651,59 @@ def restore_store(path: str) -> AnnotationStore:
 
     Event lines go through `AnnotationStore.record` and attach lines
     through `AnnotationStore.attach`; either is refused if a label in it
-    is not normalized. A directory written by older versions may also hold
-    `snapshot.rdf`: only its `skos:broader` edges are read, before the
-    log, and its clouds are ignored because the log holds the same events.
-    An unterminated last line is what a crash mid-append leaves behind; it
-    is dropped with a warning. A directory that is empty, or holds only
-    the temporary file of a `snapshot_store` that never finished, is an
-    empty store: a crash can leave either before the first line is
-    written. Raises StoreLoadError and leaves nothing half-built.
+    is not normalized. An unterminated last line is what a crash
+    mid-append leaves behind; it is dropped with a warning. A directory
+    that is empty, or holds only the temporary file of a `snapshot_store`
+    that never finished, is an empty store: a crash can leave either
+    before the first line is written. A directory that holds the
+    `snapshot.rdf` of older versions is refused by name. Raises
+    StoreLoadError and leaves nothing half-built.
     """
     directory = Path(path)
     if not directory.is_dir():
         raise StoreLoadError(f"no store directory at {path}")
+    _refuse_legacy(path)
     log_file = directory / EVENTS_FILE
-    snapshot_file = directory / SNAPSHOT_FILE
-    if not log_file.exists() and not snapshot_file.exists():
-        if any(entry.name != EVENTS_TMP for entry in directory.iterdir()):
-            raise StoreLoadError(f"{path} holds neither {EVENTS_FILE} nor {SNAPSHOT_FILE}")
     store = AnnotationStore()
-    if snapshot_file.exists():
+    if not log_file.exists():
+        if any(entry.name != EVENTS_TMP for entry in directory.iterdir()):
+            raise StoreLoadError(f"{path} holds neither {EVENTS_FILE} nor only an unfinished {EVENTS_TMP}")
+        return store
+    # Split on LF only: IRIs may hold U+2028 or U+0085, which
+    # str.splitlines() would also treat as line ends.
+    *lines, torn = log_file.read_bytes().split(b"\n")
+    if torn:
+        log.warning("%s: dropping unterminated last line %r", log_file, torn)
+    # A store has few taggers and resources and many lines: each is parsed once.
+    taggers: dict[str, uuid.UUID] = {}
+    resources: dict[str, Iri] = {}
+    for lineno, raw in enumerate(lines, 1):
+        if not raw:
+            continue
         try:
-            model.attach_broader_edges(store, rdfxml.parse(snapshot_file.read_text("utf-8")))
-        except (rdfxml.RdfParseError, model.CloudShapeError) as exc:
-            raise StoreLoadError(f"{snapshot_file}: {exc}") from None
-    if log_file.exists():
-        # Split on LF only: IRIs may hold U+2028 or U+0085, which
-        # str.splitlines() would also treat as line ends.
-        *lines, torn = log_file.read_bytes().split(b"\n")
-        if torn:
-            log.warning("%s: dropping unterminated last line %r", log_file, torn)
-        # A store has few taggers and resources and many lines: each is parsed once.
-        taggers: dict[str, uuid.UUID] = {}
-        resources: dict[str, Iri] = {}
-        for lineno, raw in enumerate(lines, 1):
-            if not raw:
-                continue
-            try:
-                _replay_line(store, raw.decode("utf-8"), taggers, resources)
-            except (ValueError, model.AttachError) as exc:
-                raise StoreLoadError(f"{log_file}:{lineno}: {exc}") from None
+            _replay_line(store, raw.decode("utf-8"), taggers, resources)
+        except (ValueError, model.AttachError) as exc:
+            raise StoreLoadError(f"{log_file}:{lineno}: {exc}") from None
     return store
 
 
-def _cut_torn_tail(log_file: Path) -> None:
-    """Truncate the log after its last LF, so the next append starts a line of its own."""
-    if not log_file.exists():
-        return
-    with log_file.open("r+b") as fh:
-        end = fh.read().rfind(b"\n") + 1
-        if end < fh.tell():
-            fh.truncate(end)
+def _cut_torn_tail(fd: int) -> None:
+    """Truncate the log open at `fd` after its last LF, so the next append starts a line of its own.
+
+    The log is read backwards from its end, TAIL_READ bytes at a time,
+    until an LF turns up: a log whose last line is whole costs one read.
+    """
+    end = pos = os.fstat(fd).st_size
+    keep = 0
+    while pos > 0:
+        start = max(0, pos - TAIL_READ)
+        lf = os.pread(fd, pos - start, start).rfind(b"\n")
+        if lf >= 0:
+            keep = start + lf + 1
+            break
+        pos = start
+    if keep < end:
+        os.ftruncate(fd, keep)
 
 
 # -- HTTP front door -----------------------------------------------------------

@@ -111,15 +111,21 @@ class InProcessTransport:
         return response.status, response.encode()
 
 
+class Unreachable(ConnectionError):
+    """No connection to the server could be made, so the request never went out."""
+
+
 class HttpTransport:
     """Wire transport to a live server, one HTTP/1.1 connection per request.
 
     Each request goes out on a connection of its own, which is closed once
     the answer is read, and it is never sent twice: `/tag` and `/attach`
-    are not idempotent. A request whose answer is lost raises, and the
-    server may or may not have applied it. An https URL pays one TLS
-    handshake per request. Raises OSError or http.client.HTTPException
-    (InvalidURL for a URL that is not http[s]://host[:port][/prefix]).
+    are not idempotent. A connection that cannot be made raises
+    Unreachable. Any later error means the answer is lost, and the server
+    may or may not have applied the request; it raises as OSError or
+    http.client.HTTPException. An https URL pays one TLS handshake per
+    request. InvalidURL is raised for a URL that is not
+    http[s]://host[:port][/prefix].
     """
 
     def __init__(self, base_url: str):
@@ -133,6 +139,10 @@ class HttpTransport:
     def get(self, path_query: str) -> tuple[int, bytes]:
         conn = self._connection(self._netloc)
         try:
+            try:
+                conn.connect()
+            except OSError as exc:
+                raise Unreachable(f"{self._netloc}: {exc}") from exc
             conn.request("GET", self._prefix + path_query)
             response = conn.getresponse()
             return response.status, response.read()

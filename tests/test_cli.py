@@ -2,6 +2,7 @@ import socket
 import subprocess
 import sys
 import uuid
+from http.server import ThreadingHTTPServer
 from pathlib import Path
 
 import pytest
@@ -123,6 +124,21 @@ class TestWireCommands:
         assert code == 2
         assert "cannot reach" in err
 
+    @pytest.mark.parametrize("url", ["http://127.0.0.1:port", "ftp://127.0.0.1:9"])
+    def test_a_url_that_cannot_be_connected_to_is_unreachable(self, capsys, url):
+        code, _, err = run(capsys, "tag", "--resource", "m", "--tag", "t", "--url", url)
+        assert (code, err) == (2, f"cannot reach server at {url}\n")
+
+    def test_a_lost_answer_says_the_request_may_have_been_applied(self, capsys):
+        from test_service import _AppliesButNeverAnswers, http_server
+
+        svc = AnnotationService(ServiceConfig(port=0))
+        with http_server(svc, _AppliesButNeverAnswers) as (url, _):
+            code, out, err = run(capsys, "tag", "--resource", "m", "--tag", "t", "--url", url)
+        assert (code, out) == (2, "")
+        assert "cannot reach" not in err and "may have applied the request" in err
+        assert svc.store.cloud_of(VOCAB.resource_iri("m")).frequencies == {"t": 1}
+
     def test_non_page_body_is_protocol_error(self, capsys, monkeypatch):
         monkeypatch.setattr(sim.HttpTransport, "get", lambda self, path_query: (502, b"<html>"))
         code, _, err = run(capsys, "cloud", "--resource", "m", "--url", "http://127.0.0.1:9")
@@ -187,6 +203,37 @@ class TestExportImport:
     def test_import_of_missing_file_is_data_error(self, capsys, tmp_path):
         code, _, _ = run(capsys, "import", "--in", str(tmp_path / "nope.rdf"), "--store", str(tmp_path / "s"))
         assert code == 3
+
+
+class TestSnapshotRdfDirectory:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["serve", "--port", "0"],
+            ["layout", "--resource", "mouse"],
+            ["simulate", "--script", "{script}"],
+            ["import", "--in", "{export}"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_a_store_directory_holding_snapshot_rdf_exits_3_and_names_it(self, capsys, monkeypatch, tmp_path, argv):
+        # older versions kept topic maps in snapshot.rdf next to a tag-only log
+        monkeypatch.setattr(ThreadingHTTPServer, "serve_forever", lambda server, *args, **kwargs: None)  # no hang
+        svc = AnnotationService()
+        seed_mouse(svc)
+        svc.handle_url(f"/attach?parent=shoe&child=rubber&tagger={TAGGER}")
+        (tmp_path / "export.rdf").write_bytes(fetch_full(svc, "export", {}))
+        (tmp_path / "bots.txt").write_text(SCRIPT, "utf-8")
+        old = tmp_path / "old"
+        old.mkdir()
+        (old / "snapshot.rdf").write_bytes(fetch_full(svc, "export", {}))
+        (old / "events.log").write_text(f"1\t{TAGGER}\thttp://yourdns.com/rdfs/mouse.rdf\tlaser\n", "utf-8")
+        before = {p.name: p.read_bytes() for p in old.iterdir()}
+        argv = [arg.format(script=tmp_path / "bots.txt", export=tmp_path / "export.rdf") for arg in argv]
+        code, out, err = run(capsys, *argv, "--store", str(old))
+        assert (code, out) == (3, "")
+        assert f"{old / 'snapshot.rdf'}: " in err
+        assert {p.name: p.read_bytes() for p in old.iterdir()} == before
 
 
 SCRIPT = """\

@@ -1,5 +1,6 @@
 import contextlib
 import copy
+import errno
 import hashlib
 import http.client
 import os
@@ -20,7 +21,7 @@ from hypothesis import strategies as st
 
 from scotcloud.model import AnnotationStore, VocabConfig
 from scotcloud.rdfxml import Iri, parse, serialize
-from scotcloud import model, rdfxml
+from scotcloud import cli, model, rdfxml
 from scotcloud import service as service_module
 from scotcloud.service import (
     AnnotationService,
@@ -636,33 +637,25 @@ class TestPersistence:
             assert clouds.pop(VOCAB.resource_iri("after")) == {"next": 1}
             assert (clouds, maps) == states[done], cut
 
-    def legacy_directory(self, path, store: AnnotationStore) -> None:
-        """Write a directory the way earlier versions did: RDF snapshot plus a tag-only log."""
-        from scotcloud.service import format_event_line
-
-        path.mkdir()
-        (path / "snapshot.rdf").write_text(serialize(model.store_to_graph(store, VOCAB)), "utf-8")
-        (path / "events.log").write_text("".join(map(format_event_line, store.events)), "utf-8")
-
-    def test_legacy_directory_restores_and_takes_new_attaches(self, tmp_path):
+    @pytest.mark.parametrize("with_log", [True, False], ids=["with-log", "snapshot-only"])
+    def test_a_directory_holding_snapshot_rdf_is_refused_by_name(self, tmp_path, with_log):
+        # older versions kept topic maps in snapshot.rdf next to a tag-only log
         store = self.random_store()
-        self.legacy_directory(tmp_path / "old", store)
-        assert store_state(restore_store(str(tmp_path / "old"))) == store_state(store)
-
-        config = ServiceConfig(store_path=str(tmp_path / "old"))
-        service = AnnotationService(config)
-        assert store_state(service.store) == store_state(store)
-        response = service.handle(ApiRequest("attach", {"parent": "sole", "child": "tread", "tagger": str(TAGGER)}))
-        assert response.status == 200
-        store.attach("sole", "tread")
-        assert store_state(AnnotationService(config).store) == store_state(store)
-
-    def test_snapshot_store_replaces_a_legacy_directory(self, tmp_path):
-        store = self.random_store()
-        self.legacy_directory(tmp_path / "old", store)
-        snapshot_store(restore_store(str(tmp_path / "old")), str(tmp_path / "old"))
-        assert [p.name for p in (tmp_path / "old").iterdir()] == ["events.log"]
-        assert store_state(restore_store(str(tmp_path / "old"))) == store_state(store)
+        old = tmp_path / "old"
+        old.mkdir()
+        (old / "snapshot.rdf").write_text(serialize(model.store_to_graph(store, VOCAB)), "utf-8")
+        if with_log:
+            (old / "events.log").write_text("".join(map(format_event_line, store.events)), "utf-8")
+        before = {p.name: p.read_bytes() for p in old.iterdir()}
+        for action in (
+            lambda: restore_store(str(old)),
+            lambda: AnnotationService(ServiceConfig(store_path=str(old))),
+            lambda: snapshot_store(store, str(old)),
+        ):
+            with pytest.raises(StoreLoadError) as caught:
+                action()
+            assert str(caught.value).startswith(f"{old / 'snapshot.rdf'}: ")
+        assert {p.name: p.read_bytes() for p in old.iterdir()} == before
 
 
 def http_get(url: str, path: str, params: dict | None = None) -> tuple[int, bytes]:
@@ -1450,6 +1443,284 @@ class TestStorageFailure:
         assert [service.handle_url(url).encode() for url in self.READS] == before
         uncached = AnnotationService(store=service.store)
         assert [uncached.handle_url(url).encode() for url in self.READS] == before
+
+
+class _Crash(BaseException):
+    """The process died at a disk call; an `except OSError` does not catch it."""
+
+
+class _Disk:
+    """Stands in for the os calls that change a store directory.
+
+    It counts each call to one of CALLS and acts at call number `at`:
+    "fail" raises OSError there, "fail-on" there and at every later call
+    (a disk gone bad), "fail-then-stop" fails there and crashes at the
+    next call. "stop" crashes there. A crash raises _Crash, and every
+    later call raises it too and does nothing, cleanup handlers included.
+    With `short`, each write writes about half of what it is given.
+    """
+
+    CALLS = ("write", "fsync", "replace", "unlink", "ftruncate", "truncate")
+
+    def __init__(self, action: str = "", at: int = 0, short: bool = False):
+        self.action, self.at, self.short = action, at, short
+        self.calls = 0
+        self.written = 0
+        self.stopped = False
+
+    def wrap(self, name: str, real):
+        def call(*args, **kwargs):
+            if self.stopped:
+                raise _Crash
+            self.calls += 1
+            fault = ""
+            if self.calls == self.at:
+                fault = self.action
+            elif self.calls > self.at > 0:
+                fault = {"fail-on": "fail", "fail-then-stop": "stop"}.get(self.action, "")
+            if fault == "stop":
+                self.stopped = True
+                raise _Crash
+            if fault:
+                raise OSError(errno.ENOSPC, "No space left on device")
+            if name == "write":
+                fd, data = args
+                done = real(fd, data[: max(1, len(data) // 2)] if self.short else data)
+                self.written += done
+                return done
+            return real(*args, **kwargs)
+
+        return call
+
+    @contextlib.contextmanager
+    def armed(self):
+        with pytest.MonkeyPatch.context() as patch:
+            for name in self.CALLS:
+                patch.setattr(os, name, self.wrap(name, getattr(os, name)))
+            yield self
+
+
+def _small_store(seed: int) -> AnnotationStore:
+    """A store whose log is a few kB, so that halving every write still makes few calls."""
+    rng = random.Random(seed)
+    store = AnnotationStore()
+    for _ in range(20):
+        resource, label = VOCAB.mint(f"res{rng.randrange(5)}"), f"tag{rng.randrange(9)}"
+        store.record(model.AnnotationEvent(rng.randrange(10_000), TAGGER, resource, label))
+    store.attach("shoe", "rubber")
+    store.attach("rubber", "sole")
+    return store
+
+
+def _restart(directory: Path):
+    """What a fresh start makes of a store directory: its store's state, or the refusal."""
+    try:
+        return store_state(restore_store(str(directory)))
+    except StoreLoadError as exc:
+        return f"refused: {exc}"
+
+
+class TestCrashPoints:
+    """Fail or crash at every call that changes a store directory, then restart.
+
+    A restart must give the store from before the operation or from after
+    it (before, if the operation reported a failure; after, if it reported
+    success), and the next append must be a line of its own.
+    """
+
+    STORES = [_small_store(seed) for seed in (0, 1)]
+
+    def request(self, url: str, torn_tail: bytes = b""):
+        """A mutation on a service whose log is open, or, after `torn_tail`, on a service that starts then."""
+
+        def prepare(directory: Path):
+            snapshot_store(self.STORES[0], str(directory))
+            live = []
+
+            def start():
+                live.append(AnnotationService(ServiceConfig(store_path=str(directory))))
+
+            if torn_tail:  # as a crash in the middle of an append leaves it
+                with open(directory / "events.log", "ab") as log_file:
+                    log_file.write(torn_tail)
+            else:
+                start()
+                assert live[0].handle_url(f"/tag?resource=mouse&tag=warm&tagger={TAGGER}").ok  # opens the log
+
+            def op():
+                if not live:
+                    start()
+                response = live[0].handle_url(f"{url}&tagger={TAGGER}")
+                assert response.ok or (response.status, response.page.payload) == (500, b"storage")
+                return response.ok
+
+            return op, live
+
+        return prepare
+
+    def snapshot(self, directory: Path):
+        snapshot_store(self.STORES[0], str(directory))
+
+        def op():
+            try:
+                snapshot_store(self.STORES[1], str(directory))
+            except OSError:
+                return False
+            return True
+
+        return op, []
+
+    def import_(self, legacy: bool):
+        def prepare(directory: Path):
+            document = directory.parent / "export.rdf"
+            document.write_text(serialize(model.store_to_graph(self.STORES[1], VOCAB)), "utf-8")
+            snapshot_store(self.STORES[0], str(directory))
+            if legacy:  # as older versions wrote it: topic maps in snapshot.rdf
+                (directory / "snapshot.rdf").write_text(serialize(model.store_to_graph(self.STORES[0], VOCAB)))
+                (directory / "events.log").write_text("".join(map(format_event_line, self.STORES[0].events)))
+            return lambda: cli.main(["import", "--in", str(document), "--store", str(directory)]) == 0, []
+
+        return prepare
+
+    def takes_a_tag(self, directory: Path, state, service=None) -> None:
+        service = service or AnnotationService(ServiceConfig(store_path=str(directory)))
+        assert service.handle_url(f"/tag?resource=after&tag=next&tagger={TAGGER}").ok
+        service.close()
+        restored = _restart(directory)
+        assert not isinstance(restored, str), restored
+        clouds, maps = restored
+        assert clouds.pop(VOCAB.resource_iri("after")) == {"next": 1}
+        assert (clouds, maps) == state
+
+    def run(self, tmp_path: Path, prepare, disk: _Disk):
+        """Prepare a directory and run the operation on `disk`: (directory, state before, reported outcome, service).
+
+        The outcome is None after a crash, and the service is the one still running, if any.
+        """
+        directory = tmp_path / f"run{len(list(tmp_path.iterdir()))}" / "store"
+        directory.parent.mkdir()
+        op, live = prepare(directory)
+        before = _restart(directory)
+        reported = None
+        with disk.armed():
+            try:
+                reported = op()
+            except _Crash:
+                for service in live:
+                    service.close()  # what the crash frees; the next start is a fresh service
+                live = []
+        return directory, before, reported, live[0] if live else None
+
+    @pytest.mark.parametrize(
+        "name",
+        ["tag", "attach", "tag-on-a-torn-log", "snapshot", "import", "import-over-snapshot.rdf"],
+    )
+    @pytest.mark.parametrize("short", [False, True], ids=["whole-writes", "short-writes"])
+    def test_restart_after_a_fault_at_every_call(self, tmp_path, name, short):
+        prepare = {
+            "tag": self.request("/tag?resource=mouse&tag=optical"),
+            "attach": self.request("/attach?parent=rubber&child=heel"),
+            "tag-on-a-torn-log": self.request("/tag?resource=mouse&tag=optical", torn_tail=b"7\tpart of a li"),
+            "snapshot": self.snapshot,
+            "import": self.import_(legacy=False),
+            "import-over-snapshot.rdf": self.import_(legacy=True),
+        }[name]
+        clean = _Disk(short=short)
+        directory, before, reported, service = self.run(tmp_path, prepare, clean)
+        after = _restart(directory)
+        assert reported is not None
+        if name in ("snapshot", "import"):  # every byte of the new log went through os.write
+            assert clean.written == (directory / "events.log").stat().st_size
+        if isinstance(after, str):  # a refused directory is refused before anything is written
+            assert (reported, after, clean.calls) == (False, before, 0)
+        else:
+            assert reported and after != before
+            self.takes_a_tag(directory, after, service)
+        for at in range(1, clean.calls + 1):
+            for action in ("fail", "fail-on", "fail-then-stop", "stop"):
+                directory, _, reported, service = self.run(tmp_path, prepare, _Disk(action, at, short))
+                restarted = _restart(directory)
+                where = (action, at)
+                assert restarted in (before, after), where
+                if reported is not None:
+                    assert restarted == (after if reported else before), where
+                if not isinstance(restarted, str):  # a refused directory takes no tag
+                    self.takes_a_tag(directory, restarted, service)
+
+
+class TestTornAppend:
+    LINES = {
+        "tag": format_event_line(model.AnnotationEvent(1234, TAGGER, VOCAB.mint("mouse"), "optical")),
+        "attach": "attach\trubber\theel\n",
+    }
+    URLS = {"tag": "/tag?resource=mouse&tag=optical", "attach": "/attach?parent=rubber&child=heel"}
+
+    @pytest.mark.parametrize("mutation", ["tag", "attach"])
+    def test_a_write_that_fails_after_part_of_its_line_leaves_no_part_behind(self, tmp_path, mutation):
+        line = self.LINES[mutation].encode("utf-8")
+        for split in range(len(line)):
+            live = tmp_path / f"split{split}"
+            service = AnnotationService(ServiceConfig(store_path=str(live)), now_ms=lambda: 1234)
+            seed_mouse(service)
+            assert service.handle_url(f"/attach?parent=shoe&child=rubber&tagger={TAGGER}").ok
+            state, logged = store_state(service.store), (live / "events.log").read_bytes()
+            real_write, writes = os.write, []
+
+            def write_part_then_fail(fd, data):
+                writes.append(bytes(data))
+                if len(writes) == 1:
+                    return real_write(fd, data[:split])
+                raise OSError(errno.ENOSPC, "No space left on device")
+
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(os, "write", write_part_then_fail)
+                response = service.handle_url(f"{self.URLS[mutation]}&tagger={TAGGER}")
+            assert writes[0] == line
+            assert (response.status, response.page.payload) == (500, b"storage")
+            assert store_state(service.store) == state
+            assert (live / "events.log").read_bytes() == logged  # cut at once
+            response = service.handle_url(f"/tag?resource=mouse&tag=laser&tagger={TAGGER}")
+            assert (response.status, response.page.payload) == (200, b"ok laser 4"), split
+            assert (live / "events.log").read_bytes() == logged + format_event_line(service.store.events[-1]).encode()
+            assert store_state(restore_store(str(live))) == store_state(service.store)
+            service.close()
+
+
+class TestLogTail:
+    def spy(self, monkeypatch, name: str) -> list:
+        """Record the size of every os.`name` call's data from now on."""
+        sizes, real = [], getattr(os, name)
+
+        def call(fd, data_or_size, *args):
+            result = real(fd, data_or_size, *args)
+            sizes.append(len(result) if name == "pread" else result)
+            return result
+
+        monkeypatch.setattr(os, name, call)
+        return sizes
+
+    @pytest.mark.parametrize("reads", [0, 1 / 4096, 1, 3.5], ids=["whole", "one-byte", "one-read", "3.5-reads"])
+    def test_opening_the_log_reads_back_only_to_its_last_lf(self, tmp_path, monkeypatch, reads):
+        torn = int(reads * service_module.TAIL_READ)  # the length of the partial last line
+        lines = "".join(f"{i}\t{TAGGER}\thttp://yourdns.com/rdfs/m.rdf\tt{i}\n" for i in range(2000)).encode()
+        (tmp_path / "events.log").write_bytes(lines + b"9" * torn)
+        service = AnnotationService(ServiceConfig(store_path=str(tmp_path)), now_ms=lambda: 7)
+        read = self.spy(monkeypatch, "pread")
+        assert service.handle_url(f"/tag?resource=m&tag=next&tagger={TAGGER}").ok
+        service.close()
+        appended = f"7\t{TAGGER}\thttp://yourdns.com/rdfs/m.rdf\tnext\n".encode()
+        assert (tmp_path / "events.log").read_bytes() == lines + appended
+        assert sum(read) <= torn + service_module.TAIL_READ < len(lines)
+
+    def test_snapshot_store_writes_bounded_chunks_of_its_lines(self, tmp_path, monkeypatch):
+        store = TestPersistence().random_store(0)
+        while len(store.events) < 3000:  # about 4 chunks
+            store.record(store.events[len(store.events) % 200])
+        expected = "".join(map(format_event_line, store.events)) + "attach\tshoe\trubber\nattach\trubber\tsole\n"
+        written = self.spy(monkeypatch, "write")
+        snapshot_store(store, str(tmp_path))
+        assert (tmp_path / "events.log").read_bytes() == expected.encode("utf-8")
+        assert len(written) > 2 and max(written) < service_module.WRITE_CHUNK + 200
 
 
 def _log_opens(monkeypatch) -> list:
