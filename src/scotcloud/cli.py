@@ -26,8 +26,15 @@ from . import model, rdfxml, service as service_mod
 
 ENV_URL = "SCOTCLOUD_URL"
 ENV_PORT = "SCOTCLOUD_PORT"
-DEFAULT_URL = "http://127.0.0.1:8765"
+DEFAULT_URL = f"http://127.0.0.1:{service_mod.ServiceConfig.port}"
 CLI_TAGGER = uuid.uuid5(uuid.NAMESPACE_URL, "scotcloud:cli")
+_CLIENT_HELP = {
+    "tag": "attach a tag to a resource",
+    "cloud": "fetch a resource's tag cloud as RDF/XML",
+    "map": "fetch a topic map as tree text",
+    "attach": "bind a child concept under a parent",
+    "export": "download the full store as one RDF/XML document",
+}
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -59,13 +66,6 @@ def _emit(text: str, out: Optional[str]) -> int:
     except OSError as exc:
         return _fail(EXIT_DATA, f"out: {exc}")
     return EXIT_OK
-
-
-def _call(args: argparse.Namespace, path: str, params: list[tuple[str, str]]) -> tuple[int, str]:
-    from . import sim
-
-    status, body = sim.fetch_body(sim.HttpTransport(_server_url(args)), path, params)
-    return status, body.decode("utf-8")
 
 
 # tokens that mean the request data was refused, vs. protocol misuse
@@ -109,43 +109,22 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _cmd_tag(args: argparse.Namespace) -> int:
-    params = [("resource", args.resource), ("tag", args.tag), ("tagger", args.tagger)]
-    status, body = _call(args, "tag", params)
+def _cmd_request(args: argparse.Namespace) -> int:
+    """Send the subcommand's operation, its flags as the query; a document goes to --out or stdout."""
+    from . import sim
+
+    operation = args.subcommand
+    params = [(name, str(getattr(args, name))) for name in service_mod.OPERATIONS[operation]]
+    status, raw = sim.fetch_body(sim.HttpTransport(_server_url(args)), operation, params)
+    try:
+        body = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        return _fail(EXIT_PROTOCOL, f"the server at {_server_url(args)} sent an answer that is not UTF-8 ({exc})")
     if status != 200:
         return _status_exit(status, body)
-    print(body.removeprefix("ok "))
-    return EXIT_OK
-
-
-def _cmd_cloud(args: argparse.Namespace) -> int:
-    status, body = _call(args, "cloud", [("resource", args.resource)])
-    if status != 200:
-        return _status_exit(status, body)
-    return _emit(body, args.out)
-
-
-def _cmd_map(args: argparse.Namespace) -> int:
-    params = [("root", args.root), ("depth", str(args.depth))]
-    status, body = _call(args, "map", params)
-    if status != 200:
-        return _status_exit(status, body)
-    return _emit(body, args.out)
-
-
-def _cmd_attach(args: argparse.Namespace) -> int:
-    params = [("parent", args.parent), ("child", args.child), ("tagger", args.tagger)]
-    status, body = _call(args, "attach", params)
-    if status != 200:
-        return _status_exit(status, body)
-    print(body)
-    return EXIT_OK
-
-
-def _cmd_export(args: argparse.Namespace) -> int:
-    status, body = _call(args, "export", [])
-    if status != 200:
-        return _status_exit(status, body)
+    if operation in service_mod.MUTATIONS:
+        print(body.removeprefix("ok "))
+        return EXIT_OK
     return _emit(body, args.out)
 
 
@@ -263,37 +242,20 @@ def build_parser() -> _Parser:
     p.add_argument("--config", default=None, help="key=value config file")
     p.set_defaults(func=_cmd_serve)
 
-    p = sub.add_parser("tag", help="attach a tag to a resource")
-    p.add_argument("--resource", required=True)
-    p.add_argument("--tag", required=True)
-    p.add_argument("--tagger", default=str(CLI_TAGGER))
-    p.add_argument("--url", default=None)
-    p.set_defaults(func=_cmd_tag)
-
-    p = sub.add_parser("cloud", help="fetch a resource's tag cloud as RDF/XML")
-    p.add_argument("--resource", required=True)
-    p.add_argument("--url", default=None)
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=_cmd_cloud)
-
-    p = sub.add_parser("map", help="fetch a topic map as tree text")
-    p.add_argument("--root", required=True)
-    p.add_argument("--depth", type=int, default=1)
-    p.add_argument("--url", default=None)
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=_cmd_map)
-
-    p = sub.add_parser("attach", help="bind a child concept under a parent")
-    p.add_argument("--parent", required=True)
-    p.add_argument("--child", required=True)
-    p.add_argument("--tagger", default=str(CLI_TAGGER))
-    p.add_argument("--url", default=None)
-    p.set_defaults(func=_cmd_attach)
-
-    p = sub.add_parser("export", help="download the full store as one RDF/XML document")
-    p.add_argument("--url", default=None)
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=_cmd_export)
+    # Each client subcommand's flags are its operation's query parameters, then --url, and --out for a document.
+    for operation, names in service_mod.OPERATIONS.items():
+        p = sub.add_parser(operation, help=_CLIENT_HELP[operation])
+        for name in names:
+            if name == "tagger":
+                p.add_argument("--tagger", default=str(CLI_TAGGER))
+            elif name in service_mod.PARAM_DEFAULTS:  # depth, the one optional parameter, is a number
+                p.add_argument(f"--{name}", type=int, default=service_mod.PARAM_DEFAULTS[name])
+            else:
+                p.add_argument(f"--{name}", required=True)
+        p.add_argument("--url", default=None)
+        if operation not in service_mod.MUTATIONS:
+            p.add_argument("--out", default=None)
+        p.set_defaults(func=_cmd_request)
 
     p = sub.add_parser("import", help="rebuild a store directory from an exported document")
     p.add_argument("--in", dest="infile", required=True)

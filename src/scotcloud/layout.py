@@ -20,7 +20,7 @@ import uuid
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .model import TagCloud, TopicMap, display_name
+from .model import TagCloud, TopicMap, display_name, rank_order
 
 MAX_PRIMS = 255
 
@@ -232,7 +232,7 @@ def layout_map(tree: TopicMap, cloud: TagCloud, params: LayoutParams, now: int) 
 
     def place(label: str, level: int, sector_start: float, sector_width: float) -> None:
         nonlocal index
-        children = sorted(children_by_label.get(label, ()), key=lambda c: (-freqs.get(c, 0), c))
+        children = rank_order(children_by_label.get(label, ()), freqs)
         if not children:
             return
         radius = (level + 1) * step

@@ -11,6 +11,7 @@ from __future__ import annotations
 import re
 import uuid
 from collections import Counter, defaultdict
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from typing import Optional
 from urllib.parse import quote, unquote
@@ -59,6 +60,11 @@ def _check_label(label: str) -> str:
     return label
 
 
+def rank_order(labels: Iterable[str], frequencies: dict[str, int]) -> list[str]:
+    """`labels` by descending count in `frequencies` (0 if absent), ties broken lexicographically."""
+    return sorted(labels, key=lambda label: (-frequencies.get(label, 0), label))
+
+
 @dataclass(frozen=True)
 class AnnotationEvent:
     """One user attaching one tag to one resource."""
@@ -84,8 +90,8 @@ class TagCloud:
     frequencies: dict[str, int] = field(default_factory=dict)
 
     def ranked(self) -> list[tuple[str, int]]:
-        """Labels by descending count, ties broken lexicographically."""
-        return sorted(self.frequencies.items(), key=lambda kv: (-kv[1], kv[0]))
+        """Labels with their counts in `rank_order`."""
+        return [(label, self.frequencies[label]) for label in rank_order(self.frequencies, self.frequencies)]
 
     def total(self) -> int:
         return sum(self.frequencies.values())

@@ -74,7 +74,17 @@ WRITE_CHUNK = 1 << 16  # snapshot_store passes os.write about this many bytes at
 TAIL_READ = 4096  # _cut_torn_tail reads the log backwards this many bytes at a time
 ATTACH_MARK = "attach"
 
-OPERATIONS = ("tag", "cloud", "map", "attach", "export")
+# The query parameters of each operation, in the order clients send them.
+# Each is required and must not be empty, but for those in PARAM_DEFAULTS.
+OPERATIONS: dict[str, tuple[str, ...]] = {
+    "tag": ("resource", "tag", "tagger"),
+    "cloud": ("resource",),
+    "map": ("root", "depth"),
+    "attach": ("parent", "child", "tagger"),
+    "export": (),
+}
+PARAM_DEFAULTS = {"depth": "1"}
+MUTATIONS = frozenset({"tag", "attach"})
 
 
 class PageError(ValueError):
@@ -286,12 +296,20 @@ class AnnotationService:
     # -- dispatch ----------------------------------------------------------
 
     def handle(self, request: ApiRequest) -> ApiResponse:
+        """The answer to `request`, checked in this order.
+
+        `throttled` over the rate limit, `unknown` for an operation not in
+        OPERATIONS, `missing` when a required parameter is absent or empty;
+        otherwise the operation's own answer.
+        """
         if self.config.rate_limit_max is not None and self._throttled():
             return self._answer(429, "throttled")
-        handler = getattr(self, f"_op_{request.operation}", None)
-        if handler is None:
+        names = OPERATIONS.get(request.operation)
+        if names is None:
             return self._answer(404, "unknown")
-        return handler(request)
+        if not all(request.params.get(name) for name in names if name not in PARAM_DEFAULTS):
+            return self._answer(400, "missing")
+        return getattr(self, f"_op_{request.operation}")(request)
 
     def handle_url(self, path_query: str) -> ApiResponse:
         try:
@@ -361,29 +379,17 @@ class AnnotationService:
         (page,) = paginate(text.encode("utf-8"), self.config.page_cap)
         return ApiResponse(status, page)
 
-    def _require(self, request: ApiRequest, *names: str) -> Optional[list[str]]:
-        values = []
-        for name in names:
-            value = request.params.get(name, "")
-            if not value:
-                return None
-            values.append(value)
-        return values
-
     # -- operations ---------------------------------------------------------
 
     def _op_tag(self, request: ApiRequest) -> ApiResponse:
-        got = self._require(request, "resource", "tag", "tagger")
-        if got is None:
-            return self._answer(400, "missing")
-        resource_raw, tag_raw, tagger_raw = got
+        params = request.params
         try:
-            tagger = uuid.UUID(tagger_raw)
+            tagger = uuid.UUID(params["tagger"])
         except ValueError:
             return self._answer(400, "badtagger")
         try:
-            label = model.normalize_tag(tag_raw)
-            resource = self.vocab.resource_iri(resource_raw)
+            label = model.normalize_tag(params["tag"])
+            resource = self.vocab.resource_iri(params["resource"])
         except (model.TagError, rdfxml.ValidationError):
             return self._answer(400, "badtag")
         if request.page != 0:
@@ -400,11 +406,8 @@ class AnnotationService:
         return self._answer(200, answer)
 
     def _op_cloud(self, request: ApiRequest) -> ApiResponse:
-        got = self._require(request, "resource")
-        if got is None:
-            return self._answer(400, "missing")
         try:
-            resource = self.vocab.resource_iri(got[0])
+            resource = self.vocab.resource_iri(request.params["resource"])
         except (model.TagError, rdfxml.ValidationError):
             return self._answer(400, "badtag")
         with self._lock:
@@ -416,14 +419,11 @@ class AnnotationService:
         return rdfxml.serialize(model.cloud_to_rdf(cloud, self.vocab)).encode("utf-8")
 
     def _op_map(self, request: ApiRequest) -> ApiResponse:
-        got = self._require(request, "root")
-        if got is None:
-            return self._answer(400, "missing")
-        depth = parse_digits(request.params.get("depth", "1"))
+        depth = parse_digits(request.params.get("depth", PARAM_DEFAULTS["depth"]))
         if depth is None or depth < 1:
             return self._answer(400, "baddepth")
         try:
-            root = model.normalize_tag(got[0])
+            root = model.normalize_tag(request.params["root"])
         except model.TagError:
             return self._answer(400, "badtag")
         with self._lock:
@@ -445,17 +445,14 @@ class AnnotationService:
         return render_tree(self.store.subtree(root, depth), freqs).encode("utf-8")
 
     def _op_attach(self, request: ApiRequest) -> ApiResponse:
-        got = self._require(request, "parent", "child", "tagger")
-        if got is None:
-            return self._answer(400, "missing")
-        parent_raw, child_raw, tagger_raw = got
+        params = request.params
         try:
-            uuid.UUID(tagger_raw)
+            uuid.UUID(params["tagger"])
         except ValueError:
             return self._answer(400, "badtagger")
         with self._lock:
             try:
-                parent, child = model.normalize_tag(parent_raw), model.normalize_tag(child_raw)
+                parent, child = model.normalize_tag(params["parent"]), model.normalize_tag(params["child"])
                 self.store.check_attach(parent, child)
             except model.TagError:
                 return self._answer(400, "badtag")
@@ -541,7 +538,7 @@ def render_tree(tree: TopicMap, frequencies: dict[str, int]) -> str:
     while stack:
         label, level = stack.pop()
         lines.append(f"{'  ' * level}{label} ({frequencies.get(label, 0)})")
-        siblings = sorted(children.get(label, ()), key=lambda c: (-frequencies.get(c, 0), c))
+        siblings = model.rank_order(children.get(label, ()), frequencies)
         stack.extend((child, level + 1) for child in reversed(siblings))
     return "\n".join(lines) + "\n"
 

@@ -25,9 +25,9 @@ import uuid
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Optional, Union
-from urllib.parse import urlencode, urlsplit
+from urllib.parse import quote_plus, urlsplit
 
-from .service import AnnotationService, Page, PageError, decode_page, parse_digits
+from .service import OPERATIONS, PARAM_DEFAULTS, AnnotationService, Page, PageError, decode_page, parse_digits
 
 WINDOW_MS = 20000
 WINDOW_MAX = 25
@@ -36,6 +36,10 @@ MEMORY_WARN = 25600
 REQUEST_COST = 512
 PUBLIC_CHANNEL = 0
 CENTER_CHANNEL = -1
+REQUEST_TIMEOUT_S = 60  # HttpTransport gives up on a connect, or on a read of the answer, after this long
+
+# The query parameters that a chat command's arguments give, in order; the speaker is the `tagger`.
+_ARG_PARAMS = {kind: tuple(name for name in names if name != "tagger") for kind, names in OPERATIONS.items()}
 
 USAGE = "commands: tag <resource> <tag> | cloud <resource> | map <root> [depth] | attach <parent> <child> | help"
 
@@ -123,9 +127,10 @@ class HttpTransport:
     are not idempotent. A connection that cannot be made raises
     Unreachable. Any later error means the answer is lost, and the server
     may or may not have applied the request; it raises as OSError or
-    http.client.HTTPException. An https URL pays one TLS handshake per
-    request. InvalidURL is raised for a URL that is not
-    http[s]://host[:port][/prefix].
+    http.client.HTTPException. A connect or a read that waits longer than
+    REQUEST_TIMEOUT_S raises TimeoutError, as Unreachable for the connect.
+    An https URL pays one TLS handshake per request. InvalidURL is raised
+    for a URL that is not http[s]://host[:port][/prefix].
     """
 
     def __init__(self, base_url: str):
@@ -137,7 +142,7 @@ class HttpTransport:
         self._prefix = split.path.rstrip("/")
 
     def get(self, path_query: str) -> tuple[int, bytes]:
-        conn = self._connection(self._netloc)
+        conn = self._connection(self._netloc, timeout=REQUEST_TIMEOUT_S)
         try:
             try:
                 conn.connect()
@@ -169,11 +174,11 @@ def fetch_body(transport: Transport, path: str, params: list[tuple[str, str]]) -
 
 
 def build_query(path: str, params: list[tuple[str, str]], page: int = 0) -> str:
-    items = list(params)
+    """The query `urlencode` gives; the names are the protocol's plain words, so only the values are quoted."""
+    items = [f"{name}={quote_plus(value)}" for name, value in params]
     if page > 0:
-        items.append(("page", str(page)))
-    query = urlencode(items)
-    return f"/{path}?{query}" if query else f"/{path}"
+        items.append(f"page={page}")
+    return f"/{path}?{'&'.join(items)}" if items else f"/{path}"
 
 
 # -- chat command grammar ------------------------------------------------------
@@ -380,14 +385,11 @@ class Simulator:
         return self.trace[mark:]
 
     def _accept(self, kind: str, args: list[str], sender: uuid.UUID) -> None:
-        if kind == "tag":
-            params = [("resource", args[0]), ("tag", args[1]), ("tagger", str(sender))]
-        elif kind == "cloud":
-            params = [("resource", args[0])]
-        elif kind == "map":
-            params = [("root", args[0]), ("depth", args[1] if len(args) > 1 else "1")]
-        else:  # attach
-            params = [("parent", args[0]), ("child", args[1]), ("tagger", str(sender))]
+        given = dict(zip(_ARG_PARAMS[kind], args))
+        params = [
+            (name, given.get(name) or (str(sender) if name == "tagger" else PARAM_DEFAULTS[name]))
+            for name in OPERATIONS[kind]
+        ]
         command = _Command(kind, params)
         pending = _Pending(command, build_query(kind, params))
         # listener hands the parsed command to the center on the private channel

@@ -504,3 +504,60 @@ class TestServeConfig:
         config_file.write_text("wat\n", "utf-8")
         code, _, err = run(capsys, "serve", "--config", str(config_file))
         assert code == 3
+
+
+class _AnswersNotUtf8:
+    def do_GET(self):
+        raw = b"page 1/1 2\n\xff\xfe"
+        self.send_response(200)
+        self.send_header("Content-Length", str(len(raw)))
+        self.end_headers()
+        self.wfile.write(raw)
+
+
+class TestClientFailures:
+    @pytest.mark.parametrize("argv", [["cloud", "--resource", "m"], ["tag", "--resource", "m", "--tag", "t"]])
+    def test_an_answer_that_is_not_utf8_is_a_protocol_error_naming_the_server(self, capsys, argv):
+        from test_service import http_server
+
+        with http_server(AnnotationService(ServiceConfig(port=0)), _AnswersNotUtf8) as (url, _):
+            code, out, err = run(capsys, *argv, "--url", url)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"the server at {url} sent an answer that is not UTF-8 (")
+
+    @pytest.fixture
+    def listener(self, monkeypatch):
+        """A listening socket that never accepts, with the client's timeout cut to 0.2 s."""
+        monkeypatch.setattr(sim, "REQUEST_TIMEOUT_S", 0.2)
+        with socket.socket() as server:
+            server.bind(("127.0.0.1", 0))
+            server.listen(0)
+            yield server
+
+    def test_a_server_that_never_answers_times_out_as_a_lost_answer(self, capsys, listener):
+        url = f"http://127.0.0.1:{listener.getsockname()[1]}"
+        code, out, err = run(capsys, "tag", "--resource", "m", "--tag", "t", "--url", url)
+        assert (code, out) == (2, "")
+        assert f"the server at {url} may have applied the request, but its answer was lost" in err
+
+    def test_a_connect_that_times_out_cannot_reach_the_server(self, capsys, listener):
+        # A full accept queue drops further connection requests, so a connect waits until it times out.
+        port = listener.getsockname()[1]
+        fillers = []
+        try:
+            for _ in range(16):
+                filler = socket.socket()
+                fillers.append(filler)
+                filler.settimeout(0.2)
+                try:
+                    filler.connect(("127.0.0.1", port))
+                except TimeoutError:
+                    break
+            else:
+                pytest.fail("the accept queue never filled")
+            url = f"http://127.0.0.1:{port}"
+            code, out, err = run(capsys, "tag", "--resource", "m", "--tag", "t", "--url", url)
+        finally:
+            for filler in fillers:
+                filler.close()
+        assert (code, out, err) == (2, "", f"cannot reach server at {url}\n")

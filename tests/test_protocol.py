@@ -9,8 +9,11 @@ the parser below, which spells each of them out by hand.
 import contextlib
 import io
 import uuid
+from urllib.parse import urlencode
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from scotcloud import cli, sim
 from scotcloud.service import AnnotationService, paginate
@@ -42,8 +45,9 @@ def recording(monkeypatch):
     return _Recording.sent
 
 
-def test_the_cli_tagger_is_the_pinned_uuid():
+def test_the_client_defaults_are_pinned():
     assert str(cli.CLI_TAGGER) == CLI_TAGGER
+    assert cli.DEFAULT_URL == "http://127.0.0.1:8765"
 
 
 @pytest.mark.parametrize(
@@ -152,3 +156,14 @@ def test_each_chat_command_sends_its_query(chat, query):
     trace = simulator.post_chat(0, SENDER, chat)
     kind = chat.split()[0]
     assert trace[1:3] == [f"0 request -1 {kind} {query}", f"0 issue u1 {query}"]
+
+
+_NAMES = ("resource", "tag", "tagger", "root", "depth", "parent", "child")
+_VALUES = st.text(st.characters(blacklist_categories=("Cs",)), max_size=12)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(_NAMES), _VALUES), max_size=4), st.integers(0, 3))
+def test_build_query_quotes_as_urlencode_does(params, page):
+    query = urlencode(params + [("page", str(page))] if page else params)
+    assert sim.build_query("op", params, page) == (f"/op?{query}" if query else "/op")
