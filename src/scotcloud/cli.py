@@ -12,7 +12,6 @@ Human-readable output goes to stdout, diagnostics to stderr.
 from __future__ import annotations
 
 import argparse
-import http.client
 import os
 import sys
 import uuid
@@ -21,8 +20,9 @@ from typing import Optional
 
 from . import model, rdfxml, service as service_mod
 
-# The simulator and the layout engine are imported by the subcommands that
-# use them, so `serve` loads only the server's modules.
+# The simulator, the layout engine and `wire`, the only module that speaks
+# HTTP, are imported by the subcommands that use them: `serve` loads no
+# simulator or layout engine, and the in-process commands load no HTTP code.
 
 ENV_URL = "SCOTCLOUD_URL"
 ENV_PORT = "SCOTCLOUD_PORT"
@@ -69,7 +69,7 @@ def _emit(text: str, out: Optional[str]) -> int:
 
 
 # tokens that mean the request data was refused, vs. protocol misuse
-_DATA_TOKENS = {"cycle", "parented", "merge", "unknown", "badtag", "baddepth"}
+_DATA_TOKENS = {"cycle", "parented", "merge", "unknown", "badtag", "badtagger", "baddepth", "missing"}
 
 
 def _status_exit(status: int, body: str) -> int:
@@ -102,8 +102,10 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         svc = service_mod.AnnotationService(config)
     except (service_mod.StoreLoadError, OSError) as exc:
         return _fail(EXIT_DATA, f"store: {exc}")
+    from . import wire
+
     try:
-        service_mod.serve(svc, args.host)
+        wire.serve(svc, args.host)
     except (OSError, OverflowError) as exc:  # the port is taken, or out of range
         return _fail(EXIT_PROTOCOL, f"serve: {exc}")
     return EXIT_OK
@@ -111,11 +113,11 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 def _cmd_request(args: argparse.Namespace) -> int:
     """Send the subcommand's operation, its flags as the query; a document goes to --out or stdout."""
-    from . import sim
+    from . import sim, wire
 
     operation = args.subcommand
     params = [(name, str(getattr(args, name))) for name in service_mod.OPERATIONS[operation]]
-    status, raw = sim.fetch_body(sim.HttpTransport(_server_url(args)), operation, params)
+    status, raw = sim.fetch_body(wire.HttpTransport(_server_url(args)), operation, params)
     try:
         body = raw.decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -166,7 +168,9 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         return _fail(EXIT_DATA, f"script: {exc}")
 
     if args.url or os.environ.get(ENV_URL):
-        target: sim.Transport | service_mod.AnnotationService = sim.HttpTransport(_server_url(args))
+        from . import wire
+
+        target: sim.Transport | service_mod.AnnotationService = wire.HttpTransport(_server_url(args))
     else:
         store = None
         if args.store:
@@ -293,15 +297,6 @@ def main(argv: Optional[list[str]] = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (OSError, http.client.HTTPException) as exc:  # subcommands catch their own file errors
-        from .sim import Unreachable  # loaded already by any subcommand that talks to a server
-
-        if isinstance(exc, (Unreachable, http.client.InvalidURL)):
-            return _fail(EXIT_PROTOCOL, f"cannot reach server at {_server_url(args)}")
-        return _fail(
-            EXIT_PROTOCOL,
-            f"the server at {_server_url(args)} may have applied the request, but its answer was lost ({exc!r})",
-        )
     except service_mod.PageError as exc:
         return _fail(EXIT_PROTOCOL, f"server at {_server_url(args)} sent a body that is not a page: {exc}")
     except ValueError as exc:
@@ -312,6 +307,18 @@ def main(argv: Optional[list[str]] = None) -> int:
         return _fail(EXIT_PROTOCOL, f"the document changed during the page walk ({exc}); try again")
     except KeyboardInterrupt:
         return EXIT_OK
+    except Exception as exc:  # subcommands catch their own file errors, so this is a request's
+        from . import wire  # imported here, so that a run that raises nothing loads no HTTP code
+
+        sent = wire.request_sent(exc)
+        if sent is None:
+            raise
+        if not sent:
+            return _fail(EXIT_PROTOCOL, f"cannot reach server at {_server_url(args)}")
+        return _fail(
+            EXIT_PROTOCOL,
+            f"the server at {_server_url(args)} may have applied the request, but its answer was lost ({exc!r})",
+        )
 
 
 if __name__ == "__main__":

@@ -6,6 +6,10 @@ friendly treatment for GET. Every response body is split into pages of at
 most `page_cap` bytes (header line included); clients fetch page by page
 and reassemble. Error bodies are single machine-parseable tokens.
 
+This module is the in-process core and the store directory; it imports
+no HTTP code. The HTTP server shell over it, and the client transport,
+are in `wire`.
+
 Persistence is a directory holding one append-only `events.log`, the
 only source of truth for clouds and topic maps alike. It has two kinds of
 LF-terminated, tab-separated line: an annotation event
@@ -42,15 +46,11 @@ import contextlib
 import logging
 import os
 import re
-import sys
 import threading
 import time
 import uuid
 from collections import deque
 from dataclasses import dataclass, field
-from email.utils import formatdate
-from http import HTTPStatus
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 from typing import Callable, Optional
 from urllib.parse import parse_qsl, urlsplit
@@ -66,7 +66,6 @@ _PAGE_HEADER = re.compile(rb"page ([0-9]+)/([0-9]+) ([0-9]+)")
 MIN_PAGE_CAP = 64  # smallest page a response may be split into, header line included
 PAGE_CAP_TOO_SMALL = f"page cap must be at least {MIN_PAGE_CAP} bytes"
 BODY_CACHE_ENTRIES = 64  # paged bodies kept per service; the oldest goes first
-IDLE_TIMEOUT_S = 30  # a kept-alive connection idle this long is closed, freeing its thread
 SNAPSHOT_FILE = "snapshot.rdf"  # older versions kept topic maps here; a directory holding it is refused
 EVENTS_FILE = "events.log"
 EVENTS_TMP = EVENTS_FILE + ".tmp"  # snapshot_store writes here, then renames over EVENTS_FILE
@@ -245,7 +244,7 @@ def _now_wall_ms() -> int:
 
 
 class AnnotationService:
-    """In-process core of the server; the HTTP layer is a thin shell.
+    """In-process core of the server; the HTTP layer, `wire`, is a thin shell.
 
     Requests are serialized under one lock. A mutation is appended to the
     on-disk log before it changes the store, so a failed write answers
@@ -701,199 +700,3 @@ def _cut_torn_tail(fd: int) -> None:
         pos = start
     if keep < end:
         os.ftruncate(fd, keep)
-
-
-# -- HTTP front door -----------------------------------------------------------
-
-
-# As http.client reads a request head: the longest header line, and the most
-# lines in a head, the blank line that ends it included.
-MAX_HEADER_LINE = 65536
-MAX_HEADER_LINES = 100
-
-# A header line as RFC 9112 §5 writes it: a name of token characters, a colon
-# right after it, and a value without CR or LF. Any other line (whitespace
-# before the colon, an obs-fold, no colon at all) is answered 400.
-_PLAIN_FIELD = re.compile(rb"([!-9;-~]+):[ \t]*([^\r\n]*)\r?\n")
-# An HTTP version as http.server accepts it since Python 3.11: two numbers
-# of 1 to 10 digits. (str.isdigit() there also passes '\xb2', which int()
-# then refuses.)
-_VERSION = re.compile(r"HTTP/([0-9]{1,10})\.([0-9]{1,10})")
-
-_RESPONSE = (
-    b"HTTP/1.1 %d %s\r\nServer: %s\r\nDate: %s\r\n"
-    b"Content-Type: text/plain; charset=utf-8\r\nContent-Length: %d\r\n%s\r\n%s"
-)
-
-
-class _DateHeader:
-    """The value of the Date header, formatted at most once a second."""
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self._second = -1
-        self._value = b""
-
-    def value(self) -> bytes:
-        now = int(time.time())
-        with self._lock:
-            if now != self._second:
-                self._second, self._value = now, formatdate(now, usegmt=True).encode("ascii")
-            return self._value
-
-
-class _Handler(BaseHTTPRequestHandler):
-    """GET-only shell over HTTP/1.1: a client keeps one connection for many requests.
-
-    Requests are parsed without the email package: `parse_request` reads
-    the header lines itself and looks up only `Connection`,
-    `Content-Length`, `Transfer-Encoding` and `Expect`. The limits and
-    error replies are http.server's (Python 3.11): 414 for a request line
-    over 65536 bytes, 431 for a longer header line or more than 100 lines
-    in a head, 400 for a bad request line, 505 for HTTP/2 and later, 501
-    for any method but GET. A head with any line that is not a plain
-    `name: value` line is answered 400 and closed; it is read to its blank
-    line first, so a 431 is answered as before. A refused version gets a
-    status line, where http.server answers with a bare HTML body that an
-    HTTP/1.1 client cannot read; only a two-word HTTP/0.9 request line is
-    answered bare.
-
-    Status line, headers and body of each answer of the service are
-    formatted as one `bytes` and go out in one unbuffered write, one
-    `sendall`; the Date value is refreshed once a second. The replies of
-    http.server's own `send_error` go out as it sends them: head first,
-    then body. TCP_NODELAY is still required, not a tuning knob: a
-    response longer than one segment would otherwise have its last
-    segment held back by Nagle's algorithm until the client's delayed
-    ACK, about 40 ms a response. Each connection holds a thread, so one
-    left idle is closed after IDLE_TIMEOUT_S; clients reconnect on their
-    next request.
-    """
-
-    service: AnnotationService
-    date: _DateHeader
-    protocol_version = "HTTP/1.1"
-    disable_nagle_algorithm = True
-    timeout = IDLE_TIMEOUT_S
-
-    def parse_request(self) -> bool:
-        self.command = None  # set in case of error on the first line
-        self.request_version = self.default_request_version
-        self.close_connection = True
-        self.requestline = requestline = str(self.raw_requestline, "iso-8859-1").rstrip("\r\n")
-        words = requestline.split()
-        if not words:
-            return False
-        if len(words) >= 3:
-            # Set first, so that a refused version's error goes out with a status line.
-            version = self.request_version = words[-1]
-            match = _VERSION.fullmatch(version)
-            if match is None:
-                self.send_error(HTTPStatus.BAD_REQUEST, "Bad request version (%r)" % version)
-                return False
-            number = int(match[1]), int(match[2])
-            if number >= (1, 1):
-                self.close_connection = False
-            if number >= (2, 0):
-                self.send_error(HTTPStatus.HTTP_VERSION_NOT_SUPPORTED, "Invalid HTTP version (%s)" % version[5:])
-                return False
-        if not 2 <= len(words) <= 3:
-            self.send_error(HTTPStatus.BAD_REQUEST, "Bad request syntax (%r)" % requestline)
-            return False
-        command, path = words[:2]
-        if len(words) == 2:
-            self.close_connection = True
-            if command != "GET":
-                self.send_error(HTTPStatus.BAD_REQUEST, "Bad HTTP/0.9 request type (%r)" % command)
-                return False
-        if path.startswith("//"):  # a client would read //host/path as another host
-            path = "/" + path.lstrip("/")
-        self.command, self.path = command, path
-
-        lines = []
-        while True:
-            line = self.rfile.readline(MAX_HEADER_LINE + 1)
-            if len(line) > MAX_HEADER_LINE:
-                self.send_error(
-                    HTTPStatus.REQUEST_HEADER_FIELDS_TOO_LARGE,
-                    "Line too long",
-                    f"got more than {MAX_HEADER_LINE} bytes when reading header line",
-                )
-                return False
-            if len(lines) == MAX_HEADER_LINES:  # this line, even a blank one, is one too many
-                self.send_error(
-                    HTTPStatus.REQUEST_HEADER_FIELDS_TOO_LARGE,
-                    "Too many headers",
-                    f"got more than {MAX_HEADER_LINES} headers",
-                )
-                return False
-            if line in (b"\r\n", b"\n", b""):
-                break
-            lines.append(line)
-        fields: dict[str, str] = {}
-        for line in lines:
-            match = _PLAIN_FIELD.fullmatch(line)
-            if match is None:
-                self.send_error(HTTPStatus.BAD_REQUEST, "Bad header line")
-                return False
-            fields.setdefault(match[1].decode("ascii").lower(), match[2].decode("iso-8859-1"))
-        connection = fields.get("connection", "").lower()
-        if connection == "close":
-            self.close_connection = True
-        elif connection == "keep-alive":
-            self.close_connection = False
-        # The protocol has no request bodies; one left unread would be
-        # parsed as the next request, so such a connection is not reused.
-        has_body = fields.get("content-length", "0").strip() != "0" or "transfer-encoding" in fields
-        if has_body:
-            self.close_connection = True
-        if fields.get("expect", "").lower() == "100-continue" and self.request_version >= "HTTP/1.1":
-            return self.handle_expect_100()
-        return True
-
-    def do_GET(self) -> None:  # noqa: N802 (http.server API)
-        response = self.service.handle_url(self.path)
-        if log.isEnabledFor(logging.DEBUG):
-            self.log_request(response.status)
-        body = response.encode()
-        if self.request_version == "HTTP/0.9":  # a bare body, as http.server answers HTTP/0.9
-            self.wfile.write(body)
-            return
-        self.wfile.write(
-            _RESPONSE
-            % (
-                response.status,
-                self.responses[response.status][0].encode("latin-1"),
-                self.version_string().encode("latin-1"),
-                self.date.value(),
-                len(body),
-                b"Connection: close\r\n" if self.close_connection else b"",
-                body,
-            )
-        )
-
-    def log_message(self, fmt: str, *args) -> None:
-        log.debug("http: " + fmt, *args)
-
-
-def make_http_server(service: AnnotationService, host: str = "127.0.0.1") -> ThreadingHTTPServer:
-    """A threading server over `service`; unbuffered, it sends each answer in one `sendall`, whatever the page cap."""
-    handler = type("Handler", (_Handler,), {"service": service, "date": _DateHeader()})
-    return ThreadingHTTPServer((host, service.config.port), handler)
-
-
-def serve(service: AnnotationService, host: str = "127.0.0.1") -> None:
-    """Run the blocking server loop; reports the bound port on stderr first.
-
-    Every mutation is already in the log when it is acknowledged, so
-    nothing is written on the way out; the log descriptor is closed.
-    """
-    server = make_http_server(service, host)
-    print(f"serving on {host}:{server.server_address[1]}", file=sys.stderr, flush=True)
-    try:
-        server.serve_forever()
-    except KeyboardInterrupt:
-        pass
-    finally:
-        server.server_close()
-        service.close()

@@ -12,20 +12,21 @@ has headroom and fans multi-page responses back together.
 Everything runs on a simulated millisecond clock: given the same seed and
 command schedule, two runs produce byte-identical event traces. The
 server can be the in-process service (deterministic) or a live one over
-HTTP (wire mode, no determinism guarantee).
+HTTP through `wire.HttpTransport` (wire mode, no determinism guarantee).
+This module imports no HTTP code: the simulator runs over any transport
+with a `get` method.
 """
 
 from __future__ import annotations
 
 import hashlib
 import heapq
-import http.client
 import random
 import uuid
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Optional, Union
-from urllib.parse import quote_plus, urlsplit
+from typing import Optional, Protocol, Union
+from urllib.parse import quote_plus
 
 from .service import OPERATIONS, PARAM_DEFAULTS, AnnotationService, Page, PageError, decode_page, parse_digits
 
@@ -36,7 +37,6 @@ MEMORY_WARN = 25600
 REQUEST_COST = 512
 PUBLIC_CHANNEL = 0
 CENTER_CHANNEL = -1
-REQUEST_TIMEOUT_S = 60  # HttpTransport gives up on a connect, or on a read of the answer, after this long
 
 # The query parameters that a chat command's arguments give, in order; the speaker is the `tagger`.
 _ARG_PARAMS = {kind: tuple(name for name in names if name != "tagger") for kind, names in OPERATIONS.items()}
@@ -115,47 +115,10 @@ class InProcessTransport:
         return response.status, response.encode()
 
 
-class Unreachable(ConnectionError):
-    """No connection to the server could be made, so the request never went out."""
+class Transport(Protocol):
+    """What the simulator sends requests through: `InProcessTransport`, or `wire.HttpTransport` for a live server."""
 
-
-class HttpTransport:
-    """Wire transport to a live server, one HTTP/1.1 connection per request.
-
-    Each request goes out on a connection of its own, which is closed once
-    the answer is read, and it is never sent twice: `/tag` and `/attach`
-    are not idempotent. A connection that cannot be made raises
-    Unreachable. Any later error means the answer is lost, and the server
-    may or may not have applied the request; it raises as OSError or
-    http.client.HTTPException. A connect or a read that waits longer than
-    REQUEST_TIMEOUT_S raises TimeoutError, as Unreachable for the connect.
-    An https URL pays one TLS handshake per request. InvalidURL is raised
-    for a URL that is not http[s]://host[:port][/prefix].
-    """
-
-    def __init__(self, base_url: str):
-        split = urlsplit(base_url)
-        if split.scheme not in ("http", "https") or not split.netloc:
-            raise http.client.InvalidURL(f"not an http URL: {base_url!r}")
-        self._connection = http.client.HTTPSConnection if split.scheme == "https" else http.client.HTTPConnection
-        self._netloc = split.netloc
-        self._prefix = split.path.rstrip("/")
-
-    def get(self, path_query: str) -> tuple[int, bytes]:
-        conn = self._connection(self._netloc, timeout=REQUEST_TIMEOUT_S)
-        try:
-            try:
-                conn.connect()
-            except OSError as exc:
-                raise Unreachable(f"{self._netloc}: {exc}") from exc
-            conn.request("GET", self._prefix + path_query)
-            response = conn.getresponse()
-            return response.status, response.read()
-        finally:
-            conn.close()
-
-
-Transport = Union[InProcessTransport, HttpTransport]
+    def get(self, path_query: str) -> tuple[int, bytes]: ...
 
 
 def fetch_body(transport: Transport, path: str, params: list[tuple[str, str]]) -> tuple[int, bytes]:
@@ -213,8 +176,18 @@ class ScriptLine:
     text: str
 
 
+def _ascii_int(raw: str) -> int:
+    """`raw` as a number if it is `-?[0-9]+`; int() also takes `+`, `_`, spaces and other scripts' digits."""
+    if not (raw.isascii() and raw.lstrip("-").isdigit()):  # int() refuses the `--5` that this lets by
+        raise ValueError(f"invalid literal for int() with base 10: {raw!r}")
+    return int(raw)
+
+
 def parse_script(text: str) -> list[ScriptLine]:
-    """Replay format: `@<time_ms> <channel> <sender-uuid> <command text>` per line."""
+    """Replay format: `@<time_ms> <channel> <sender-uuid> <command text>` per line.
+
+    The time is ASCII digits, the channel ASCII digits with an optional `-`.
+    """
     lines: list[ScriptLine] = []
     last_time = 0
     for lineno, raw in enumerate(text.splitlines(), 1):
@@ -224,12 +197,12 @@ def parse_script(text: str) -> list[ScriptLine]:
         if len(parts) != 4 or not parts[0].startswith("@"):
             raise ScriptFormatError(f"line {lineno}: expected '@time channel sender command'")
         try:
-            time_ms = int(parts[0][1:])
-            channel = int(parts[1])
+            time_ms = _ascii_int(parts[0][1:])
+            channel = _ascii_int(parts[1])
             sender = uuid.UUID(parts[2])
         except ValueError as exc:
             raise ScriptFormatError(f"line {lineno}: {exc}") from None
-        if time_ms < 0:
+        if parts[0].startswith("@-"):
             raise ScriptFormatError(f"line {lineno}: time must not be negative")
         if time_ms < last_time:
             raise ScriptFormatError(f"line {lineno}: lines must be sorted by time")

@@ -6,7 +6,8 @@ import uuid
 import pytest
 
 from scotcloud.model import AnnotationStore, AttachError, VocabConfig
-from scotcloud.service import AnnotationService, ServiceConfig, make_http_server
+from scotcloud.service import AnnotationService, ServiceConfig
+from scotcloud.wire import make_http_server
 
 TAGGER = uuid.UUID("12345678-1234-5678-1234-567812345678")
 

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from scotcloud import sim
+from scotcloud import sim, wire
 from scotcloud.cli import main
 from scotcloud.model import VocabConfig
 from scotcloud.service import AnnotationService, ServiceConfig, restore_store
@@ -58,6 +58,37 @@ class TestUsage:
         )
         done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True)
         assert done.stdout == "['scotcloud.service']\n"
+
+    def test_the_in_process_paths_load_no_http_code(self, tmp_path):
+        from scotcloud import cli as cli_mod
+
+        (tmp_path / "bots.txt").write_text(SCRIPT, "utf-8")
+        svc = AnnotationService()
+        seed_mouse(svc)
+        (tmp_path / "export.rdf").write_bytes(fetch_full(svc, "export", {}))
+        probe = (
+            "import contextlib, io, sys\n"
+            f"sys.path.insert(0, {str(Path(cli_mod.__file__).parents[1])!r})\n"
+            "http = ('http', 'http.client', 'http.server', 'socketserver', 'email', 'ssl')\n"
+            "def loaded(step):\n"
+            "    print(step, sorted(m for m in http if m in sys.modules))\n"
+            "import scotcloud.service\n"
+            "loaded('service')\n"
+            "import scotcloud.sim\n"
+            "loaded('sim')\n"
+            "from scotcloud import cli\n"
+            "for argv in sys.argv[1:]:\n"
+            "    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
+            "        code = cli.main(argv.split())\n"
+            "    loaded(f'{argv.split()[0]} {code}')\n"
+        )
+        argvs = [
+            f"simulate --script {tmp_path / 'bots.txt'}",
+            "layout --resource x",
+            f"import --in {tmp_path / 'export.rdf'} --store {tmp_path / 'store'}",
+        ]
+        done = subprocess.run([sys.executable, "-c", probe, *argvs], capture_output=True, text=True, check=True)
+        assert done.stdout.splitlines() == ["service []", "sim []", "simulate 0 []", "layout 0 []", "import 0 []"]
 
 
 class TestWireCommands:
@@ -112,6 +143,17 @@ class TestWireCommands:
         assert code == 3
         assert "badtag" in err
 
+    def test_tagger_that_is_not_a_uuid_is_data_error(self, capsys, live_server):
+        url, svc = live_server
+        code, out, err = run(capsys, "tag", "--resource", "m", "--tag", "t", "--tagger", "not-a-uuid", "--url", url)
+        assert (code, out, err) == (3, "", "server said 400: badtagger\n")
+        assert svc.store.version == 0
+
+    def test_empty_resource_is_data_error(self, capsys, live_server):
+        url, _ = live_server
+        code, out, err = run(capsys, "cloud", "--resource", "", "--url", url)
+        assert (code, out, err) == (3, "", "server said 400: missing\n")
+
     def test_tag_whose_answer_would_need_two_pages_is_data_error(self, capsys, live_server):
         url, svc = live_server
         code, out, err = run(capsys, "tag", "--resource", "pen", "--tag", "y" * 2100, "--url", url)
@@ -140,7 +182,7 @@ class TestWireCommands:
         assert svc.store.cloud_of(VOCAB.resource_iri("m")).frequencies == {"t": 1}
 
     def test_non_page_body_is_protocol_error(self, capsys, monkeypatch):
-        monkeypatch.setattr(sim.HttpTransport, "get", lambda self, path_query: (502, b"<html>"))
+        monkeypatch.setattr(wire.HttpTransport, "get", lambda self, path_query: (502, b"<html>"))
         code, _, err = run(capsys, "cloud", "--resource", "m", "--url", "http://127.0.0.1:9")
         assert code == 2
         assert "not a page" in err
@@ -333,7 +375,7 @@ class TestTornWalk:
             def close(self):
                 pass
 
-        monkeypatch.setattr(sim, "HttpTransport", TornTransport)
+        monkeypatch.setattr(wire, "HttpTransport", TornTransport)
         code, out, err = run(capsys, *argv)
         assert len(fetches) >= 2
         assert code == 2
@@ -395,8 +437,6 @@ class TestLayoutCommand:
 class TestServeConfig:
     def test_serve_loads_config_file(self, capsys, tmp_path, monkeypatch):
         # build the server object without entering the blocking loop
-        from scotcloud import cli as cli_mod
-
         config_file = tmp_path / "svc.conf"
         config_file.write_text("port=0\npage_cap=1024\n", "utf-8")
 
@@ -406,22 +446,20 @@ class TestServeConfig:
             captured["service"] = service
             captured["host"] = host
 
-        monkeypatch.setattr(cli_mod.service_mod, "serve", fake_serve)
+        monkeypatch.setattr(wire, "serve", fake_serve)
         code = main(["serve", "--config", str(config_file), "--store", str(tmp_path / "s")])
         assert code == 0
         assert captured["service"].config.page_cap == 1024
         assert captured["service"].config.store_path == str(tmp_path / "s")
 
     def test_serve_reports_the_bound_port(self, capsys, monkeypatch):
-        from scotcloud import service as service_mod
-
         bound = {}
 
         def stop_at_once(server, *args, **kwargs):
             bound["port"] = server.server_address[1]
 
         monkeypatch.delenv("SCOTCLOUD_PORT", raising=False)
-        monkeypatch.setattr(service_mod.ThreadingHTTPServer, "serve_forever", stop_at_once)
+        monkeypatch.setattr(wire.ThreadingHTTPServer, "serve_forever", stop_at_once)
         code, _, err = run(capsys, "serve", "--port", "0")
         assert code == 0
         assert bound["port"] != 0
@@ -448,9 +486,7 @@ class TestServeConfig:
         assert err.startswith("serve: ") and "65535" in err
 
     def test_base_uri_that_is_not_an_iri_is_data_error(self, capsys, tmp_path, monkeypatch):
-        from scotcloud import cli as cli_mod
-
-        monkeypatch.setattr(cli_mod.service_mod, "serve", lambda service, host: pytest.fail("served"))
+        monkeypatch.setattr(wire, "serve", lambda service, host: pytest.fail("served"))
         config_file = tmp_path / "svc.conf"
         config_file.write_text("port=0\nbase_uri=yourdns.com\n", "utf-8")
         code, _, err = run(capsys, "serve", "--config", str(config_file))
@@ -459,9 +495,7 @@ class TestServeConfig:
 
     @pytest.mark.parametrize("line", ["rate_limit_max=0", "rate_limit_window_ms=-1000"])
     def test_rate_limit_that_would_break_the_limiter_is_data_error(self, capsys, tmp_path, monkeypatch, line):
-        from scotcloud import cli as cli_mod
-
-        monkeypatch.setattr(cli_mod.service_mod, "serve", lambda service, host: pytest.fail("served"))
+        monkeypatch.setattr(wire, "serve", lambda service, host: pytest.fail("served"))
         config_file = tmp_path / "svc.conf"
         config_file.write_text(f"port=0\n{line}\n", "utf-8")
         code, _, err = run(capsys, "serve", "--config", str(config_file))
@@ -470,9 +504,7 @@ class TestServeConfig:
         assert err == f"config: {key} must be at least 1, not {value}\n"
 
     def test_value_that_does_not_parse_is_data_error_with_its_line(self, capsys, tmp_path, monkeypatch):
-        from scotcloud import cli as cli_mod
-
-        monkeypatch.setattr(cli_mod.service_mod, "serve", lambda service, host: pytest.fail("served"))
+        monkeypatch.setattr(wire, "serve", lambda service, host: pytest.fail("served"))
         config_file = tmp_path / "svc.conf"
         config_file.write_text("port=abc\n", "utf-8")
         code, _, err = run(capsys, "serve", "--config", str(config_file))
@@ -480,19 +512,15 @@ class TestServeConfig:
         assert err == f"config: {config_file}:1: bad value for port: 'abc'\n"
 
     def test_non_numeric_port_variable_is_usage_error(self, capsys, monkeypatch):
-        from scotcloud import cli as cli_mod
-
         monkeypatch.setenv("SCOTCLOUD_PORT", "abc")
-        monkeypatch.setattr(cli_mod.service_mod, "serve", lambda service, host: pytest.fail("served"))
+        monkeypatch.setattr(wire, "serve", lambda service, host: pytest.fail("served"))
         code, _, err = run(capsys, "serve")
         assert code == 1
         assert "SCOTCLOUD_PORT" in err and "abc" in err
 
     @pytest.mark.parametrize("key", ["scot_ns", "has_tag_iri"])
     def test_vocabulary_keys_are_refused(self, capsys, tmp_path, monkeypatch, key):
-        from scotcloud import cli as cli_mod
-
-        monkeypatch.setattr(cli_mod.service_mod, "serve", lambda service, host: pytest.fail("served"))
+        monkeypatch.setattr(wire, "serve", lambda service, host: pytest.fail("served"))
         config_file = tmp_path / "svc.conf"
         config_file.write_text(f"port=0\n{key}=http://example.org/myscot#\n", "utf-8")
         code, _, err = run(capsys, "serve", "--config", str(config_file))
@@ -528,7 +556,7 @@ class TestClientFailures:
     @pytest.fixture
     def listener(self, monkeypatch):
         """A listening socket that never accepts, with the client's timeout cut to 0.2 s."""
-        monkeypatch.setattr(sim, "REQUEST_TIMEOUT_S", 0.2)
+        monkeypatch.setattr(wire, "REQUEST_TIMEOUT_S", 0.2)
         with socket.socket() as server:
             server.bind(("127.0.0.1", 0))
             server.listen(0)

@@ -31,8 +31,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from http.server import BaseHTTPRequestHandler
 
-from scotcloud import service as service_module
-from scotcloud.service import AnnotationService, ServiceConfig, make_http_server
+from scotcloud import wire
+from scotcloud.service import AnnotationService, ServiceConfig
+from scotcloud.wire import make_http_server
 
 from conftest import TAGGER
 
@@ -347,10 +348,10 @@ def test_kept_alive_tags_and_clouds_never_run_the_email_parser(servers, monkeypa
 def test_date_is_formatted_once_a_second(monkeypatch):
     clock = [1_000_000.25]
     formatted = []
-    monkeypatch.setattr(service_module, "time", SimpleNamespace(time=lambda: clock[0]))
-    real = service_module.formatdate
-    monkeypatch.setattr(service_module, "formatdate", lambda *args, **kw: formatted.append(args) or real(*args, **kw))
-    date = service_module._DateHeader()
+    monkeypatch.setattr(wire, "time", SimpleNamespace(time=lambda: clock[0]))
+    real = wire.formatdate
+    monkeypatch.setattr(wire, "formatdate", lambda *args, **kw: formatted.append(args) or real(*args, **kw))
+    date = wire._DateHeader()
     first = date.value()
     assert first == formatdate(clock[0], usegmt=True).encode("ascii")  # what http.server would send
     clock[0] = 1_000_000.99

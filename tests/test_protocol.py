@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from scotcloud import cli, sim
+from scotcloud import cli, sim, wire
 from scotcloud.service import AnnotationService, paginate
 
 from conftest import TAGGER
@@ -41,7 +41,7 @@ class _Recording:
 @pytest.fixture
 def recording(monkeypatch):
     monkeypatch.setattr(_Recording, "sent", [])
-    monkeypatch.setattr(sim, "HttpTransport", _Recording)
+    monkeypatch.setattr(wire, "HttpTransport", _Recording)
     return _Recording.sent
 
 

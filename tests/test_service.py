@@ -33,7 +33,6 @@ from scotcloud.service import (
     decode_page,
     format_event_line,
     load_config,
-    make_http_server,
     paginate,
     parse_event_line,
     render_tree,
@@ -43,7 +42,8 @@ from scotcloud.service import (
 )
 
 from conftest import TAGGER, cyclic_garbage, fetch_full, random_forest, seed_mouse, store_state
-from scotcloud.sim import HttpTransport
+from scotcloud import wire
+from scotcloud.wire import HttpTransport, make_http_server
 
 VOCAB = VocabConfig()
 
@@ -901,7 +901,7 @@ class TestKeepAlive:
         svc = AnnotationService(ServiceConfig(port=0))
         with http_server(svc, _CountsAndRecordsItsThread) as (url, server):
             server.handler_threads = []
-            assert server.RequestHandlerClass.timeout == service_module.IDLE_TIMEOUT_S == 30
+            assert server.RequestHandlerClass.timeout == wire.IDLE_TIMEOUT_S == 30
             transport = HttpTransport(url)
             for i in range(1, 4):
                 assert transport.get(_tag_query()) == (200, _tag_page(i))
@@ -916,7 +916,7 @@ class TestKeepAlive:
         svc = AnnotationService(ServiceConfig(port=0))
         with http_server(svc, _RecordsItsThread) as (url, server):
             server.handler_threads = []
-            assert server.RequestHandlerClass.timeout == service_module.IDLE_TIMEOUT_S > 0
+            assert server.RequestHandlerClass.timeout == wire.IDLE_TIMEOUT_S > 0
             server.RequestHandlerClass.timeout = 0.2
             conns = [http.client.HTTPConnection(urlsplit(url).netloc, timeout=5) for _ in range(5)]
             for conn in conns:
@@ -1816,7 +1816,7 @@ class TestOpenLog:
             raise KeyboardInterrupt
 
         monkeypatch.setattr(ThreadingHTTPServer, "serve_forever", interrupted)
-        service_module.serve(service)
+        wire.serve(service)
         assert service._log_fd is None
         with pytest.raises(OSError):
             os.fstat(fd)

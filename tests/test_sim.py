@@ -556,9 +556,26 @@ class TestScriptFormat:
         with pytest.raises(ScriptFormatError):
             parse_script(text)
 
+    def test_times_and_channels_are_ascii_digits(self):
+        lines = parse_script(f"@007 -1 {AVATAR} help\n@7 05 {AVATAR} help\n")
+        assert [(l.time_ms, l.channel) for l in lines] == [(7, -1), (7, 5)]
+
     def test_malformed_lines_rejected(self):
         negative = f"@-5 0 {AVATAR} help"
-        for bad in ["nope", "@x 0 u help", f"@1 zero {AVATAR} help", "@1 0 not-a-uuid help", f"@0 0 {AVATAR} ", negative]:
+        for bad in [
+            "nope",
+            "@x 0 u help",
+            f"@1 zero {AVATAR} help",
+            "@1 0 not-a-uuid help",
+            f"@0 0 {AVATAR} ",
+            negative,
+            f"@1_000 0 {AVATAR} help",
+            f"@+5 0 {AVATAR} help",
+            f"@\u0665 0 {AVATAR} help",
+            f"@1 \u0660 {AVATAR} help",
+            f"@1 +0 {AVATAR} help",
+            f"@1 1_0 {AVATAR} help",
+        ]:
             with pytest.raises(ScriptFormatError):
                 parse_script(bad + "\n")
         with pytest.raises(ScriptFormatError, match="^line 1: time must not be negative$"):
