@@ -1,3 +1,5 @@
+import hashlib
+import random
 import socket
 import subprocess
 import sys
@@ -9,7 +11,8 @@ import pytest
 
 from scotcloud import sim, wire
 from scotcloud.cli import main
-from scotcloud.model import VocabConfig
+from scotcloud.model import AnnotationEvent, AnnotationStore, VocabConfig, store_to_graph
+from scotcloud.rdfxml import serialize
 from scotcloud.service import AnnotationService, ServiceConfig, restore_store
 
 from conftest import TAGGER, fetch_full, seed_mouse, store_state
@@ -201,6 +204,11 @@ class TestWireCommands:
         assert out == "set 1\n"
 
 
+# what `import` writes for `TestExportImport.seeded_store`, and its re-export
+LOG_SHA256 = "9c1addf6fcded2bd61ec5128421fb9174f66f241c517945e6f3e5598add44c19"
+EXPORT_SHA256 = "635c209989a39759c58de1bbdd5a7defa8013ddda4b3348e4640ba758f97a7d9"
+
+
 class TestExportImport:
     def test_roundtrip_preserves_clouds_and_maps(self, capsys, live_server, tmp_path):
         url, svc = live_server
@@ -222,6 +230,43 @@ class TestExportImport:
         direct = svc.handle_url("/cloud?resource=mouse").page.payload
         reloaded = fresh.handle_url("/cloud?resource=mouse").page.payload
         assert direct == reloaded
+
+    @staticmethod
+    def seeded_store() -> AnnotationStore:
+        """Multi-label clouds, some on full IRIs, a resource named like a concept, and a three-tree forest."""
+        rng = random.Random(21)
+        labels = ["laser", "optical mouse", "zo\u00eb", "a/b", "100%", "c++", "shoe", "wheel", "usb"]
+        resources = ["mouse", "shoe", "keyboard", "caf\u00e9", "http://example.org/things/7", "http://example.org/x.rdf"]
+        pairs = [
+            (resource, label)
+            for resource in resources
+            for label in rng.sample(labels, rng.randint(2, 6))
+            for _ in range(rng.randint(1, 4))
+        ]
+        rng.shuffle(pairs)
+        store = AnnotationStore()
+        for i, (resource, label) in enumerate(pairs):
+            store.record(AnnotationEvent(i, uuid.UUID(int=rng.getrandbits(128)), VOCAB.resource_iri(resource), label))
+        # parents before children, except that "gear" later goes above the root "shoe"
+        for parent, child in [
+            ("shoe", "rubber"), ("shoe", "lace"), ("rubber", "sole"), ("rubber", "heel"), ("lace", "aglet"),
+            ("mouse", "wheel"), ("mouse", "laser"), ("laser", "red"), ("gear", "shoe"),
+            ("usb", "c++"), ("usb", "100%"),
+        ]:
+            store.attach(parent, child)
+        return store
+
+    def test_import_writes_the_pinned_log_and_re_exports_the_same_bytes(self, capsys, tmp_path):
+        document = serialize(store_to_graph(self.seeded_store(), VOCAB)).encode("utf-8")
+        export = tmp_path / "export.rdf"
+        export.write_bytes(document)
+        code, _, _ = run(capsys, "import", "--in", str(export), "--store", str(tmp_path / "s"))
+        assert code == 0
+        log = (tmp_path / "s" / "events.log").read_bytes()
+        again = serialize(store_to_graph(restore_store(str(tmp_path / "s")), VOCAB)).encode("utf-8")
+        assert again == document
+        assert hashlib.sha256(log).hexdigest() == LOG_SHA256
+        assert hashlib.sha256(again).hexdigest() == EXPORT_SHA256
 
     def test_import_of_custom_namespace_export_is_data_error(self, capsys, tmp_path):
         # Moving the scot namespace puts the cloud triples outside the SCOT mapping.
