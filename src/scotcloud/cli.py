@@ -57,15 +57,29 @@ def _server_url(args: argparse.Namespace) -> str:
     return getattr(args, "url", None) or os.environ.get(ENV_URL) or DEFAULT_URL
 
 
-def _emit(text: str, out: Optional[str]) -> int:
-    if not out:
-        sys.stdout.write(text)
-        return EXIT_OK
+def _emit(text: str, out: Optional[str] = None) -> int:
+    """Write the output to the file `out`, or to stdout; a failed write is a data error."""
     try:
-        Path(out).write_text(text, "utf-8", newline="\n")
+        if out:
+            Path(out).write_text(text, "utf-8", newline="\n")
+        else:
+            sys.stdout.write(text)
+            sys.stdout.flush()
     except OSError as exc:
         return _fail(EXIT_DATA, f"out: {exc}")
     return EXIT_OK
+
+
+def _request_failed(args: argparse.Namespace, exc: BaseException) -> int:
+    """Report an error from `wire.HttpTransport`: the request never went out, or its answer is lost."""
+    from . import wire
+
+    if isinstance(exc, wire.NOT_SENT):
+        return _fail(EXIT_PROTOCOL, f"cannot reach server at {_server_url(args)}")
+    return _fail(
+        EXIT_PROTOCOL,
+        f"the server at {_server_url(args)} may have applied the request, but its answer was lost ({exc!r})",
+    )
 
 
 # tokens that mean the request data was refused, vs. protocol misuse
@@ -117,7 +131,10 @@ def _cmd_request(args: argparse.Namespace) -> int:
 
     operation = args.subcommand
     params = [(name, str(getattr(args, name))) for name in service_mod.OPERATIONS[operation]]
-    status, raw = sim.fetch_body(wire.HttpTransport(_server_url(args)), operation, params)
+    try:
+        status, raw = sim.fetch_body(wire.HttpTransport(_server_url(args)), operation, params)
+    except wire.REQUEST_ERRORS as exc:
+        return _request_failed(args, exc)
     try:
         body = raw.decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -125,14 +142,13 @@ def _cmd_request(args: argparse.Namespace) -> int:
     if status != 200:
         return _status_exit(status, body)
     if operation in service_mod.MUTATIONS:
-        print(body.removeprefix("ok "))
-        return EXIT_OK
+        return _emit(body.removeprefix("ok ") + "\n")
     return _emit(body, args.out)
 
 
 def _cmd_import(args: argparse.Namespace) -> int:
     try:
-        document = Path(args.infile).read_text("utf-8")
+        document = Path(args.infile).read_bytes()  # the parser decodes it, and reports bytes that are not UTF-8
     except OSError as exc:
         return _fail(EXIT_DATA, f"import: {exc}")
     try:
@@ -167,10 +183,15 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     except sim.ScriptFormatError as exc:
         return _fail(EXIT_DATA, f"script: {exc}")
 
+    request_errors: tuple[type[BaseException], ...] = ()  # the in-process server sends no requests
     if args.url or os.environ.get(ENV_URL):
         from . import wire
 
-        target: sim.Transport | service_mod.AnnotationService = wire.HttpTransport(_server_url(args))
+        request_errors = wire.REQUEST_ERRORS
+        try:
+            target: sim.Transport | service_mod.AnnotationService = wire.HttpTransport(_server_url(args))
+        except request_errors as exc:
+            return _request_failed(args, exc)
     else:
         store = None
         if args.store:
@@ -189,8 +210,11 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         )
     except (sim.SimError, ValueError) as exc:
         return _fail(EXIT_USAGE, f"simulate: {exc}")
-    sys.stdout.write(simulator.run(script))
-    return EXIT_OK
+    try:
+        trace = simulator.run(script)
+    except request_errors as exc:
+        return _request_failed(args, exc)
+    return _emit(trace)
 
 
 def _cmd_layout(args: argparse.Namespace) -> int:
@@ -226,10 +250,8 @@ def _cmd_layout(args: argparse.Namespace) -> int:
     except layout_mod.LayoutError as exc:
         return _fail(EXIT_DATA, f"layout: {exc}")
     if args.format == "json":
-        sys.stdout.write(layout_mod.render_scene_json(scene))
-    else:
-        sys.stdout.write(layout_mod.render_scene_flat(scene))
-    return EXIT_OK
+        return _emit(layout_mod.render_scene_json(scene))
+    return _emit(layout_mod.render_scene_flat(scene))
 
 
 # -- parser ----------------------------------------------------------------------
@@ -307,18 +329,6 @@ def main(argv: Optional[list[str]] = None) -> int:
         return _fail(EXIT_PROTOCOL, f"the document changed during the page walk ({exc}); try again")
     except KeyboardInterrupt:
         return EXIT_OK
-    except Exception as exc:  # subcommands catch their own file errors, so this is a request's
-        from . import wire  # imported here, so that a run that raises nothing loads no HTTP code
-
-        sent = wire.request_sent(exc)
-        if sent is None:
-            raise
-        if not sent:
-            return _fail(EXIT_PROTOCOL, f"cannot reach server at {_server_url(args)}")
-        return _fail(
-            EXIT_PROTOCOL,
-            f"the server at {_server_url(args)} may have applied the request, but its answer was lost ({exc!r})",
-        )
 
 
 if __name__ == "__main__":

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 from urllib.parse import quote, unquote
 
-from .rdfxml import RDF_TYPE, XSD_FLOAT, Iri, Literal, RdfGraph, Term, Triple
+from .rdfxml import RDF_TYPE, XSD_FLOAT, Iri, Literal, RdfGraph
 
 SCOT_NS = "http://scot-project.org/scot/ns#"
 SIOC_NS = "http://rdfs.org/sioc/ns#"
@@ -324,41 +324,24 @@ def cloud_to_rdf(cloud: TagCloud, config: VocabConfig) -> RdfGraph:
 
 
 def _add_cloud_triples(graph: RdfGraph, cloud: TagCloud, config: VocabConfig, scoped: bool) -> None:
-    graph.add(Triple(cloud.resource, RDF_TYPE, VocabConfig.tag_cloud_class))
+    add = graph.add_terms
+    add(cloud.resource, RDF_TYPE, VocabConfig.tag_cloud_class)
     for label, count in cloud.frequencies.items():
         if scoped:
             tag_iri = config.scoped_tag_iri(cloud.resource, label)
         else:
             tag_iri = config.mint(label)
-        graph.add(Triple(cloud.resource, VocabConfig.has_tag, tag_iri))
-        graph.add(Triple(tag_iri, RDF_TYPE, VocabConfig.tag_class))
-        graph.add(Triple(tag_iri, VocabConfig.frequency_property, Literal(f"{count}.0", _FLOAT)))
+        add(cloud.resource, VocabConfig.has_tag, tag_iri)
+        add(tag_iri, RDF_TYPE, VocabConfig.tag_class)
+        add(tag_iri, VocabConfig.frequency_property, Literal(f"{count}.0", _FLOAT))
 
 
-# A graph is read through its descriptions: subject -> predicate -> objects,
-# each list in serialization order, so "the first object" means what it
-# means in the document (IRI objects before literals).
-_Described = dict[Iri, dict[Iri, list[Term]]]
+def _cloud_subjects(graph: RdfGraph) -> list[Iri]:
+    return graph.subjects(RDF_TYPE, VocabConfig.tag_cloud_class)
 
 
-def _descriptions(graph: RdfGraph) -> _Described:
-    """Group every triple of the graph by subject and predicate, in one pass."""
-    described: _Described = {}
-    for triple in graph:
-        described.setdefault(triple.subject, {}).setdefault(triple.predicate, []).append(triple.object)
-    return described
-
-
-def _cloud_subjects(described: _Described) -> list[Iri]:
-    return [
-        subject
-        for subject, properties in described.items()
-        if VocabConfig.tag_cloud_class in properties.get(RDF_TYPE, ())
-    ]
-
-
-def _frequency_of(described: _Described, tag_iri: Iri) -> int:
-    hits = described.get(tag_iri, {}).get(VocabConfig.frequency_property)
+def _frequency_of(graph: RdfGraph, tag_iri: Iri) -> int:
+    hits = graph.objects(tag_iri, VocabConfig.frequency_property)
     if not hits:
         raise CloudShapeError(f"tag {tag_iri} has no frequency")
     obj = hits[0]
@@ -373,26 +356,25 @@ def _frequency_of(described: _Described, tag_iri: Iri) -> int:
     return int(value)
 
 
-def _cloud_from_subject(described: _Described, subject: Iri) -> TagCloud:
+def _cloud_from_subject(graph: RdfGraph, subject: Iri) -> TagCloud:
     cloud = TagCloud(subject)
-    for tag_iri in described[subject].get(VocabConfig.has_tag, ()):
+    for tag_iri in graph.objects(subject, VocabConfig.has_tag):
         if not isinstance(tag_iri, Iri):
             raise CloudShapeError(f"tag reference of {subject} is a literal")
         try:
             label = _check_label(label_from_iri(tag_iri))
         except TagError as exc:
             raise CloudShapeError(str(exc)) from None
-        cloud.frequencies[label] = _frequency_of(described, tag_iri)
+        cloud.frequencies[label] = _frequency_of(graph, tag_iri)
     return cloud
 
 
 def rdf_to_cloud(graph: RdfGraph, config: VocabConfig) -> TagCloud:
     """Inverse of :func:`cloud_to_rdf`; the graph must hold exactly one cloud."""
-    described = _descriptions(graph)
-    subjects = _cloud_subjects(described)
+    subjects = _cloud_subjects(graph)
     if len(subjects) != 1:
         raise CloudShapeError(f"expected exactly one tag cloud subject, found {len(subjects)}")
-    return _cloud_from_subject(described, subjects[0])
+    return _cloud_from_subject(graph, subjects[0])
 
 
 def store_to_graph(store: AnnotationStore, config: VocabConfig) -> RdfGraph:
@@ -403,7 +385,7 @@ def store_to_graph(store: AnnotationStore, config: VocabConfig) -> RdfGraph:
         _add_cloud_triples(graph, store.clouds[resource], config, scoped=True)
     for tree in store.maps.values():
         for child, parent in tree.parent.items():
-            graph.add(Triple(config.mint(child), SKOS_BROADER, config.mint(parent)))
+            graph.add_terms(config.mint(child), SKOS_BROADER, config.mint(parent))
     return graph
 
 
@@ -419,9 +401,8 @@ def store_from_graph(
     if tagger is None:
         tagger = uuid.uuid5(uuid.NAMESPACE_URL, "scotcloud:import")
     store = AnnotationStore()
-    described = _descriptions(graph)
-    for subject in _cloud_subjects(described):
-        cloud = _cloud_from_subject(described, subject)
+    for subject in _cloud_subjects(graph):
+        cloud = _cloud_from_subject(graph, subject)
         for label, count in sorted(cloud.frequencies.items()):
             for _ in range(count):
                 store.record(AnnotationEvent(0, tagger, subject, label))
@@ -432,17 +413,16 @@ def store_from_graph(
 def attach_broader_edges(store: AnnotationStore, graph: RdfGraph) -> None:
     """Attach the graph's `skos:broader` edges to the store's topic maps."""
     edges = []
-    for triple in graph:
-        if triple.predicate != SKOS_BROADER:
-            continue
-        if not isinstance(triple.object, Iri):
-            raise CloudShapeError("broader edge points at a literal")
-        try:
-            child = _check_label(label_from_iri(triple.subject))
-            parent = _check_label(label_from_iri(triple.object))
-        except TagError as exc:
-            raise CloudShapeError(str(exc)) from None
-        edges.append((parent, child))
+    for subject in graph.subjects(SKOS_BROADER):
+        for obj in graph.objects(subject, SKOS_BROADER):
+            if not isinstance(obj, Iri):
+                raise CloudShapeError("broader edge points at a literal")
+            try:
+                child = _check_label(label_from_iri(subject))
+                parent = _check_label(label_from_iri(obj))
+            except TagError as exc:
+                raise CloudShapeError(str(exc)) from None
+            edges.append((parent, child))
     _replay_edges(store, edges)
 
 

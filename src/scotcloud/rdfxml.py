@@ -6,10 +6,17 @@ rdf:resource reference or a (optionally datatyped) text literal. No blank
 nodes, no containers, no reification, no xml:lang. Because every node is
 IRI-identified, graph equality is plain triple-set equality.
 
+A graph holds its triples the way the document writes them: grouped by
+subject, then by predicate, then as the objects of that pair. `parse`
+and the model's writers add terms straight into that shape, so no
+`Triple` object is made per statement; iterating a graph builds its
+`Triple`s on demand, in serialization order.
+
 Serialization is normative and byte-stable: UTF-8, LF line endings,
 2-space indentation, one xmlns line per binding (sorted by prefix),
 subjects sorted lexicographically, rdf:type properties first within a
-subject, remaining properties sorted.
+subject, remaining properties sorted, and the objects of one property
+in `_object_key` order: IRIs before literals, each sorted by its text.
 """
 
 from __future__ import annotations
@@ -18,7 +25,7 @@ import math
 import re
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass
-from typing import Iterator, Optional, Union
+from typing import Iterator, Optional, Sequence, Union
 
 RDF_NS = "http://www.w3.org/1999/02/22-rdf-syntax-ns#"
 XSD_NS = "http://www.w3.org/2001/XMLSchema#"
@@ -98,6 +105,7 @@ class Literal:
 
 
 Term = Union[Iri, Literal]
+RDF_TYPE = Iri(_RDF_TYPE)
 
 
 @dataclass(frozen=True)
@@ -118,13 +126,11 @@ class Triple:
                 raise ValidationError("triple object must be an Iri or a Literal")
 
 
-def _sort_key(t: Triple):
-    if isinstance(t.object, Literal):
-        obj_key = (1, t.object.lexical, t.object.datatype or "")
-    else:
-        obj_key = (0, str(t.object), "")
-    type_rank = 0 if t.predicate == _RDF_TYPE else 1
-    return (str(t.subject), type_rank, str(t.predicate)) + obj_key
+def _object_key(obj: Term) -> tuple[int, str, str]:
+    """Where an object sorts among the objects of one subject and predicate."""
+    if isinstance(obj, Literal):
+        return (1, obj.lexical, obj.datatype or "")
+    return (0, obj, "")
 
 
 class RdfGraph:
@@ -132,10 +138,20 @@ class RdfGraph:
 
     The "rdf" prefix is always bound. Equality and iteration are over the
     triple set; bindings are serialization metadata.
+
+    Triples are held as descriptions: subject -> predicate -> objects.
+    The objects of one pair are the bare term while there is one of them
+    and a set from the second on, so each triple has one written form
+    and `==` is a comparison of those dicts. `add`, `in` and `objects`
+    cost a few dict lookups; `len` is a counter. Iteration sorts the
+    subjects, each subject's predicates and each predicate's objects,
+    and builds one `Triple` per statement; the library's own readers and
+    `serialize` walk the descriptions instead.
     """
 
     def __init__(self, bindings: Optional[dict[str, str]] = None):
-        self._triples: set[Triple] = set()
+        self._descriptions: dict[Iri, dict[Iri, Union[Term, set[Term]]]] = {}
+        self._len = 0
         self._bindings: dict[str, Iri] = {"rdf": Iri(RDF_NS)}
         if bindings:
             for prefix, namespace in bindings.items():
@@ -144,7 +160,30 @@ class RdfGraph:
     def add(self, triple: Triple) -> None:
         if not isinstance(triple, Triple):
             raise ValidationError("expected a Triple")
-        self._triples.add(triple)
+        self.add_terms(triple.subject, triple.predicate, triple.object)
+
+    def add_terms(self, subject: Iri, predicate: Iri, obj: Term) -> None:
+        """Add the triple (subject, predicate, obj) without making a `Triple`.
+
+        The terms must already be `Iri`s and a `Literal`, as their
+        constructors check them; nothing is checked again here.
+        """
+        properties = self._descriptions.get(subject)
+        if properties is None:
+            self._descriptions[subject] = {predicate: obj}
+        else:
+            held = properties.get(predicate)
+            if held is None:
+                properties[predicate] = obj
+            elif type(held) is set:
+                if obj in held:
+                    return
+                held.add(obj)
+            elif held == obj:
+                return
+            else:
+                properties[predicate] = {held, obj}
+        self._len += 1
 
     def bind(self, prefix: str, namespace: str) -> None:
         if not _NCNAME_RE.match(prefix):
@@ -159,28 +198,70 @@ class RdfGraph:
     def bindings(self) -> dict[str, Iri]:
         return dict(self._bindings)
 
+    def objects(self, subject: Iri, predicate: Iri) -> Sequence[Term]:
+        """The objects of (subject, predicate) in serialization order; empty if there are none."""
+        held = self._descriptions.get(subject, {}).get(predicate)
+        return () if held is None else _object_order(held)
+
+    def subjects(self, predicate: Iri, obj: Optional[Term] = None) -> list[Iri]:
+        """Sorted subjects that have `predicate`, or, given `obj`, that have it with that object."""
+        found = []
+        for subject, properties in self._descriptions.items():
+            held = properties.get(predicate)
+            if held is not None and (obj is None or _holds(held, obj)):
+                found.append(subject)
+        found.sort()
+        return found
+
     def __len__(self) -> int:
-        return len(self._triples)
+        return self._len
 
     def __iter__(self) -> Iterator[Triple]:
-        return iter(sorted(self._triples, key=_sort_key))
+        for subject in sorted(self._descriptions):
+            properties = self._descriptions[subject]
+            for predicate in _predicate_order(properties):
+                for obj in _object_order(properties[predicate]):
+                    yield Triple(subject, predicate, obj)
 
     def __contains__(self, triple: Triple) -> bool:
-        return triple in self._triples
+        if not isinstance(triple, Triple):
+            return False
+        held = self._descriptions.get(triple.subject, {}).get(triple.predicate)
+        return held is not None and _holds(held, triple.object)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, RdfGraph):
             return NotImplemented
-        return self._triples == other._triples
+        return self._descriptions == other._descriptions
 
     def __hash__(self):  # mutable container
         raise TypeError("RdfGraph is not hashable")
 
     def __repr__(self) -> str:
-        return f"<RdfGraph {len(self._triples)} triples, {len(self._bindings)} bindings>"
+        return f"<RdfGraph {self._len} triples, {len(self._bindings)} bindings>"
 
 
-RDF_TYPE = Iri(_RDF_TYPE)
+def _predicate_order(properties: dict[Iri, object]) -> list[Iri]:
+    """One subject's predicates as they are written: rdf:type first, then sorted."""
+    predicates = sorted(properties)
+    if len(predicates) > 1 and RDF_TYPE in properties:
+        predicates.remove(RDF_TYPE)
+        predicates.insert(0, RDF_TYPE)
+    return predicates
+
+
+def _object_order(held: Union[Term, set[Term]]) -> Sequence[Term]:
+    """The objects of one subject and predicate as they are written."""
+    if type(held) is not set:
+        return (held,)
+    try:
+        return sorted(held)  # IRIs alone sort as plain strings, which is `_object_key` order
+    except TypeError:  # a Literal has no order of its own
+        return sorted(held, key=_object_key)
+
+
+def _holds(held: Union[Term, set[Term]], obj: Term) -> bool:
+    return obj in held if type(held) is set else held == obj
 
 
 def _escape_attr(value: str) -> str:
@@ -218,31 +299,28 @@ def serialize(graph: RdfGraph) -> str:
         tail = ">" if i == len(prefixes) - 1 else ""
         lines.append(f'  xmlns:{prefix}="{_escape_attr(bindings[prefix])}"{tail}')
 
-    current_subject: Optional[Iri] = None
-    for triple in graph:
-        if triple.subject != current_subject:
-            if current_subject is not None:
-                lines.append("  </rdf:Description>")
-            current_subject = triple.subject
-            lines.append(f'  <rdf:Description rdf:about="{_escape_attr(current_subject)}">')
-        qname = qnames.get(triple.predicate)
-        if qname is None:
-            qname = _qname(triple.predicate, bindings)
+    descriptions = graph._descriptions
+    for subject in sorted(descriptions):
+        lines.append(f'  <rdf:Description rdf:about="{_escape_attr(subject)}">')
+        properties = descriptions[subject]
+        for predicate in _predicate_order(properties):
+            qname = qnames.get(predicate)
             if qname is None:
-                raise SerializationError(f"predicate has no namespace binding: {triple.predicate}")
-            qnames[triple.predicate] = qname
-        obj = triple.object
-        if isinstance(obj, Literal):
-            text = _escape_text(obj.lexical)
-            if obj.datatype is not None:
-                lines.append(
-                    f'    <{qname} rdf:datatype="{_escape_attr(obj.datatype)}">{text}</{qname}>'
-                )
-            else:
-                lines.append(f"    <{qname}>{text}</{qname}>")
-        else:
-            lines.append(f'    <{qname} rdf:resource="{_escape_attr(obj)}"/>')
-    if current_subject is not None:
+                qname = _qname(predicate, bindings)
+                if qname is None:
+                    raise SerializationError(f"predicate has no namespace binding: {predicate}")
+                qnames[predicate] = qname
+            for obj in _object_order(properties[predicate]):
+                if isinstance(obj, Literal):
+                    text = _escape_text(obj.lexical)
+                    if obj.datatype is not None:
+                        lines.append(
+                            f'    <{qname} rdf:datatype="{_escape_attr(obj.datatype)}">{text}</{qname}>'
+                        )
+                    else:
+                        lines.append(f"    <{qname}>{text}</{qname}>")
+                else:
+                    lines.append(f'    <{qname} rdf:resource="{_escape_attr(obj)}"/>')
         lines.append("  </rdf:Description>")
     lines.append("</rdf:RDF>")
     return "\n".join(lines) + "\n"
@@ -361,21 +439,20 @@ def _read_description(elem: ET.Element, graph: RdfGraph, terms: _Terms) -> Iri:
 
     if not (namespace == RDF_NS and local == "Description"):
         # Typed node element: the tag itself is the rdf:type.
-        graph.add(Triple(subject, RDF_TYPE, terms.iri(namespace + local)))
+        graph.add_terms(subject, RDF_TYPE, terms.iri(namespace + local))
 
     for prop in elem:
         p_ns, p_local = terms.split(prop.tag)
         predicate = terms.iri(p_ns + p_local)
 
         resource = prop.get(_RESOURCE)
-        nested = list(prop)
         if resource is not None:
             obj: Term = terms.iri(resource)
-        elif nested:
-            if len(nested) > 1:
+        elif len(prop):
+            if len(prop) > 1:
                 raise RdfParseError(f"property {p_local!r} holds more than one nested node")
-            obj = _read_description(nested[0], graph, terms)
+            obj = _read_description(prop[0], graph, terms)
         else:
             obj = terms.literal(prop.text or "", prop.get(_DATATYPE))
-        graph.add(Triple(subject, predicate, obj))
+        graph.add_terms(subject, predicate, obj)
     return subject

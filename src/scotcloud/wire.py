@@ -3,8 +3,8 @@
 This is the only module of the package that imports `http`, `email` or
 `ssl`. The in-process core (`service`), the simulator (`sim`) and the
 layout engine start without them; `cli` imports this module only in
-`serve`, the five client subcommands and `simulate --url`, and in `main`
-to tell apart the errors that a request can raise (`request_sent`).
+`serve`, the five client subcommands and `simulate --url`, which tell
+apart the errors a request can raise by `REQUEST_ERRORS` and `NOT_SENT`.
 
 The server half is a thin shell over `service.AnnotationService`: it
 parses a request head, hands the path and query to `handle_url`, and
@@ -272,15 +272,8 @@ class HttpTransport:
             conn.close()
 
 
-def request_sent(exc: BaseException) -> bool | None:
-    """What an error from `HttpTransport` says of its request.
-
-    False when the request never went out (Unreachable, InvalidURL); True
-    when it may have been applied and its answer was lost (any other
-    OSError or HTTPException); None for an error that is neither.
-    """
-    if isinstance(exc, (Unreachable, http.client.InvalidURL)):
-        return False
-    if isinstance(exc, (OSError, http.client.HTTPException)):
-        return True
-    return None
+# What a request through HttpTransport can raise. NOT_SENT means it never
+# went out; any other of these means its answer is lost, and the server may
+# or may not have applied it.
+REQUEST_ERRORS = (OSError, http.client.HTTPException)
+NOT_SENT = (Unreachable, http.client.InvalidURL)

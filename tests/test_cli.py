@@ -1,4 +1,6 @@
+import errno
 import hashlib
+import os
 import random
 import socket
 import subprocess
@@ -286,6 +288,14 @@ class TestExportImport:
         bad.write_text("<not-rdf", "utf-8")
         code, _, err = run(capsys, "import", "--in", str(bad), "--store", str(tmp_path / "s"))
         assert code == 3
+
+    def test_import_of_a_file_that_is_not_utf8_is_data_error(self, capsys, tmp_path):
+        bad = tmp_path / "latin1.rdf"
+        bad.write_bytes('<rdf:RDF xmlns:rdf="http://www.w3.org/1999/02/22-rdf-syntax-ns#">caf\xe9</rdf:RDF>'.encode("latin-1"))
+        code, _, err = run(capsys, "import", "--in", str(bad), "--store", str(tmp_path / "s"))
+        assert code == 3
+        assert err.startswith("import: malformed XML: ") and "line 1, column 68" in err
+        assert not (tmp_path / "s").exists()
 
     def test_import_of_missing_file_is_data_error(self, capsys, tmp_path):
         code, _, _ = run(capsys, "import", "--in", str(tmp_path / "nope.rdf"), "--store", str(tmp_path / "s"))
@@ -577,6 +587,39 @@ class TestServeConfig:
         config_file.write_text("wat\n", "utf-8")
         code, _, err = run(capsys, "serve", "--config", str(config_file))
         assert code == 3
+
+
+class _FullStdout:
+    """A stdout on a full disk: every write fails with ENOSPC."""
+
+    def write(self, text):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    def flush(self):
+        pass
+
+
+class TestFullStdout:
+    """A failed write of the output is a local data error, not a lost server answer."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["simulate", "--script", "{script}"],
+            ["layout", "--resource", "mouse"],
+            ["cloud", "--resource", "mouse", "--url", "{url}"],
+            ["export", "--url", "{url}"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_a_stdout_that_cannot_be_written_exits_3_with_out(self, capsys, monkeypatch, live_server, tmp_path, argv):
+        url, svc = live_server
+        seed_mouse(svc)
+        (tmp_path / "bots.txt").write_text(SCRIPT, "utf-8")
+        monkeypatch.setattr(sys, "stdout", _FullStdout())
+        code = main([arg.format(script=tmp_path / "bots.txt", url=url) for arg in argv])
+        err = capsys.readouterr().err
+        assert (code, err) == (3, f"out: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}\n")
 
 
 class _AnswersNotUtf8:

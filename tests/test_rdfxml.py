@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from scotcloud.rdfxml import (
@@ -19,6 +19,7 @@ from scotcloud.rdfxml import (
     parse,
     serialize,
 )
+from scotcloud.rdfxml import _escape_attr, _escape_text, _qname
 
 from conftest import cyclic_garbage
 
@@ -384,3 +385,85 @@ class TestRoundtrip:
         graph = random_graph(rng)
         text = serialize(graph)
         assert serialize(parse(text)) == text
+
+
+# -- the graph against a plain set of triples ----------------------------------
+
+
+def set_sort_key(t: Triple):
+    """The whole-graph sort key of the set-of-triples graph this one replaced."""
+    if isinstance(t.object, Literal):
+        obj_key = (1, t.object.lexical, t.object.datatype or "")
+    else:
+        obj_key = (0, str(t.object), "")
+    type_rank = 0 if t.predicate == RDF_TYPE else 1
+    return (str(t.subject), type_rank, str(t.predicate)) + obj_key
+
+
+def set_serialize(triples: set[Triple], bindings: dict[str, Iri]) -> str:
+    """The writer of the set-of-triples graph: sort every triple, then one line each."""
+    lines = ['<?xml version="1.0" encoding="UTF-8"?>', "<rdf:RDF"]
+    prefixes = sorted(bindings)
+    for i, prefix in enumerate(prefixes):
+        tail = ">" if i == len(prefixes) - 1 else ""
+        lines.append(f'  xmlns:{prefix}="{_escape_attr(bindings[prefix])}"{tail}')
+    current_subject = None
+    for triple in sorted(triples, key=set_sort_key):
+        if triple.subject != current_subject:
+            if current_subject is not None:
+                lines.append("  </rdf:Description>")
+            current_subject = triple.subject
+            lines.append(f'  <rdf:Description rdf:about="{_escape_attr(current_subject)}">')
+        qname = _qname(triple.predicate, bindings)
+        obj = triple.object
+        if isinstance(obj, Literal):
+            text = _escape_text(obj.lexical)
+            if obj.datatype is not None:
+                lines.append(f'    <{qname} rdf:datatype="{_escape_attr(obj.datatype)}">{text}</{qname}>')
+            else:
+                lines.append(f"    <{qname}>{text}</{qname}>")
+        else:
+            lines.append(f'    <{qname} rdf:resource="{_escape_attr(obj)}"/>')
+    if current_subject is not None:
+        lines.append("  </rdf:Description>")
+    lines.append("</rdf:RDF>")
+    return "\n".join(lines) + "\n"
+
+
+LATE = "http://zz.example/ns#"  # a namespace whose predicates sort after rdf:type
+TEXTS = ["http://a/o", "http://a/s0", "b", "a b"]  # each is both an IRI and a literal's text
+triples = st.builds(
+    Triple,
+    st.sampled_from([Iri("http://a/s0"), Iri("http://a/s1"), Iri("http://a/o")]),
+    st.sampled_from([RDF_TYPE, Iri(EX + "p"), Iri(EX + "q"), Iri(LATE + "z")]),
+    st.one_of(
+        st.sampled_from([Iri(t) for t in TEXTS if "://" in t]),
+        st.builds(Literal, st.sampled_from(TEXTS), st.sampled_from([None, Iri(EX + "dt"), Iri(LATE + "dt")])),
+    ),
+)
+
+
+class TestGraphAgainstTripleSet:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(triples, max_size=40), st.lists(triples, max_size=10))
+    def test_adds_read_back_as_a_set_of_triples_does(self, adds, probes):
+        graph = RdfGraph({"ex": EX, "zz": LATE})
+        oracle: set[Triple] = set()
+        for triple in adds:
+            graph.add(triple)
+            oracle.add(triple)
+        assert len(graph) == len(oracle)
+        assert all((t in graph) == (t in oracle) for t in adds + probes)
+        assert list(graph) == sorted(oracle, key=set_sort_key)
+        assert serialize(graph) == set_serialize(oracle, graph.bindings)
+
+        # the same set, added once each and in another order, is an equal graph
+        once = RdfGraph()
+        for triple in sorted(oracle, key=set_sort_key, reverse=True):
+            once.add(triple)
+        assert once == graph
+        for missing in oracle:
+            fewer = RdfGraph()
+            for triple in oracle - {missing}:
+                fewer.add(triple)
+            assert fewer != graph
