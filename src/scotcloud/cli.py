@@ -202,11 +202,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         target = service_mod.AnnotationService(store=store)
     try:
         simulator = sim.Simulator(
-            target,
-            units=args.units,
-            seed=args.seed,
-            latency=sim.LatencyModel(args.base_latency, args.jitter, args.seed),
-            window_mode=args.window_mode,
+            target, units=args.units, seed=args.seed, base_latency_ms=args.base_latency, jitter_ms=args.jitter
         )
     except (sim.SimError, ValueError) as exc:
         return _fail(EXIT_USAGE, f"simulate: {exc}")
@@ -294,7 +290,6 @@ def build_parser() -> _Parser:
     p.add_argument("--units", type=int, default=1)
     p.add_argument("--base-latency", type=int, default=50)
     p.add_argument("--jitter", type=int, default=0)
-    p.add_argument("--window-mode", choices=("sliding", "fixed"), default="sliding")
     p.add_argument("--store", default=None, help="seed the in-process server from this store directory")
     p.add_argument("--url", default=None, help="wire mode: talk to a live server instead")
     p.set_defaults(func=_cmd_simulate)

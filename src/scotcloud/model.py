@@ -24,6 +24,8 @@ SKOS_NS = "http://www.w3.org/2004/02/skos/core#"
 SKOS_BROADER = Iri(SKOS_NS + "broader")
 BINDINGS = {"scot": SCOT_NS, "sioc": SIOC_NS}
 _FLOAT = Iri(XSD_FLOAT)
+# The tagger of every event that `store_from_graph` replays: an export keeps no taggers.
+IMPORT_TAGGER = uuid.uuid5(uuid.NAMESPACE_URL, "scotcloud:import")
 
 
 class TagError(ValueError):
@@ -389,29 +391,20 @@ def store_to_graph(store: AnnotationStore, config: VocabConfig) -> RdfGraph:
     return graph
 
 
-def store_from_graph(
-    graph: RdfGraph, config: VocabConfig, tagger: Optional[uuid.UUID] = None
-) -> AnnotationStore:
+def store_from_graph(graph: RdfGraph, config: VocabConfig) -> AnnotationStore:
     """Rebuild a store from an exported graph.
 
-    Counts are replayed as synthetic annotation events at timestamp 0 so
-    the log-fold invariant still holds; original taggers and times are not
-    part of the export.
+    Counts are replayed as synthetic annotation events at timestamp 0, by
+    `IMPORT_TAGGER`, so the log-fold invariant still holds; original
+    taggers and times are not part of the export. The graph's
+    `skos:broader` edges are then attached to the store's topic maps.
     """
-    if tagger is None:
-        tagger = uuid.uuid5(uuid.NAMESPACE_URL, "scotcloud:import")
     store = AnnotationStore()
     for subject in _cloud_subjects(graph):
         cloud = _cloud_from_subject(graph, subject)
         for label, count in sorted(cloud.frequencies.items()):
             for _ in range(count):
-                store.record(AnnotationEvent(0, tagger, subject, label))
-    attach_broader_edges(store, graph)
-    return store
-
-
-def attach_broader_edges(store: AnnotationStore, graph: RdfGraph) -> None:
-    """Attach the graph's `skos:broader` edges to the store's topic maps."""
+                store.record(AnnotationEvent(0, IMPORT_TAGGER, subject, label))
     edges = []
     for subject in graph.subjects(SKOS_BROADER):
         for obj in graph.objects(subject, SKOS_BROADER):
@@ -424,6 +417,7 @@ def attach_broader_edges(store: AnnotationStore, graph: RdfGraph) -> None:
                 raise CloudShapeError(str(exc)) from None
             edges.append((parent, child))
     _replay_edges(store, edges)
+    return store
 
 
 def _replay_edges(store: AnnotationStore, edges: list[tuple[str, str]]) -> None:

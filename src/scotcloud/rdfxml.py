@@ -409,7 +409,8 @@ def parse(text: Union[str, bytes]) -> RdfGraph:
         root = parser.close()
     except ET.ParseError as exc:
         line, column = exc.position if exc.position else (None, None)
-        raise RdfParseError(f"malformed XML: {exc.msg if hasattr(exc, 'msg') else exc}", line, column) from None
+        reason = str(exc).removesuffix(f": line {line}, column {column}")  # RdfParseError states the position
+        raise RdfParseError(f"malformed XML: {reason}", line, column) from None
 
     terms = _Terms()
     namespace, local = terms.split(root.tag)

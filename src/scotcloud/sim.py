@@ -57,23 +57,6 @@ class ScriptFormatError(ValueError):
 
 
 @dataclass
-class LatencyModel:
-    """Seeded request latency: base plus uniform jitter."""
-
-    base_ms: int = 50
-    jitter_ms: int = 0
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        if self.base_ms < 0 or self.jitter_ms < 0:
-            raise ValueError("latency parameters must be non-negative")
-        self._rng = random.Random(self.seed)
-
-    def sample(self) -> int:
-        return self.base_ms + self._rng.randint(0, self.jitter_ms)
-
-
-@dataclass
 class ScriptUnit:
     """A communication unit: its memory use and the issue times still in its rate window."""
 
@@ -258,6 +241,12 @@ class Simulator:
     keeps no reference to the simulator, so a finished simulator, with
     its trace and pages, is freed as soon as its last reference goes, and
     the service stays usable after it.
+
+    Each issued request is answered `base_latency_ms` plus a uniform
+    draw from 0..`jitter_ms` later; `seed` seeds that one draw per
+    issue, so it is the simulator's only source of randomness. Each unit
+    is held to the platform's sliding rate window: at most `WINDOW_MAX`
+    issues in any `WINDOW_MS`.
     """
 
     def __init__(
@@ -265,13 +254,13 @@ class Simulator:
         target: Union[AnnotationService, Transport],
         units: int = 1,
         seed: int = 0,
-        latency: Optional[LatencyModel] = None,
-        window_mode: str = "sliding",
+        base_latency_ms: int = 50,
+        jitter_ms: int = 0,
     ):
         if units < 1:
             raise SimError("at least one communication unit is required")
-        if window_mode not in ("sliding", "fixed"):
-            raise SimError(f"unknown window mode {window_mode!r}")
+        if base_latency_ms < 0 or jitter_ms < 0:
+            raise ValueError("latency parameters must be non-negative")
         if isinstance(target, AnnotationService):
             target = InProcessTransport(target)
         self.transport = target
@@ -279,8 +268,9 @@ class Simulator:
         if isinstance(self.transport, InProcessTransport):
             self.transport.service.now_ms = self._clock
 
-        self.window_mode = window_mode
-        self.latency = latency or LatencyModel(seed=seed)
+        self.base_latency_ms = base_latency_ms
+        self.jitter_ms = jitter_ms
+        self._rng = random.Random(seed)
         self.units = [ScriptUnit(f"u{i + 1}") for i in range(units)]
 
         self._rr = 0
@@ -311,10 +301,7 @@ class Simulator:
 
     def _headroom(self, unit: ScriptUnit) -> bool:
         """Forget the stamps that have left the window, then count the rest."""
-        if self.window_mode == "fixed":
-            start = self.now // WINDOW_MS * WINDOW_MS
-        else:
-            start = self.now - WINDOW_MS
+        start = self.now - WINDOW_MS
         issued = unit.issued
         while issued and issued[0] < start:
             issued.popleft()
@@ -323,8 +310,6 @@ class Simulator:
     def _next_free_time(self, unit: ScriptUnit) -> int:
         if self._headroom(unit):
             return self.now
-        if self.window_mode == "fixed":
-            return (self.now // WINDOW_MS + 1) * WINDOW_MS
         # Stamps are appended in clock order, so `issued` is sorted: the
         # (count-max+1)-th oldest stamp must age out before a slot opens.
         return unit.issued[len(unit.issued) - WINDOW_MAX] + WINDOW_MS + 1
@@ -399,7 +384,8 @@ class Simulator:
         self.memory_account(unit, REQUEST_COST)
         self._emit(f"issue {unit.label} {pending.query}")
         status, raw = self.transport.get(pending.query)
-        self._push(self.now + self.latency.sample(), "response", (unit, pending, status, raw))
+        latency = self.base_latency_ms + self._rng.randint(0, self.jitter_ms)
+        self._push(self.now + latency, "response", (unit, pending, status, raw))
 
     def _schedule_retry(self) -> None:
         candidates = [self._next_free_time(u) for u in self.units if not u.frozen]

@@ -343,6 +343,12 @@ class TestParse:
             parse(b"")
         assert (info.value.line, info.value.column) == (1, 0)
 
+    def test_an_xml_error_states_its_position_once(self):
+        with pytest.raises(RdfParseError) as info:
+            parse(f'<?xml version="1.0"?>\n<rdf:RDF xmlns:rdf="{RDF_NS}">caf\xe9</rdf:RDF>\n'.encode("latin-1"))
+        assert (info.value.line, info.value.column) == (2, 68)
+        assert str(info.value) == "malformed XML: not well-formed (invalid token) (line 2, column 68)"
+
 
 class TestNoCyclicGarbage:
     """A parse leaves nothing that waits for the cyclic garbage collector."""

@@ -13,7 +13,6 @@ from scotcloud.service import AnnotationService, Page, paginate
 from scotcloud.sim import (
     WINDOW_MAX,
     InProcessTransport,
-    LatencyModel,
     ReassemblyError,
     ScriptFormatError,
     ScriptLine,
@@ -66,14 +65,23 @@ class TestClock:
 
 
 class TestLatency:
-    def test_degenerate_jitter_is_base(self):
-        model = LatencyModel(50, 0, seed=3)
-        assert [model.sample() for _ in range(5)] == [50] * 5
-
-    def test_same_seed_same_sequence(self):
-        a = LatencyModel(10, 40, seed=9)
-        b = LatencyModel(10, 40, seed=9)
-        assert [a.sample() for _ in range(50)] == [b.sample() for _ in range(50)]
+    @pytest.mark.parametrize("seed,base,jitter", [(3, 50, 0), (9, 10, 40), (42, 0, 90)])
+    def test_each_response_comes_one_seeded_draw_after_its_issue(self, seed, base, jitter):
+        sim = make_sim(units=2, seed=seed, base_latency_ms=base, jitter_ms=jitter)
+        for i in range(60):
+            chat_at(sim, i * 700, f"tag r{i % 3} t{i}")
+        issued = {}  # unit -> issue times not yet answered, oldest first
+        delays = []
+        for line in sim.run([]).splitlines():
+            time_ms, kind, rest = line.split(" ", 2)
+            unit = rest.split(" ", 1)[0]
+            if kind == "issue":
+                issued.setdefault(unit, deque()).append(int(time_ms))
+            elif kind == "response":
+                delays.append(int(time_ms) - issued[unit].popleft())
+        rng = random.Random(seed)
+        assert len(delays) == 60
+        assert delays == [base + rng.randint(0, jitter) for _ in delays]
 
     def test_response_arrives_at_base_delay(self):
         sim = make_sim()
@@ -186,13 +194,6 @@ class TestRateLimit:
             for unit in {f"u{k + 1}" for k in range(len(sim.units))}:
                 assert window_ok(issue_times(trace, unit))
 
-    def test_fixed_window_mode_resets_at_boundary(self):
-        sim = make_sim(units=1, window_mode="fixed")
-        for i in range(26):
-            chat_at(sim, 0, f"tag r t{i}")
-        times = issue_times(sim.run([]))
-        assert times == [0] * 25 + [20000]
-
     def test_direct_issue_without_headroom_raises(self):
         sim = make_sim(units=1)
         unit = sim.units[0]
@@ -202,9 +203,8 @@ class TestRateLimit:
         with pytest.raises(SimError):
             sim.unit_issue(unit, _Pending(_Command("cloud", [("resource", "r")]), "/cloud?resource=r"))
 
-    @pytest.mark.parametrize("mode", ["sliding", "fixed"])
-    def test_window_holds_at_most_window_max_stamps(self, mode):
-        sim = make_sim(units=2, window_mode=mode)
+    def test_window_holds_at_most_window_max_stamps(self):
+        sim = make_sim(units=2)
         sizes = []
         for name in ("post_chat", "_on_retry", "_on_response"):  # every kind of event
             handler = getattr(sim, name)
@@ -435,14 +435,14 @@ class TestDeterminism:
         script = self.build_script()
         runs = []
         for _ in range(2):
-            sim = Simulator(AnnotationService(), units=2, seed=42, latency=LatencyModel(40, 30, 42))
+            sim = Simulator(AnnotationService(), units=2, seed=42, base_latency_ms=40, jitter_ms=30)
             runs.append(sim.run(script))
         assert runs[0] == runs[1]
 
     def test_different_seed_changes_latency_trace(self):
         script = self.build_script()
-        a = Simulator(AnnotationService(), units=2, seed=1, latency=LatencyModel(40, 30, 1)).run(script)
-        b = Simulator(AnnotationService(), units=2, seed=2, latency=LatencyModel(40, 30, 2)).run(script)
+        a = Simulator(AnnotationService(), units=2, seed=1, base_latency_ms=40, jitter_ms=30).run(script)
+        b = Simulator(AnnotationService(), units=2, seed=2, base_latency_ms=40, jitter_ms=30).run(script)
         assert a != b
 
     def test_every_accepted_command_completes_exactly_once(self):
@@ -623,25 +623,17 @@ class TestPinnedTraces:
     PINNED = {
         (1, "sliding", 1): ("43afc1a573ed8b120e15b79d69e5a5a9394c4da7e824ef928de7fe4b2e19c1ab", "aborted"),
         (1, "sliding", 3): ("5f6edfb8acc454e1e25fcf06c73c27a839fa4d6ef3d3c3b782abf0db036c4658", "aborted"),
-        (1, "fixed", 1): ("077f32137098bd9902f49481bbcb287e0cad60d6ecebdd12bb364812eca54892", "aborted"),
-        (1, "fixed", 3): ("dd693276fe0ce768c27aa8ca2ac28828681c1bfb76c26b093f20981aeb05f2db", "aborted"),
         (2, "sliding", 1): ("563ebfc1ee51bd9f189ccb51ffe5c2fa8fc460acbfeb7fe20dc42d7a9084b985", "aborted"),
         (2, "sliding", 3): ("70d20167c5ec4603541d4e2d56f040b24a3bac2bdd1758daa8789ea3ca6363b3", "ok"),
-        (2, "fixed", 1): ("21fd54d0231112aa1e3a8c8c69fab3318e299dc1641152712b91a9bdd65a7477", "aborted"),
-        (2, "fixed", 3): ("f9315fa1b241dcc5ef0ef239b8162b55f5888ad80093d18fcb73a4a87b889e67", "ok"),
         (3, "sliding", 1): ("4e756d0a24b2c104c794fdd83ef94236a874abadf53dc6f9f0b84450821954d4", "aborted"),
         (3, "sliding", 3): ("8a860556afab6626c0adfd3ddc75f62acf0a3c5f13d6e6a19fb59c113d2b2678", "aborted"),
-        (3, "fixed", 1): ("42ac5bf4e7255f5065763bb1cf8dae0b68845ce381658c9a7da998e669941026", "aborted"),
-        (3, "fixed", 3): ("1961727c8238a0e8341c231d46849b9dd153377a4836c083b9b79d4028a16ea8", "ok"),
         (4, "sliding", 1): ("1ed72521316b633440f7661b0d31a017164b877b363e9c80dd517ea651f7f5ed", "aborted"),
         (4, "sliding", 3): ("9696ff4c35e23f6d057e77d104ff108ec0e18908ee93c658110db3bbff400254", "aborted"),
-        (4, "fixed", 1): ("7aac1bfc3c4bcc4abed4d127ae4e810c8aec41d811f82b0743f1703fa142fb31", "aborted"),
-        (4, "fixed", 3): ("763db3fe9fe496178b01cc6d5f99c2dbf2350bef4a2f7f35bdf3c432e5781236", "aborted"),
     }
 
     @pytest.mark.parametrize("seed,mode,units", sorted(PINNED))
     def test_trace_is_byte_identical(self, seed, mode, units):
-        sim = make_sim(units=units, seed=seed, latency=LatencyModel(30, 90, seed), window_mode=mode)
+        sim = make_sim(units=units, seed=seed, base_latency_ms=30, jitter_ms=90)
         ending = "ok"
         try:
             sim.run(mixed_script(seed, 1500))
