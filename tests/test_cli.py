@@ -295,6 +295,7 @@ class TestExportImport:
         code, _, err = run(capsys, "import", "--in", str(bad), "--store", str(tmp_path / "s"))
         assert code == 3
         assert err.startswith("import: malformed XML: ") and "line 1, column 68" in err
+        assert err.count("line 1, column") == 1
         assert not (tmp_path / "s").exists()
 
     def test_import_of_missing_file_is_data_error(self, capsys, tmp_path):
@@ -353,6 +354,20 @@ class TestSimulate:
         code, second, _ = run(capsys, "simulate", "--script", str(script), "--seed", "7", "--units", "2")
         assert first == second
         assert "complete tag" in first
+
+    def test_the_seed_replays_jittered_latency(self, capsys, tmp_path):
+        script = tmp_path / "bots.txt"
+        script.write_text(SCRIPT, "utf-8")
+        outs = [run(capsys, "simulate", "--script", str(script), "--seed", seed, "--jitter", "40") for seed in ("3", "3", "4")]
+        assert [code for code, _, _ in outs] == [0, 0, 0]
+        assert outs[0][1] == outs[1][1] != outs[2][1]
+
+    def test_window_mode_is_no_longer_an_option(self, capsys, tmp_path):
+        script = tmp_path / "bots.txt"
+        script.write_text(SCRIPT, "utf-8")
+        code, out, err = run(capsys, "simulate", "--script", str(script), "--window-mode", "sliding")
+        assert (code, out) == (1, "")
+        assert "--window-mode" in err
 
     def test_missing_script_is_data_error(self, capsys, tmp_path):
         code, _, _ = run(capsys, "simulate", "--script", str(tmp_path / "none.txt"))

@@ -669,6 +669,14 @@ class TestStoreGraph:
         assert len(back.events) == 3
         assert back.cloud_of(MOUSE).frequencies == {"laser": 3}
 
+    def test_every_replayed_event_is_by_the_import_tagger(self):
+        store = AnnotationStore()
+        store.record(event("mouse", "laser"))
+        store.record(event("shoe", "rubber"))
+        back = store_from_graph(store_to_graph(store, VOCAB), VOCAB)
+        assert {e.tagger for e in back.events} == {uuid.uuid5(uuid.NAMESPACE_URL, "scotcloud:import")}
+        assert {e.timestamp_ms for e in back.events} == {0}
+
 
 # -- reference readers: the former mapping, one whole-graph scan per lookup ------
 

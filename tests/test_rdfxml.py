@@ -349,6 +349,19 @@ class TestParse:
         assert (info.value.line, info.value.column) == (2, 68)
         assert str(info.value) == "malformed XML: not well-formed (invalid token) (line 2, column 68)"
 
+    @pytest.mark.parametrize(
+        "doc,message",
+        [
+            (b"<a></b>", "mismatched tag (line 1, column 5)"),
+            (b"<a>", "no element found (line 1, column 3)"),
+            (b"<a/><b/>", "junk after document element (line 1, column 4)"),
+        ],
+    )
+    def test_every_expat_error_states_its_position_once(self, doc, message):
+        with pytest.raises(RdfParseError) as info:
+            parse(doc)
+        assert str(info.value) == f"malformed XML: {message}"
+
 
 class TestNoCyclicGarbage:
     """A parse leaves nothing that waits for the cyclic garbage collector."""

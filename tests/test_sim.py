@@ -83,6 +83,25 @@ class TestLatency:
         assert len(delays) == 60
         assert delays == [base + rng.randint(0, jitter) for _ in delays]
 
+    def test_without_jitter_the_seed_changes_nothing(self):
+        traces = set()
+        for seed in (0, 1, 2):
+            sim = make_sim(units=2, seed=seed, base_latency_ms=40)
+            for i in range(60):
+                chat_at(sim, i * 300, f"tag r{i % 3} t{i}")
+            traces.add(sim.run([]))
+        assert len(traces) == 1
+
+    @pytest.mark.parametrize("base,jitter", [(-1, 0), (0, -1)])
+    def test_a_negative_latency_parameter_is_refused(self, base, jitter):
+        with pytest.raises(ValueError, match="^latency parameters must be non-negative$"):
+            make_sim(base_latency_ms=base, jitter_ms=jitter)
+
+    @pytest.mark.parametrize("keyword,value", [("latency", None), ("window_mode", "sliding")])
+    def test_the_removed_keywords_are_refused(self, keyword, value):
+        with pytest.raises(TypeError, match=keyword):
+            make_sim(**{keyword: value})
+
     def test_response_arrives_at_base_delay(self):
         sim = make_sim()
         chat_at(sim, 0, "tag mouse laser")
