@@ -392,16 +392,29 @@ def store_to_graph(store: AnnotationStore, config: VocabConfig) -> RdfGraph:
 
 
 def store_from_graph(graph: RdfGraph, config: VocabConfig) -> AnnotationStore:
-    """Rebuild a store from an exported graph.
+    """Rebuild a store from an exported graph, or raise CloudShapeError.
 
     Counts are replayed as synthetic annotation events at timestamp 0, by
     `IMPORT_TAGGER`, so the log-fold invariant still holds; original
     taggers and times are not part of the export. The graph's
     `skos:broader` edges are then attached to the store's topic maps.
+
+    Every triple must become a cloud count, a tag's type or frequency,
+    or a topic-map edge: a cloud's `rdf:type scot:TagCloud`, a
+    `sioc:has_tag` whose label the cloud keeps, a tag's frequency or
+    `rdf:type scot:Tag`, or a `skos:broader`. The fold counts the
+    distinct triples it used, after all its other checks, and refuses a
+    graph that holds more. So a second type on a cloud, or an extra
+    property on a tag that two clouds share, is an error, and so are two
+    tag IRIs of one cloud that decode to one label.
     """
     store = AnnotationStore()
+    kept = 0  # distinct triples of the graph that the store represents
+    tags: set[Iri] = set()
     for subject in _cloud_subjects(graph):
         cloud = _cloud_from_subject(graph, subject)
+        kept += 1 + len(cloud.frequencies)
+        tags.update(graph.objects(subject, VocabConfig.has_tag))
         for label, count in sorted(cloud.frequencies.items()):
             for _ in range(count):
                 store.record(AnnotationEvent(0, IMPORT_TAGGER, subject, label))
@@ -417,6 +430,12 @@ def store_from_graph(graph: RdfGraph, config: VocabConfig) -> AnnotationStore:
                 raise CloudShapeError(str(exc)) from None
             edges.append((parent, child))
     _replay_edges(store, edges)
+    # An IRI can be a cloud, a tag and a concept at once, but each role counts other triples.
+    kept += len(edges) + sum(1 + (VocabConfig.tag_class in graph.objects(tag, RDF_TYPE)) for tag in tags)
+    if kept < len(graph):
+        raise CloudShapeError(
+            f"the document holds {len(graph)} triples, but only {kept} of them describe SCOT clouds or topic maps"
+        )
     return store
 
 

@@ -431,7 +431,8 @@ def parse(text: Union[str, bytes]) -> RdfGraph:
     return graph
 
 
-def _read_description(elem: ET.Element, graph: RdfGraph, terms: _Terms) -> Iri:
+def _read_node(elem: ET.Element, graph: RdfGraph, terms: _Terms) -> Iri:
+    """The subject of a node element, after adding its typed-node triple if it has one."""
     namespace, local = terms.split(elem.tag)
     about = elem.get(_ABOUT)
     if about is None:
@@ -441,19 +442,39 @@ def _read_description(elem: ET.Element, graph: RdfGraph, terms: _Terms) -> Iri:
     if not (namespace == RDF_NS and local == "Description"):
         # Typed node element: the tag itself is the rdf:type.
         graph.add_terms(subject, RDF_TYPE, terms.iri(namespace + local))
-
-    for prop in elem:
-        p_ns, p_local = terms.split(prop.tag)
-        predicate = terms.iri(p_ns + p_local)
-
-        resource = prop.get(_RESOURCE)
-        if resource is not None:
-            obj: Term = terms.iri(resource)
-        elif len(prop):
-            if len(prop) > 1:
-                raise RdfParseError(f"property {p_local!r} holds more than one nested node")
-            obj = _read_description(prop[0], graph, terms)
-        else:
-            obj = terms.literal(prop.text or "", prop.get(_DATATYPE))
-        graph.add_terms(subject, predicate, obj)
     return subject
+
+
+def _read_description(elem: ET.Element, graph: RdfGraph, terms: _Terms) -> None:
+    """Add the triples of one top-level node and of the nodes nested in it, in document order.
+
+    A nested node is read before the properties after it, so errors come
+    in document order. The walk keeps the (subject, property iterator)
+    of each enclosing node on a stack rather than recursing, so a
+    document may nest deeper than Python's recursion limit.
+    """
+    subject, props = _read_node(elem, graph, terms), iter(elem)
+    stack: list[tuple[Iri, Iterator[ET.Element]]] = []
+    while True:
+        for prop in props:
+            p_ns, p_local = terms.split(prop.tag)
+            predicate = terms.iri(p_ns + p_local)
+
+            resource = prop.get(_RESOURCE)
+            if resource is not None:
+                obj: Term = terms.iri(resource)
+            elif len(prop):
+                if len(prop) > 1:
+                    raise RdfParseError(f"property {p_local!r} holds more than one nested node")
+                obj = _read_node(prop[0], graph, terms)
+                graph.add_terms(subject, predicate, obj)
+                stack.append((subject, props))
+                subject, props = obj, iter(prop[0])
+                break
+            else:
+                obj = terms.literal(prop.text or "", prop.get(_DATATYPE))
+            graph.add_terms(subject, predicate, obj)
+        else:
+            if not stack:
+                return
+            subject, props = stack.pop()

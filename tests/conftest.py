@@ -42,6 +42,25 @@ def store_state(store):
     return clouds, maps
 
 
+def chain_document(links: int, nested: bool) -> str:
+    """Resources n0 .. n<links> in a row, each `ex:next` the one after it.
+
+    Nested, each description sits inside the property of the one before
+    it, `links` levels deep; flat, every description is a child of
+    rdf:RDF. Both forms hold the same `links` triples.
+    """
+    head = '<rdf:RDF xmlns:rdf="http://www.w3.org/1999/02/22-rdf-syntax-ns#" xmlns:ex="http://example.org/ns#">'
+    if nested:
+        body = "".join(f'<rdf:Description rdf:about="http://example.org/n{i}"><ex:next>' for i in range(links))
+        body += f'<rdf:Description rdf:about="http://example.org/n{links}"/>' + "</ex:next></rdf:Description>" * links
+    else:
+        body = "".join(
+            f'<rdf:Description rdf:about="http://example.org/n{i}"><ex:next rdf:resource="http://example.org/n{i + 1}"/></rdf:Description>'
+            for i in range(links)
+        )
+    return f"{head}{body}</rdf:RDF>\n"
+
+
 def cyclic_garbage(action) -> list[str]:
     """Type names of what `action()` leaves that only the cyclic collector can free.
 

@@ -17,7 +17,7 @@ from scotcloud.model import AnnotationEvent, AnnotationStore, VocabConfig, store
 from scotcloud.rdfxml import serialize
 from scotcloud.service import AnnotationService, ServiceConfig, restore_store
 
-from conftest import TAGGER, fetch_full, seed_mouse, store_state
+from conftest import TAGGER, chain_document, fetch_full, seed_mouse, store_state
 
 VOCAB = VocabConfig()
 
@@ -211,6 +211,33 @@ LOG_SHA256 = "9c1addf6fcded2bd61ec5128421fb9174f66f241c517945e6f3e5598add44c19"
 EXPORT_SHA256 = "635c209989a39759c58de1bbdd5a7defa8013ddda4b3348e4640ba758f97a7d9"
 
 
+RDFS = "http://yourdns.com/rdfs/"
+CLOUD_TYPE = '<rdf:type rdf:resource="http://scot-project.org/scot/ns#TagCloud"/>'
+TAG_TYPE = '<rdf:type rdf:resource="http://scot-project.org/scot/ns#Tag"/>'
+ONCE = '<scot:ownAFrequency rdf:datatype="http://www.w3.org/2001/XMLSchema#float">1.0</scot:ownAFrequency>'
+EX_TRIPLES = '<ex:colour>red</ex:colour><ex:seenIn rdf:resource="http://example.org/places/1"/>'
+
+
+def has_tag(iri: str) -> str:
+    return f'<sioc:has_tag rdf:resource="{iri}"/>'
+
+
+def description(about: str, *properties: str) -> str:
+    return f'<rdf:Description rdf:about="{about}">{"".join(properties)}</rdf:Description>'
+
+
+def document(*descriptions: str) -> bytes:
+    head = (
+        '<rdf:RDF xmlns:rdf="http://www.w3.org/1999/02/22-rdf-syntax-ns#" xmlns:scot="http://scot-project.org/scot/ns#"'
+        ' xmlns:sioc="http://rdfs.org/sioc/ns#" xmlns:foaf="http://xmlns.com/foaf/0.1/" xmlns:ex="http://example.org/ns#">'
+    )
+    return f"{head}{''.join(descriptions)}</rdf:RDF>\n".encode("utf-8")
+
+
+# Clouds a and b share the unscoped tag laser.rdf, as no export writes it.
+SHARED_TAG_CLOUDS = [description(RDFS + name, CLOUD_TYPE, has_tag(RDFS + "laser.rdf")) for name in ("a.rdf", "b.rdf")]
+
+
 class TestExportImport:
     def test_roundtrip_preserves_clouds_and_maps(self, capsys, live_server, tmp_path):
         url, svc = live_server
@@ -281,6 +308,63 @@ class TestExportImport:
         code, _, err = run(capsys, "import", "--in", str(export), "--store", str(tmp_path / "s"))
         assert code == 3
         assert "holds 5 triples, but only 1" in err
+        assert not (tmp_path / "s").exists()
+
+    def refused(self, capsys, tmp_path, data: bytes) -> str:
+        """Import `data`; assert exit 3 and that no store directory was made; return stderr."""
+        (tmp_path / "in.rdf").write_bytes(data)
+        code, _, err = run(capsys, "import", "--in", str(tmp_path / "in.rdf"), "--store", str(tmp_path / "s"))
+        assert code == 3
+        assert not (tmp_path / "s").exists()
+        return err
+
+    def imported(self, capsys, tmp_path, data: bytes) -> AnnotationStore:
+        (tmp_path / "in.rdf").write_bytes(data)
+        code, _, _ = run(capsys, "import", "--in", str(tmp_path / "in.rdf"), "--store", str(tmp_path / "s"))
+        assert code == 0
+        return restore_store(str(tmp_path / "s"))
+
+    def test_import_of_a_shared_tag_with_extra_triples_is_data_error(self, capsys, tmp_path):
+        # The two ex: triples on the shared tag would be lost; two scoped tags rebuild 8 triples too.
+        data = document(*SHARED_TAG_CLOUDS, description(RDFS + "laser.rdf", TAG_TYPE, ONCE, EX_TRIPLES))
+        err = self.refused(capsys, tmp_path, data)
+        assert "holds 8 triples, but only 6 of them describe SCOT clouds or topic maps" in err
+
+    def test_import_of_a_cloud_with_a_second_type_is_data_error(self, capsys, tmp_path):
+        # The tag has no rdf:type, so a rebuilt graph, which adds one, would hide the lost foaf type.
+        cloud = description(RDFS + "a.rdf", CLOUD_TYPE, '<rdf:type rdf:resource="http://xmlns.com/foaf/0.1/Document"/>', has_tag(RDFS + "laser.rdf"))
+        err = self.refused(capsys, tmp_path, document(cloud, description(RDFS + "laser.rdf", ONCE)))
+        assert "holds 4 triples, but only 3 of" in err
+
+    def test_import_of_two_tag_iris_with_one_label_in_a_cloud_is_data_error(self, capsys, tmp_path):
+        tags = [RDFS + "laser.rdf", RDFS + "mouse/laser.rdf"]
+        data = document(description(RDFS + "mouse.rdf", CLOUD_TYPE, *map(has_tag, tags)), *(description(t, TAG_TYPE, ONCE) for t in tags))
+        err = self.refused(capsys, tmp_path, data)
+        assert "holds 7 triples, but only 6 of" in err
+
+    def test_import_of_a_shared_tag_gives_each_cloud_its_count(self, capsys, tmp_path):
+        store = self.imported(capsys, tmp_path, document(*SHARED_TAG_CLOUDS, description(RDFS + "laser.rdf", TAG_TYPE, ONCE)))
+        assert store_state(store) == ({RDFS + "a.rdf": {"laser": 1}, RDFS + "b.rdf": {"laser": 1}}, {})
+
+    def test_import_of_a_cloud_document_with_unscoped_tags(self, capsys, tmp_path):
+        svc = AnnotationService()
+        seed_mouse(svc)
+        store = self.imported(capsys, tmp_path, fetch_full(svc, "cloud", {"resource": "mouse"}))
+        assert store_state(store) == store_state(svc.store)
+
+    def test_import_of_a_nesting_deeper_than_the_recursion_limit_is_no_traceback(self, tmp_path):
+        from scotcloud import cli as cli_mod
+
+        (tmp_path / "deep.rdf").write_text(chain_document(sys.getrecursionlimit() + 200, nested=True), "utf-8")
+        done = subprocess.run(
+            [sys.executable, "-m", "scotcloud.cli", "import", "--in", str(tmp_path / "deep.rdf"), "--store", str(tmp_path / "s")],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": str(Path(cli_mod.__file__).parents[1])},
+        )
+        assert done.returncode == 3  # it parses, and holds no SCOT triple
+        assert "Traceback" not in done.stderr
+        assert "but only 0 of them" in done.stderr
         assert not (tmp_path / "s").exists()
 
     def test_import_of_garbage_is_data_error(self, capsys, tmp_path):
@@ -372,6 +456,13 @@ class TestSimulate:
     def test_missing_script_is_data_error(self, capsys, tmp_path):
         code, _, _ = run(capsys, "simulate", "--script", str(tmp_path / "none.txt"))
         assert code == 3
+
+    def test_a_script_that_is_not_utf8_is_data_error(self, capsys, tmp_path):
+        script = tmp_path / "bots.txt"
+        script.write_bytes(f"@0 0 {TAGGER} tag caf\xe9 laser\n".encode("latin-1"))
+        code, out, err = run(capsys, "simulate", "--script", str(script))
+        assert (code, out) == (3, "")
+        assert err.startswith("script: 'utf-8' codec can't decode byte 0xe9")
 
     def test_bad_script_is_data_error(self, capsys, tmp_path):
         script = tmp_path / "bots.txt"

@@ -730,13 +730,22 @@ def ref_rdf_to_cloud(graph):
 
 
 def ref_store_from_graph(graph):
+    """The former mapping, plus the coverage rule: it collects the triples the store represents as a set."""
     tagger = uuid.uuid5(uuid.NAMESPACE_URL, "scotcloud:import")
     store = AnnotationStore()
+    used = set()
     for triple in ref_matching(graph, predicate=RDF_TYPE, object=VOCAB.tag_cloud_class):
         cloud = ref_cloud_from_subject(graph, triple.subject)
         for label, count in sorted(cloud.frequencies.items()):
             for _ in range(count):
                 store.record(AnnotationEvent(0, tagger, triple.subject, label))
+        used.add(triple)
+        kept = {}
+        for ref in ref_matching(graph, subject=triple.subject, predicate=VOCAB.has_tag):
+            kept[label_from_iri(ref.object)] = ref  # the last reference of a label wins, as its frequency does
+            used.add(ref_matching(graph, subject=ref.object, predicate=VOCAB.frequency_property)[0])
+            used.update(ref_matching(graph, subject=ref.object, predicate=RDF_TYPE, object=VOCAB.tag_class))
+        used.update(kept.values())
     edges = []
     for triple in ref_matching(graph, predicate=SKOS_BROADER):
         if not isinstance(triple.object, Iri):
@@ -748,6 +757,11 @@ def ref_store_from_graph(graph):
             raise CloudShapeError(str(exc)) from None
         edges.append((parent, child))
     _replay_edges(store, edges)
+    used.update(ref_matching(graph, predicate=SKOS_BROADER))
+    if len(used) < len(graph):
+        raise CloudShapeError(
+            f"the document holds {len(graph)} triples, but only {len(used)} of them describe SCOT clouds or topic maps"
+        )
     return store
 
 
@@ -823,6 +837,8 @@ BAD_FREQUENCIES = [
     Literal("inf"),
     Iri("http://example.org/seven"),
 ]
+EX_NOTE = Iri("http://example.org/ns#note")
+FOAF_DOCUMENT = Iri("http://xmlns.com/foaf/0.1/Document")
 # Each flaw maps (triples, k) to new triples; k picks the target and the variant.
 FLAWS = {
     "literal reference": lambda ts, k: ts + [Triple(_pick(_cloud_subjects(ts), k), VOCAB.has_tag, _pick([Literal("x"), Literal("1.0")], k))],
@@ -837,6 +853,8 @@ FLAWS = {
     "unnormalized broader": lambda ts, k: ts + [Triple(Iri("http://yourdns.com/rdfs/A%20%20B.rdf"), SKOS_BROADER, VOCAB.mint("n0"))],
     "extra broader": lambda ts, k: ts + [Triple(VOCAB.mint(f"n{k % 6}"), SKOS_BROADER, VOCAB.mint(f"n{k // 6 % 6}"))],
     "dropped broader": lambda ts, k: _without(ts, SKOS_BROADER, k),
+    "extra type": lambda ts, k: ts + [Triple(_pick(_cloud_subjects(ts), k), RDF_TYPE, _pick([FOAF_DOCUMENT, VOCAB.tag_class], k))],
+    "extra property": lambda ts, k: ts + [Triple(_pick(_tag_subjects(ts), k), EX_NOTE, _pick([Literal("x"), VOCAB.mint("laser")], k))],
 }
 
 

@@ -1,4 +1,6 @@
 import random
+import sys
+import xml.etree.ElementTree as ET
 
 import pytest
 from hypothesis import given, settings
@@ -19,9 +21,9 @@ from scotcloud.rdfxml import (
     parse,
     serialize,
 )
-from scotcloud.rdfxml import _escape_attr, _escape_text, _qname
+from scotcloud.rdfxml import _Terms, _escape_attr, _escape_text, _qname
 
-from conftest import cyclic_garbage
+from conftest import chain_document, cyclic_garbage
 
 EX = "http://example.org/ns#"
 SCOT = "http://scot-project.org/scot/ns#"
@@ -303,6 +305,12 @@ class TestParse:
         assert Triple(Iri("http://a/x"), Iri(EX + "link"), Iri("http://a/y")) in graph
         assert Triple(Iri("http://a/y"), Iri(EX + "name"), Literal("why")) in graph
 
+    def test_a_nesting_deeper_than_the_recursion_limit_parses_like_its_flat_form(self):
+        links = sys.getrecursionlimit() + 200
+        graph = parse(chain_document(links, nested=True))
+        assert graph == parse(chain_document(links, nested=False))
+        assert len(graph) == links
+
     def test_node_without_about_is_rejected(self):
         doc = f'<rdf:RDF xmlns:rdf="{RDF_NS}"><rdf:Description/></rdf:RDF>'
         with pytest.raises(RdfParseError):
@@ -361,6 +369,89 @@ class TestParse:
         with pytest.raises(RdfParseError) as info:
             parse(doc)
         assert str(info.value) == f"malformed XML: {message}"
+
+
+# -- reference reader: the former recursive walk of nested descriptions -------------
+
+_REF_ABOUT = f"{{{RDF_NS}}}about"
+_REF_RESOURCE = f"{{{RDF_NS}}}resource"
+_REF_DATATYPE = f"{{{RDF_NS}}}datatype"
+
+
+def ref_read_description(elem, graph, terms):
+    namespace, local = terms.split(elem.tag)
+    about = elem.get(_REF_ABOUT)
+    if about is None:
+        raise RdfParseError("node element has no rdf:about (blank nodes are not supported)")
+    subject = terms.iri(about)
+    if not (namespace == RDF_NS and local == "Description"):
+        graph.add(Triple(subject, RDF_TYPE, terms.iri(namespace + local)))
+    for prop in elem:
+        p_ns, p_local = terms.split(prop.tag)
+        predicate = terms.iri(p_ns + p_local)
+        resource = prop.get(_REF_RESOURCE)
+        if resource is not None:
+            obj = terms.iri(resource)
+        elif len(prop):
+            if len(prop) > 1:
+                raise RdfParseError(f"property {p_local!r} holds more than one nested node")
+            obj = ref_read_description(prop[0], graph, terms)
+        else:
+            obj = terms.literal(prop.text or "", prop.get(_REF_DATATYPE))
+        graph.add(Triple(subject, predicate, obj))
+    return subject
+
+
+def ref_parse(text):
+    graph, terms = RdfGraph(), _Terms()
+    for node in ET.fromstring(text):
+        ref_read_description(node, graph, terms)
+    return graph
+
+
+def random_node(rng: random.Random, depth: int) -> str:
+    """A node element with up to three properties; now and then one of the flaws a reader must report."""
+    tag = rng.choice(["rdf:Description"] * 6 + ["ex:Thing", "scot:Tag"] + ["Plain"] * (rng.random() < 0.1))
+    about = "" if rng.random() < 0.04 else f' rdf:about="http://a/{rng.randint(0, 5)}"'
+    props = []
+    for _ in range(rng.randint(0, 3)):
+        name = rng.choice(["ex:p", "ex:q", "rdf:type"])
+        roll = rng.random()
+        if depth < 5 and roll < 0.35:
+            inner = random_node(rng, depth + 1)
+            if rng.random() < 0.03:
+                inner += random_node(rng, depth + 1)
+            props.append(f"<{name}>{inner}</{name}>")
+        elif roll < 0.65:
+            target = "no-scheme" if rng.random() < 0.03 else f"http://a/{rng.randint(0, 5)}"
+            props.append(f'<{name} rdf:resource="{target}"/>')
+        else:
+            text = rng.choice(["1.0", "2.5", "why"] + ["inf"] * (rng.random() < 0.1))
+            props.append(f'<{name} rdf:datatype="{XSD_FLOAT}">{text}</{name}>' if rng.random() < 0.5 else f"<{name}>{text}</{name}>")
+    return f"<{tag}{about}>{''.join(props)}</{tag}>"
+
+
+def read_outcome(read, text):
+    try:
+        graph = read(text)
+    except RdfParseError as exc:
+        return "error", str(exc)
+    return "graph", len(graph), set(graph)
+
+
+class TestNestedWalk:
+    """The stack walk of nested descriptions against the former recursive one."""
+
+    def test_random_nested_documents_read_as_the_recursive_walk_reads_them(self):
+        rng = random.Random(31)
+        outcomes = set()
+        for _ in range(400):
+            nodes = "".join(random_node(rng, 0) for _ in range(rng.randint(1, 4)))
+            text = f'<rdf:RDF xmlns:rdf="{RDF_NS}" xmlns:ex="{EX}" xmlns:scot="{SCOT}">{nodes}</rdf:RDF>'
+            expected = read_outcome(ref_parse, text)
+            assert read_outcome(parse, text) == expected, text
+            outcomes.add(expected[0] if expected[0] == "graph" else expected[1].split(":")[0])
+        assert len(outcomes) >= 5, outcomes
 
 
 class TestNoCyclicGarbage:
