@@ -399,7 +399,7 @@ class AnnotationService:
             if len(answer.encode("utf-8")) > self.config.page_cap - PAGE_HEADER_RESERVE:
                 return self._answer(400, "badtag")  # the answer would not fit in one page
             event = AnnotationEvent(self.now_ms(), tagger, resource, label)
-            if not self._append_log_line(format_event_line(event)):
+            if self.config.store_path and not self._append_log_line(format_event_line(event)):
                 return self._answer(500, "storage")
             self.store.record(event)
         return self._answer(200, answer)
@@ -459,7 +459,7 @@ class AnnotationService:
                 return self._answer(409, exc.reason)
             if request.page != 0:
                 return self._answer(400, "badpage")
-            if not self._append_log_line(format_attach_line(parent, child)):
+            if self.config.store_path and not self._append_log_line(format_attach_line(parent, child)):
                 return self._answer(500, "storage")
             self.store.attach(parent, child)
         return self._answer(200, "ok")
@@ -477,13 +477,11 @@ class AnnotationService:
     def _append_log_line(self, line: str) -> bool:
         """Append one line to the store directory's log; False if the write failed.
 
-        True without writing when the service has no store directory.
-        A failed append cuts what it may have written of its line; if
-        that fails too, the next opening of the log cuts it. The caller
-        holds `_lock`.
+        Only a service with a store directory has a log, so only it formats
+        a line to call this with. A failed append cuts what it may have
+        written of its line; if that fails too, the next opening of the log
+        cuts it. The caller holds `_lock`.
         """
-        if not self.config.store_path:
-            return True
         path = os.path.join(self.config.store_path, EVENTS_FILE)
         try:
             _write_all(self._log_descriptor(path), line.encode("utf-8"))

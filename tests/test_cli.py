@@ -6,7 +6,6 @@ import socket
 import subprocess
 import sys
 import uuid
-from http.server import ThreadingHTTPServer
 from pathlib import Path
 
 import pytest
@@ -94,6 +93,24 @@ class TestUsage:
         ]
         done = subprocess.run([sys.executable, "-c", probe, *argvs], capture_output=True, text=True, check=True)
         assert done.stdout.splitlines() == ["service []", "sim []", "simulate 0 []", "layout 0 []", "import 0 []"]
+
+    def test_a_serving_server_loads_no_http_library_code(self):
+        from scotcloud import cli as cli_mod
+
+        probe = (
+            "import socket, sys, threading\n"
+            f"sys.path.insert(0, {str(Path(cli_mod.__file__).parents[1])!r})\n"
+            "from scotcloud.service import AnnotationService, ServiceConfig\n"
+            "from scotcloud.wire import make_http_server\n"
+            "server = make_http_server(AnnotationService(ServiceConfig(port=0)))\n"
+            "threading.Thread(target=server.serve_forever, daemon=True).start()\n"
+            "with socket.create_connection(server.server_address) as sock:\n"
+            "    sock.sendall(b'GET /cloud?resource=x HTTP/1.1\\r\\n\\r\\n')\n"
+            "    print(sock.recv(65536).split(b'\\r\\n')[0].decode())\n"
+            "print(sorted(m for m in ('http.client', 'http.server', 'socketserver', 'email', 'ssl') if m in sys.modules))\n"
+        )
+        done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True, timeout=60)
+        assert done.stdout.splitlines() == ["HTTP/1.1 200 OK", "[]"]
 
 
 class TestWireCommands:
@@ -400,7 +417,7 @@ class TestSnapshotRdfDirectory:
     )
     def test_a_store_directory_holding_snapshot_rdf_exits_3_and_names_it(self, capsys, monkeypatch, tmp_path, argv):
         # older versions kept topic maps in snapshot.rdf next to a tag-only log
-        monkeypatch.setattr(ThreadingHTTPServer, "serve_forever", lambda server, *args, **kwargs: None)  # no hang
+        monkeypatch.setattr(wire.HttpServer, "serve_forever", lambda server, *args, **kwargs: None)  # no hang
         svc = AnnotationService()
         seed_mouse(svc)
         svc.handle_url(f"/attach?parent=shoe&child=rubber&tagger={TAGGER}")
@@ -620,7 +637,7 @@ class TestServeConfig:
             bound["port"] = server.server_address[1]
 
         monkeypatch.delenv("SCOTCLOUD_PORT", raising=False)
-        monkeypatch.setattr(wire.ThreadingHTTPServer, "serve_forever", stop_at_once)
+        monkeypatch.setattr(wire.HttpServer, "serve_forever", stop_at_once)
         code, _, err = run(capsys, "serve", "--port", "0")
         assert code == 0
         assert bound["port"] != 0

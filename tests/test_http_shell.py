@@ -1,12 +1,14 @@
 """The HTTP shell's own request parse and response head, against http.server's.
 
-`_Handler` reads request heads without the email package and formats each
+The server of `wire.make_http_server` reads request heads as their bytes
+arrive, without http.server or the email package, and formats each
 response in one piece. The reference here is the shell as http.server
-builds it: `BaseHTTPRequestHandler.parse_request`, which parses headers
-through `email.feedparser`, and `send_response`/`send_header`. Both
-servers get the same raw bytes and must send back the same bytes, Date
-value aside, and agree on whether the connection stays open, with two
-intended differences:
+builds it, on a `ThreadingHTTPServer`: `BaseHTTPRequestHandler.parse_request`,
+which parses headers through `email.feedparser`, and
+`send_response`/`send_header`. Both servers get the same raw bytes, whole
+or one byte at a time, and must send back the same bytes, Date value
+aside, and agree on whether the connection stays open, with two intended
+differences:
 
 - a head with a line that is not a plain `name: value` line is answered
   400 and closed (RFC 9112 §5.1 and §5.2), unless a 414, 431 or
@@ -23,13 +25,14 @@ import http.client
 import re
 import socket
 import threading
+import time
 from email.utils import formatdate
 from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from http.server import BaseHTTPRequestHandler
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 from scotcloud import wire
 from scotcloud.service import AnnotationService, ServiceConfig
@@ -79,17 +82,25 @@ def _seeded() -> AnnotationService:
     return service
 
 
+class _Reference(_StdlibShell, BaseHTTPRequestHandler):
+    protocol_version = "HTTP/1.1"
+    disable_nagle_algorithm = True
+
+    def log_message(self, fmt, *args):
+        pass
+
+
 @pytest.fixture(scope="module")
 def servers():
-    """A server with the shell and one with the reference: their ports, handler classes, and answer to PROBE."""
+    """A server with the shell and one with the reference: their ports, the objects whose
+    `service` each answers from, and the answer to PROBE."""
     lean = make_http_server(_seeded())
-    reference = make_http_server(_seeded())
-    reference.RequestHandlerClass = type("Reference", (_StdlibShell, reference.RequestHandlerClass), {})
+    reference = ThreadingHTTPServer(("127.0.0.1", 0), type("Reference", (_Reference,), {"service": _seeded()}))
     with _running(lean) as lean_port, _running(reference) as reference_port:
         yield SimpleNamespace(
             lean=lean_port,
             reference=reference_port,
-            handlers=(lean.RequestHandlerClass, reference.RequestHandlerClass),
+            handlers=(lean, reference.RequestHandlerClass),
             probe_answer=exchange(reference_port, b""),
         )
 
@@ -348,9 +359,9 @@ def test_kept_alive_tags_and_clouds_never_run_the_email_parser(servers, monkeypa
 def test_date_is_formatted_once_a_second(monkeypatch):
     clock = [1_000_000.25]
     formatted = []
-    monkeypatch.setattr(wire, "time", SimpleNamespace(time=lambda: clock[0]))
-    real = wire.formatdate
-    monkeypatch.setattr(wire, "formatdate", lambda *args, **kw: formatted.append(args) or real(*args, **kw))
+    monkeypatch.setattr(wire, "time", SimpleNamespace(time=lambda: clock[0], gmtime=time.gmtime))
+    real = wire._http_date
+    monkeypatch.setattr(wire, "_http_date", lambda seconds: formatted.append(seconds) or real(seconds))
     date = wire._DateHeader()
     first = date.value()
     assert first == formatdate(clock[0], usegmt=True).encode("ascii")  # what http.server would send
@@ -359,3 +370,97 @@ def test_date_is_formatted_once_a_second(monkeypatch):
     clock[0] = 1_000_001.0
     assert date.value() == formatdate(clock[0], usegmt=True).encode("ascii") != first
     assert len(formatted) == 2
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.integers(0, 2**33))
+def test_the_date_is_formatted_as_email_utils_formats_it(seconds):
+    assert wire._http_date(seconds) == formatdate(seconds, usegmt=True).encode("ascii")
+
+
+def test_the_error_page_is_http_servers():
+    assert wire._ERROR_PAGE == BaseHTTPRequestHandler.error_message_format
+    assert wire._SERVER.decode("ascii") == f"{BaseHTTPRequestHandler.server_version} {BaseHTTPRequestHandler.sys_version}"
+
+
+def exchange_in_pieces(port: int, head: bytes, size: int = 1, then: bytes = PROBE) -> bytes:
+    """As `exchange`, but `head` goes out `size` bytes per send, and `then` after it."""
+    received = b""
+    with socket.create_connection(("127.0.0.1", port), timeout=10) as sock:
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        try:
+            for start in range(0, len(head), size):
+                sock.sendall(head[start : start + size])
+            sock.sendall(then)
+            sock.shutdown(socket.SHUT_WR)
+        except OSError:  # the server refused the head and closed before its end
+            pass
+        try:
+            while chunk := sock.recv(65536):
+                received += chunk
+        except ConnectionResetError:
+            pass
+    return _DATE.sub(b"\r\nDate: -", received)
+
+
+_FIXED = {case[0]: case[1] for case in FIXED}
+# Limit cases, and heads whose answer each part of the request line and head decides.
+_IN_PIECES = ["request-line-too-long", "header-line-too-long", "101-head-lines", "100-head-lines", "bad-version",
+              "http-2", "post", "http-0.9", "http-0.9-keep-alive", "expect-100", "body", "folded-line",
+              "empty-request-line", "connection-close"]
+# Pairs of heads that both servers answer alike, sent in one send.
+_PIPELINED = [("double-slash", "http-1.0-keep-alive"), ("expect-100", "post"), ("http-1.9", "connection-close"),
+              ("content-length", "101-head-lines"), ("http-0.9-keep-alive", "http-1.0")]
+
+
+def _reset(servers) -> None:
+    for handler in servers.handlers:  # the same store on both sides, whatever earlier heads did
+        handler.service = _seeded()
+
+
+@pytest.mark.parametrize("name", _IN_PIECES)
+def test_a_head_sent_a_byte_at_a_time_is_answered_as_when_sent_whole(servers, name):
+    assert_same_as_stdlib(servers, _FIXED[name])
+    _reset(servers)
+    whole = exchange(servers.lean, _FIXED[name])
+    _reset(servers)
+    assert exchange_in_pieces(servers.lean, _FIXED[name]) == whole
+
+
+@settings(max_examples=40, deadline=None)
+@given(heads())
+def test_drawn_heads_sent_a_byte_at_a_time_are_answered_as_when_sent_whole(servers, head):
+    assert_same_as_stdlib(servers, head)
+    _reset(servers)
+    whole = exchange(servers.lean, head)
+    _reset(servers)
+    assert exchange_in_pieces(servers.lean, head) == whole
+
+
+@pytest.mark.parametrize("first, second", _PIPELINED, ids=["+".join(pair) for pair in _PIPELINED])
+def test_two_heads_in_one_send_are_answered_in_order_as_http_server_answers_them(servers, first, second):
+    head = _FIXED[first] + _FIXED[second]
+    assert_same_as_stdlib(servers, head)
+    _reset(servers)
+    whole = exchange(servers.lean, head)
+    _reset(servers)
+    assert exchange_in_pieces(servers.lean, head) == whole
+
+
+# Heads that the client cuts short by shutting its side, and the start and
+# end of the answer: what has arrived is read as lines, the end of input
+# ending the last line and the head. A last line without its LF is not a
+# plain `name: value` line. The answer is the same however the bytes arrive.
+_CUT = [
+    (b"GET /tag", b"page 1/1 7\nmissing", b"page 1/1 7\nmissing"),
+    (b"GET /export HTTP/1.1\r\n", b"HTTP/1.1 200 OK\r\n", b"</rdf:RDF>\n"),
+    (b"GET /export HTTP/1.1\r\nHost: x", b"HTTP/1.1 400 Bad header line\r\n", b"</html>\n"),
+    (b"GET /export HTTP/1.1\r\n\r\nGET /tag", b"HTTP/1.1 200 OK\r\n", b"</rdf:RDF>\npage 1/1 7\nmissing"),
+]
+
+
+@pytest.mark.parametrize("head, start, end", _CUT)
+def test_a_head_cut_short_is_answered_as_far_as_it_goes(servers, head, start, end):
+    whole = exchange_in_pieces(servers.lean, head, size=len(head), then=b"")
+    assert whole.startswith(start) and whole.endswith(end)
+    assert exchange_in_pieces(servers.lean, head, then=b"") == whole

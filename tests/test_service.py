@@ -7,11 +7,12 @@ import os
 import random
 import shutil
 import socket
+import struct
 import sys
 import tempfile
 import threading
 import time
-from http.server import ThreadingHTTPServer
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 from urllib.parse import urlencode, urlsplit
 
@@ -563,6 +564,14 @@ class TestPersistence:
         born_again = AnnotationService(ServiceConfig(store_path=str(tmp_path / "live")))
         assert store_state(born_again.store) == store_state(service.store)
 
+    def test_a_service_without_a_store_formats_no_log_line(self, monkeypatch):
+        for name in ("format_event_line", "format_attach_line"):
+            monkeypatch.setattr(service_module, name, lambda *args: pytest.fail("formatted a log line"))
+        service = AnnotationService()
+        seed_mouse(service)
+        assert service.handle_url(f"/attach?parent=shoe&child=rubber&tagger={TAGGER}").status == 200
+        assert service.store.maps["shoe"].parent == {"rubber": "shoe"}
+
     def test_attach_appends_one_log_line_and_rewrites_nothing(self, tmp_path):
         live = tmp_path / "live"
         service = AnnotationService(ServiceConfig(store_path=str(live)))
@@ -715,19 +724,64 @@ class TestHttpWire:
         assert cloud.frequencies["t"] == 100
 
 
+class _StdlibShell(BaseHTTPRequestHandler):
+    """A GET shell on http.server, which the fault mixins below bend; it serves tests of HttpTransport."""
+
+    protocol_version = "HTTP/1.1"
+
+    def do_GET(self):  # noqa: N802 (http.server API)
+        response = self.service.handle_url(self.path)
+        raw = response.encode()
+        self.send_response(response.status)
+        self.send_header("Content-Type", "text/plain; charset=utf-8")
+        self.send_header("Content-Length", str(len(raw)))
+        self.end_headers()
+        self.wfile.write(raw)
+
+    def log_message(self, fmt, *args):
+        pass
+
+
 @contextlib.contextmanager
 def http_server(service: AnnotationService, handler_mixin: type):
-    """A live server whose handler has `handler_mixin` in front; yields (url, server).
+    """A live stdlib server whose handler has `handler_mixin` in front; yields (url, server).
 
     `server.connections` counts the connections the server accepted.
     """
-    server = make_http_server(service)
+    handler = type("Handler", (handler_mixin, _StdlibShell), {"service": service})
+    server = ThreadingHTTPServer(("127.0.0.1", 0), handler)
     server.connections = 0
-    server.RequestHandlerClass = type("Handler", (handler_mixin, server.RequestHandlerClass), {})
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
     try:
         yield f"http://127.0.0.1:{server.server_address[1]}", server
+    finally:
+        server.shutdown()
+        server.server_close()
+
+
+@contextlib.contextmanager
+def shell_server(service: AnnotationService, monkeypatch):
+    """The server of make_http_server over `service`, serving on a thread; yields (url, server, accepted).
+
+    `accepted` lists the connections the server accepted, as a spy on
+    `socket.accept` sees them.
+    """
+    server = make_http_server(service)
+    accepted = []
+    real = socket.socket.accept
+
+    def accept(sock):
+        pair = real(sock)
+        if sock is server.socket:
+            accepted.append(pair[0])
+        return pair
+
+    monkeypatch.setattr(socket.socket, "accept", accept)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    try:
+        yield f"http://127.0.0.1:{server.server_address[1]}", server, accepted
     finally:
         server.shutdown()
         server.server_close()
@@ -781,16 +835,6 @@ class _AppliesTheSecondButNeverAnswers(_Counting):
         self.close_connection = True
 
 
-class _RecordsItsThread:
-    def setup(self):
-        super().setup()
-        self.server.handler_threads.append(threading.current_thread())
-
-
-class _CountsAndRecordsItsThread(_RecordsItsThread, _Counting):
-    pass
-
-
 def _tag_query(tag: str = "t") -> str:
     return "/tag?" + urlencode({"resource": "kept", "tag": tag, "tagger": str(TAGGER)})
 
@@ -804,17 +848,17 @@ def _kept_count(service: AnnotationService, tag: str = "t") -> int:
 
 
 class TestUnbufferedWrites:
-    def test_a_page_cap_larger_than_memory_serves_over_http(self):
+    def test_a_page_cap_larger_than_memory_serves_over_http(self, monkeypatch):
         service = AnnotationService(ServiceConfig(port=0, page_cap=10**12))
         seed_mouse(service)
-        with http_server(service, _Counting) as (url, server):
+        with shell_server(service, monkeypatch) as (url, _, accepted):
             status, body = http_get(url, "/cloud", {"resource": "mouse"})
             assert (status, body) == (200, service.handle_url("/cloud?resource=mouse").encode())
             assert http_get(url, "/tag", {"resource": "mouse", "tag": "laser", "tagger": str(TAGGER)}) == (
                 200,
                 b"page 1/1 10\nok laser 4",
             )
-        assert server.connections == 2
+        assert len(accepted) == 2
 
 
 class TestKeepAlive:
@@ -897,40 +941,6 @@ class TestKeepAlive:
         assert server.connections == 2
         assert _kept_count(svc) == 2
 
-    def test_a_request_leaves_no_connection_open(self):
-        svc = AnnotationService(ServiceConfig(port=0))
-        with http_server(svc, _CountsAndRecordsItsThread) as (url, server):
-            server.handler_threads = []
-            assert server.RequestHandlerClass.timeout == wire.IDLE_TIMEOUT_S == 30
-            transport = HttpTransport(url)
-            for i in range(1, 4):
-                assert transport.get(_tag_query()) == (200, _tag_page(i))
-            deadline = time.monotonic() + 2
-            while any(t.is_alive() for t in server.handler_threads) and time.monotonic() < deadline:
-                time.sleep(0.02)
-            alive = sum(t.is_alive() for t in server.handler_threads)
-        assert server.connections == 3
-        assert alive == 0
-
-    def test_idle_connections_do_not_pin_handler_threads(self):
-        svc = AnnotationService(ServiceConfig(port=0))
-        with http_server(svc, _RecordsItsThread) as (url, server):
-            server.handler_threads = []
-            assert server.RequestHandlerClass.timeout == wire.IDLE_TIMEOUT_S > 0
-            server.RequestHandlerClass.timeout = 0.2
-            conns = [http.client.HTTPConnection(urlsplit(url).netloc, timeout=5) for _ in range(5)]
-            for conn in conns:
-                conn.request("GET", "/cloud?resource=x")
-                assert conn.getresponse().read().startswith(b"page 1/1 ")
-            assert len(server.handler_threads) == 5
-            deadline = time.monotonic() + 3
-            while any(t.is_alive() for t in server.handler_threads) and time.monotonic() < deadline:
-                time.sleep(0.02)
-            alive = sum(t.is_alive() for t in server.handler_threads)
-            for conn in conns:
-                conn.close()
-        assert alive == 0
-
     def test_transport_keeps_a_base_path_prefix(self, live_server):
         url, _ = live_server
         transport = HttpTransport(url + "/")
@@ -939,6 +949,75 @@ class TestKeepAlive:
         assert transport.get("/cloud?resource=x") == (404, Page(1, 1, b"unknown").encode())
         with pytest.raises(http.client.InvalidURL):
             HttpTransport("ftp://127.0.0.1:1")
+
+
+def _read_until_closed(sock: socket.socket) -> bytes:
+    received = b""
+    while chunk := sock.recv(1 << 20):
+        received += chunk
+    return received
+
+
+class TestOneLoop:
+    """One thread serves every connection, so no connection may hold it."""
+
+    def test_stalled_peers_do_not_stall_the_loop(self, monkeypatch):
+        service = AnnotationService(ServiceConfig(port=0, page_cap=10**12))
+        resource = VOCAB.resource_iri("big")
+        for i in range(30_000):
+            service.store.record(model.AnnotationEvent(0, TAGGER, resource, f"tag{i}"))
+        big = service.handle_url("/cloud?resource=big").encode()  # about 10 MB, built before the clock starts
+        assert len(big) > 8_000_000
+        request = b"GET /cloud?resource=big HTTP/1.1\r\nConnection: close\r\n\r\n"
+        with shell_server(service, monkeypatch) as (url, _, _accepted):
+            address = ("127.0.0.1", urlsplit(url).port)
+            with contextlib.ExitStack() as stack:
+                half = stack.enter_context(socket.create_connection(address, timeout=10))
+                half.sendall(request[:30])  # half a head, and no more
+                unread = stack.enter_context(socket.socket())
+                unread.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+                unread.settimeout(10)
+                unread.connect(address)
+                unread.sendall(request)
+                first = unread.recv(1)  # the server is sending; most of the answer waits in it
+                gone = stack.enter_context(socket.create_connection(address, timeout=10))
+                gone.sendall(request)
+                gone.recv(1)
+                gone.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+                gone.close()  # a reset in the middle of its answer
+                start = time.perf_counter()
+                assert HttpTransport(url).get(_tag_query()) == (200, _tag_page(1))
+                assert time.perf_counter() - start < 1.0
+                answer = first + _read_until_closed(unread)
+                assert answer.endswith(b"\r\n\r\n" + big)
+                assert answer.startswith(b"HTTP/1.1 200 OK\r\n")
+                assert HttpTransport(url).get(_tag_query()) == (200, _tag_page(2))
+
+    def test_an_idle_connection_is_closed(self, monkeypatch, live_server):
+        monkeypatch.setattr(wire, "IDLE_TIMEOUT_S", 0.2)
+        url, _ = live_server
+        address = ("127.0.0.1", urlsplit(url).port)
+        with socket.create_connection(address, timeout=5) as silent, socket.create_connection(address, timeout=5) as kept:
+            start = time.perf_counter()
+            kept.sendall(b"GET %s HTTP/1.1\r\n\r\n" % _tag_query().encode())
+            answer = _read_until_closed(kept)  # a wait past the 5 s timeout fails
+            assert answer.startswith(b"HTTP/1.1 200 OK\r\n") and answer.endswith(b"\r\n\r\n" + _tag_page(1))
+            assert b"Connection: close" not in answer
+            assert _read_until_closed(silent) == b""
+            assert 0.2 <= time.perf_counter() - start < 2
+
+    def test_open_connections_start_no_threads(self, live_server):
+        url, _ = live_server
+        address = ("127.0.0.1", urlsplit(url).port)
+        threads = threading.active_count()
+        with contextlib.ExitStack() as stack:
+            socks = [stack.enter_context(socket.create_connection(address, timeout=5)) for _ in range(20)]
+            for sock in socks:
+                sock.sendall(b"GET /cloud?resource=x HTTP/1.1\r\n\r\n")
+            for sock in socks:
+                head, _, _ = sock.recv(65536).partition(b"\r\n")
+                assert head == b"HTTP/1.1 200 OK"
+            assert threading.active_count() == threads
 
 
 class TestTransportReuse:
@@ -1815,7 +1894,7 @@ class TestOpenLog:
         def interrupted(server, *args, **kwargs):
             raise KeyboardInterrupt
 
-        monkeypatch.setattr(ThreadingHTTPServer, "serve_forever", interrupted)
+        monkeypatch.setattr(wire.HttpServer, "serve_forever", interrupted)
         wire.serve(service)
         assert service._log_fd is None
         with pytest.raises(OSError):
@@ -1826,7 +1905,7 @@ class TestOneSendPerResponse:
     def test_each_kept_alive_response_is_one_send_and_arrives_whole(self, tmp_path, monkeypatch):
         opened = _log_opens(monkeypatch)
         service = AnnotationService(ServiceConfig(port=0, store_path=str(tmp_path / "live")))
-        with http_server(service, _Counting) as (url, server):
+        with shell_server(service, monkeypatch) as (url, server, accepted):
             port = server.server_address[1]
             sends = []
 
@@ -1850,7 +1929,7 @@ class TestOneSendPerResponse:
                     assert body == _tag_page(i), i
                     assert len(sends) == i and sends[-1] == response
         service.close()
-        assert server.connections == 1
+        assert len(accepted) == 1
         assert len(sends) == 200
         assert len(opened) == 1
         assert _kept_count(service) == 200
