@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import re
 import sys
 import uuid
 from pathlib import Path
@@ -27,7 +28,10 @@ from . import model, rdfxml, service as service_mod
 ENV_URL = "SCOTCLOUD_URL"
 ENV_PORT = "SCOTCLOUD_PORT"
 DEFAULT_URL = f"http://127.0.0.1:{service_mod.ServiceConfig.port}"
-CLI_TAGGER = uuid.uuid5(uuid.NAMESPACE_URL, "scotcloud:cli")
+# uuid5(NAMESPACE_URL, "scotcloud:cli"), written out as model.IMPORT_TAGGER is, so that no import loads hashlib
+CLI_TAGGER = uuid.UUID("cc81a37b-213a-5946-8376-1cbd190a0d03")
+# Command-line bytes that are not UTF-8 reach sys.argv as lone surrogates, which no query or IRI can hold.
+_NOT_UTF8 = re.compile("[\ud800-\udfff]")
 _CLIENT_HELP = {
     "tag": "attach a tag to a resource",
     "cloud": "fetch a resource's tag cloud as RDF/XML",
@@ -131,6 +135,9 @@ def _cmd_request(args: argparse.Namespace) -> int:
 
     operation = args.subcommand
     params = [(name, str(getattr(args, name))) for name in service_mod.OPERATIONS[operation]]
+    for name, value in params:
+        if _NOT_UTF8.search(value):
+            return _fail(EXIT_DATA, f"{operation}: --{name} is not UTF-8 text")
     try:
         status, raw = sim.fetch_body(wire.HttpTransport(_server_url(args)), operation, params)
     except wire.REQUEST_ERRORS as exc:
@@ -206,6 +213,8 @@ def _cmd_layout(args: argparse.Namespace) -> int:
 
     if bool(args.resource) == bool(args.root):
         return _fail(EXIT_USAGE, "layout: give exactly one of --resource or --root")
+    if args.resource and _NOT_UTF8.search(args.resource):
+        return _fail(EXIT_DATA, "layout: --resource is not UTF-8 text")
     if args.depth is not None and args.depth < 1:
         return _fail(EXIT_DATA, "layout: depth must be at least 1")
     if args.store:

@@ -25,7 +25,8 @@ SKOS_BROADER = Iri(SKOS_NS + "broader")
 BINDINGS = {"scot": SCOT_NS, "sioc": SIOC_NS}
 _FLOAT = Iri(XSD_FLOAT)
 # The tagger of every event that `store_from_graph` replays: an export keeps no taggers.
-IMPORT_TAGGER = uuid.uuid5(uuid.NAMESPACE_URL, "scotcloud:import")
+# It is uuid5(NAMESPACE_URL, "scotcloud:import"), written out: computing it would load hashlib.
+IMPORT_TAGGER = uuid.UUID("9853dba8-e0ee-5b39-86e4-00067ae5d7b2")
 
 
 class TagError(ValueError):

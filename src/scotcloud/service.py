@@ -6,6 +6,13 @@ friendly treatment for GET. Every response body is split into pages of at
 most `page_cap` bytes (header line included); clients fetch page by page
 and reassemble. Error bodies are single machine-parseable tokens.
 
+A request target in origin form (one `/`, then no `#`, tab, CR or LF) is
+split at its first `?` in one pass; any other is read by `urlsplit`. The
+query is `&`-separated `name=value` pairs read as `parse_qsl` reads them
+with blank values kept: `+` is a space, `%XX` decodes as UTF-8 with
+invalid bytes replaced, and a repeated name keeps its last value
+(`request_from_url`).
+
 This module is the in-process core and the store directory; it imports
 no HTTP code. The HTTP server shell over it, and the client transport,
 are in `wire`.
@@ -53,7 +60,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Optional
-from urllib.parse import parse_qsl, urlsplit
+from urllib.parse import unquote, urlsplit
 
 from . import model, rdfxml
 from .model import AnnotationEvent, AnnotationStore, TopicMap, VocabConfig
@@ -84,10 +91,16 @@ OPERATIONS: dict[str, tuple[str, ...]] = {
 }
 PARAM_DEFAULTS = {"depth": "1"}
 MUTATIONS = frozenset({"tag", "attach"})
+# The names each operation must be given, not empty: its parameters without a default.
+_REQUIRED = {op: tuple(name for name in names if name not in PARAM_DEFAULTS) for op, names in OPERATIONS.items()}
 
 
 class PageError(ValueError):
     """Raw bytes do not decode as a page."""
+
+
+class PageNumberError(ValueError):
+    """A request's `page` parameter is not a page number."""
 
 
 class StoreLoadError(Exception):
@@ -226,16 +239,32 @@ def load_config(path: str) -> ServiceConfig:
 
 
 def request_from_url(path_query: str) -> ApiRequest:
-    """Parse "/op?key=value&..." into a request. Raises ValueError."""
-    split = urlsplit(path_query)
-    operation = split.path.strip("/")
+    """Parse "/op?key=value&..." into a request. Raises ValueError, as PageNumberError for a bad `page`.
+
+    An origin-form target, one `/` then no `#`, tab, CR or LF, is split at
+    its first `?`; any other goes through `urlsplit`, which strips those
+    characters and reads a scheme, a host and a fragment. The query is read
+    as `dict(parse_qsl(query, keep_blank_values=True))` reads it: empty
+    pieces are skipped, each piece splits at its first `=`, `+` is a space
+    and `%XX` escapes decode as UTF-8 with invalid bytes replaced, and a
+    repeated name keeps its last value.
+    """
+    path, _, query = path_query.partition("?")
+    if path_query[:1] != "/" or path_query[1:2] == "/" or (
+        "#" in path_query or "\t" in path_query or "\r" in path_query or "\n" in path_query
+    ):
+        path, query = urlsplit(path_query)[2:4]
+    operation = path.strip("/")
     if operation not in OPERATIONS:
         raise ValueError(f"unknown operation {operation!r}")
-    params = dict(parse_qsl(split.query, keep_blank_values=True))
+    params: dict[str, str] = {}
+    for piece in filter(None, query.split("&")):
+        name, _, value = piece.partition("=")
+        params[unquote(name.replace("+", " "), errors="replace")] = unquote(value.replace("+", " "), errors="replace")
     page_raw = params.pop("page", "0")
     page = parse_digits(page_raw)
     if page is None:
-        raise ValueError(f"bad page number {page_raw!r}")
+        raise PageNumberError(f"bad page number {page_raw!r}")
     return ApiRequest(operation, params, page)
 
 
@@ -303,19 +332,19 @@ class AnnotationService:
         """
         if self.config.rate_limit_max is not None and self._throttled():
             return self._answer(429, "throttled")
-        names = OPERATIONS.get(request.operation)
-        if names is None:
+        required = _REQUIRED.get(request.operation)
+        if required is None:
             return self._answer(404, "unknown")
-        if not all(request.params.get(name) for name in names if name not in PARAM_DEFAULTS):
+        if not all(map(request.params.get, required)):
             return self._answer(400, "missing")
         return getattr(self, f"_op_{request.operation}")(request)
 
     def handle_url(self, path_query: str) -> ApiResponse:
         try:
             request = request_from_url(path_query)
-        except ValueError as exc:
-            if str(exc).startswith("bad page"):
-                return self._answer(400, "badpage")
+        except PageNumberError:
+            return self._answer(400, "badpage")
+        except ValueError:
             return self._answer(404, "unknown")
         return self.handle(request)
 
@@ -374,9 +403,15 @@ class AnnotationService:
         return pages
 
     def _answer(self, status: int, text: str) -> ApiResponse:
-        """The one page of an answer that is not a document: an error token, or a mutation's `ok`."""
-        (page,) = paginate(text.encode("utf-8"), self.config.page_cap)
-        return ApiResponse(status, page)
+        """The one page of an answer that is not a document: an error token, or a mutation's `ok`.
+
+        It is the page `paginate` gives, built without it, and refused as
+        `paginate` refuses it: under a cap below MIN_PAGE_CAP, or longer than a page.
+        """
+        payload = text.encode("utf-8")
+        if self.config.page_cap < MIN_PAGE_CAP or len(payload) > self.config.page_cap - PAGE_HEADER_RESERVE:
+            raise ValueError(f"page cap {self.config.page_cap} holds no one-page answer of {len(payload)} bytes")
+        return ApiResponse(status, Page(1, 1, payload))
 
     # -- operations ---------------------------------------------------------
 

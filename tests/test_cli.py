@@ -14,7 +14,7 @@ from scotcloud import sim, wire
 from scotcloud.cli import main
 from scotcloud.model import AnnotationEvent, AnnotationStore, VocabConfig, store_to_graph
 from scotcloud.rdfxml import serialize
-from scotcloud.service import AnnotationService, ServiceConfig, restore_store
+from scotcloud.service import OPERATIONS, PARAM_DEFAULTS, AnnotationService, ServiceConfig, restore_store
 
 from conftest import TAGGER, chain_document, fetch_full, seed_mouse, store_state
 
@@ -111,6 +111,32 @@ class TestUsage:
         )
         done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True, timeout=60)
         assert done.stdout.splitlines() == ["HTTP/1.1 200 OK", "[]"]
+
+    def test_the_tagger_literals_are_their_uuid5_names(self):
+        from scotcloud import cli as cli_mod, model
+
+        assert cli_mod.CLI_TAGGER == uuid.uuid5(uuid.NAMESPACE_URL, "scotcloud:cli")
+        assert model.IMPORT_TAGGER == uuid.uuid5(uuid.NAMESPACE_URL, "scotcloud:import")
+
+    def test_a_serving_server_loads_no_hashlib(self):
+        from scotcloud import cli as cli_mod
+
+        # -S: no site hooks, whose own imports are not the server's
+        probe = (
+            "import socket, sys, threading\n"
+            f"sys.path.insert(0, {str(Path(cli_mod.__file__).parents[1])!r})\n"
+            "import scotcloud.cli\n"
+            "from scotcloud.service import AnnotationService, ServiceConfig\n"
+            "from scotcloud.wire import make_http_server\n"
+            "server = make_http_server(AnnotationService(ServiceConfig(port=0)))\n"
+            "threading.Thread(target=server.serve_forever, daemon=True).start()\n"
+            "with socket.create_connection(server.server_address) as sock:\n"
+            "    sock.sendall(b'GET /tag?resource=x&tag=y&tagger=00000000-0000-4000-8000-000000000000 HTTP/1.1\\r\\n\\r\\n')\n"
+            "    print(sock.recv(65536).split(b'\\r\\n')[0].decode())\n"
+            "print('hashlib' in sys.modules)\n"
+        )
+        done = subprocess.run([sys.executable, "-S", "-c", probe], capture_output=True, text=True, check=True, timeout=60)
+        assert done.stdout.splitlines() == ["HTTP/1.1 200 OK", "False"]
 
 
 class TestWireCommands:
@@ -752,6 +778,45 @@ class _AnswersNotUtf8:
         self.send_header("Content-Length", str(len(raw)))
         self.end_headers()
         self.wfile.write(raw)
+
+
+# A valid value for each string flag of the client subcommands.
+_FLAG_VALUES = {"resource": "mouse", "tag": "laser", "tagger": str(TAGGER), "root": "shoe", "parent": "shoe", "child": "rubber"}
+
+
+def _argv_with_not_utf8(operation: str, flag: str) -> list[str]:
+    """The argv of `operation` with each string flag valid but `flag`, which holds a lone surrogate."""
+    argv = [operation]
+    for name in OPERATIONS[operation]:
+        if name in _FLAG_VALUES:
+            argv += [f"--{name}", "caf\udce9" if name == flag else _FLAG_VALUES[name]]
+    return argv
+
+
+class TestFlagsThatAreNotUtf8:
+    """Bytes on the command line that are not UTF-8 reach `sys.argv` as lone surrogates."""
+
+    @pytest.mark.parametrize(
+        "operation, flag", [(operation, flag) for operation, names in OPERATIONS.items() for flag in names if flag in _FLAG_VALUES]
+    )
+    def test_a_client_flag_is_refused_before_anything_is_sent(self, capsys, monkeypatch, operation, flag):
+        from test_service import shell_server
+
+        argv = _argv_with_not_utf8(operation, flag)
+        svc = AnnotationService(ServiceConfig(port=0))
+        with shell_server(svc, monkeypatch) as (url, _, accepted):
+            code, out, err = run(capsys, *argv, "--url", url)
+            assert (code, out, err) == (3, "", f"{operation}: --{flag} is not UTF-8 text\n")
+            assert accepted == [] and svc.store.version == 0
+            assert run(capsys, "cloud", "--resource", "mouse", "--url", url)[0] == 0
+            assert len(accepted) == 1  # the spy sees what a sent request does
+
+    def test_every_string_flag_of_the_client_is_covered(self):
+        names = {name for names in OPERATIONS.values() for name in names}
+        assert names - set(_FLAG_VALUES) == set(PARAM_DEFAULTS)
+
+    def test_layout_resource_is_refused(self, capsys):
+        assert run(capsys, "layout", "--resource", "caf\udce9") == (3, "", "layout: --resource is not UTF-8 text\n")
 
 
 class TestClientFailures:

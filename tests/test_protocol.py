@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from scotcloud import cli, sim, wire
-from scotcloud.service import AnnotationService, paginate
+from scotcloud.service import OPERATIONS, AnnotationService, paginate, request_from_url
 
 from conftest import TAGGER
 
@@ -167,3 +167,12 @@ _VALUES = st.text(st.characters(blacklist_categories=("Cs",)), max_size=12)
 def test_build_query_quotes_as_urlencode_does(params, page):
     query = urlencode(params + [("page", str(page))] if page else params)
     assert sim.build_query("op", params, page) == (f"/op?{query}" if query else "/op")
+
+
+@pytest.mark.parametrize("operation", OPERATIONS)
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_VALUES, min_size=3, max_size=3), st.integers(0, 10**6))
+def test_the_server_reads_back_what_the_client_sends(operation, values, page):
+    params = list(zip(OPERATIONS[operation], values))
+    request = request_from_url(sim.build_query(operation, params, page))
+    assert (request.operation, list(request.params.items()), request.page) == (operation, params, page)

@@ -14,7 +14,7 @@ import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
-from urllib.parse import urlencode, urlsplit
+from urllib.parse import parse_qsl, urlencode, urlsplit
 
 import pytest
 from hypothesis import example, given, settings
@@ -25,16 +25,19 @@ from scotcloud.rdfxml import Iri, parse, serialize
 from scotcloud import cli, model, rdfxml
 from scotcloud import service as service_module
 from scotcloud.service import (
+    OPERATIONS,
     AnnotationService,
     ApiRequest,
     Page,
     PageError,
+    PageNumberError,
     ServiceConfig,
     StoreLoadError,
     decode_page,
     format_event_line,
     load_config,
     paginate,
+    parse_digits,
     parse_event_line,
     render_tree,
     request_from_url,
@@ -118,6 +121,114 @@ class TestRequestParsing:
     def test_page_that_is_not_ascii_digits_is_400_badpage(self, page):
         response = AnnotationService().handle_url(f"/cloud?resource=mouse&page={page}")
         assert (response.status, response.page.payload) == (400, b"badpage")
+
+    @pytest.mark.parametrize("target", ["//cloud?resource=mouse", "http://[h/cloud?resource=mouse", "/cloud/x"])
+    def test_a_target_that_names_no_operation_is_404_unknown(self, target):
+        response = AnnotationService().handle_url(target)
+        assert (response.status, response.page.payload) == (404, b"unknown")
+
+
+def _reference_request_from_url(path_query: str) -> ApiRequest:
+    """`request_from_url` as it was written over `urlsplit` and `parse_qsl`: the oracle of the one-pass reader."""
+    split = urlsplit(path_query)
+    operation = split.path.strip("/")
+    if operation not in OPERATIONS:
+        raise ValueError(f"unknown operation {operation!r}")
+    params = dict(parse_qsl(split.query, keep_blank_values=True))
+    page_raw = params.pop("page", "0")
+    page = parse_digits(page_raw)
+    if page is None:
+        raise ValueError(f"bad page number {page_raw!r}")
+    return ApiRequest(operation, params, page)
+
+
+def _read(reader, target: str):
+    """What `reader` makes of `target`: the request, its names in order, or the error's text."""
+    try:
+        request = reader(target)
+    except ValueError as exc:
+        return "error", str(exc)
+    return request.operation, list(request.params.items()), request.page
+
+
+# The characters the two readers could split, strip or decode differently, as pieces of a target.
+_TARGET_PIECES = [
+    *"/?&=+%#:;[]", "\t", "\r", "\n", "\0", " ", "é", "\udce9", "%2B", "%C3", "%ZZ", "%20", "//", "http://h",
+    "page", "0", "7", "resource", "tag", "cloud",
+]
+_PIECES = st.one_of(st.sampled_from(_TARGET_PIECES), st.text(max_size=3))
+_TEXT = st.lists(_PIECES, max_size=4).map("".join)
+# `name=value` fields whose names often repeat, or any run of pieces.
+_QUERIES = st.one_of(
+    st.lists(
+        st.tuples(st.sampled_from(["a", "a+b", "a b", "%61", "page", "", "é"]) | _TEXT, st.sampled_from(["=", ""]), _TEXT)
+        .map("".join),
+        max_size=5,
+    ).map("&".join),
+    st.lists(_PIECES, max_size=16).map("".join),
+)
+# A prefix, a path, mostly a `?`, then a query; any piece may hold any character.
+_TARGETS = st.tuples(
+    st.sampled_from(["", "/", "//", "http://h", "http://h/", "/cloud", "/tag", "cloud"]),
+    st.lists(_PIECES, max_size=3).map("".join),
+    st.sampled_from(["?", "?", "?", ""]),
+    _QUERIES,
+).map("".join)
+
+
+class TestOnePassReader:
+    """`request_from_url` reads every target as `urlsplit` and `parse_qsl` read it."""
+
+    @settings(max_examples=2000, deadline=None)
+    @given(_TARGETS)
+    def test_it_reads_any_target_as_the_stdlib_does(self, target):
+        assert _read(request_from_url, target) == _read(_reference_request_from_url, target)
+
+    @pytest.mark.parametrize(
+        "target, expected",
+        [
+            ("/cloud?resource=a&resource=b", ("cloud", [("resource", "b")], 0)),
+            ("/cloud?resource&page=2", ("cloud", [("resource", "")], 2)),
+            ("/cloud?&&resource=a&&", ("cloud", [("resource", "a")], 0)),
+            ("/cloud?resource=%", ("cloud", [("resource", "%")], 0)),
+            ("/cloud?resource=%ZZ", ("cloud", [("resource", "%ZZ")], 0)),
+            ("/cloud?resource=%C3", ("cloud", [("resource", "\ufffd")], 0)),
+            ("/cloud?resource=a+b%2Bc&x+y=1", ("cloud", [("resource", "a b+c"), ("x y", "1")], 0)),
+            ("/cloud?a=b=c", ("cloud", [("a", "b=c")], 0)),
+            ("/cloud?resource=a#frag&page=3", ("cloud", [("resource", "a")], 0)),
+            ("/clo\tud?resource=a\tb", ("cloud", [("resource", "ab")], 0)),
+            ("//cloud?resource=a", ("error", "unknown operation ''")),
+            ("http://h/cloud?resource=a&page=1", ("cloud", [("resource", "a")], 1)),
+            ("tag?resource=m&tag=t&tagger=x", ("tag", [("resource", "m"), ("tag", "t"), ("tagger", "x")], 0)),
+            ("/cloud?page=%2B1", ("error", "bad page number '+1'")),
+            ("/nonsense?x=1", ("error", "unknown operation 'nonsense'")),
+        ],
+    )
+    def test_fixed_targets(self, target, expected):
+        assert _read(request_from_url, target) == expected
+        assert _read(_reference_request_from_url, target) == expected
+
+    def test_only_a_bad_page_raises_page_number_error(self):
+        with pytest.raises(PageNumberError):
+            request_from_url("/cloud?resource=a&page=x")
+        with pytest.raises(ValueError) as raised:
+            request_from_url("http://[h/cloud")
+        assert not isinstance(raised.value, PageNumberError)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.text(max_size=80), st.integers(0, 3000))
+    def test_a_one_page_answer_is_the_page_paginate_makes(self, text, cap):
+        service = AnnotationService()
+        service.config.page_cap = cap
+        try:
+            expected = paginate(text.encode("utf-8"), cap)
+        except ValueError:
+            expected = None  # a cap below the least
+        if expected is None or len(expected) > 1:
+            with pytest.raises(ValueError):
+                service._answer(400, text)
+        else:
+            assert service._answer(400, text).encode() == expected[0].encode()
 
 
 class TestTagEndpoint:
@@ -1332,7 +1443,7 @@ class TestBodyCache:
         tag = service.handle_url(f"/tag?resource={resource}&tag=concept0001&tagger={TAGGER}")
         assert tag.page.payload == b"ok concept0001 1"
         after = [service.handle(ApiRequest(operation, params, page=i)).page for i in range(half, first.total)]
-        assert len(builds["paginated"]) == 1 + builds["builds"]  # the tag's own "ok" body, then the rebuilds
+        assert len(builds["paginated"]) == builds["builds"]  # each rebuild, once; the tag's "ok" is no document
         # the later pages come from the document as it is after the tag
         fresh = [fresh_read(service.store, operation, params, i, 2048) for i in range(half, first.total)]
         assert [(200, page.encode()) for page in after] == fresh
