@@ -18,6 +18,7 @@ import sys
 import uuid
 from pathlib import Path
 from typing import Optional
+from urllib.parse import urlsplit
 
 from . import model, rdfxml, service as service_mod
 
@@ -57,8 +58,18 @@ def _fail(code: int, message: str) -> int:
     return code
 
 
-def _server_url(args: argparse.Namespace) -> str:
-    return getattr(args, "url", None) or os.environ.get(ENV_URL) or DEFAULT_URL
+def _http_url(value: str) -> str:
+    """The value of `--url` or SCOTCLOUD_URL, if it is http://host[:port][/path] with a host that IDNA encodes."""
+    try:
+        split = urlsplit(value)
+        if split.scheme != "http" or not split.hostname or split.port == 0:  # .port refuses one past 65535
+            raise ValueError
+        split.hostname.encode("idna")  # UnicodeError is a ValueError
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"{value!r}, from --url or else {ENV_URL}, is not an http://host:port URL with a port from 1 to 65535"
+        ) from None
+    return value
 
 
 def _emit(text: str, out: Optional[str] = None) -> int:
@@ -79,10 +90,10 @@ def _request_failed(args: argparse.Namespace, exc: BaseException) -> int:
     from . import wire
 
     if isinstance(exc, wire.NOT_SENT):
-        return _fail(EXIT_PROTOCOL, f"cannot reach server at {_server_url(args)}")
+        return _fail(EXIT_PROTOCOL, f"cannot reach server at {args.url}")
     return _fail(
         EXIT_PROTOCOL,
-        f"the server at {_server_url(args)} may have applied the request, but its answer was lost ({exc!r})",
+        f"the server at {args.url} may have applied the request, but its answer was lost ({exc!r})",
     )
 
 
@@ -139,13 +150,13 @@ def _cmd_request(args: argparse.Namespace) -> int:
         if _NOT_UTF8.search(value):
             return _fail(EXIT_DATA, f"{operation}: --{name} is not UTF-8 text")
     try:
-        status, raw = sim.fetch_body(wire.HttpTransport(_server_url(args)), operation, params)
+        status, raw = sim.fetch_body(wire.HttpTransport(args.url), operation, params)
     except wire.REQUEST_ERRORS as exc:
         return _request_failed(args, exc)
     try:
         body = raw.decode("utf-8")
     except UnicodeDecodeError as exc:
-        return _fail(EXIT_PROTOCOL, f"the server at {_server_url(args)} sent an answer that is not UTF-8 ({exc})")
+        return _fail(EXIT_PROTOCOL, f"the server at {args.url} sent an answer that is not UTF-8 ({exc})")
     if status != 200:
         return _status_exit(status, body)
     if operation in service_mod.MUTATIONS:
@@ -179,14 +190,11 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         return _fail(EXIT_DATA, f"script: {exc}")
 
     request_errors: tuple[type[BaseException], ...] = ()  # the in-process server sends no requests
-    if args.url or os.environ.get(ENV_URL):
+    if args.url:
         from . import wire
 
         request_errors = wire.REQUEST_ERRORS
-        try:
-            target: sim.Transport | service_mod.AnnotationService = wire.HttpTransport(_server_url(args))
-        except request_errors as exc:
-            return _request_failed(args, exc)
+        target: sim.Transport | service_mod.AnnotationService = wire.HttpTransport(args.url)
     else:
         store = None
         if args.store:
@@ -253,6 +261,7 @@ def _cmd_layout(args: argparse.Namespace) -> int:
 def build_parser() -> _Parser:
     parser = _Parser(prog="scotcloud", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="subcommand", required=True)
+    env_url = os.environ.get(ENV_URL) or None  # argparse checks a default with `type`, as it checks --url
 
     p = sub.add_parser("serve", help="run the annotation server")
     p.add_argument("--port", type=int, default=None)
@@ -271,7 +280,7 @@ def build_parser() -> _Parser:
                 p.add_argument(f"--{name}", type=int, default=service_mod.PARAM_DEFAULTS[name])
             else:
                 p.add_argument(f"--{name}", required=True)
-        p.add_argument("--url", default=None)
+        p.add_argument("--url", type=_http_url, default=env_url or DEFAULT_URL)
         if operation not in service_mod.MUTATIONS:
             p.add_argument("--out", default=None)
         p.set_defaults(func=_cmd_request)
@@ -288,7 +297,7 @@ def build_parser() -> _Parser:
     p.add_argument("--base-latency", type=int, default=50)
     p.add_argument("--jitter", type=int, default=0)
     p.add_argument("--store", default=None, help="seed the in-process server from this store directory")
-    p.add_argument("--url", default=None, help="wire mode: talk to a live server instead")
+    p.add_argument("--url", type=_http_url, default=env_url, help="wire mode: talk to a live server instead")
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("layout", help="emit a scene description for a cloud or topic map")
@@ -312,7 +321,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     try:
         return args.func(args)
     except service_mod.PageError as exc:
-        return _fail(EXIT_PROTOCOL, f"server at {_server_url(args)} sent a body that is not a page: {exc}")
+        return _fail(EXIT_PROTOCOL, f"server at {getattr(args, 'url', None)} sent a body that is not a page: {exc}")
     except ValueError as exc:
         from .sim import ReassemblyError  # loaded already by any subcommand that walks pages
 

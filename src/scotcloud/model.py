@@ -157,6 +157,10 @@ class VocabConfig:
         stem = resource[: -len(".rdf")] if resource.endswith(".rdf") else str(resource)
         return Iri(f"{stem}/{quote(label, safe='')}.rdf")
 
+    def tag_iri(self, resource: Iri, label: str, scoped: bool) -> Iri:
+        """The IRI of a cloud's tag: minted from the label in a one-cloud document, scoped in a multi-cloud one."""
+        return self.scoped_tag_iri(resource, label) if scoped else self.mint(label)
+
     def resource_iri(self, name_or_iri: str) -> Iri:
         if "://" in name_or_iri:
             return Iri(name_or_iri)
@@ -330,13 +334,15 @@ def _add_cloud_triples(graph: RdfGraph, cloud: TagCloud, config: VocabConfig, sc
     add = graph.add_terms
     add(cloud.resource, RDF_TYPE, VocabConfig.tag_cloud_class)
     for label, count in cloud.frequencies.items():
-        if scoped:
-            tag_iri = config.scoped_tag_iri(cloud.resource, label)
-        else:
-            tag_iri = config.mint(label)
+        tag_iri = config.tag_iri(cloud.resource, label, scoped)
         add(cloud.resource, VocabConfig.has_tag, tag_iri)
         add(tag_iri, RDF_TYPE, VocabConfig.tag_class)
-        add(tag_iri, VocabConfig.frequency_property, Literal(f"{count}.0", _FLOAT))
+        add(tag_iri, VocabConfig.frequency_property, frequency_literal(count))
+
+
+def frequency_literal(count: int) -> Literal:
+    """A tag's `scot:ownAFrequency` value: the count as an `xsd:float`."""
+    return Literal(f"{count}.0", _FLOAT)
 
 
 def _cloud_subjects(graph: RdfGraph) -> list[Iri]:

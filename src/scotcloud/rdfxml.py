@@ -17,6 +17,9 @@ Serialization is normative and byte-stable: UTF-8, LF line endings,
 subjects sorted lexicographically, rdf:type properties first within a
 subject, remaining properties sorted, and the objects of one property
 in `_object_key` order: IRIs before literals, each sorted by its text.
+One `Writer` writes all of it, a description at a time: `serialize`
+joins its descriptions in subject order, and the service's cache of
+rendered descriptions holds texts that the same `Writer.describe` wrote.
 """
 
 from __future__ import annotations
@@ -289,27 +292,32 @@ def _qname(iri: Iri, bindings: dict[str, Iri]) -> Optional[str]:
     return f"{best[1]}:{best[2]}"
 
 
-def serialize(graph: RdfGraph) -> str:
-    """Write the graph as an RDF/XML document (UTF-8 text, LF endings)."""
-    bindings = graph.bindings
-    qnames: dict[Iri, str] = {}  # each distinct predicate is looked up once
-    lines = ['<?xml version="1.0" encoding="UTF-8"?>', "<rdf:RDF"]
-    prefixes = sorted(bindings)
-    for i, prefix in enumerate(prefixes):
-        tail = ">" if i == len(prefixes) - 1 else ""
-        lines.append(f'  xmlns:{prefix}="{_escape_attr(bindings[prefix])}"{tail}')
+class Writer:
+    """RDF/XML text under one set of namespace bindings, one description at a time.
 
-    descriptions = graph._descriptions
-    for subject in sorted(descriptions):
-        lines.append(f'  <rdf:Description rdf:about="{_escape_attr(subject)}">')
-        properties = descriptions[subject]
+    `head` opens a document and END closes it; `describe` writes the one
+    `rdf:Description` of a subject. Both `serialize` and the service's
+    cache of rendered descriptions write through it, so the format is
+    written in one place.
+    """
+
+    def __init__(self, bindings: dict[str, str]):
+        self._bindings = bindings
+        self._qnames: dict[Iri, str] = {}  # each distinct predicate is looked up once
+        lines = ['<?xml version="1.0" encoding="UTF-8"?>', "<rdf:RDF"]
+        lines += [f'  xmlns:{prefix}="{_escape_attr(bindings[prefix])}"' for prefix in sorted(bindings)]
+        self.head = "\n".join(lines) + ">\n"
+
+    def describe(self, subject: Iri, properties: dict[Iri, Union[Term, set[Term]]]) -> str:
+        """The lines of the description of `subject`, each ended by LF; a predicate maps to an object or a set."""
+        lines = [f'  <rdf:Description rdf:about="{_escape_attr(subject)}">']
         for predicate in _predicate_order(properties):
-            qname = qnames.get(predicate)
+            qname = self._qnames.get(predicate)
             if qname is None:
-                qname = _qname(predicate, bindings)
+                qname = _qname(predicate, self._bindings)
                 if qname is None:
                     raise SerializationError(f"predicate has no namespace binding: {predicate}")
-                qnames[predicate] = qname
+                self._qnames[predicate] = qname
             for obj in _object_order(properties[predicate]):
                 if isinstance(obj, Literal):
                     text = _escape_text(obj.lexical)
@@ -321,9 +329,18 @@ def serialize(graph: RdfGraph) -> str:
                         lines.append(f"    <{qname}>{text}</{qname}>")
                 else:
                     lines.append(f'    <{qname} rdf:resource="{_escape_attr(obj)}"/>')
-        lines.append("  </rdf:Description>")
-    lines.append("</rdf:RDF>")
-    return "\n".join(lines) + "\n"
+        lines.append("  </rdf:Description>\n")
+        return "\n".join(lines)
+
+
+END = "</rdf:RDF>\n"
+
+
+def serialize(graph: RdfGraph) -> str:
+    """Write the graph as an RDF/XML document (UTF-8 text, LF endings)."""
+    writer, descriptions = Writer(graph.bindings), graph._descriptions
+    texts = [writer.describe(subject, descriptions[subject]) for subject in sorted(descriptions)]
+    return "".join([writer.head, *texts, END])
 
 
 _ABOUT = f"{{{RDF_NS}}}about"

@@ -50,6 +50,7 @@ removed is followed, not written past.
 from __future__ import annotations
 
 import contextlib
+import itertools
 import logging
 import os
 import re
@@ -59,7 +60,7 @@ import uuid
 from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Optional
+from typing import Callable, Iterable, Optional, Union
 from urllib.parse import unquote, urlsplit
 
 from . import model, rdfxml
@@ -79,6 +80,10 @@ EVENTS_TMP = EVENTS_FILE + ".tmp"  # snapshot_store writes here, then renames ov
 WRITE_CHUNK = 1 << 16  # snapshot_store passes os.write about this many bytes at a time
 TAIL_READ = 4096  # _cut_torn_tail reads the log backwards this many bytes at a time
 ATTACH_MARK = "attach"
+# The writers of the two RDF/XML documents: a `/cloud` binds the SCOT namespaces, an `/export` also skos.
+_CLOUD_WRITER = rdfxml.Writer({"rdf": rdfxml.RDF_NS, **model.BINDINGS})
+_EXPORT_WRITER = rdfxml.Writer({"rdf": rdfxml.RDF_NS, **model.BINDINGS, "skos": model.SKOS_NS})
+_END = rdfxml.END.encode("utf-8")
 
 # The query parameters of each operation, in the order clients send them.
 # Each is required and must not be empty, but for those in PARAM_DEFAULTS.
@@ -294,6 +299,19 @@ class AnnotationService:
     the store as it is when the page is asked for. `store` is bound once,
     here, so a stamp need not name it.
 
+    The RDF/XML bodies are joined from `_descriptions`, a cache of the
+    text of each `rdf:Description` the service has written, which lives
+    as long as the service. An entry is keyed by its subject and document
+    form: `(scoped, resource)` for a cloud, `(scoped, resource, label)`
+    for one of its tags, where `scoped` is False for the minted tag IRIs
+    of `/cloud` and True for the scoped ones of `/export`, and the label
+    for a concept of `/export`. It holds the inputs its text was written
+    from: a tag's count, a cloud's number of labels (which names its
+    label set, as labels are only ever added), a concept's parent. A build
+    writes again only the roles whose inputs moved, each replacing its
+    entry, so the cache holds one entry per subject and form, whatever
+    the counts. Nothing is rendered by a write.
+
     With a store directory, the first append opens `events.log` with
     O_APPEND, cuts any partial last line a crash left, and keeps the
     descriptor open; each line is one unbuffered `os.write`, so it is in
@@ -318,6 +336,7 @@ class AnnotationService:
         self._lock = threading.Lock()
         self._recent: deque[int] = deque()
         self._bodies: dict[tuple, tuple[tuple, list[Page]]] = {}  # key -> (stamp, pages)
+        self._descriptions: dict[Union[str, tuple], tuple] = {}  # key -> (inputs, subject, text, key)
         self._log_fd: Optional[int] = None
         self._log_id = (0, 0)  # (st_dev, st_ino) of the file _log_fd is open on
 
@@ -450,7 +469,7 @@ class AnnotationService:
 
     def _cloud_body(self, resource: Iri) -> bytes:
         cloud = self.store.cloud_of(resource)
-        return rdfxml.serialize(model.cloud_to_rdf(cloud, self.vocab)).encode("utf-8")
+        return self._document(_CLOUD_WRITER, self._cloud_roles(cloud, False))
 
     def _op_map(self, request: ApiRequest) -> ApiResponse:
         depth = parse_digits(request.params.get("depth", PARAM_DEFAULTS["depth"]))
@@ -505,7 +524,70 @@ class AnnotationService:
         return self._page_of(pages, request.page)
 
     def _export_body(self) -> bytes:
-        return rdfxml.serialize(model.store_to_graph(self.store, self.vocab)).encode("utf-8")
+        clouds = [self._cloud_roles(cloud, True) for cloud in self.store.clouds.values()]
+        concepts = [tree.parent.items() for tree in self.store.maps.values()]  # a concept's role is (label, parent)
+        return self._document(_EXPORT_WRITER, itertools.chain(*clouds, *concepts))
+
+    # -- rendered descriptions -----------------------------------------------
+
+    @staticmethod
+    def _cloud_roles(cloud: model.TagCloud, scoped: bool) -> list[tuple[tuple, int]]:
+        """The (key, inputs) of the descriptions of one cloud: one per tag, then its own, which names their subjects."""
+        roles = [((scoped, cloud.resource, label), count) for label, count in cloud.frequencies.items()]
+        roles.append(((scoped, cloud.resource), len(cloud.frequencies)))
+        return roles
+
+    def _subject(self, key: Union[str, tuple]) -> Iri:
+        """The subject of the description cached under `key`."""
+        if isinstance(key, str):  # a concept
+            return self.vocab.mint(key)
+        if len(key) == 2:  # a cloud
+            return key[1]
+        return self.vocab.tag_iri(key[1], key[2], key[0])
+
+    def _properties(self, key: Union[str, tuple], inputs: Union[str, int]) -> dict[Iri, object]:
+        """The properties of the description cached under `key`, as `inputs` give them."""
+        if isinstance(key, str):  # a concept, below its parent
+            return {model.SKOS_BROADER: self.vocab.mint(inputs)}
+        if len(key) == 3:  # a tag and its count
+            frequency = model.frequency_literal(inputs)
+            return {rdfxml.RDF_TYPE: VocabConfig.tag_class, VocabConfig.frequency_property: frequency}
+        properties: dict[Iri, object] = {rdfxml.RDF_TYPE: VocabConfig.tag_cloud_class}
+        if inputs:  # a cloud, whose tags were rendered just before it
+            labels = self.store.clouds[key[1]].frequencies
+            properties[VocabConfig.has_tag] = {self._descriptions[(*key, label)][1] for label in labels}
+        return properties
+
+    def _document(self, writer: rdfxml.Writer, roles: Iterable[tuple]) -> bytes:
+        """The document of `roles`, each description taken from `_descriptions` or rendered into it.
+
+        A role whose cached inputs differ from its own is rendered again and
+        replaces its entry. The description of an empty cloud is not kept,
+        so no `/cloud` of a name that has no cloud grows the cache. A subject
+        that two roles share is written once, from the union of their
+        properties, and is not kept either. The caller holds `_lock`.
+        """
+        cache = self._descriptions
+        texts: dict[Iri, tuple] = {}  # subject -> (inputs, subject, text, key)
+        shared: dict[Iri, list[tuple]] = {}
+        for key, inputs in roles:
+            held = cache.get(key)
+            if held is None or held[0] != inputs:
+                subject = self._subject(key) if held is None else held[1]
+                held = (inputs, subject, writer.describe(subject, self._properties(key, inputs)).encode("utf-8"), key)
+                if inputs:
+                    cache[key] = held
+            subject = held[1]
+            if subject in texts:
+                shared.setdefault(subject, [texts[subject]]).append(held)
+            texts[subject] = held
+        for subject, helds in shared.items():
+            union: dict[Iri, set] = {}
+            for inputs, _, _, key in helds:
+                for predicate, objects in self._properties(key, inputs).items():
+                    union.setdefault(predicate, set()).update(objects if type(objects) is set else (objects,))
+            texts[subject] = (None, subject, writer.describe(subject, union).encode("utf-8"), None)
+        return b"".join([writer.head.encode("utf-8"), *(texts[subject][2] for subject in sorted(texts)), _END])
 
     # -- persistence ---------------------------------------------------------
 

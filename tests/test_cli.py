@@ -214,10 +214,32 @@ class TestWireCommands:
         assert code == 2
         assert "cannot reach" in err
 
-    @pytest.mark.parametrize("url", ["http://127.0.0.1:port", "ftp://127.0.0.1:9"])
-    def test_a_url_that_cannot_be_connected_to_is_unreachable(self, capsys, url):
-        code, _, err = run(capsys, "tag", "--resource", "m", "--tag", "t", "--url", url)
-        assert (code, err) == (2, f"cannot reach server at {url}\n")
+    # A host the IDNA codec refuses, an unclosed IPv6 literal, another scheme, no scheme, and ports out of range
+    BAD_URLS = ["http://a..b:9", "http://[::1", "ftp://127.0.0.1:1", "127.0.0.1:1", "http://127.0.0.1:port",
+                "http://127.0.0.1:0", "http://127.0.0.1:65536", "http://caf\udce9:9", "http://:9"]
+
+    @pytest.mark.parametrize("url", BAD_URLS)
+    @pytest.mark.parametrize(
+        "argv", [["cloud", "--resource", "x"], ["simulate", "--script", "bots.txt"]], ids=["cloud", "simulate"]
+    )
+    def test_a_url_that_is_not_http_host_port_is_a_usage_error(self, capsys, url, argv):
+        code, out, err = run(capsys, *argv, "--url", url)
+        assert (code, out) == (1, "")
+        assert err.endswith(f"argument --url: {url!r}, from --url or else SCOTCLOUD_URL, is not an http://host:port URL"
+                            " with a port from 1 to 65535\n")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("url", BAD_URLS[:4])
+    def test_a_bad_url_from_the_environment_is_a_usage_error(self, capsys, monkeypatch, url):
+        monkeypatch.setenv("SCOTCLOUD_URL", url)
+        code, out, err = run(capsys, "tag", "--resource", "m", "--tag", "t")
+        assert (code, out) == (1, "")
+        assert f"argument --url: {url!r}, from --url or else SCOTCLOUD_URL, is not" in err
+
+    def test_a_bad_url_in_the_environment_leaves_an_explicit_url_alone(self, capsys, monkeypatch, live_server):
+        url, _ = live_server
+        monkeypatch.setenv("SCOTCLOUD_URL", "http://[::1")
+        assert run(capsys, "tag", "--resource", "m", "--tag", "t", "--url", url) == (0, "t 1\n", "")
 
     def test_a_lost_answer_says_the_request_may_have_been_applied(self, capsys):
         from test_service import _AppliesButNeverAnswers, http_server

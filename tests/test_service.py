@@ -1247,19 +1247,23 @@ def encoded_error(token: bytes, cap: int) -> bytes:
     return paginate(token, cap)[0].encode()
 
 
+def fresh_body(store: AnnotationStore, operation: str, params: dict) -> bytes:
+    """The `/cloud` or `/export` document built from scratch from the store."""
+    if operation == "cloud":
+        return serialize(model.cloud_to_rdf(store.cloud_of(VOCAB.resource_iri(params["resource"])), VOCAB)).encode()
+    return serialize(model.store_to_graph(store, VOCAB)).encode()
+
+
 def fresh_read(store: AnnotationStore, operation: str, params: dict, page: int, cap: int) -> tuple[int, bytes]:
     """Reference read: status and wire bytes built from scratch from the store."""
     try:
-        if operation == "cloud":
-            cloud = store.cloud_of(VOCAB.resource_iri(params["resource"]))
-            body = serialize(model.cloud_to_rdf(cloud, VOCAB)).encode()
-        elif operation == "map":
+        if operation == "map":
             if int(params["depth"]) < 1:
                 return 400, encoded_error(b"baddepth", cap)
             tree = store.subtree(params["root"], int(params["depth"]))
             body = render_tree(tree, store.cloud_of(VOCAB.resource_iri(tree.root)).frequencies).encode()
         else:
-            body = serialize(model.store_to_graph(store, VOCAB)).encode()
+            body = fresh_body(store, operation, params)
     except model.TagError:
         return 400, encoded_error(b"badtag", cap)
     except model.UnknownConceptError:
@@ -1272,8 +1276,11 @@ def fresh_read(store: AnnotationStore, operation: str, params: dict, page: int, 
 
 # Resource names double as concept labels, so a /tag can land on the
 # resource whose cloud a /map of the same root reads its counts from.
-NAMES = ["c0", "c1", "c2", "mouse"]
-LABELS = ["c0", "c1", "c2", "c3", "laser"]
+# Labels that IRIs percent-encode, and a full-IRI resource that sorts among
+# the minted subjects and scopes its tags under the same stem as `c1`.
+FULL_IRI_C1 = "http://yourdns.com/rdfs/c1"
+NAMES = ["c0", "c1", "c2", "mouse", FULL_IRI_C1]
+LABELS = ["c0", "c1", "c2", "c3", "laser", "a b", "50%", "a/b", "x&y", "<3", "café"]
 PAGES = st.integers(min_value=-1, max_value=24)
 REQUESTS = st.one_of(
     st.tuples(st.just("tag"), st.fixed_dictionaries(
@@ -1301,6 +1308,29 @@ WALK_WITH_TAGS = [
     ("map", {"root": "c0", "depth": "2"}, 0),
     ("map", {"root": "c0", "depth": "2"}, 1),
     ("export", {}, 3),
+]
+
+# Every subject that two roles share: a resource named like one of its tags
+# (c0) and like a concept (c1), a full-IRI resource among the minted subjects
+# whose scoped tags are those of c1, with another count, and labels that
+# IRIs percent-encode.
+SHARED_SUBJECTS = [
+    ("tag", {"resource": "c0", "tag": "c0"}, 0),
+    ("tag", {"resource": "c1", "tag": "a b"}, 0),
+    ("tag", {"resource": FULL_IRI_C1, "tag": "a b"}, 0),
+    ("tag", {"resource": FULL_IRI_C1, "tag": "a b"}, 0),
+    ("tag", {"resource": FULL_IRI_C1, "tag": "café"}, 0),
+    ("attach", {"parent": "c0", "child": "c1"}, 0),
+    ("attach", {"parent": "x&y", "child": "<3"}, 0),
+    ("cloud", {"resource": "c0"}, 0),
+    ("cloud", {"resource": FULL_IRI_C1}, 0),
+    ("export", {}, 0),
+    ("tag", {"resource": "c1", "tag": "a b"}, 0),
+    ("tag", {"resource": "c0", "tag": "c0"}, 0),
+    ("cloud", {"resource": "c0"}, 0),
+    ("export", {}, 1),
+    ("tag", {"resource": "c1", "tag": "50%"}, 0),
+    ("export", {}, 2),
 ]
 
 # Three resources, one named like the root of a map; attaches among three
@@ -1368,6 +1398,7 @@ class TestBodyCache:
     @settings(max_examples=80, deadline=None)
     @given(st.lists(REQUESTS, max_size=30))
     @example(WALK_WITH_TAGS)
+    @example(SHARED_SUBJECTS)
     def test_cached_service_matches_fresh_builds(self, requests_):
         service = AnnotationService(ServiceConfig(page_cap=self.CAP))
         reference = AnnotationStore()
@@ -1395,24 +1426,67 @@ class TestBodyCache:
     def builds(self, monkeypatch):
         """Count document builds and record every body handed to `paginate`."""
         counted = {"builds": 0, "paginated": []}
-        real_serialize, real_render, real_paginate = rdfxml.serialize, service_module.render_tree, paginate
+        real_paginate = paginate
 
-        def serialize_(*args, **kwargs):
-            counted["builds"] += 1
-            return real_serialize(*args, **kwargs)
+        def counting(build):
+            def build_(*args, **kwargs):
+                counted["builds"] += 1
+                return build(*args, **kwargs)
 
-        def render_(*args, **kwargs):
-            counted["builds"] += 1
-            return real_render(*args, **kwargs)
+            return build_
 
         def paginate_(body, cap):
             counted["paginated"].append(body)
             return real_paginate(body, cap)
 
-        monkeypatch.setattr(rdfxml, "serialize", serialize_)
-        monkeypatch.setattr(service_module, "render_tree", render_)
+        for name in ("_cloud_body", "_export_body"):
+            monkeypatch.setattr(AnnotationService, name, counting(getattr(AnnotationService, name)))
+        monkeypatch.setattr(service_module, "render_tree", counting(service_module.render_tree))
         monkeypatch.setattr(service_module, "paginate", paginate_)
         return counted
+
+    @pytest.fixture
+    def described(self, monkeypatch):
+        """The subject of every description written, in the order they are written."""
+        subjects = []
+        real_describe = rdfxml.Writer.describe
+
+        def describe_(writer, subject, properties):
+            subjects.append(subject)
+            return real_describe(writer, subject, properties)
+
+        monkeypatch.setattr(rdfxml.Writer, "describe", describe_)
+        return subjects
+
+    @pytest.mark.parametrize("label, renders", [("t1", ["tag"]), ("fresh", ["tag", "cloud"])])
+    @pytest.mark.parametrize("operation", ["export", "cloud"])
+    def test_a_tag_rerenders_only_the_descriptions_it_changed(self, service, described, operation, label, renders):
+        for i in range(50):
+            for j in range(3):
+                assert service.handle_url(f"/tag?resource=r{i:02d}&tag=t{j}&tagger={TAGGER}").ok
+        for k in range(1, 85):  # a 4-ary concept tree three levels deep
+            assert service.handle_url(f"/attach?parent=n{(k - 1) // 4:02d}&child=n{k:02d}&tagger={TAGGER}").ok
+        params = {"resource": "r07"} if operation == "cloud" else {}
+        fetch_full(service, operation, params)
+        assert len(described) == (4 if operation == "cloud" else 50 * 4 + 84)
+        described.clear()
+        assert service.handle_url(f"/tag?resource=r07&tag={label}&tagger={TAGGER}").ok
+        assert described == []  # a write renders nothing
+        document = fetch_full(service, operation, params)
+        cloud = VOCAB.resource_iri("r07")
+        tag = VOCAB.mint(label) if operation == "cloud" else VOCAB.scoped_tag_iri(cloud, label)
+        assert described == [{"tag": tag, "cloud": cloud}[role] for role in renders]
+        assert document == fresh_body(service.store, operation, params)
+
+    def test_the_description_cache_holds_one_entry_per_subject_and_form(self, service):
+        for _ in range(5):
+            assert service.handle_url(f"/tag?resource=mouse&tag=laser&tagger={TAGGER}").ok
+            for operation, params in (("cloud", {"resource": "mouse"}), ("export", {})):
+                fetch_full(service, operation, params)
+        assert len(service._descriptions) == 4  # the cloud and its tag, in each form
+        for name in ("nothing", "nowhere"):  # a cloud that does not exist keeps nothing
+            assert service.handle(ApiRequest("cloud", {"resource": name})).ok
+        assert len(service._descriptions) == 4
 
     def seed_walks(self, service):
         for i in range(240):
