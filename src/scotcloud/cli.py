@@ -65,10 +65,18 @@ def _http_url(value: str) -> str:
         if split.scheme != "http" or not split.hostname or split.port == 0:  # .port refuses one past 65535
             raise ValueError
         split.hostname.encode("idna")  # UnicodeError is a ValueError
+        split.netloc.encode("idna")  # what http.client resolves, which may hold more than .hostname: [::1]x
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"{value!r}, from --url or else {ENV_URL}, is not an http://host:port URL with a port from 1 to 65535"
         ) from None
+    return value
+
+
+def _path(value: str) -> str:
+    """The value of a flag that names a file or directory, if it holds no NUL, which no path can."""
+    if "\0" in value:
+        raise argparse.ArgumentTypeError(f"{value!r} holds NUL, which no path can")
     return value
 
 
@@ -127,6 +135,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         config.port = args.port
     if args.store:
         config.store_path = args.store
+    if _NOT_UTF8.search(args.host):
+        return _fail(EXIT_DATA, "serve: --host is not UTF-8 text")
     try:
         svc = service_mod.AnnotationService(config)
     except (service_mod.StoreLoadError, OSError) as exc:
@@ -266,8 +276,8 @@ def build_parser() -> _Parser:
     p = sub.add_parser("serve", help="run the annotation server")
     p.add_argument("--port", type=int, default=None)
     p.add_argument("--host", default="127.0.0.1")
-    p.add_argument("--store", default=None, help="store directory (events.log) to load and write through")
-    p.add_argument("--config", default=None, help="key=value config file")
+    p.add_argument("--store", type=_path, default=None, help="store directory (events.log) to load and write through")
+    p.add_argument("--config", type=_path, default=None, help="key=value config file")
     p.set_defaults(func=_cmd_serve)
 
     # Each client subcommand's flags are its operation's query parameters, then --url, and --out for a document.
@@ -282,26 +292,26 @@ def build_parser() -> _Parser:
                 p.add_argument(f"--{name}", required=True)
         p.add_argument("--url", type=_http_url, default=env_url or DEFAULT_URL)
         if operation not in service_mod.MUTATIONS:
-            p.add_argument("--out", default=None)
+            p.add_argument("--out", type=_path, default=None)
         p.set_defaults(func=_cmd_request)
 
     p = sub.add_parser("import", help="rebuild a store directory from an exported document")
-    p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--store", required=True)
+    p.add_argument("--in", dest="infile", type=_path, required=True)
+    p.add_argument("--store", type=_path, required=True)
     p.set_defaults(func=_cmd_import)
 
     p = sub.add_parser("simulate", help="replay a bot script through the client simulator")
-    p.add_argument("--script", required=True)
+    p.add_argument("--script", type=_path, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--units", type=int, default=1)
     p.add_argument("--base-latency", type=int, default=50)
     p.add_argument("--jitter", type=int, default=0)
-    p.add_argument("--store", default=None, help="seed the in-process server from this store directory")
+    p.add_argument("--store", type=_path, default=None, help="seed the in-process server from this store directory")
     p.add_argument("--url", type=_http_url, default=env_url, help="wire mode: talk to a live server instead")
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("layout", help="emit a scene description for a cloud or topic map")
-    p.add_argument("--store", default=None)
+    p.add_argument("--store", type=_path, default=None)
     p.add_argument("--resource", default=None)
     p.add_argument("--root", default=None)
     p.add_argument("--depth", type=int, default=None)
@@ -316,6 +326,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if [] in vars(args).values():  # argparse strips `--` from `--flag=--`, which leaves [], no flag's value
+            parser.error("-- is no flag's value")
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -35,6 +35,10 @@ WINDOW_MAX = 25
 MEMORY_BUDGET = 65536
 MEMORY_WARN = 25600
 REQUEST_COST = 512
+# The most communication units one simulator builds: a pool as large as the
+# 255 prims of one linked object. A unit is built before it is used, so a
+# larger count would only fill memory with idle units.
+MAX_UNITS = 255
 PUBLIC_CHANNEL = 0
 CENTER_CHANNEL = -1
 
@@ -257,8 +261,8 @@ class Simulator:
         base_latency_ms: int = 50,
         jitter_ms: int = 0,
     ):
-        if units < 1:
-            raise SimError("at least one communication unit is required")
+        if not 1 <= units <= MAX_UNITS:
+            raise SimError(f"the communication units must number 1 to {MAX_UNITS}, not {units}")
         if base_latency_ms < 0 or jitter_ms < 0:
             raise ValueError("latency parameters must be non-negative")
         if isinstance(target, AnnotationService):

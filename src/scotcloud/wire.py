@@ -7,9 +7,12 @@ subcommands and `simulate --url`, which tell apart the errors a request
 can raise by `REQUEST_ERRORS` and `NOT_SENT`.
 
 The server half serves an `AnnotationService` from one thread: one
-`selectors` loop over non-blocking sockets reads each request head as
-its bytes arrive, hands the path and query to `handle_url` and writes
-the answer. There is no thread per connection; a connection idle for
+`selectors` loop over non-blocking sockets buffers each request head to
+its blank line, matches it whole, hands the target of a GET to
+`handle_url` and writes the answer. Every answer is a page: a GET gets
+the service's, and a refused head gets one page that holds an error
+token (`badrequest`, `toolarge`, `badmethod` or `badversion`) and closes
+its connection. There is no thread per connection; a connection idle for
 IDLE_TIMEOUT_S is closed. It loads none of `http.server`, `http.client`,
 `socketserver`, `email` or `ssl`. The client half, `HttpTransport`, has
 the `get` method that `sim.Simulator` and `sim.fetch_body` send requests
@@ -29,10 +32,9 @@ import sys
 import threading
 import time
 from http import HTTPStatus
-from typing import Optional
 from urllib.parse import urlsplit
 
-from .service import AnnotationService
+from .service import AnnotationService, Page
 
 log = logging.getLogger(__name__)
 
@@ -43,49 +45,37 @@ REQUEST_TIMEOUT_S = 60  # HttpTransport gives up on a connect, or on a read of t
 # -- server ----------------------------------------------------------------------
 
 
-# As http.client reads a request head: the longest header line, and the most
-# lines in a head, the blank line that ends it included.
-MAX_HEADER_LINE = 65536
+# The most bytes in a request head, its blank line included, and the most
+# lines after its request line, the blank line again included.
+MAX_HEAD = 65536
 MAX_HEADER_LINES = 100
 
-# A header line as RFC 9112 §5 writes it: a name of token characters, a colon
-# right after it, and a value without CR or LF. Any other line (whitespace
-# before the colon, an obs-fold, no colon at all) is answered 400.
-_PLAIN_FIELD = re.compile(rb"([!-9;-~]+):[ \t]*([^\r\n]*)\r?\n")
-# An HTTP version as http.server accepts it since Python 3.11: two numbers
-# of 1 to 10 digits. (str.isdigit() there also passes '\xb2', which int()
-# then refuses.)
-_VERSION = re.compile(r"HTTP/([0-9]{1,10})\.([0-9]{1,10})")
-# A head that the rules read as a kept-alive GET with nothing more to say: an
-# HTTP/1.1 request line whose path does not start with //, then plain header
-# lines that end in CRLF, none of them one of the four looked up. Within the
-# limits such a head is answered at once, without its lines being read one by one.
-_PLAIN_HEAD = re.compile(rb"GET (/(?!/)[!-~]*) HTTP/1\.1\r\n((?:[!-9;-~]+:[^\r\n]*\r\n){0,99})\r\n")
-_LOOKED_UP = re.compile(rb"(?im)^(?:connection|content-length|transfer-encoding|expect):")
+# The end of a head: a line end, then a blank line.
+_HEAD_END = re.compile(rb"\n\r?\n")
+# A whole head: a request line of three runs of visible ASCII, one space
+# apart, the last an HTTP version; then header lines as RFC 9112 §5 writes
+# them, a name of visible ASCII but the colon, the colon right after it and
+# a value without CR or LF, at most MAX_HEADER_LINES - 1 of them; then the
+# blank line. Every line ends in CRLF or LF.
+_HEAD = re.compile(
+    rb"([!-~]+) ([!-~]+) HTTP/([0-9]+\.[0-9]+)\r?\n((?:[!-9;-~]+:[^\r\n]*\r?\n){0,%d})\r?\n" % (MAX_HEADER_LINES - 1)
+)
+# The header fields that decide whether a connection stays open, in lowered header lines.
+_KEEP_FIELDS = re.compile(rb"(?m)^(connection|content-length|transfer-encoding):[ \t]*([^\r\n]*)")
+# The page of each refusal.
+_REFUSALS = {
+    status: Page(1, 1, token).encode()
+    for status, token in ((400, b"badrequest"), (414, b"toolarge"), (431, b"toolarge"),
+                          (501, b"badmethod"), (505, b"badversion"))
+}
 
-# What http.server sends: its Server value, the reason phrases of this
-# Python's HTTPStatus, and send_error's head and page (HTML5 since 3.11).
+# The Server value http.server sends, and the reason phrases of this Python's HTTPStatus.
 _SERVER = b"BaseHTTP/0.6 Python/" + sys.version.split()[0].encode("ascii")
 _PHRASES = {status.value: status.phrase.encode("latin-1") for status in HTTPStatus}
 _RESPONSE = (
     b"HTTP/1.1 %d %s\r\nServer: %s\r\nDate: %s\r\n"
     b"Content-Type: text/plain; charset=utf-8\r\nContent-Length: %d\r\n%s\r\n%s"
 )
-_ERROR_HEAD = (
-    b"HTTP/1.1 %d %s\r\nServer: %s\r\nDate: %s\r\nConnection: close\r\n"
-    b"Content-Type: text/html;charset=utf-8\r\nContent-Length: %d\r\n\r\n"
-)
-_ERROR_PAGE = (
-    '<!DOCTYPE HTML>\n<html lang="en">\n    <head>\n        <meta charset="utf-8">\n'
-    if sys.version_info >= (3, 11)
-    else '<!DOCTYPE HTML PUBLIC "-//W3C//DTD HTML 4.01//EN"\n        "http://www.w3.org/TR/html4/strict.dtd">\n'
-    '<html>\n    <head>\n        <meta http-equiv="Content-Type" content="text/html;charset=utf-8">\n'
-) + (
-    "        <title>Error response</title>\n    </head>\n    <body>\n        <h1>Error response</h1>\n"
-    "        <p>Error code: %(code)d</p>\n        <p>Message: %(message)s.</p>\n"
-    "        <p>Error code explanation: %(code)s - %(explain)s.</p>\n    </body>\n</html>\n"
-)
-_HTML_ESCAPE = str.maketrans({"&": "&amp;", "<": "&lt;", ">": "&gt;"})  # html.escape(quote=False)
 _DAYS = (b"Mon", b"Tue", b"Wed", b"Thu", b"Fri", b"Sat", b"Sun")
 _MONTHS = (b"Jan", b"Feb", b"Mar", b"Apr", b"May", b"Jun", b"Jul", b"Aug", b"Sep", b"Oct", b"Nov", b"Dec")
 
@@ -111,35 +101,40 @@ class _DateHeader:
 
 
 class _Connection:
-    """One client connection: the head it is sending, and the bytes of answers its socket has not taken yet.
+    """One client connection: the heads it has sent, and the bytes of answers its socket has not taken yet.
 
-    A head is read a line at a time as its bytes arrive, as http.server's
-    `rfile.readline(65537)` reads it, so the limits hold before a line or
-    a head is whole: 414 for a request line over 65536 bytes, 431 for a
-    longer header line or more than 100 lines in a head. The rest are
-    http.server's (Python 3.11) too: 400 for a bad request line, 505 for
-    HTTP/2 and later, 501 for any method but GET. Only `Connection`,
-    `Content-Length`, `Transfer-Encoding` and `Expect` are looked up. A
-    head with any line that is not a plain `name: value` line is answered
-    400 and closed; it is read to its blank line first, so a 431 is
-    answered as before. A refused version gets a status line, where
-    http.server answers with a bare HTML body that an HTTP/1.1 client
-    cannot read; only a two-word HTTP/0.9 request line is answered bare.
+    A head is buffered until its blank line, then matched whole. A GET
+    whose version is HTTP/1.0 or HTTP/1.1 and whose header lines are all
+    plain `name: value` lines gets the service's page. Any other head is
+    refused with a page of its own and `Connection: close`:
+
+    - no blank line within MAX_HEAD bytes: 414 `toolarge` if those bytes
+      hold no line end, else 431 `toolarge`;
+    - more than MAX_HEADER_LINES lines after the request line: 431 `toolarge`;
+    - an HTTP version other than 1.0 and 1.1: 505 `badversion`;
+    - a method other than GET: 501 `badmethod`;
+    - any other head (an HTTP/0.9 request line, a folded or colon-less
+      header line, a CR inside a line, extra words): 400 `badrequest`.
+
+    A head cut short by EOF is closed without an answer. Of the header
+    fields only the first `Connection`, `Content-Length` and
+    `Transfer-Encoding` are read: HTTP/1.0 closes unless it asks for
+    keep-alive, HTTP/1.1 stays open unless it asks to close, and a
+    request that carries a body closes. A path that starts with `//` is
+    read with one `/`, as http.server reads it.
 
     Pipelined heads are answered in order. Each answer is one `bytes` and
     goes out in one `send`; what the socket does not take waits for
     EVENT_WRITE, and no further head is read until it has gone.
     """
 
-    __slots__ = ("server", "sock", "last", "inbox", "scanned", "eof", "outbox", "closing", "lines",
-                 "command", "path", "version", "close_connection")
+    __slots__ = ("server", "sock", "last", "inbox", "searched", "eof", "outbox", "closing")
 
     def __init__(self, server: HttpServer, sock: socket.socket, now: float) -> None:
         self.server, self.sock, self.last = server, sock, now
         self.inbox, self.outbox = bytearray(), memoryview(b"")  # bytes not yet read as a head, and not yet sent
-        self.scanned = 0  # the inbox's first bytes, which hold no line end
+        self.searched = 0  # how many of the inbox's first bytes no end of a head starts in
         self.eof = self.closing = False  # the client has shut its side; close once the outbox is sent
-        self.lines: Optional[list[bytearray]] = None  # the header lines read so far, once a request line is
 
     def ready(self, mask: int) -> None:
         """Take what the socket is ready for: send what waits, or read, then answer each head that has ended."""
@@ -154,127 +149,47 @@ class _Connection:
             self.eof = not data
         inbox, pos = self.inbox, 0
         while not (self.outbox or self.closing):
-            if self.lines is None and not self.scanned:
-                head = _PLAIN_HEAD.match(inbox, pos, pos + MAX_HEADER_LINE)
-                if head and not _LOOKED_UP.search(head[2]):
-                    pos, self.path, self.version, self.close_connection = head.end(), head[1].decode(), "HTTP/1.1", False
-                    self.answer()
-                    continue
-            end = inbox.find(b"\n", max(pos, self.scanned), pos + MAX_HEADER_LINE + 1) + 1
-            if not end:  # no line end yet: a line over the limit, or the last bytes before EOF, are a line too
-                if len(inbox) - pos <= MAX_HEADER_LINE and not self.eof:
-                    self.scanned = len(inbox) - pos
-                    break
-                end = min(len(inbox), pos + MAX_HEADER_LINE + 1)
-            line, pos, self.scanned = inbox[pos:end], end, 0
-            if self.lines is None:
-                if self.request_line(line):
-                    self.lines = []
-                else:
-                    self.closing = True
-            elif len(line) > MAX_HEADER_LINE:
-                explain = f"got more than {MAX_HEADER_LINE} bytes when reading header line"
-                self.send_error(HTTPStatus.REQUEST_HEADER_FIELDS_TOO_LARGE, "Line too long", explain)
-            elif len(self.lines) == MAX_HEADER_LINES:  # this line, even a blank one, is one too many
-                explain = f"got more than {MAX_HEADER_LINES} headers"
-                self.send_error(HTTPStatus.REQUEST_HEADER_FIELDS_TOO_LARGE, "Too many headers", explain)
-            elif line in (b"\r\n", b"\n", b""):
-                lines, self.lines = self.lines, None
-                self.end_head(lines)
-            else:
-                self.lines.append(line)
+            end = _HEAD_END.search(inbox, pos + self.searched, pos + MAX_HEAD)
+            if end:
+                self.answer(inbox, pos, end.end())
+                pos, self.searched = end.end(), 0
+            elif len(inbox) - pos >= MAX_HEAD:
+                self.refuse(414 if inbox.find(b"\n", pos, pos + MAX_HEAD) < 0 else 431)
+            else:  # a later end may start in the last two bytes; a head cut short by EOF gets no answer
+                self.searched, self.closing = max(0, len(inbox) - pos - 2), self.eof
+                break
         del inbox[:pos]
 
-    def request_line(self, raw: bytearray) -> bool:
-        """Check a request line as http.server does; False once it is refused, or if it is blank."""
-        if len(raw) > MAX_HEADER_LINE:
-            self.version = self.command = ""
-            self.send_error(HTTPStatus.REQUEST_URI_TOO_LONG)
-            return False
-        self.command = None  # set in case of error on the first line
-        self.version = "HTTP/0.9"
-        self.close_connection = True
-        requestline = str(raw, "iso-8859-1").rstrip("\r\n")
-        words = requestline.split()
-        if not words:
-            return False
-        if len(words) >= 3:
-            # Set first, so that a refused version's error goes out with a status line.
-            version = self.version = words[-1]
-            match = _VERSION.fullmatch(version)
-            if match is None:
-                self.send_error(HTTPStatus.BAD_REQUEST, "Bad request version (%r)" % version)
-                return False
-            number = int(match[1]), int(match[2])
-            if number >= (1, 1):
-                self.close_connection = False
-            if number >= (2, 0):
-                self.send_error(HTTPStatus.HTTP_VERSION_NOT_SUPPORTED, "Invalid HTTP version (%s)" % version[5:])
-                return False
-        if not 2 <= len(words) <= 3:
-            self.send_error(HTTPStatus.BAD_REQUEST, "Bad request syntax (%r)" % requestline)
-            return False
-        command, path = words[:2]
-        if len(words) == 2:
-            self.close_connection = True
-            if command != "GET":
-                self.send_error(HTTPStatus.BAD_REQUEST, "Bad HTTP/0.9 request type (%r)" % command)
-                return False
+    def answer(self, inbox: bytearray, start: int, end: int) -> None:
+        """Answer the head in inbox[start:end]: a GET with the service's page, any other with a refusal."""
+        head = _HEAD.fullmatch(inbox, start, end)
+        if head is None:  # the line limit is checked before the grammar, as the byte limit is
+            return self.refuse(431 if inbox.count(b"\n", start, end) > 1 + MAX_HEADER_LINES else 400)
+        if head[3] not in (b"1.0", b"1.1"):
+            return self.refuse(505)
+        if head[1] != b"GET":
+            return self.refuse(501)
+        fields = dict(reversed(_KEEP_FIELDS.findall(head[4].lower())))  # the first of each name counts
+        connection = fields.get(b"connection")
+        close = connection != b"keep-alive" if head[3] == b"1.0" else connection == b"close"
+        # The protocol has no request bodies; one left unread would be
+        # read as the next head, so such a connection is not reused.
+        if fields.get(b"content-length", b"0").decode("latin-1").strip() != "0" or b"transfer-encoding" in fields:
+            close = True
+        path = head[2].decode("ascii")
         if path.startswith("//"):  # a client would read //host/path as another host
             path = "/" + path.lstrip("/")
-        self.command, self.path = command, path
-        return True
+        response = self.server.service.handle_url(path)
+        self.respond(response.status, response.encode(), close)
 
-    def end_head(self, lines: list[bytearray]) -> None:
-        """Read the header lines, then answer the request."""
-        fields: dict[str, str] = {}
-        for line in lines:
-            match = _PLAIN_FIELD.fullmatch(line)
-            if match is None:
-                return self.send_error(HTTPStatus.BAD_REQUEST, "Bad header line")
-            fields.setdefault(match[1].decode("ascii").lower(), match[2].decode("iso-8859-1"))
-        connection = fields.get("connection", "").lower()
-        if connection == "close":
-            self.close_connection = True
-        elif connection == "keep-alive":
-            self.close_connection = False
-        # The protocol has no request bodies; one left unread would be
-        # parsed as the next request, so such a connection is not reused.
-        if fields.get("content-length", "0").strip() != "0" or "transfer-encoding" in fields:
-            self.close_connection = True
-        if fields.get("expect", "").lower() == "100-continue" and self.version >= "HTTP/1.1":
-            self.send(b"HTTP/1.1 100 Continue\r\n\r\n")
-        if self.command != "GET":
-            return self.send_error(HTTPStatus.NOT_IMPLEMENTED, "Unsupported method (%r)" % self.command)
-        self.answer()
+    def refuse(self, status: int) -> None:
+        """Answer a refused head with `status` and its page, and close."""
+        self.respond(status, _REFUSALS[status], True)
 
-    def answer(self) -> None:
-        """Send the service's answer to the GET of `path`."""
-        response = self.server.service.handle_url(self.path)
-        body = response.encode()
-        if self.version == "HTTP/0.9":  # a bare body, as http.server answers HTTP/0.9
-            self.send(body)
-        else:
-            close = b"Connection: close\r\n" if self.close_connection else b""
-            status, date = response.status, self.server.date.value()
-            self.send(_RESPONSE % (status, _PHRASES[status], _SERVER, date, len(body), close, body))
-        self.closing = self.close_connection
-
-    def send_error(self, status: HTTPStatus, message: Optional[str] = None, explain: Optional[str] = None) -> None:
-        """Answer as http.server's send_error does, and close: no head for HTTP/0.9, no page for HEAD."""
-        message, explain = message or status.phrase, explain or status.description
-        fill = {"code": status, "message": message.translate(_HTML_ESCAPE), "explain": explain.translate(_HTML_ESCAPE)}
-        page = (_ERROR_PAGE % fill).encode("utf-8", "replace")
-        head = b""
-        if self.version != "HTTP/0.9":
-            head = _ERROR_HEAD % (status, message.encode("latin-1"), _SERVER, self.server.date.value(), len(page))
-        self.send(head if self.command == "HEAD" else head + page)
-        self.closing = True
-
-    def send(self, data: bytes) -> None:
-        """Send `data` after what waits already; what the socket does not take waits for EVENT_WRITE."""
-        if self.outbox:
-            data, self.outbox = bytes(self.outbox) + data, memoryview(b"")
+    def respond(self, status: int, body: bytes, close: bool) -> None:
+        """Send one answer; what the socket does not take waits for EVENT_WRITE."""
+        connection = b"Connection: close\r\n" if close else b""
+        data = _RESPONSE % (status, _PHRASES[status], _SERVER, self.server.date.value(), len(body), connection, body)
         try:
             sent = self.sock.send(data)
         except BlockingIOError:
@@ -282,6 +197,7 @@ class _Connection:
         if sent < len(data):
             self.outbox = memoryview(data)[sent:]
             self.server.selector.modify(self.sock, selectors.EVENT_WRITE, self)
+        self.closing = close
 
     def close(self) -> None:
         self.server.selector.unregister(self.sock)
@@ -293,6 +209,10 @@ class _Connection:
 class HttpServer:
     """Serves an AnnotationService over HTTP/1.1 from the thread that runs serve_forever.
 
+    It is bound to `host` and the service's port once made. Every answer
+    is a page: a GET gets the service's, and any other head, or one over
+    the limits, gets a refusal's page and `Connection: close`, as
+    `_Connection` sets out. There is no HTTP/0.9 and no `100 Continue`.
     One selectors loop watches the listening socket and every connection,
     all non-blocking. A connection that neither sends nor takes a byte for
     IDLE_TIMEOUT_S is closed, judged by its last event's time; a client
@@ -392,18 +312,13 @@ class HttpServer:
             os.close(fd)
 
 
-def make_http_server(service: AnnotationService, host: str = "127.0.0.1") -> HttpServer:
-    """A server over `service`, bound to `host` and the service's port, not yet serving."""
-    return HttpServer(service, host)
-
-
 def serve(service: AnnotationService, host: str = "127.0.0.1") -> None:
     """Run the blocking server loop; reports the bound port on stderr first.
 
     Every mutation is already in the log when it is acknowledged, so
     nothing is written on the way out; the log descriptor is closed.
     """
-    server = make_http_server(service, host)
+    server = HttpServer(service, host)
     print(f"serving on {host}:{server.server_address[1]}", file=sys.stderr, flush=True)
     try:
         server.serve_forever()
@@ -431,17 +346,16 @@ class HttpTransport:
     may or may not have applied the request; it raises as OSError or
     http.client.HTTPException. A connect or a read that waits longer than
     REQUEST_TIMEOUT_S raises TimeoutError, as Unreachable for the connect.
-    An https URL pays one TLS handshake per request. InvalidURL is raised
-    for a URL that is not http[s]://host[:port][/prefix].
+    InvalidURL is raised for a URL that is not http://host[:port][/prefix].
     """
 
     def __init__(self, base_url: str):
         import http.client  # here, so that serving loads no client code
 
         split = urlsplit(base_url)
-        if split.scheme not in ("http", "https") or not split.netloc:
+        if split.scheme != "http" or not split.netloc:
             raise http.client.InvalidURL(f"not an http URL: {base_url!r}")
-        self._connection = http.client.HTTPSConnection if split.scheme == "https" else http.client.HTTPConnection
+        self._connection = http.client.HTTPConnection
         self._netloc = split.netloc
         self._prefix = split.path.rstrip("/")
 

@@ -7,7 +7,7 @@ import pytest
 
 from scotcloud.model import AnnotationStore, AttachError, VocabConfig
 from scotcloud.service import AnnotationService, ServiceConfig
-from scotcloud.wire import make_http_server
+from scotcloud.wire import HttpServer
 
 TAGGER = uuid.UUID("12345678-1234-5678-1234-567812345678")
 
@@ -108,7 +108,7 @@ def service():
 @pytest.fixture
 def live_server():
     svc = AnnotationService(ServiceConfig(port=0))
-    server = make_http_server(svc)
+    server = HttpServer(svc, "127.0.0.1")
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
     url = f"http://127.0.0.1:{server.server_address[1]}"

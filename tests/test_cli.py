@@ -1,5 +1,9 @@
+import argparse
+import contextlib
 import errno
 import hashlib
+import io
+import ipaddress
 import os
 import random
 import socket
@@ -9,9 +13,11 @@ import uuid
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from scotcloud import sim, wire
-from scotcloud.cli import main
+from scotcloud.cli import build_parser, main
 from scotcloud.model import AnnotationEvent, AnnotationStore, VocabConfig, store_to_graph
 from scotcloud.rdfxml import serialize
 from scotcloud.service import OPERATIONS, PARAM_DEFAULTS, AnnotationService, ServiceConfig, restore_store
@@ -101,8 +107,8 @@ class TestUsage:
             "import socket, sys, threading\n"
             f"sys.path.insert(0, {str(Path(cli_mod.__file__).parents[1])!r})\n"
             "from scotcloud.service import AnnotationService, ServiceConfig\n"
-            "from scotcloud.wire import make_http_server\n"
-            "server = make_http_server(AnnotationService(ServiceConfig(port=0)))\n"
+            "from scotcloud.wire import HttpServer\n"
+            "server = HttpServer(AnnotationService(ServiceConfig(port=0)), '127.0.0.1')\n"
             "threading.Thread(target=server.serve_forever, daemon=True).start()\n"
             "with socket.create_connection(server.server_address) as sock:\n"
             "    sock.sendall(b'GET /cloud?resource=x HTTP/1.1\\r\\n\\r\\n')\n"
@@ -127,8 +133,8 @@ class TestUsage:
             f"sys.path.insert(0, {str(Path(cli_mod.__file__).parents[1])!r})\n"
             "import scotcloud.cli\n"
             "from scotcloud.service import AnnotationService, ServiceConfig\n"
-            "from scotcloud.wire import make_http_server\n"
-            "server = make_http_server(AnnotationService(ServiceConfig(port=0)))\n"
+            "from scotcloud.wire import HttpServer\n"
+            "server = HttpServer(AnnotationService(ServiceConfig(port=0)), '127.0.0.1')\n"
             "threading.Thread(target=server.serve_forever, daemon=True).start()\n"
             "with socket.create_connection(server.server_address) as sock:\n"
             "    sock.sendall(b'GET /tag?resource=x&tag=y&tagger=00000000-0000-4000-8000-000000000000 HTTP/1.1\\r\\n\\r\\n')\n"
@@ -887,3 +893,144 @@ class TestClientFailures:
             for filler in fillers:
                 filler.close()
         assert (code, out, err) == (2, "", f"cannot reach server at {url}\n")
+
+
+# Pieces of drawn flag values: lone surrogates (what sys.argv holds for bytes
+# that are not UTF-8), brackets, dots, colons, percent signs, NUL, and text.
+_PIECES = ["\udc80", "\udcff", "[", "]", "..", ":", "%", "\x00", "a", "\xe9", "/", " ", "-", "0", "7", "x y"]
+_TEXT = st.lists(st.sampled_from(_PIECES), max_size=4).map("".join)
+_NUMBERS = st.one_of(
+    st.integers(-3, 300).map(str),
+    st.integers(-(2**70), 2**70).map(str),
+    st.sampled_from(["65536", str(10**40), "1e3", "\xb2", ""]),
+)
+_URLS = st.builds(
+    "{}{}{}{}".format,
+    st.sampled_from(["http://", "http://", "https://", "ftp://", ""]),
+    st.one_of(st.sampled_from(["127.0.0.1", "[::1]", "localhost", "a..b", "[::1", ""]), _TEXT),
+    st.one_of(st.sampled_from(["", ":9", ":0", ":65536", ":%s" % 10**30]), _TEXT),
+    st.one_of(st.sampled_from(["", "/", "/api"]), _TEXT),
+)
+# The files and directories a path flag names, all under one directory, besides drawn names there.
+_FILES = {
+    "bots.txt": f"@0 0 {TAGGER} tag mouse laser\n@40 0 {TAGGER} cloud mouse\n@90 0 {TAGGER} map mouse 2\n".encode(),
+    "latin1.txt": b"@0 0 11111111-2222-4333-8444-555566667777 tag caf\xe9 laser\n",
+    "garbage.rdf": b"<rdf:RDF",
+    "svc.conf": b"port=0\npage_cap=1024\n",
+    "bad.conf": b"port=abc\n",
+    "legacy/snapshot.rdf": b'<rdf:RDF xmlns:rdf="http://www.w3.org/1999/02/22-rdf-syntax-ns#"/>\n',
+}
+_PATH_FLAGS = {"store", "config", "infile", "script", "out"}
+
+
+def _loopback(host) -> bool:
+    try:
+        return ipaddress.ip_address(host).is_loopback
+    except ValueError:
+        return False
+
+
+def _idna_refuses(host: str) -> bool:
+    try:
+        host.encode("idna")
+    except UnicodeError:
+        return True
+    return False
+
+
+def _value(action: argparse.Action, root: Path) -> st.SearchStrategy:
+    """Values for one flag: its own kind of value, or any drawn text."""
+    if action.dest in _PATH_FLAGS:
+        names = st.sampled_from(sorted(_FILES) + ["export.rdf", "store", "legacy", "new"])
+        names = st.one_of(names, names, names, _TEXT)
+        return names.map(lambda name: str(root / name.replace("/", "_") if name not in _FILES else root / name))
+    if action.dest == "url":
+        return _URLS
+    if action.type is int:
+        return _NUMBERS
+    if action.choices:
+        return st.one_of(st.sampled_from(sorted(action.choices)), _TEXT)
+    named = st.sampled_from(["mouse", "laser", "shoe", str(TAGGER), "127.0.0.1"])
+    return st.one_of(named, named, _TEXT)
+
+
+@st.composite
+def command_lines(draw, root: Path) -> list[str]:
+    """A subcommand, then a drawn choice of its flags, the required ones mostly among them, each `--flag=value`."""
+    commands = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)).choices
+    name = draw(st.sampled_from(sorted(commands)))
+    argv = [name]
+    for action in commands[name]._actions:
+        if action.option_strings and action.dest != "help":
+            for _ in range(draw(st.sampled_from([1, 1, 1, 0, 2] if action.required else [0, 1]))):
+                argv.append(f"{action.option_strings[0]}={draw(_value(action, root))}")
+    return argv + draw(st.sampled_from([[]] * 7 + [["--"], ["x"], ["--url"]]))
+
+
+@pytest.fixture(scope="class")
+def command_root(tmp_path_factory):
+    """A directory that holds the files of _FILES, a store and an export."""
+    root = tmp_path_factory.mktemp("argv")
+    for name, data in _FILES.items():
+        (root / name).parent.mkdir(exist_ok=True)
+        (root / name).write_bytes(data)
+    service = AnnotationService(ServiceConfig(store_path=str(root / "store")))
+    for query in (f"/tag?resource=mouse&tag=laser&tagger={TAGGER}", f"/attach?parent=mouse&child=laser&tagger={TAGGER}"):
+        assert service.handle_url(query).ok
+    service.close()
+    (root / "export.rdf").write_text(serialize(store_to_graph(service.store, VOCAB)), "utf-8")
+    return root
+
+
+def _exit_code_without_a_traceback(monkeypatch, argv: list[str]) -> int:
+    """`main(argv)`'s exit code, asserted to be 0 to 3 with no traceback on stderr.
+
+    Only loopback literals resolve, so no argv reaches DNS or leaves the host.
+    A host that the IDNA codec refuses still reaches the real getaddrinfo, and
+    a non-ASCII one the real bind, which refuse it before any lookup (bind
+    passes an ASCII host to the resolver as it is). Serving returns at once."""
+    real_getaddrinfo, real_bind = socket.getaddrinfo, socket.socket.bind
+
+    def getaddrinfo(host, *args, **kwargs):
+        if not (_loopback(host) or _idna_refuses(host)):
+            raise socket.gaierror(socket.EAI_NONAME, "Name or service not known")
+        return real_getaddrinfo(host, *args, **kwargs)
+
+    def bind(sock, address):
+        if not (_loopback(address[0]) or (not address[0].isascii() and _idna_refuses(address[0]))):
+            raise socket.gaierror(socket.EAI_NONAME, "Name or service not known")
+        return real_bind(sock, address)
+
+    with monkeypatch.context() as patch:
+        patch.delenv("SCOTCLOUD_URL", raising=False)
+        patch.delenv("SCOTCLOUD_PORT", raising=False)
+        patch.setattr(socket, "getaddrinfo", getaddrinfo)
+        patch.setattr(socket.socket, "bind", bind)
+        patch.setattr(wire.HttpServer, "serve_forever", lambda server: None)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    assert 0 <= code <= 3, (argv, code, err.getvalue())
+    assert "Traceback" not in err.getvalue(), argv
+    return code
+
+
+class TestNoTraceback:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["serve", "--host=\udc80", "--port=0"],  # a host byte that is not UTF-8 failed in bind
+            ["import", "--in={root}/\x00", "--store={root}/new"],  # NUL in a path failed in open
+            ["attach", "--parent=mouse", "--child=mouse", "--url=http://[::1]\udc80"],  # past the ] failed in getaddrinfo
+            ["attach", "--parent=mouse", "--child=mouse", "--url=http://[::1]a..b"],
+            ["simulate", "--script={root}/bots.txt", f"--units={10**20}"],  # built one unit per count
+            ["cloud", "--resource=mouse", "--url=--"],  # argparse gave the URL as []
+        ],
+    )
+    def test_command_lines_that_failed_exit_0_to_3_without_a_traceback(self, monkeypatch, command_root, argv):
+        _exit_code_without_a_traceback(monkeypatch, [arg.format(root=command_root) for arg in argv])
+
+    @settings(max_examples=1000, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_any_command_line_exits_0_to_3_without_a_traceback(self, monkeypatch, command_root, data):
+        _exit_code_without_a_traceback(monkeypatch, data.draw(command_lines(command_root)))

@@ -47,7 +47,7 @@ from scotcloud.service import (
 
 from conftest import TAGGER, cyclic_garbage, fetch_full, random_forest, seed_mouse, store_state
 from scotcloud import wire
-from scotcloud.wire import HttpTransport, make_http_server
+from scotcloud.wire import HttpServer, HttpTransport
 
 VOCAB = VocabConfig()
 
@@ -873,12 +873,12 @@ def http_server(service: AnnotationService, handler_mixin: type):
 
 @contextlib.contextmanager
 def shell_server(service: AnnotationService, monkeypatch):
-    """The server of make_http_server over `service`, serving on a thread; yields (url, server, accepted).
+    """The HttpServer over `service`, serving on a thread; yields (url, server, accepted).
 
     `accepted` lists the connections the server accepted, as a spy on
     `socket.accept` sees them.
     """
-    server = make_http_server(service)
+    server = HttpServer(service, "127.0.0.1")
     accepted = []
     real = socket.socket.accept
 
@@ -1058,8 +1058,9 @@ class TestKeepAlive:
         assert transport.get("/cloud?resource=x")[0] == 200
         transport = HttpTransport(url + "/api/")  # sent as /api/cloud, which is no operation
         assert transport.get("/cloud?resource=x") == (404, Page(1, 1, b"unknown").encode())
-        with pytest.raises(http.client.InvalidURL):
-            HttpTransport("ftp://127.0.0.1:1")
+        for url in ("ftp://127.0.0.1:1", "https://127.0.0.1:1"):
+            with pytest.raises(http.client.InvalidURL):
+                HttpTransport(url)
 
 
 def _read_until_closed(sock: socket.socket) -> bytes:

@@ -115,6 +115,11 @@ class TestSpawn:
         with pytest.raises(SimError):
             make_sim(units=0)
 
+    def test_more_units_than_one_object_holds_are_rejected(self):
+        assert len(make_sim(units=255).units) == 255
+        with pytest.raises(SimError, match="1 to 255"):
+            make_sim(units=256)
+
     def test_four_units_give_hundred_per_window(self):
         sim = make_sim(units=4)
         for i in range(100):
