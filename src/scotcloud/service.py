@@ -50,6 +50,7 @@ removed is followed, not written past.
 from __future__ import annotations
 
 import contextlib
+import functools
 import itertools
 import logging
 import os
@@ -74,6 +75,7 @@ _PAGE_HEADER = re.compile(rb"page ([0-9]+)/([0-9]+) ([0-9]+)")
 MIN_PAGE_CAP = 64  # smallest page a response may be split into, header line included
 PAGE_CAP_TOO_SMALL = f"page cap must be at least {MIN_PAGE_CAP} bytes"
 BODY_CACHE_ENTRIES = 64  # paged bodies kept per service; the oldest goes first
+MEMO_ENTRIES = 1024  # the most distinct strings one memo of parsed or quoted values keeps
 SNAPSHOT_FILE = "snapshot.rdf"  # older versions kept topic maps here; a directory holding it is refused
 EVENTS_FILE = "events.log"
 EVENTS_TMP = EVENTS_FILE + ".tmp"  # snapshot_store writes here, then renames over EVENTS_FILE
@@ -277,6 +279,11 @@ def _now_wall_ms() -> int:
     return int(time.time() * 1000)
 
 
+# A UUID is immutable, so every service shares one memo of parsed taggers.
+# A string that is not a UUID raises again on every call: lru_cache keeps no exception.
+_tagger = functools.lru_cache(maxsize=MEMO_ENTRIES)(uuid.UUID)
+
+
 class AnnotationService:
     """In-process core of the server; the HTTP layer, `wire`, is a thin shell.
 
@@ -298,6 +305,14 @@ class AnnotationService:
     resource's `/cloud` cached, and every page is still the document of
     the store as it is when the page is asked for. `store` is bound once,
     here, so a stamp need not name it.
+
+    A request's strings are parsed once per distinct value: the tagger of
+    `/tag` and `/attach` through `_tagger`, shared by every service, and
+    the resource name of `/tag`, `/cloud` and `/map` through
+    `_resource_iri`, this service's memo of `vocab.resource_iri`. Each
+    keeps the last MEMO_ENTRIES values it parsed, and only those that
+    parsed: a tagger or a name that is refused is parsed, and refused,
+    again on every request.
 
     The RDF/XML bodies are joined from `_descriptions`, a cache of the
     text of each `rdf:Description` the service has written, which lives
@@ -329,6 +344,7 @@ class AnnotationService:
     ):
         self.config = config or ServiceConfig()
         self.vocab = self.config.vocab()
+        self._resource_iri = functools.lru_cache(maxsize=MEMO_ENTRIES)(self.vocab.resource_iri)
         if self.config.store_path and Path(self.config.store_path).exists():
             store = restore_store(self.config.store_path)
         self.store = store if store is not None else AnnotationStore()
@@ -437,12 +453,12 @@ class AnnotationService:
     def _op_tag(self, request: ApiRequest) -> ApiResponse:
         params = request.params
         try:
-            tagger = uuid.UUID(params["tagger"])
+            tagger = _tagger(params["tagger"])
         except ValueError:
             return self._answer(400, "badtagger")
         try:
             label = model.normalize_tag(params["tag"])
-            resource = self.vocab.resource_iri(params["resource"])
+            resource = self._resource_iri(params["resource"])
         except (model.TagError, rdfxml.ValidationError):
             return self._answer(400, "badtag")
         if request.page != 0:
@@ -460,7 +476,7 @@ class AnnotationService:
 
     def _op_cloud(self, request: ApiRequest) -> ApiResponse:
         try:
-            resource = self.vocab.resource_iri(request.params["resource"])
+            resource = self._resource_iri(request.params["resource"])
         except (model.TagError, rdfxml.ValidationError):
             return self._answer(400, "badtag")
         with self._lock:
@@ -486,7 +502,7 @@ class AnnotationService:
             except model.UnknownConceptError:
                 return self._answer(404, "unknown")
             try:
-                resource = self.vocab.resource_iri(root)  # its cloud gives the counts
+                resource = self._resource_iri(root)  # its cloud gives the counts
             except rdfxml.ValidationError:
                 return self._answer(400, "badtag")
             key = ("map", root, depth, resource)
@@ -500,7 +516,7 @@ class AnnotationService:
     def _op_attach(self, request: ApiRequest) -> ApiResponse:
         params = request.params
         try:
-            uuid.UUID(params["tagger"])
+            _tagger(params["tagger"])
         except ValueError:
             return self._answer(400, "badtagger")
         with self._lock:

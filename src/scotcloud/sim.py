@@ -19,6 +19,7 @@ with a `get` method.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import heapq
 import random
@@ -28,7 +29,16 @@ from dataclasses import dataclass, field
 from typing import Optional, Protocol, Union
 from urllib.parse import quote_plus
 
-from .service import OPERATIONS, PARAM_DEFAULTS, AnnotationService, Page, PageError, decode_page, parse_digits
+from .service import (
+    MEMO_ENTRIES,
+    OPERATIONS,
+    PARAM_DEFAULTS,
+    AnnotationService,
+    Page,
+    PageError,
+    decode_page,
+    parse_digits,
+)
 
 WINDOW_MS = 20000
 WINDOW_MAX = 25
@@ -123,9 +133,13 @@ def fetch_body(transport: Transport, path: str, params: list[tuple[str, str]]) -
     return 200, reassemble(pages)
 
 
+# A command's values repeat across commands and pages: each distinct one is quoted once.
+_quote_plus = functools.lru_cache(maxsize=MEMO_ENTRIES)(quote_plus)
+
+
 def build_query(path: str, params: list[tuple[str, str]], page: int = 0) -> str:
     """The query `urlencode` gives; the names are the protocol's plain words, so only the values are quoted."""
-    items = [f"{name}={quote_plus(value)}" for name, value in params]
+    items = [f"{name}={_quote_plus(value)}" for name, value in params]
     if page > 0:
         items.append(f"page={page}")
     return f"/{path}?{'&'.join(items)}" if items else f"/{path}"
@@ -174,8 +188,10 @@ def parse_script(text: str) -> list[ScriptLine]:
     """Replay format: `@<time_ms> <channel> <sender-uuid> <command text>` per line.
 
     The time is ASCII digits, the channel ASCII digits with an optional `-`.
+    A script has few senders and many lines: each sender is parsed once.
     """
     lines: list[ScriptLine] = []
+    senders: dict[str, uuid.UUID] = {}
     last_time = 0
     for lineno, raw in enumerate(text.splitlines(), 1):
         if not raw.strip() or raw.lstrip().startswith("#"):
@@ -186,7 +202,9 @@ def parse_script(text: str) -> list[ScriptLine]:
         try:
             time_ms = _ascii_int(parts[0][1:])
             channel = _ascii_int(parts[1])
-            sender = uuid.UUID(parts[2])
+            sender = senders.get(parts[2])
+            if sender is None:
+                sender = senders[parts[2]] = uuid.UUID(parts[2])
         except ValueError as exc:
             raise ScriptFormatError(f"line {lineno}: {exc}") from None
         if parts[0].startswith("@-"):
@@ -251,6 +269,12 @@ class Simulator:
     issue, so it is the simulator's only source of randomness. Each unit
     is held to the platform's sliding rate window: at most `WINDOW_MAX`
     issues in any `WINDOW_MS`.
+
+    Each sender's UUID is turned into text once per simulator, in
+    `_names`, which the `chat` line and the `tagger` parameter share; it
+    holds one entry per distinct sender heard. `build_query` quotes each
+    distinct value once, through a memo shared by every simulator that
+    keeps the last MEMO_ENTRIES values.
     """
 
     def __init__(
@@ -282,6 +306,7 @@ class Simulator:
         self._seq = 0
         self._queue: deque[_Pending] = deque()
         self._retry_times: set[int] = set()
+        self._names: dict[uuid.UUID, str] = {}  # sender -> its text
         self.trace: list[str] = []
 
     @property
@@ -305,7 +330,7 @@ class Simulator:
 
     def _headroom(self, unit: ScriptUnit) -> bool:
         """Forget the stamps that have left the window, then count the rest."""
-        start = self.now - WINDOW_MS
+        start = self._clock.ms - WINDOW_MS
         issued = unit.issued
         while issued and issued[0] < start:
             issued.popleft()
@@ -321,7 +346,7 @@ class Simulator:
     # -- event plumbing -----------------------------------------------------------
 
     def _emit(self, detail: str) -> str:
-        line = f"{self.now} {detail}"
+        line = f"{self._clock.ms} {detail}"
         self.trace.append(line)
         return line
 
@@ -336,20 +361,23 @@ class Simulator:
         if not text:
             raise ValueError("channel message text must be non-empty")
         mark = len(self.trace)
-        self._emit(f"chat {channel} {sender} {text}")
+        name = self._names.get(sender)
+        if name is None:
+            name = self._names[sender] = str(sender)
+        self._emit(f"chat {channel} {name} {text}")
         if channel == PUBLIC_CHANNEL:
             parsed = parse_command(text)
             if parsed is None or parsed[0] == "help":
                 self._emit(f"usage {channel} {USAGE}")
             else:
                 kind, args = parsed
-                self._accept(kind, args, sender)
+                self._accept(kind, args, name)
         return self.trace[mark:]
 
-    def _accept(self, kind: str, args: list[str], sender: uuid.UUID) -> None:
+    def _accept(self, kind: str, args: list[str], tagger: str) -> None:
         given = dict(zip(_ARG_PARAMS[kind], args))
         params = [
-            (name, given.get(name) or (str(sender) if name == "tagger" else PARAM_DEFAULTS[name]))
+            (name, given.get(name) or (tagger if name == "tagger" else PARAM_DEFAULTS[name]))
             for name in OPERATIONS[kind]
         ]
         command = _Command(kind, params)

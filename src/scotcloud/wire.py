@@ -13,7 +13,8 @@ its blank line, matches it whole, hands the target of a GET to
 the service's, and a refused head gets one page that holds an error
 token (`badrequest`, `toolarge`, `badmethod` or `badversion`) and closes
 its connection. There is no thread per connection; a connection idle for
-IDLE_TIMEOUT_S is closed. It loads none of `http.server`, `http.client`,
+IDLE_TIMEOUT_S is closed, and one the server closes lingers for at most
+LINGER_S. It loads none of `http.server`, `http.client`,
 `socketserver`, `email` or `ssl`. The client half, `HttpTransport`, has
 the `get` method that `sim.Simulator` and `sim.fetch_body` send requests
 through; the first transport made loads `http.client`.
@@ -39,6 +40,7 @@ from .service import AnnotationService, Page
 log = logging.getLogger(__name__)
 
 IDLE_TIMEOUT_S = 30  # a connection that neither sends nor takes a byte for this long is closed
+LINGER_S = 2  # after the server's last answer and its FIN, input is read and dropped for at most this long
 REQUEST_TIMEOUT_S = 60  # HttpTransport gives up on a connect, or on a read of the answer, after this long
 
 
@@ -52,6 +54,8 @@ MAX_HEADER_LINES = 100
 
 # The end of a head: a line end, then a blank line.
 _HEAD_END = re.compile(rb"\n\r?\n")
+# The blank lines a client may send before a request line.
+_BLANK_LINES = re.compile(rb"(?:\r?\n)*")
 # A whole head: a request line of three runs of visible ASCII, one space
 # apart, the last an HTTP version; then header lines as RFC 9112 §5 writes
 # them, a name of visible ASCII but the colon, the colon right after it and
@@ -103,7 +107,9 @@ class _DateHeader:
 class _Connection:
     """One client connection: the heads it has sent, and the bytes of answers its socket has not taken yet.
 
-    A head is buffered until its blank line, then matched whole. A GET
+    A head is buffered until its blank line, then matched whole. Blank
+    lines before its request line are skipped, as RFC 9112 §2.2 asks, but
+    count toward MAX_HEAD; blank lines and then EOF get no answer. A GET
     whose version is HTTP/1.0 or HTTP/1.1 and whose header lines are all
     plain `name: value` lines gets the service's page. Any other head is
     refused with a page of its own and `Connection: close`:
@@ -126,15 +132,24 @@ class _Connection:
     Pipelined heads are answered in order. Each answer is one `bytes` and
     goes out in one `send`; what the socket does not take waits for
     EVENT_WRITE, and no further head is read until it has gone.
+
+    When the server closes a connection whose client has not shut its
+    side, after a refusal or an answer that closes, it shuts its own
+    side, then reads and drops what the client still sends until EOF or
+    LINGER_S have passed (`lingering`). Closing with input unread would
+    send an RST, which can make the client's kernel drop the last answer
+    before it is read.
     """
 
-    __slots__ = ("server", "sock", "last", "inbox", "searched", "eof", "outbox", "closing")
+    __slots__ = ("server", "sock", "deadline", "inbox", "searched", "eof", "outbox", "closing", "lingering")
 
     def __init__(self, server: HttpServer, sock: socket.socket, now: float) -> None:
-        self.server, self.sock, self.last = server, sock, now
+        self.server, self.sock, self.deadline = server, sock, now + IDLE_TIMEOUT_S  # when the server closes it
         self.inbox, self.outbox = bytearray(), memoryview(b"")  # bytes not yet read as a head, and not yet sent
         self.searched = 0  # how many of the inbox's first bytes no end of a head starts in
-        self.eof = self.closing = False  # the client has shut its side; close once the outbox is sent
+        self.eof = False  # the client has shut its side, or the connection failed: close once the outbox is sent
+        self.closing = False  # read no further head; once the outbox is sent, close or linger
+        self.lingering = False  # the last answer and the server's FIN are out; input is dropped
 
     def ready(self, mask: int) -> None:
         """Take what the socket is ready for: send what waits, or read, then answer each head that has ended."""
@@ -145,13 +160,16 @@ class _Connection:
             self.server.selector.modify(self.sock, selectors.EVENT_READ, self)
         else:
             data = self.sock.recv(65536)
-            self.inbox += data
             self.eof = not data
+            if self.lingering:
+                return
+            self.inbox += data
         inbox, pos = self.inbox, 0
         while not (self.outbox or self.closing):
-            end = _HEAD_END.search(inbox, pos + self.searched, pos + MAX_HEAD)
+            start = _BLANK_LINES.match(inbox, pos).end()
+            end = _HEAD_END.search(inbox, max(start, pos + self.searched), pos + MAX_HEAD)
             if end:
-                self.answer(inbox, pos, end.end())
+                self.answer(inbox, start, end.end())
                 pos, self.searched = end.end(), 0
             elif len(inbox) - pos >= MAX_HEAD:
                 self.refuse(414 if inbox.find(b"\n", pos, pos + MAX_HEAD) < 0 else 431)
@@ -199,6 +217,11 @@ class _Connection:
             self.server.selector.modify(self.sock, selectors.EVENT_WRITE, self)
         self.closing = close
 
+    def linger(self, now: float) -> None:
+        """Shut the server's side after its last answer, and drop what the client sends until EOF or LINGER_S."""
+        self.sock.shutdown(socket.SHUT_WR)
+        self.lingering, self.deadline = True, now + LINGER_S
+
     def close(self) -> None:
         self.server.selector.unregister(self.sock)
         with contextlib.suppress(OSError):  # the client is gone already
@@ -216,7 +239,9 @@ class HttpServer:
     One selectors loop watches the listening socket and every connection,
     all non-blocking. A connection that neither sends nor takes a byte for
     IDLE_TIMEOUT_S is closed, judged by its last event's time; a client
-    reconnects on its next request. TCP_NODELAY is still required, not a
+    reconnects on its next request. A connection the server closes while
+    its client's side is open lingers for at most LINGER_S, so that its
+    last answer is not lost to an RST. TCP_NODELAY is still required, not a
     tuning knob: a response longer than one segment would otherwise have
     its last segment held back by Nagle's algorithm until the client's
     delayed ACK, about 40 ms a response. `serve_forever`, `shutdown` and
@@ -257,6 +282,7 @@ class HttpServer:
                         os.read(self._wake[0], 64)
                     else:
                         self._ready(key.data, mask, now)
+                        idle_at = min(idle_at, key.data.deadline)  # a lingering connection's is sooner
                 if now >= idle_at:
                     idle_at = self._close_idle(now)
         finally:
@@ -276,24 +302,27 @@ class HttpServer:
         self.selector.register(sock, selectors.EVENT_READ, _Connection(self, sock, now))
 
     def _ready(self, conn: _Connection, mask: int, now: float) -> None:
-        conn.last = now
+        if not conn.lingering:
+            conn.deadline = now + IDLE_TIMEOUT_S
         try:
             conn.ready(mask)
+            if conn.closing and not conn.outbox and not (conn.eof or conn.lingering):
+                conn.linger(now)
         except Exception as exc:  # a reset, or a fault in one request: that connection closes, the server serves on
             if not isinstance(exc, OSError):
                 log.exception("http: error while serving a request")
-            conn.closing, conn.outbox = True, memoryview(b"")
-        if conn.closing and not conn.outbox:
+            conn.eof, conn.outbox = True, memoryview(b"")
+        if conn.eof and not conn.outbox:
             conn.close()
 
     def _close_idle(self, now: float) -> float:
-        """Close each connection idle for IDLE_TIMEOUT_S; when the next may time out."""
+        """Close each connection past its deadline, idle or done lingering; when the next may reach its own."""
         idle_at = math.inf
         for conn in self._connections():
-            if now - conn.last >= IDLE_TIMEOUT_S:
+            if now >= conn.deadline:
                 conn.close()
             else:
-                idle_at = min(idle_at, conn.last + IDLE_TIMEOUT_S)
+                idle_at = min(idle_at, conn.deadline)
         return idle_at
 
     def shutdown(self) -> None:

@@ -6,8 +6,9 @@ answer in one piece. A head is well-formed when its request line is
 `GET <target> HTTP/1.0` or `HTTP/1.1`, one space between the words and
 the target visible ASCII; when every header line is a plain `name: value`
 line; when each line ends in CRLF or LF; and when it keeps within 65536
-bytes and 100 lines after its request line. `_refusal` below says so,
-written with splits, apart from the shell's own regex.
+bytes and 100 lines after its request line. Blank lines before the
+request line are skipped, but count toward the 65536 bytes. `_refusal`
+below says so, written with splits, apart from the shell's own regex.
 
 The reference for a well-formed head is the shell as http.server builds
 it, on a `ThreadingHTTPServer`: `BaseHTTPRequestHandler.parse_request`,
@@ -16,8 +17,10 @@ which parses headers through `email.feedparser`, and
 one byte at a time or pipelined, and must send back the same bytes, Date
 values aside, and agree on whether the connection stays open; the one
 intended difference is http.server's interim `100 Continue`, which the
-shell does not send. Any other head is refused with its status, a page
-that holds its error token, and `Connection: close`.
+shell does not send. http.server closes a connection at a blank line
+before a request line, so it is given each head without those. Any other
+head is refused with its status, a page that holds its error token, and
+`Connection: close`.
 """
 
 import contextlib
@@ -142,13 +145,20 @@ def _plain(line: bytes) -> bool:
     return bool(colon and name) and set(name) <= _NAME and b"\r" not in value
 
 
+def _unpadded(head: bytes) -> bytes:
+    """`head` from its request line on, without the blank lines before it."""
+    lines = head.split(b"\n")
+    return b"\n".join(lines[next(i for i, line in enumerate(lines) if line not in (b"", b"\r")) :])
+
+
 def _refusal(head: bytes) -> Optional[tuple[int, bytes]]:
     """The status and error token the shell refuses `head` with, or None for a well-formed GET.
 
-    `head` runs to its first blank line that follows a line end."""
+    `head` runs from the blank lines before its request line to its first
+    blank line after that."""
     if len(head) > _LONG:
         return (414 if b"\n" not in head[:_LONG] else 431), b"toolarge"
-    lines = [line.removesuffix(b"\r") for line in head.split(b"\n")[:-1]]  # the last is the blank line
+    lines = [line.removesuffix(b"\r") for line in _unpadded(head).split(b"\n")[:-1]]  # the last is the blank line
     if len(lines) - 1 > 100:
         return 431, b"toolarge"
     words = lines[0].split(b" ")
@@ -170,13 +180,16 @@ def _refusal(head: bytes) -> Optional[tuple[int, bytes]]:
 
 
 def _heads(sent: bytes) -> list[bytes]:
-    """The heads in `sent`, each to its blank line; bytes after the last blank line are left out."""
-    heads, lines = [], []
+    """The heads in `sent`, each from the blank lines before its request line to the blank line that
+    ends it; bytes after the last such blank line are left out."""
+    heads, lines, requested = [], [], False
     for line in sent.split(b"\n")[:-1]:
         lines.append(line + b"\n")
-        if line in (b"", b"\r") and len(lines) > 1:
+        if line not in (b"", b"\r"):
+            requested = True
+        elif requested:
             heads.append(b"".join(lines))
-            lines = []
+            lines, requested = [], False
     return heads
 
 
@@ -197,9 +210,9 @@ def assert_answered_as_expected(servers, sent: bytes) -> tuple[bytes, bool]:
     heads = _heads(sent + PROBE)
     refused = next((i for i, head in enumerate(heads) if _refusal(head)), None)
     if refused is None:
-        expected = exchange(servers.reference, sent)
+        expected = exchange(servers.reference, b"".join(map(_unpadded, heads)), then=b"")
     else:
-        expected = exchange(servers.reference, b"".join(heads[:refused]), then=b"")
+        expected = exchange(servers.reference, b"".join(map(_unpadded, heads[:refused])), then=b"")
         if b"\r\nConnection: close\r\n" not in expected:  # no answer before it closed the connection
             expected += _refused(*_refusal(heads[refused]))
     expected = expected.replace(_CONTINUE, b"")
@@ -256,7 +269,8 @@ def heads(draw) -> bytes:
     )
     lines = draw(st.lists(st.one_of(plain, plain, plain, st.sampled_from(_ODD_LINES)), max_size=5))
     end = draw(st.sampled_from(["\r\n", "\r\n", "\n"]))
-    return "".join(line + end for line in [request_line, *lines, ""]).encode("iso-8859-1")
+    blank = draw(st.sampled_from(["", "", "", "", "\r\n", "\n", "\r\n\n"]))  # skipped before the request line
+    return (blank + "".join(line + end for line in [request_line, *lines, ""])).encode("iso-8859-1")
 
 
 @settings(max_examples=300, deadline=None)
@@ -310,7 +324,12 @@ TABLE = [
     ("space-before-colon", _head("GET /export HTTP/1.1", "Host : x"), 400, b"badrequest", True),
     ("fold-hides-close", _head("GET /export HTTP/1.1", "Connection: close", " x"), 400, b"badrequest", True),
     ("cr-splits-a-line", _head("GET /export HTTP/1.1", "A: b\rExpect: 100-continue"), 400, b"badrequest", True),
-    ("empty-request-line", b"\r\n", 400, b"badrequest", True),
+    ("blank-line-before-the-request-line", b"\r\n" + _head("GET /export HTTP/1.1"), 200, None, False),
+    ("blank-lines-before-the-request-line", b"\n\r\n\n" + _head("GET /export HTTP/1.1"), 200, None, False),
+    ("blank-line-and-head-at-the-limit", b"\r\n" + _padded(_LONG - 2), 200, None, False),
+    ("blank-line-and-head-over-the-limit", b"\r\n" + _padded(_LONG - 1), 431, b"toolarge", True),
+    ("blank-lines-over-the-limit", b"\r\n" * (_LONG // 2) + _head("GET /export HTTP/1.1"), 431, b"toolarge", True),
+    ("cr-before-the-request-line", b"\r" + _head("GET /export HTTP/1.1"), 400, b"badrequest", True),
     ("double-slash", _head("GET //cloud?resource=shoe HTTP/1.1"), 200, None, False),
     ("triple-slash", _head("GET ///cloud?resource=shoe HTTP/1.1"), 200, None, False),
     ("lf-only", b"GET /export HTTP/1.1\nHost: x\n\n", 200, None, False),
@@ -328,6 +347,7 @@ TABLE = [
     ("cut-after-the-request-line", b"GET /export HTTP/1.1\r\n", None, None, True),
     ("cut-header-line", b"GET /export HTTP/1.1\r\nHost: x", None, None, True),
     ("cut-second-head", b"GET /export HTTP/1.1\r\n\r\nGET /tag", None, None, True),
+    ("empty-request-line", b"\r\n", None, None, True),
 ]
 
 
@@ -451,10 +471,12 @@ _TABLE = {case[0]: case[1] for case in TABLE}
 # Limit cases, and heads whose answer each part of the request line and head decides.
 _IN_PIECES = ["head-over-the-limit-without-a-line-end", "head-over-the-limit", "101-head-lines", "100-head-lines",
               "bad-version", "http-2", "post", "http-0.9", "expect-100", "body", "folded-line", "empty-request-line",
-              "connection-close", "lf-only"]
+              "connection-close", "lf-only", "blank-line-before-the-request-line",
+              "blank-lines-before-the-request-line"]
 # Pairs of heads sent in one send: both well-formed, or one of them refused.
 _PIPELINED = [("double-slash", "http-1.0-keep-alive"), ("expect-100", "post"), ("http-2", "connection-close"),
-              ("content-length", "101-head-lines"), ("lf-only", "http-1.0"), ("second-connection-field", "folded-line")]
+              ("content-length", "101-head-lines"), ("lf-only", "http-1.0"), ("second-connection-field", "folded-line"),
+              ("lf-only", "blank-line-before-the-request-line"), ("blank-line-before-the-request-line", "post")]
 
 
 @pytest.mark.parametrize("name", _IN_PIECES)
@@ -484,3 +506,35 @@ def test_two_heads_in_one_send_are_answered_in_order(servers, first, second):
     whole = exchange(servers.lean, head)
     _reset(servers)
     assert exchange_in_pieces(servers.lean, head) == whole
+
+
+@pytest.mark.parametrize("name", ["head-over-the-limit-without-a-line-end", "head-over-the-limit"])
+def test_a_client_that_sends_past_a_refusal_reads_it_whole_then_eof(servers, name):
+    head = _TABLE[name]
+    status = next(case[2] for case in TABLE if case[0] == name)
+    assert len(head) == _LONG + 1  # refused at its 65,536th byte
+    with socket.create_connection(("127.0.0.1", servers.lean), timeout=10) as sock:
+        sock.sendall(head[:_LONG])
+        received = sock.recv(65536)  # the refusal has begun: the server reads no further head
+        sock.sendall(head[_LONG:])  # had the server closed, this byte would draw an RST
+        sock.shutdown(socket.SHUT_WR)
+        while chunk := sock.recv(65536):
+            received += chunk
+    assert _DATE.sub(b"\r\nDate: -", received) == _refused(status, b"toolarge")
+
+
+def test_a_connection_lingers_for_linger_s_at_most(servers, monkeypatch):
+    monkeypatch.setattr(wire, "LINGER_S", 0.3)
+    with socket.create_connection(("127.0.0.1", servers.lean), timeout=10) as sock:
+        sock.sendall(_TABLE["post"])
+        start = time.perf_counter()
+        received = b""
+        while chunk := sock.recv(65536):  # the refusal, then the server's FIN at once
+            received += chunk
+        assert _DATE.sub(b"\r\nDate: -", received) == _refused(501, b"badmethod")
+        sock.sendall(PROBE)  # read and dropped: no answer comes
+        with pytest.raises(OSError):  # once the server has closed, a byte draws an RST, and the next send fails
+            while time.perf_counter() - start < 5:
+                sock.sendall(b"x")
+                time.sleep(0.02)
+        assert 0.3 <= time.perf_counter() - start < 2

@@ -1,6 +1,7 @@
 import contextlib
 import copy
 import errno
+import functools
 import hashlib
 import http.client
 import os
@@ -12,6 +13,7 @@ import sys
 import tempfile
 import threading
 import time
+import uuid
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 from urllib.parse import parse_qsl, urlencode, urlsplit
@@ -2119,6 +2121,79 @@ class TestOneSendPerResponse:
         assert len(sends) == 200
         assert len(opened) == 1
         assert _kept_count(service) == 200
+
+
+# Taggers that parse, one in another spelling that uuid.UUID takes, and some that do not.
+MEMO_TAGGERS = [str(TAGGER), str(TAGGER).upper(), "{%s}" % TAGGER, TAGGER.hex, "urn:uuid:%s" % TAGGER,
+                "12345678-1234-5678-1234-56781234567", "not-a-uuid", " "]
+# Resource names in several spellings of one label, IRIs, and names that no IRI is minted from
+# (blank) or that Iri refuses (a space or `<` after the scheme).
+MEMO_NAMES = ["mouse", "Mouse", " mouse ", "MOUSE\t", "red  shoe", "Red Shoe", "c++ 100%", "café",
+              "http://example.org/r", "http://example.org/R", "http://example.org/a b", "http://x/<",
+              "://", " ", "\t"]
+
+
+def _targets(operation: str, names: tuple[str, ...], *values) -> st.SearchStrategy:
+    """Request targets of `operation` whose parameters `names` take the drawn `values`."""
+    return st.builds(lambda *drawn: f"/{operation}?" + urlencode(dict(zip(names, drawn))), *values)
+
+
+NAMES_DRAWN, TAGGERS_DRAWN = st.sampled_from(MEMO_NAMES), st.sampled_from(MEMO_TAGGERS)
+MEMO_REQUESTS = st.one_of(
+    _targets("tag", ("resource", "tag", "tagger"), NAMES_DRAWN, st.sampled_from(["laser", "Laser"]), TAGGERS_DRAWN),
+    _targets("cloud", ("resource", "page"), NAMES_DRAWN, st.sampled_from(["0", "1", "2"])),
+    _targets("map", ("root", "depth"), NAMES_DRAWN, st.sampled_from(["1", "3"])),
+    # /attach grows the topic maps that /map reads.
+    _targets("attach", ("parent", "child", "tagger"), NAMES_DRAWN, NAMES_DRAWN, TAGGERS_DRAWN),
+)
+
+
+def _answer_with_cold_memos(service: AnnotationService, target: str) -> tuple[int, bytes]:
+    """`service`'s answer to `target`, given with its resource memo and the tagger memo both empty."""
+    warm_tagger = service_module._tagger
+    service_module._tagger = functools.lru_cache(maxsize=service_module.MEMO_ENTRIES)(uuid.UUID)
+    service._resource_iri.cache_clear()
+    try:
+        response = service.handle_url(target)
+    finally:
+        service_module._tagger = warm_tagger
+    return response.status, response.encode()
+
+
+class TestParseMemos:
+    """A tagger or resource name parsed once answers as one parsed afresh."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(MEMO_REQUESTS, min_size=1, max_size=40))
+    def test_a_warm_service_answers_as_one_whose_memos_start_cold_for_each_request(self, targets):
+        warm = AnnotationService(ServiceConfig(page_cap=256), now_ms=lambda: 0)
+        cold = AnnotationService(ServiceConfig(page_cap=256), now_ms=lambda: 0)
+        for target in targets:
+            response = warm.handle_url(target)
+            assert (response.status, response.encode()) == _answer_with_cold_memos(cold, target), target
+        assert store_state(warm.store) == store_state(cold.store)
+
+    @pytest.mark.parametrize("target, token", [
+        ("/tag?resource=mouse&tag=laser&tagger=not-a-uuid", b"badtagger"),
+        ("/attach?parent=a&child=b&tagger=not-a-uuid", b"badtagger"),
+        (f"/tag?resource=http://x/%3C&tag=laser&tagger={TAGGER}", b"badtag"),
+        ("/cloud?resource=http://example.org/a%20b", b"badtag"),
+    ])
+    def test_a_refused_string_is_refused_again_on_every_repeat(self, target, token):
+        service = AnnotationService()
+        answers = {service.handle_url(target).encode() for _ in range(3)}
+        assert answers == {Page(1, 1, token).encode()}
+        assert service.store.events == []
+
+    def test_each_memo_holds_at_most_its_bound(self):
+        service = AnnotationService()
+        for i in range(5000):
+            tagger = uuid.UUID(int=i)
+            assert service.handle_url(f"/tag?resource=r{i}&tag=t&tagger={tagger}").ok
+            assert service.handle_url(f"/cloud?resource=R{i}").ok
+        assert service._resource_iri.cache_info().currsize == service_module.MEMO_ENTRIES
+        assert service_module._tagger.cache_info().currsize == service_module.MEMO_ENTRIES
+        assert len(service.store.clouds) == 5000
 
 
 class TestNoCyclicGarbage:
