@@ -33,6 +33,8 @@ DEFAULT_URL = f"http://127.0.0.1:{service_mod.ServiceConfig.port}"
 CLI_TAGGER = uuid.UUID("cc81a37b-213a-5946-8376-1cbd190a0d03")
 # Command-line bytes that are not UTF-8 reach sys.argv as lone surrogates, which no query or IRI can hold.
 _NOT_UTF8 = re.compile("[\ud800-\udfff]")
+# The characters http.client refuses anywhere in a URL: C0 controls, space and DEL.
+_URL_REFUSED = re.compile("[\x00-\x20\x7f]")
 _CLIENT_HELP = {
     "tag": "attach a tag to a resource",
     "cloud": "fetch a resource's tag cloud as RDF/XML",
@@ -59,10 +61,15 @@ def _fail(code: int, message: str) -> int:
 
 
 def _http_url(value: str) -> str:
-    """The value of `--url` or SCOTCLOUD_URL, if it is http://host[:port][/path] with a host that IDNA encodes."""
+    """The value of `--url` or SCOTCLOUD_URL, if it is http://host[:port][/path] that http.client can send.
+
+    The host must IDNA encode, and the path be ASCII; no byte of the URL may
+    be a control character, a space or DEL, which http.client refuses.
+    """
     try:
         split = urlsplit(value)
-        if split.scheme != "http" or not split.hostname or split.port == 0:  # .port refuses one past 65535
+        refused = _URL_REFUSED.search(value) or not split.path.isascii()
+        if refused or split.scheme != "http" or not split.hostname or split.port == 0:  # .port refuses one past 65535
             raise ValueError
         split.hostname.encode("idna")  # UnicodeError is a ValueError
         split.netloc.encode("idna")  # what http.client resolves, which may hold more than .hostname: [::1]x
@@ -91,18 +98,6 @@ def _emit(text: str, out: Optional[str] = None) -> int:
     except OSError as exc:
         return _fail(EXIT_DATA, f"out: {exc}")
     return EXIT_OK
-
-
-def _request_failed(args: argparse.Namespace, exc: BaseException) -> int:
-    """Report an error from `wire.HttpTransport`: the request never went out, or its answer is lost."""
-    from . import wire
-
-    if isinstance(exc, wire.NOT_SENT):
-        return _fail(EXIT_PROTOCOL, f"cannot reach server at {args.url}")
-    return _fail(
-        EXIT_PROTOCOL,
-        f"the server at {args.url} may have applied the request, but its answer was lost ({exc!r})",
-    )
 
 
 # tokens that mean the request data was refused, vs. protocol misuse
@@ -159,10 +154,7 @@ def _cmd_request(args: argparse.Namespace) -> int:
     for name, value in params:
         if _NOT_UTF8.search(value):
             return _fail(EXIT_DATA, f"{operation}: --{name} is not UTF-8 text")
-    try:
-        status, raw = sim.fetch_body(wire.HttpTransport(args.url), operation, params)
-    except wire.REQUEST_ERRORS as exc:
-        return _request_failed(args, exc)
+    status, raw = sim.fetch_body(wire.HttpTransport(args.url), operation, params)
     try:
         body = raw.decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -199,11 +191,9 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     except (OSError, UnicodeDecodeError, sim.ScriptFormatError) as exc:
         return _fail(EXIT_DATA, f"script: {exc}")
 
-    request_errors: tuple[type[BaseException], ...] = ()  # the in-process server sends no requests
     if args.url:
         from . import wire
 
-        request_errors = wire.REQUEST_ERRORS
         target: sim.Transport | service_mod.AnnotationService = wire.HttpTransport(args.url)
     else:
         store = None
@@ -219,11 +209,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         )
     except (sim.SimError, ValueError) as exc:
         return _fail(EXIT_USAGE, f"simulate: {exc}")
-    try:
-        trace = simulator.run(script)
-    except request_errors as exc:
-        return _request_failed(args, exc)
-    return _emit(trace)
+    return _emit(simulator.run(script))
 
 
 def _cmd_layout(args: argparse.Namespace) -> int:
@@ -332,13 +318,18 @@ def main(argv: Optional[list[str]] = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
+    except ConnectionError as exc:  # only a subcommand that sends requests over HTTP raises one of wire's
+        from . import wire  # loaded already by any such subcommand
+
+        if isinstance(exc, wire.Unreachable):
+            return _fail(EXIT_PROTOCOL, f"cannot reach server at {args.url}")
+        if not isinstance(exc, wire.AnswerLost):
+            raise
+        lost = f"the server at {args.url} may have applied the request, but its answer was lost ({exc})"
+        return _fail(EXIT_PROTOCOL, lost)
     except service_mod.PageError as exc:
         return _fail(EXIT_PROTOCOL, f"server at {getattr(args, 'url', None)} sent a body that is not a page: {exc}")
-    except ValueError as exc:
-        from .sim import ReassemblyError  # loaded already by any subcommand that walks pages
-
-        if not isinstance(exc, ReassemblyError):
-            raise
+    except service_mod.ReassemblyError as exc:
         return _fail(EXIT_PROTOCOL, f"the document changed during the page walk ({exc}); try again")
     except KeyboardInterrupt:
         return EXIT_OK

@@ -6,6 +6,11 @@ friendly treatment for GET. Every response body is split into pages of at
 most `page_cap` bytes (header line included); clients fetch page by page
 and reassemble. Error bodies are single machine-parseable tokens.
 
+A request is its URL: `AnnotationService.handle_url` is the one way a
+request reaches an operation, in-process as over HTTP. It answers
+`unknown` or `badpage` for a target that does not parse, then
+`throttled`, then `missing`, before the operation's own checks.
+
 A request target in origin form (one `/`, then no `#`, tab, CR or LF) is
 split at its first `?` in one pass; any other is read by `urlsplit`. The
 query is `&`-separated `name=value` pairs read as `parse_qsl` reads them
@@ -59,7 +64,7 @@ import threading
 import time
 import uuid
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Optional, Union
 from urllib.parse import unquote, urlsplit
@@ -104,6 +109,10 @@ _REQUIRED = {op: tuple(name for name in names if name not in PARAM_DEFAULTS) for
 
 class PageError(ValueError):
     """Raw bytes do not decode as a page."""
+
+
+class ReassemblyError(ValueError):
+    """A page set cannot be stitched back into a body."""
 
 
 class PageNumberError(ValueError):
@@ -168,13 +177,6 @@ def parse_digits(raw: str) -> Optional[int]:
         return int(raw)
     except ValueError:  # more digits than int() converts
         return None
-
-
-@dataclass
-class ApiRequest:
-    operation: str
-    params: dict[str, str] = field(default_factory=dict)
-    page: int = 0  # 0-based request parameter; responses display 1-based indices
 
 
 @dataclass
@@ -245,8 +247,11 @@ def load_config(path: str) -> ServiceConfig:
     return ServiceConfig(**values)  # type: ignore[arg-type]
 
 
-def request_from_url(path_query: str) -> ApiRequest:
-    """Parse "/op?key=value&..." into a request. Raises ValueError, as PageNumberError for a bad `page`.
+def request_from_url(path_query: str) -> tuple[str, dict[str, str], int]:
+    """Parse "/op?key=value&..." into its operation, its other parameters and its 0-based page.
+
+    Raises ValueError for an operation not in OPERATIONS, and
+    PageNumberError for a `page` that is not a number.
 
     An origin-form target, one `/` then no `#`, tab, CR or LF, is split at
     its first `?`; any other goes through `urlsplit`, which strips those
@@ -272,7 +277,7 @@ def request_from_url(path_query: str) -> ApiRequest:
     page = parse_digits(page_raw)
     if page is None:
         raise PageNumberError(f"bad page number {page_raw!r}")
-    return ApiRequest(operation, params, page)
+    return operation, params, page
 
 
 def _now_wall_ms() -> int:
@@ -286,6 +291,11 @@ _tagger = functools.lru_cache(maxsize=MEMO_ENTRIES)(uuid.UUID)
 
 class AnnotationService:
     """In-process core of the server; the HTTP layer, `wire`, is a thin shell.
+
+    `handle_url` is its one entry: every request, from `wire`, from
+    `sim.InProcessTransport` or from a test, is a request target, checked
+    for `unknown` and `badpage`, `throttled` and `missing` in that order
+    before its `_op_<operation>` gets its parameters and page.
 
     Requests are serialized under one lock. A mutation is appended to the
     on-disk log before it changes the store, so a failed write answers
@@ -358,30 +368,25 @@ class AnnotationService:
 
     # -- dispatch ----------------------------------------------------------
 
-    def handle(self, request: ApiRequest) -> ApiResponse:
-        """The answer to `request`, checked in this order.
-
-        `throttled` over the rate limit, `unknown` for an operation not in
-        OPERATIONS, `missing` when a required parameter is absent or empty;
-        otherwise the operation's own answer.
-        """
-        if self.config.rate_limit_max is not None and self._throttled():
-            return self._answer(429, "throttled")
-        required = _REQUIRED.get(request.operation)
-        if required is None:
-            return self._answer(404, "unknown")
-        if not all(map(request.params.get, required)):
-            return self._answer(400, "missing")
-        return getattr(self, f"_op_{request.operation}")(request)
-
     def handle_url(self, path_query: str) -> ApiResponse:
+        """The answer to the request target `path_query`, checked in this order.
+
+        `unknown` for an operation not in OPERATIONS and `badpage` for a
+        `page` that is not a number, as `request_from_url` reads them;
+        `throttled` over the rate limit; `missing` when a required
+        parameter is absent or empty; otherwise the operation's own answer.
+        """
         try:
-            request = request_from_url(path_query)
+            operation, params, page = request_from_url(path_query)
         except PageNumberError:
             return self._answer(400, "badpage")
         except ValueError:
             return self._answer(404, "unknown")
-        return self.handle(request)
+        if self.config.rate_limit_max is not None and self._throttled():
+            return self._answer(429, "throttled")
+        if not all(map(params.get, _REQUIRED[operation])):
+            return self._answer(400, "missing")
+        return getattr(self, f"_op_{operation}")(params, page)
 
     def _throttled(self) -> bool:
         now = self.now_ms()
@@ -450,8 +455,7 @@ class AnnotationService:
 
     # -- operations ---------------------------------------------------------
 
-    def _op_tag(self, request: ApiRequest) -> ApiResponse:
-        params = request.params
+    def _op_tag(self, params: dict[str, str], page: int) -> ApiResponse:
         try:
             tagger = _tagger(params["tagger"])
         except ValueError:
@@ -461,7 +465,7 @@ class AnnotationService:
             resource = self._resource_iri(params["resource"])
         except (model.TagError, rdfxml.ValidationError):
             return self._answer(400, "badtag")
-        if request.page != 0:
+        if page != 0:
             return self._answer(400, "badpage")
         with self._lock:
             cloud = self.store.clouds.get(resource)
@@ -474,25 +478,25 @@ class AnnotationService:
             self.store.record(event)
         return self._answer(200, answer)
 
-    def _op_cloud(self, request: ApiRequest) -> ApiResponse:
+    def _op_cloud(self, params: dict[str, str], page: int) -> ApiResponse:
         try:
-            resource = self._resource_iri(request.params["resource"])
+            resource = self._resource_iri(params["resource"])
         except (model.TagError, rdfxml.ValidationError):
             return self._answer(400, "badtag")
         with self._lock:
             pages = self._cached_pages(("cloud", resource), lambda: self._cloud_body(resource))
-        return self._page_of(pages, request.page)
+        return self._page_of(pages, page)
 
     def _cloud_body(self, resource: Iri) -> bytes:
         cloud = self.store.cloud_of(resource)
         return self._document(_CLOUD_WRITER, self._cloud_roles(cloud, False))
 
-    def _op_map(self, request: ApiRequest) -> ApiResponse:
-        depth = parse_digits(request.params.get("depth", PARAM_DEFAULTS["depth"]))
+    def _op_map(self, params: dict[str, str], page: int) -> ApiResponse:
+        depth = parse_digits(params.get("depth", PARAM_DEFAULTS["depth"]))
         if depth is None or depth < 1:
             return self._answer(400, "baddepth")
         try:
-            root = model.normalize_tag(request.params["root"])
+            root = model.normalize_tag(params["root"])
         except model.TagError:
             return self._answer(400, "badtag")
         with self._lock:
@@ -507,14 +511,13 @@ class AnnotationService:
                 return self._answer(400, "badtag")
             key = ("map", root, depth, resource)
             pages = self._cached_pages(key, lambda: self._map_body(root, depth, resource))
-        return self._page_of(pages, request.page)
+        return self._page_of(pages, page)
 
     def _map_body(self, root: str, depth: int, resource: Iri) -> bytes:
         freqs = self.store.cloud_of(resource).frequencies
         return render_tree(self.store.subtree(root, depth), freqs).encode("utf-8")
 
-    def _op_attach(self, request: ApiRequest) -> ApiResponse:
-        params = request.params
+    def _op_attach(self, params: dict[str, str], page: int) -> ApiResponse:
         try:
             _tagger(params["tagger"])
         except ValueError:
@@ -527,17 +530,17 @@ class AnnotationService:
                 return self._answer(400, "badtag")
             except model.AttachError as exc:
                 return self._answer(409, exc.reason)
-            if request.page != 0:
+            if page != 0:
                 return self._answer(400, "badpage")
             if self.config.store_path and not self._append_log_line(format_attach_line(parent, child)):
                 return self._answer(500, "storage")
             self.store.attach(parent, child)
         return self._answer(200, "ok")
 
-    def _op_export(self, request: ApiRequest) -> ApiResponse:
+    def _op_export(self, params: dict[str, str], page: int) -> ApiResponse:
         with self._lock:
             pages = self._cached_pages(("export",), self._export_body)
-        return self._page_of(pages, request.page)
+        return self._page_of(pages, page)
 
     def _export_body(self) -> bytes:
         clouds = [self._cloud_roles(cloud, True) for cloud in self.store.clouds.values()]

@@ -5,9 +5,16 @@ chat commands on a public channel, a communication center that owns the
 request queue, and a pool of communication units that talk to the server.
 The listener and the center are stages here (`post_chat` and
 `center_assign`); only the units are modelled as scripts. Each unit may
-issue at most 25 requests in any sliding 20-second window and lives
-inside a 64 KiB memory budget, so the center defers work until some unit
-has headroom and fans multi-page responses back together.
+issue at most 25 requests in any sliding 20-second window, so the center
+defers work until some unit has headroom and fans multi-page responses
+back together.
+
+The memory model is coarse. A unit is charged a flat REQUEST_COST of
+512 B per request in flight and nothing for the pages it holds, against
+a MEMORY_BUDGET of 64 KiB with a MEMORY_WARN at 25 KiB. While answers
+come within the 20 s window a unit has at most 25 requests, 12.8 KB, in
+flight, so `memory-warn` and `memory-exceeded` appear only when a
+response takes longer than that.
 
 Everything runs on a simulated millisecond clock: given the same seed and
 command schedule, two runs produce byte-identical event traces. The
@@ -36,6 +43,7 @@ from .service import (
     AnnotationService,
     Page,
     PageError,
+    ReassemblyError,
     decode_page,
     parse_digits,
 )
@@ -60,10 +68,6 @@ USAGE = "commands: tag <resource> <tag> | cloud <resource> | map <root> [depth] 
 
 class SimError(Exception):
     """The simulation was driven outside its contract."""
-
-
-class ReassemblyError(ValueError):
-    """A page set cannot be stitched back into a body."""
 
 
 class ScriptFormatError(ValueError):

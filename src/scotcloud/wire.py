@@ -3,8 +3,7 @@
 This is the only module of the package that speaks HTTP. The in-process
 core (`service`), the simulator (`sim`) and the layout engine start
 without it; `cli` imports this module only in `serve`, the five client
-subcommands and `simulate --url`, which tell apart the errors a request
-can raise by `REQUEST_ERRORS` and `NOT_SENT`.
+subcommands and `simulate --url`.
 
 The server half serves an `AnnotationService` from one thread: one
 `selectors` loop over non-blocking sockets buffers each request head to
@@ -17,7 +16,9 @@ IDLE_TIMEOUT_S is closed, and one the server closes lingers for at most
 LINGER_S. It loads none of `http.server`, `http.client`,
 `socketserver`, `email` or `ssl`. The client half, `HttpTransport`, has
 the `get` method that `sim.Simulator` and `sim.fetch_body` send requests
-through; the first transport made loads `http.client`.
+through; the first transport made loads `http.client`. A request through
+it fails in one of two ways: `Unreachable`, it never went out, or
+`AnswerLost`, its answer is lost and the server may have applied it.
 """
 
 from __future__ import annotations
@@ -362,7 +363,14 @@ def serve(service: AnnotationService, host: str = "127.0.0.1") -> None:
 
 
 class Unreachable(ConnectionError):
-    """No connection to the server could be made, so the request never went out."""
+    """The request never went out: no connection could be made, or http.client refused the URL."""
+
+
+class AnswerLost(ConnectionError):
+    """The request may have gone out, and its answer is lost: the server may or may not have applied it.
+
+    The message is the `repr` of the error that lost it, which is also the `__cause__`.
+    """
 
 
 class HttpTransport:
@@ -370,12 +378,14 @@ class HttpTransport:
 
     Each request goes out on a connection of its own, which is closed once
     the answer is read, and it is never sent twice: `/tag` and `/attach`
-    are not idempotent. A connection that cannot be made raises
-    Unreachable. Any later error means the answer is lost, and the server
-    may or may not have applied the request; it raises as OSError or
-    http.client.HTTPException. A connect or a read that waits longer than
-    REQUEST_TIMEOUT_S raises TimeoutError, as Unreachable for the connect.
-    InvalidURL is raised for a URL that is not http://host[:port][/prefix].
+    are not idempotent. `get` raises one of two errors. Unreachable means
+    the request never went out: the connection could not be made, or
+    http.client refused the host or the target (InvalidURL) before
+    sending a byte. AnswerLost means any later error, a reset, an answer
+    cut short or one that is not HTTP. A connect or a read that waits
+    longer than REQUEST_TIMEOUT_S fails the same way: the connect as
+    Unreachable, the read as AnswerLost. The constructor raises
+    http.client.InvalidURL for a URL that is not http://host[:port][/prefix].
     """
 
     def __init__(self, base_url: str):
@@ -384,34 +394,26 @@ class HttpTransport:
         split = urlsplit(base_url)
         if split.scheme != "http" or not split.netloc:
             raise http.client.InvalidURL(f"not an http URL: {base_url!r}")
-        self._connection = http.client.HTTPConnection
         self._netloc = split.netloc
         self._prefix = split.path.rstrip("/")
 
     def get(self, path_query: str) -> tuple[int, bytes]:
-        conn = self._connection(self._netloc, timeout=REQUEST_TIMEOUT_S)
+        import http.client as client  # loaded by the constructor already
+
         try:
+            conn = client.HTTPConnection(self._netloc, timeout=REQUEST_TIMEOUT_S)
+        except client.InvalidURL as exc:  # a host or port it refuses
+            raise Unreachable(f"{self._netloc!r}: {exc}") from exc
+        with contextlib.closing(conn):
             try:
                 conn.connect()
             except OSError as exc:
-                raise Unreachable(f"{self._netloc}: {exc}") from exc
-            conn.request("GET", self._prefix + path_query)
-            response = conn.getresponse()
-            return response.status, response.read()
-        finally:
-            conn.close()
-
-
-def __getattr__(name: str) -> tuple[type[BaseException], ...]:
-    """REQUEST_ERRORS and NOT_SENT, which load http.client when first read.
-
-    They are what a request through HttpTransport can raise. NOT_SENT
-    means it never went out; any other of REQUEST_ERRORS means its answer
-    is lost, and the server may or may not have applied it.
-    """
-    if name not in ("REQUEST_ERRORS", "NOT_SENT"):
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    import http.client
-
-    globals().update(REQUEST_ERRORS=(OSError, http.client.HTTPException), NOT_SENT=(Unreachable, http.client.InvalidURL))
-    return globals()[name]
+                raise Unreachable(f"{self._netloc!r}: {exc}") from exc
+            try:
+                conn.request("GET", self._prefix + path_query)
+                response = conn.getresponse()
+                return response.status, response.read()
+            except (client.InvalidURL, UnicodeEncodeError) as exc:  # a target it refuses, before sending a byte
+                raise Unreachable(f"{self._netloc!r}: {exc}") from exc
+            except (OSError, client.HTTPException) as exc:
+                raise AnswerLost(repr(exc)) from exc

@@ -7,6 +7,7 @@ import pytest
 
 from scotcloud.model import AnnotationStore, AttachError, VocabConfig
 from scotcloud.service import AnnotationService, ServiceConfig
+from scotcloud.sim import build_query
 from scotcloud.wire import HttpServer
 
 TAGGER = uuid.UUID("12345678-1234-5678-1234-567812345678")
@@ -24,14 +25,17 @@ def seed_mouse(service: AnnotationService) -> None:
         assert response.status == 200
 
 
+def ask(service: AnnotationService, operation: str, params: dict, page: int = 0):
+    """The service's answer to `operation` with `params` and `page`, sent as a client sends it: one target."""
+    return service.handle_url(build_query(operation, list(params.items()), page))
+
+
 def fetch_full(service: AnnotationService, operation: str, params: dict) -> bytes:
     """Walk every page of an in-process response and concatenate payloads."""
-    from scotcloud.service import ApiRequest
-
-    first = service.handle(ApiRequest(operation, params)).page
+    first = ask(service, operation, params).page
     chunks = [first.payload]
     for i in range(1, first.total):
-        chunks.append(service.handle(ApiRequest(operation, params, page=i)).page.payload)
+        chunks.append(ask(service, operation, params, i).page.payload)
     return b"".join(chunks)
 
 

@@ -220,9 +220,12 @@ class TestWireCommands:
         assert code == 2
         assert "cannot reach" in err
 
-    # A host the IDNA codec refuses, an unclosed IPv6 literal, another scheme, no scheme, and ports out of range
+    # A host the IDNA codec refuses, an unclosed IPv6 literal, another scheme, no scheme, ports out of range,
+    # and what http.client refuses to send: a control character, a space or DEL anywhere, a path not ASCII
     BAD_URLS = ["http://a..b:9", "http://[::1", "ftp://127.0.0.1:1", "127.0.0.1:1", "http://127.0.0.1:port",
-                "http://127.0.0.1:0", "http://127.0.0.1:65536", "http://caf\udce9:9", "http://:9"]
+                "http://127.0.0.1:0", "http://127.0.0.1:65536", "http://caf\udce9:9", "http://:9",
+                "http://127.0.0.1\x00", "http://127.0.0.1 :9", "http://127.0.0.1:9/a b", "http://127.0.0.1\x01:9",
+                "http://127.0.0.1:9/\x7f", "http://127.0.0.1:9/caf\xe9"]
 
     @pytest.mark.parametrize("url", BAD_URLS)
     @pytest.mark.parametrize(

@@ -174,5 +174,5 @@ def test_build_query_quotes_as_urlencode_does(params, page):
 @given(st.lists(_VALUES, min_size=3, max_size=3), st.integers(0, 10**6))
 def test_the_server_reads_back_what_the_client_sends(operation, values, page):
     params = list(zip(OPERATIONS[operation], values))
-    request = request_from_url(sim.build_query(operation, params, page))
-    assert (request.operation, list(request.params.items()), request.page) == (operation, params, page)
+    read, read_params, read_page = request_from_url(sim.build_query(operation, params, page))
+    assert (read, list(read_params.items()), read_page) == (operation, params, page)

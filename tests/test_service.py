@@ -24,12 +24,12 @@ from hypothesis import strategies as st
 
 from scotcloud.model import AnnotationStore, VocabConfig
 from scotcloud.rdfxml import Iri, parse, serialize
+from scotcloud.sim import build_query
 from scotcloud import cli, model, rdfxml
 from scotcloud import service as service_module
 from scotcloud.service import (
     OPERATIONS,
     AnnotationService,
-    ApiRequest,
     Page,
     PageError,
     PageNumberError,
@@ -47,7 +47,7 @@ from scotcloud.service import (
     snapshot_store,
 )
 
-from conftest import TAGGER, cyclic_garbage, fetch_full, random_forest, seed_mouse, store_state
+from conftest import TAGGER, ask, cyclic_garbage, fetch_full, random_forest, seed_mouse, store_state
 from scotcloud import wire
 from scotcloud.wire import HttpServer, HttpTransport
 
@@ -105,15 +105,15 @@ class TestPaging:
 
 class TestRequestParsing:
     def test_query_parameters_are_decoded(self):
-        request = request_from_url("/tag?resource=mouse&tag=two+words&tagger=abc")
-        assert request.operation == "tag"
-        assert request.params == {"resource": "mouse", "tag": "two words", "tagger": "abc"}
-        assert request.page == 0
+        operation, params, page = request_from_url("/tag?resource=mouse&tag=two+words&tagger=abc")
+        assert operation == "tag"
+        assert params == {"resource": "mouse", "tag": "two words", "tagger": "abc"}
+        assert page == 0
 
     def test_page_parameter_is_split_out(self):
-        request = request_from_url("/cloud?resource=mouse&page=3")
-        assert request.page == 3
-        assert "page" not in request.params
+        _, params, page = request_from_url("/cloud?resource=mouse&page=3")
+        assert page == 3
+        assert "page" not in params
 
     def test_unknown_operation(self):
         with pytest.raises(ValueError):
@@ -130,7 +130,7 @@ class TestRequestParsing:
         assert (response.status, response.page.payload) == (404, b"unknown")
 
 
-def _reference_request_from_url(path_query: str) -> ApiRequest:
+def _reference_request_from_url(path_query: str) -> tuple[str, dict[str, str], int]:
     """`request_from_url` as it was written over `urlsplit` and `parse_qsl`: the oracle of the one-pass reader."""
     split = urlsplit(path_query)
     operation = split.path.strip("/")
@@ -141,16 +141,16 @@ def _reference_request_from_url(path_query: str) -> ApiRequest:
     page = parse_digits(page_raw)
     if page is None:
         raise ValueError(f"bad page number {page_raw!r}")
-    return ApiRequest(operation, params, page)
+    return operation, params, page
 
 
 def _read(reader, target: str):
     """What `reader` makes of `target`: the request, its names in order, or the error's text."""
     try:
-        request = reader(target)
+        operation, params, page = reader(target)
     except ValueError as exc:
         return "error", str(exc)
-    return request.operation, list(request.params.items()), request.page
+    return operation, list(params.items()), page
 
 
 # The characters the two readers could split, strip or decode differently, as pieces of a target.
@@ -236,44 +236,36 @@ class TestOnePassReader:
 class TestTagEndpoint:
     def test_third_laser_reports_three(self, service):
         for expected in (b"ok laser 1", b"ok laser 2", b"ok laser 3"):
-            response = service.handle(
-                ApiRequest("tag", {"resource": "mouse", "tag": "laser", "tagger": str(TAGGER)})
-            )
+            response = ask(service, "tag", {"resource": "mouse", "tag": "laser", "tagger": str(TAGGER)})
             assert response.status == 200
             assert response.page.payload == expected
 
     def test_fresh_resource_reports_one(self, service):
-        response = service.handle(
-            ApiRequest("tag", {"resource": "pen", "tag": "ink", "tagger": str(TAGGER)})
-        )
+        response = ask(service, "tag", {"resource": "pen", "tag": "ink", "tagger": str(TAGGER)})
         assert response.page.payload == b"ok ink 1"
 
     def test_missing_tagger_is_400_missing(self, service):
-        response = service.handle(ApiRequest("tag", {"resource": "pen", "tag": "ink"}))
+        response = ask(service, "tag", {"resource": "pen", "tag": "ink"})
         assert response.status == 400
         assert response.page.payload == b"missing"
         assert service.store.events == []
 
     def test_unnormalizable_tag_is_400_and_atomic(self, service):
-        response = service.handle(
-            ApiRequest("tag", {"resource": "pen", "tag": "   ", "tagger": str(TAGGER)})
-        )
+        response = ask(service, "tag", {"resource": "pen", "tag": "   ", "tagger": str(TAGGER)})
         assert response.status == 400
         assert response.page.payload == b"badtag"
         assert service.store.events == []
 
     def test_bad_tagger_token(self, service):
-        response = service.handle(
-            ApiRequest("tag", {"resource": "pen", "tag": "ink", "tagger": "not-a-uuid"})
-        )
+        response = ask(service, "tag", {"resource": "pen", "tag": "ink", "tagger": "not-a-uuid"})
         assert response.status == 400
         assert response.page.payload == b"badtagger"
 
 
 class TestCloudEndpoint:
     def test_small_cloud_is_one_page_containing_document(self, service):
-        service.handle(ApiRequest("tag", {"resource": "pen", "tag": "ink", "tagger": str(TAGGER)}))
-        response = service.handle(ApiRequest("cloud", {"resource": "pen"}))
+        ask(service, "tag", {"resource": "pen", "tag": "ink", "tagger": str(TAGGER)})
+        response = ask(service, "cloud", {"resource": "pen"})
         assert response.status == 200
         assert response.page.total == 1
         # cloud typing + (tag link, tag typing, frequency) for the single tag
@@ -281,7 +273,7 @@ class TestCloudEndpoint:
 
     def test_mouse_cloud_reports_laser_three(self, service):
         seed_mouse(service)
-        first = service.handle(ApiRequest("cloud", {"resource": "mouse"}))
+        first = ask(service, "cloud", {"resource": "mouse"})
         assert first.status == 200
         assert "scot:ownAFrequency" in first.page.payload.decode()
         document = fetch_full(service, "cloud", {"resource": "mouse"}).decode()
@@ -289,36 +281,34 @@ class TestCloudEndpoint:
 
     def test_large_cloud_pages_reassemble_to_direct_serialization(self, service):
         for i in range(120):
-            service.handle(
-                ApiRequest("tag", {"resource": "big", "tag": f"tag{i:03d}", "tagger": str(TAGGER)})
-            )
+            ask(service, "tag", {"resource": "big", "tag": f"tag{i:03d}", "tagger": str(TAGGER)})
         direct = serialize(
             model.cloud_to_rdf(service.store.cloud_of(VOCAB.resource_iri("big")), VOCAB)
         ).encode()
         assert len(direct) > 5000
-        first = service.handle(ApiRequest("cloud", {"resource": "big"})).page
+        first = ask(service, "cloud", {"resource": "big"}).page
         collected = {1: first.payload}
         for i in range(1, first.total):
-            page = service.handle(ApiRequest("cloud", {"resource": "big"}, page=i)).page
+            page = ask(service, "cloud", {"resource": "big"}, i).page
             collected[page.index] = page.payload
         # chunk/reassemble oracle: ordered concatenation equals the document
         assert b"".join(collected[i] for i in sorted(collected)) == direct
         assert first.total == -(-len(direct) // (2048 - 32))
 
     def test_unknown_resource_is_valid_empty_cloud(self, service):
-        response = service.handle(ApiRequest("cloud", {"resource": "ghost"}))
+        response = ask(service, "cloud", {"resource": "ghost"})
         assert response.status == 200
         graph = parse(response.page.payload.decode())
         assert len(graph) == 1
 
     def test_page_out_of_range_is_400_badpage(self, service):
         seed_mouse(service)
-        response = service.handle(ApiRequest("cloud", {"resource": "mouse"}, page=9))
+        response = ask(service, "cloud", {"resource": "mouse"}, 9)
         assert response.status == 400
         assert response.page.payload == b"badpage"
 
     def test_missing_resource_is_400(self, service):
-        response = service.handle(ApiRequest("cloud", {}))
+        response = ask(service, "cloud", {})
         assert response.status == 400
         assert response.page.payload == b"missing"
 
@@ -340,14 +330,12 @@ def parse_tree_text(text: str) -> dict[str, str]:
 class TestMapEndpoint:
     def seed_shoe(self, service):
         for pair in [("shoe", "rubber"), ("rubber", "sole"), ("rubber", "heel")]:
-            response = service.handle(
-                ApiRequest("attach", {"parent": pair[0], "child": pair[1], "tagger": str(TAGGER)})
-            )
+            response = ask(service, "attach", {"parent": pair[0], "child": pair[1], "tagger": str(TAGGER)})
             assert response.status == 200
 
     def test_two_level_map_text(self, service):
         self.seed_shoe(service)
-        response = service.handle(ApiRequest("map", {"root": "shoe", "depth": "2"}))
+        response = ask(service, "map", {"root": "shoe", "depth": "2"})
         assert response.status == 200
         text = response.page.payload.decode()
         lines = text.splitlines()
@@ -357,35 +345,33 @@ class TestMapEndpoint:
 
     def test_depth_one_on_leaf_is_single_line(self, service):
         self.seed_shoe(service)
-        response = service.handle(ApiRequest("map", {"root": "sole", "depth": "1"}))
+        response = ask(service, "map", {"root": "sole", "depth": "1"})
         assert response.page.payload.decode() == "sole (0)\n"
 
     def test_tree_text_parses_back_to_parent_map(self, service):
         self.seed_shoe(service)
-        service.handle(ApiRequest("attach", {"parent": "sole", "child": "grip", "tagger": str(TAGGER)}))
-        response = service.handle(ApiRequest("map", {"root": "shoe", "depth": "5"}))
+        ask(service, "attach", {"parent": "sole", "child": "grip", "tagger": str(TAGGER)})
+        response = ask(service, "map", {"root": "shoe", "depth": "5"})
         parent = parse_tree_text(response.page.payload.decode())
         assert parent == service.store.maps["shoe"].parent
 
     def test_frequencies_come_from_root_resource_cloud(self, service):
         self.seed_shoe(service)
         for _ in range(2):
-            service.handle(
-                ApiRequest("tag", {"resource": "shoe", "tag": "rubber", "tagger": str(TAGGER)})
-            )
-        response = service.handle(ApiRequest("map", {"root": "shoe", "depth": "1"}))
+            ask(service, "tag", {"resource": "shoe", "tag": "rubber", "tagger": str(TAGGER)})
+        response = ask(service, "map", {"root": "shoe", "depth": "1"})
         assert response.page.payload.decode() == "shoe (0)\n  rubber (2)\n"
 
     def test_siblings_are_in_rank_order(self, service):
         self.seed_shoe(service)
         for _ in range(3):
-            service.handle(ApiRequest("tag", {"resource": "shoe", "tag": "heel", "tagger": str(TAGGER)}))
-        response = service.handle(ApiRequest("map", {"root": "shoe", "depth": "2"}))
+            ask(service, "tag", {"resource": "shoe", "tag": "heel", "tagger": str(TAGGER)})
+        response = ask(service, "map", {"root": "shoe", "depth": "2"})
         lines = response.page.payload.decode().splitlines()
         assert lines[2:] == ["    heel (3)", "    sole (0)"]
 
     def test_unknown_root_is_404(self, service):
-        response = service.handle(ApiRequest("map", {"root": "nowhere"}))
+        response = ask(service, "map", {"root": "nowhere"})
         assert response.status == 404
         assert response.page.payload == b"unknown"
 
@@ -401,7 +387,7 @@ class TestMapEndpoint:
     def test_bad_depth_is_400(self, service):
         self.seed_shoe(service)
         for depth in ["0", "-3", "x", "1_0", "+1", " 1", "\u0661", ""]:
-            response = service.handle(ApiRequest("map", {"root": "shoe", "depth": depth}))
+            response = ask(service, "map", {"root": "shoe", "depth": depth})
             assert response.status == 400
             assert response.page.payload == b"baddepth"
 
@@ -431,32 +417,26 @@ class TestMapEndpoint:
 
 class TestAttachEndpoint:
     def test_attach_returns_ok(self, service):
-        response = service.handle(
-            ApiRequest("attach", {"parent": "shoe", "child": "rubber", "tagger": str(TAGGER)})
-        )
+        response = ask(service, "attach", {"parent": "shoe", "child": "rubber", "tagger": str(TAGGER)})
         assert response.status == 200
         assert response.page.payload == b"ok"
 
     def test_cycle_is_conflict_with_body_cycle(self, service):
-        service.handle(ApiRequest("attach", {"parent": "shoe", "child": "rubber", "tagger": str(TAGGER)}))
-        response = service.handle(
-            ApiRequest("attach", {"parent": "rubber", "child": "shoe", "tagger": str(TAGGER)})
-        )
+        ask(service, "attach", {"parent": "shoe", "child": "rubber", "tagger": str(TAGGER)})
+        response = ask(service, "attach", {"parent": "rubber", "child": "shoe", "tagger": str(TAGGER)})
         assert response.status == 409
         assert response.page.payload == b"cycle"
 
     def test_already_parented_child_is_conflict(self, service):
-        service.handle(ApiRequest("attach", {"parent": "shoe", "child": "rubber", "tagger": str(TAGGER)}))
-        response = service.handle(
-            ApiRequest("attach", {"parent": "boot", "child": "rubber", "tagger": str(TAGGER)})
-        )
+        ask(service, "attach", {"parent": "shoe", "child": "rubber", "tagger": str(TAGGER)})
+        response = ask(service, "attach", {"parent": "boot", "child": "rubber", "tagger": str(TAGGER)})
         assert response.status == 409
         assert response.page.payload == b"parented"
 
     def test_failed_attach_leaves_maps_unchanged(self, service):
-        service.handle(ApiRequest("attach", {"parent": "shoe", "child": "rubber", "tagger": str(TAGGER)}))
+        ask(service, "attach", {"parent": "shoe", "child": "rubber", "tagger": str(TAGGER)})
         before = store_state(service.store)
-        service.handle(ApiRequest("attach", {"parent": "rubber", "child": "shoe", "tagger": str(TAGGER)}))
+        ask(service, "attach", {"parent": "rubber", "child": "shoe", "tagger": str(TAGGER)})
         assert store_state(service.store) == before
 
 
@@ -514,7 +494,7 @@ class TestRefusedMutation:
 class TestExportEndpoint:
     def test_export_contains_clouds_and_edges(self, service):
         seed_mouse(service)
-        service.handle(ApiRequest("attach", {"parent": "shoe", "child": "rubber", "tagger": str(TAGGER)}))
+        ask(service, "attach", {"parent": "shoe", "child": "rubber", "tagger": str(TAGGER)})
         document = fetch_full(service, "export", {}).decode()
         assert "TagCloud" in document
         assert "skos:broader" in document
@@ -673,7 +653,7 @@ class TestPersistence:
         config = ServiceConfig(store_path=str(tmp_path / "live"))
         service = AnnotationService(config)
         seed_mouse(service)
-        service.handle(ApiRequest("attach", {"parent": "shoe", "child": "rubber", "tagger": str(TAGGER)}))
+        ask(service, "attach", {"parent": "shoe", "child": "rubber", "tagger": str(TAGGER)})
         born_again = AnnotationService(ServiceConfig(store_path=str(tmp_path / "live")))
         assert store_state(born_again.store) == store_state(service.store)
 
@@ -1029,8 +1009,10 @@ class TestKeepAlive:
     def test_tag_without_an_answer_on_a_fresh_connection_is_not_retried(self):
         svc = AnnotationService(ServiceConfig(port=0))
         with http_server(svc, _AppliesButNeverAnswers) as (url, server):
-            with pytest.raises(http.client.RemoteDisconnected):
+            with pytest.raises(wire.AnswerLost) as lost:
                 HttpTransport(url).get(_tag_query())
+        assert type(lost.value.__cause__) is http.client.RemoteDisconnected
+        assert str(lost.value) == repr(lost.value.__cause__)
         assert server.connections == 1
         assert _kept_count(svc) == 1
 
@@ -1039,8 +1021,10 @@ class TestKeepAlive:
         with http_server(svc, _CutsTheSecondResponse) as (url, server):
             transport = HttpTransport(url)
             assert transport.get(_tag_query()) == (200, _tag_page(1))
-            with pytest.raises(http.client.IncompleteRead):
+            with pytest.raises(wire.AnswerLost) as lost:
                 transport.get(_tag_query())
+        assert type(lost.value.__cause__) is http.client.IncompleteRead
+        assert str(lost.value) == repr(lost.value.__cause__)
         assert server.connections == 2
         assert _kept_count(svc) == 2
 
@@ -1049,8 +1033,10 @@ class TestKeepAlive:
         with http_server(svc, _AppliesTheSecondButNeverAnswers) as (url, server):
             transport = HttpTransport(url)
             assert transport.get(_tag_query()) == (200, _tag_page(1))
-            with pytest.raises(http.client.RemoteDisconnected):
+            with pytest.raises(wire.AnswerLost) as lost:
                 transport.get(_tag_query())
+        assert type(lost.value.__cause__) is http.client.RemoteDisconnected
+        assert str(lost.value) == repr(lost.value.__cause__)
         assert server.connections == 2
         assert _kept_count(svc) == 2
 
@@ -1063,6 +1049,26 @@ class TestKeepAlive:
         for url in ("ftp://127.0.0.1:1", "https://127.0.0.1:1"):
             with pytest.raises(http.client.InvalidURL):
                 HttpTransport(url)
+
+    @pytest.mark.parametrize("suffix, cause", [
+        ("\x00", http.client.InvalidURL),  # a host http.client refuses, before any connect
+        ("/a b", http.client.InvalidURL),  # a target it refuses, after the connect and before sending a byte
+        ("/caf\xe9", UnicodeEncodeError),
+    ])
+    def test_a_url_http_client_refuses_never_goes_out(self, live_server, suffix, cause):
+        url, svc = live_server
+        with pytest.raises(wire.Unreachable) as unreachable:
+            HttpTransport(url + suffix).get(_tag_query())
+        assert type(unreachable.value.__cause__) is cause
+        assert svc.store.version == 0
+
+    def test_a_closed_port_is_unreachable(self):
+        with socket.socket() as closed:
+            closed.bind(("127.0.0.1", 0))
+            url = f"http://127.0.0.1:{closed.getsockname()[1]}"
+            with pytest.raises(wire.Unreachable) as unreachable:
+                HttpTransport(url).get(_tag_query())
+        assert isinstance(unreachable.value.__cause__, ConnectionRefusedError)
 
 
 def _read_until_closed(sock: socket.socket) -> bytes:
@@ -1154,16 +1160,16 @@ class TestTransportReuse:
 class TestRateLimiter:
     def test_disabled_by_default(self, service):
         for _ in range(200):
-            assert service.handle(ApiRequest("export", {})).status == 200
+            assert ask(service, "export", {}).status == 200
 
     def test_optional_limiter_throttles(self):
         clock = {"now": 0}
         config = ServiceConfig(rate_limit_max=5, rate_limit_window_ms=1000)
         service = AnnotationService(config, now_ms=lambda: clock["now"])
-        statuses = [service.handle(ApiRequest("export", {})).status for _ in range(7)]
+        statuses = [ask(service, "export", {}).status for _ in range(7)]
         assert statuses == [200] * 5 + [429] * 2
         clock["now"] = 1001
-        assert service.handle(ApiRequest("export", {})).status == 200
+        assert ask(service, "export", {}).status == 200
 
 
 class TestConfigFile:
@@ -1392,11 +1398,11 @@ class TestBodyCache:
     def test_every_answer_equals_an_uncached_service_on_a_copy_of_the_store(self, steps):
         service = AnnotationService(ServiceConfig(page_cap=self.CAP))
         for operation, params, page in steps:
-            request = ApiRequest(operation, params, page)
+            target = build_query(operation, list(params.items()), page)
             uncached = AnnotationService(ServiceConfig(page_cap=self.CAP), store=copy.deepcopy(service.store))
-            expected = uncached.handle(request)
-            response = service.handle(request)
-            assert (response.status, response.encode()) == (expected.status, expected.encode()), request
+            expected = uncached.handle_url(target)
+            response = service.handle_url(target)
+            assert (response.status, response.encode()) == (expected.status, expected.encode()), target
 
     @settings(max_examples=80, deadline=None)
     @given(st.lists(REQUESTS, max_size=30))
@@ -1419,9 +1425,12 @@ class TestBodyCache:
                 except model.AttachError as exc:
                     expected = (409, encoded_error(exc.reason.encode(), self.CAP))
                 params = dict(params, tagger=str(TAGGER))
+            elif page < 0:  # no page number: the target names it as it is, and it is refused before the operation
+                expected = (400, encoded_error(b"badpage", self.CAP))
+                params, page = dict(params, page=str(page)), 0
             else:
                 expected = fresh_read(service.store, operation, params, page, self.CAP)
-            response = service.handle(ApiRequest(operation, params, page))
+            response = ask(service, operation, params, page)
             assert (response.status, response.encode()) == expected, (operation, params, page)
             assert store_state(service.store) == store_state(reference)
 
@@ -1488,7 +1497,7 @@ class TestBodyCache:
                 fetch_full(service, operation, params)
         assert len(service._descriptions) == 4  # the cloud and its tag, in each form
         for name in ("nothing", "nowhere"):  # a cloud that does not exist keeps nothing
-            assert service.handle(ApiRequest("cloud", {"resource": name})).ok
+            assert ask(service, "cloud", {"resource": name}).ok
         assert len(service._descriptions) == 4
 
     def seed_walks(self, service):
@@ -1512,14 +1521,14 @@ class TestBodyCache:
     def tag_mid_walk(self, service, builds, operation, params, resource) -> int:
         """Walk half the pages, tag `resource`, walk the rest; returns the builds the rest took."""
         self.seed_walks(service)
-        first = service.handle(ApiRequest(operation, params)).page
+        first = ask(service, operation, params).page
         half = first.total // 2
         for i in range(1, half):
-            assert service.handle(ApiRequest(operation, params, page=i)).ok
+            assert ask(service, operation, params, i).ok
         builds["builds"], builds["paginated"] = 0, []
         tag = service.handle_url(f"/tag?resource={resource}&tag=concept0001&tagger={TAGGER}")
         assert tag.page.payload == b"ok concept0001 1"
-        after = [service.handle(ApiRequest(operation, params, page=i)).page for i in range(half, first.total)]
+        after = [ask(service, operation, params, i).page for i in range(half, first.total)]
         assert len(builds["paginated"]) == builds["builds"]  # each rebuild, once; the tag's "ok" is no document
         # the later pages come from the document as it is after the tag
         fresh = [fresh_read(service.store, operation, params, i, 2048) for i in range(half, first.total)]
@@ -1540,22 +1549,22 @@ class TestBodyCache:
         cap = service_module.BODY_CACHE_ENTRIES
         names = [f"r{i}" for i in range(cap + 5)]
         for name in names:
-            assert service.handle(ApiRequest("cloud", {"resource": name})).ok
+            assert ask(service, "cloud", {"resource": name}).ok
         assert len(service._bodies) == cap
         assert builds["builds"] == len(names)
-        service.handle(ApiRequest("cloud", {"resource": names[-1]}))
+        ask(service, "cloud", {"resource": names[-1]})
         assert builds["builds"] == len(names)  # the newest body is still held
-        service.handle(ApiRequest("cloud", {"resource": names[0]}))
+        ask(service, "cloud", {"resource": names[0]})
         assert builds["builds"] == len(names) + 1  # the oldest went first
         assert len(service._bodies) == cap
 
     def test_a_build_lets_go_of_the_bodies_a_write_made_stale(self, service):
         seed_mouse(service)
         for operation, params in (("export", {}), ("cloud", {"resource": "mouse"})):
-            assert service.handle(ApiRequest(operation, params)).ok
+            assert ask(service, operation, params).ok
         assert service.handle_url(f"/tag?resource=shoe&tag=rubber&tagger={TAGGER}").ok
         assert len(service._bodies) == 2  # nothing is built by a write
-        assert service.handle(ApiRequest("cloud", {"resource": "shoe"})).ok
+        assert ask(service, "cloud", {"resource": "shoe"}).ok
         assert set(service._bodies) == {("cloud", VOCAB.resource_iri(name)) for name in ("mouse", "shoe")}
 
     def test_map_depths_past_the_tree_share_one_body(self, service, builds):
@@ -1583,13 +1592,13 @@ class TestBodyCache:
     def test_concurrent_tags_and_walks_leave_no_stale_body(self, service):
         def tagger(k):
             for i in range(60):
-                service.handle(ApiRequest("tag", {"resource": f"r{k}", "tag": f"t{i % 7}", "tagger": str(TAGGER)}))
+                ask(service, "tag", {"resource": f"r{k}", "tag": f"t{i % 7}", "tagger": str(TAGGER)})
 
         def reader(k):
             for i in range(60):
                 for name in (f"r{k}", f"r{(k + 1) % 3}", "export"):
-                    request = ApiRequest("export", {}) if name == "export" else ApiRequest("cloud", {"resource": name})
-                    assert service.handle(request).ok
+                    target = "/export" if name == "export" else build_query("cloud", [("resource", name)])
+                    assert service.handle_url(target).ok
 
         switch = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
