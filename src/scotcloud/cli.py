@@ -132,6 +132,11 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         config.store_path = args.store
     if _NOT_UTF8.search(args.host):
         return _fail(EXIT_DATA, "serve: --host is not UTF-8 text")
+    if not args.host.isascii():  # bind IDNA encodes such a host, and fails with TypeError if it cannot
+        try:
+            args.host.encode("idna")
+        except UnicodeError:
+            return _fail(EXIT_USAGE, f"serve: --host {args.host!r} is not a name that IDNA can encode")
     try:
         svc = service_mod.AnnotationService(config)
     except (service_mod.StoreLoadError, OSError) as exc:

@@ -1023,6 +1023,7 @@ class TestNoTraceback:
         "argv",
         [
             ["serve", "--host=\udc80", "--port=0"],  # a host byte that is not UTF-8 failed in bind
+            ["serve", "--host=..\u00e9"],  # a non-ASCII host that IDNA refuses failed in bind
             ["import", "--in={root}/\x00", "--store={root}/new"],  # NUL in a path failed in open
             ["attach", "--parent=mouse", "--child=mouse", "--url=http://[::1]\udc80"],  # past the ] failed in getaddrinfo
             ["attach", "--parent=mouse", "--child=mouse", "--url=http://[::1]a..b"],
