@@ -70,7 +70,7 @@ from typing import Callable, Iterable, Optional, Union
 from urllib.parse import unquote, urlsplit
 
 from . import model, rdfxml
-from .model import AnnotationEvent, AnnotationStore, TopicMap, VocabConfig
+from .model import MEMO_ENTRIES, AnnotationEvent, AnnotationStore, TopicMap, VocabConfig
 from .rdfxml import Iri
 
 log = logging.getLogger(__name__)
@@ -80,7 +80,6 @@ _PAGE_HEADER = re.compile(rb"page ([0-9]+)/([0-9]+) ([0-9]+)")
 MIN_PAGE_CAP = 64  # smallest page a response may be split into, header line included
 PAGE_CAP_TOO_SMALL = f"page cap must be at least {MIN_PAGE_CAP} bytes"
 BODY_CACHE_ENTRIES = 64  # paged bodies kept per service; the oldest goes first
-MEMO_ENTRIES = 1024  # the most distinct strings one memo of parsed or quoted values keeps
 SNAPSHOT_FILE = "snapshot.rdf"  # older versions kept topic maps here; a directory holding it is refused
 EVENTS_FILE = "events.log"
 EVENTS_TMP = EVENTS_FILE + ".tmp"  # snapshot_store writes here, then renames over EVENTS_FILE
@@ -247,6 +246,14 @@ def load_config(path: str) -> ServiceConfig:
     return ServiceConfig(**values)  # type: ignore[arg-type]
 
 
+# Clients send the same few hundred pieces again and again: each distinct one is read once.
+@functools.lru_cache(maxsize=MEMO_ENTRIES)
+def _query_piece(piece: str) -> tuple[str, str]:
+    """The name and value of one non-empty `name=value` piece of a query, as `parse_qsl` reads them."""
+    name, _, value = piece.partition("=")
+    return unquote(name.replace("+", " "), errors="replace"), unquote(value.replace("+", " "), errors="replace")
+
+
 def request_from_url(path_query: str) -> tuple[str, dict[str, str], int]:
     """Parse "/op?key=value&..." into its operation, its other parameters and its 0-based page.
 
@@ -259,7 +266,8 @@ def request_from_url(path_query: str) -> tuple[str, dict[str, str], int]:
     as `dict(parse_qsl(query, keep_blank_values=True))` reads it: empty
     pieces are skipped, each piece splits at its first `=`, `+` is a space
     and `%XX` escapes decode as UTF-8 with invalid bytes replaced, and a
-    repeated name keeps its last value.
+    repeated name keeps its last value. Each distinct piece is read once,
+    through `_query_piece`, a memo of the last MEMO_ENTRIES pieces.
     """
     path, _, query = path_query.partition("?")
     if path_query[:1] != "/" or path_query[1:2] == "/" or (
@@ -269,10 +277,7 @@ def request_from_url(path_query: str) -> tuple[str, dict[str, str], int]:
     operation = path.strip("/")
     if operation not in OPERATIONS:
         raise ValueError(f"unknown operation {operation!r}")
-    params: dict[str, str] = {}
-    for piece in filter(None, query.split("&")):
-        name, _, value = piece.partition("=")
-        params[unquote(name.replace("+", " "), errors="replace")] = unquote(value.replace("+", " "), errors="replace")
+    params = dict(map(_query_piece, filter(None, query.split("&"))))
     page_raw = params.pop("page", "0")
     page = parse_digits(page_raw)
     if page is None:
@@ -316,13 +321,14 @@ class AnnotationService:
     the store as it is when the page is asked for. `store` is bound once,
     here, so a stamp need not name it.
 
-    A request's strings are parsed once per distinct value: the tagger of
-    `/tag` and `/attach` through `_tagger`, shared by every service, and
-    the resource name of `/tag`, `/cloud` and `/map` through
-    `_resource_iri`, this service's memo of `vocab.resource_iri`. Each
-    keeps the last MEMO_ENTRIES values it parsed, and only those that
-    parsed: a tagger or a name that is refused is parsed, and refused,
-    again on every request.
+    A request's strings are parsed once per distinct value: each
+    `name=value` piece of its query through `_query_piece`
+    (`request_from_url`) and the tagger of `/tag` and `/attach` through
+    `_tagger`, both shared by every service, and the resource name of
+    `/tag`, `/cloud` and `/map` through `_resource_iri`, this service's
+    memo of `vocab.resource_iri`. Each keeps the last MEMO_ENTRIES values
+    it parsed, and only those that parsed: a tagger or a name that is
+    refused is parsed, and refused, again on every request.
 
     The RDF/XML bodies are joined from `_descriptions`, a cache of the
     text of each `rdf:Description` the service has written, which lives

@@ -7,7 +7,10 @@ The listener and the center are stages here (`post_chat` and
 `center_assign`); only the units are modelled as scripts. Each unit may
 issue at most 25 requests in any sliding 20-second window, so the center
 defers work until some unit has headroom and fans multi-page responses
-back together.
+back together. Once no live unit has headroom, the center keeps the
+instant the first slot opens and defers every request before it without
+looking at the units again. A one-page answer is its own body; only the
+pages of a longer one go through `reassemble`.
 
 The memory model is coarse. A unit is charged a flat REQUEST_COST of
 512 B per request in flight and nothing for the pages it holds, against
@@ -270,9 +273,15 @@ class Simulator:
 
     Each issued request is answered `base_latency_ms` plus a uniform
     draw from 0..`jitter_ms` later; `seed` seeds that one draw per
-    issue, so it is the simulator's only source of randomness. Each unit
-    is held to the platform's sliding rate window: at most `WINDOW_MAX`
-    issues in any `WINDOW_MS`.
+    issue, so it is the simulator's only source of randomness, and with
+    no jitter no draw is made. Each unit is held to the platform's
+    sliding rate window: at most `WINDOW_MAX` issues in any `WINDOW_MS`.
+    When a deferral finds no live unit with headroom, `_full_until`
+    keeps the instant the first slot opens, for which a retry is on the
+    heap; until the clock reaches it, a request is deferred with no scan
+    of the units. A unit that freezes clears it. A command whose first
+    page says it is the only one completes with that page's payload,
+    without `reassemble`.
 
     Each sender's UUID is turned into text once per simulator, in
     `_names`, which the `chat` line and the `tagger` parameter share; it
@@ -310,6 +319,7 @@ class Simulator:
         self._seq = 0
         self._queue: deque[_Pending] = deque()
         self._retry_times: set[int] = set()
+        self._full_until = 0  # before this instant no live unit has window headroom (`_schedule_retry`)
         self._names: dict[uuid.UUID, str] = {}  # sender -> its text
         self.trace: list[str] = []
 
@@ -328,6 +338,7 @@ class Simulator:
             self._emit(f"memory-warn {unit.label} {unit.memory_used}")
         if unit.memory_used > MEMORY_BUDGET and not unit.frozen:
             unit.frozen = True
+            self._full_until = 0  # the next deferral looks at the units that are left
             self._emit(f"memory-exceeded {unit.label} {unit.memory_used}")
 
     # -- rate window -------------------------------------------------------------
@@ -402,6 +413,8 @@ class Simulator:
         return unit
 
     def _try_assign(self, pending: _Pending) -> Optional[ScriptUnit]:
+        if self._clock.ms < self._full_until:
+            return None
         n = len(self.units)
         for k in range(n):
             unit = self.units[(self._rr + k) % n]
@@ -420,15 +433,27 @@ class Simulator:
         self.memory_account(unit, REQUEST_COST)
         self._emit(f"issue {unit.label} {pending.query}")
         status, raw = self.transport.get(pending.query)
-        latency = self.base_latency_ms + self._rng.randint(0, self.jitter_ms)
+        latency = self.base_latency_ms
+        if self.jitter_ms:  # a draw from 0..0 is 0, and nothing else reads the RNG
+            latency += self._rng.randint(0, self.jitter_ms)
         self._push(self.now + latency, "response", (unit, pending, status, raw))
 
     def _schedule_retry(self) -> None:
+        """Retry the queue when the first slot opens; called when no live unit has headroom.
+
+        Until that instant no live unit gains headroom: a stamp leaves the
+        window only as time passes, and a freeze only takes a unit away. So
+        the instant is kept in `_full_until`; until the clock reaches it, a
+        deferral scans no unit, and its retry is already on the heap. A unit
+        that freezes clears it, and the next deferral looks again.
+        """
+        if self._clock.ms < self._full_until:
+            return
         candidates = [self._next_free_time(u) for u in self.units if not u.frozen]
         if not candidates:  # every unit is frozen: the queued commands can never run
             self._emit(f"stall {len(self._queue)}")
             return
-        t = min(candidates)
+        t = self._full_until = min(candidates)
         if t not in self._retry_times:
             self._retry_times.add(t)
             self._push(t, "retry")
@@ -457,6 +482,9 @@ class Simulator:
         if status != 200:
             command.failed = True
             self._emit(f"complete {command.kind} {status} {page.payload.decode('utf-8', 'replace')}")
+            return
+        if page.total == 1 and not command.pages:  # the whole body: `reassemble` would return its payload
+            self._emit(f"complete {command.kind} {status} {len(page.payload)} {_sha8(page.payload)}")
             return
         command.pages[page.index] = page
         command.total = page.total

@@ -24,6 +24,7 @@ it fails in one of two ways: `Unreachable`, it never went out, or
 from __future__ import annotations
 
 import contextlib
+import errno
 import logging
 import math
 import os
@@ -43,6 +44,7 @@ log = logging.getLogger(__name__)
 IDLE_TIMEOUT_S = 30  # a connection that neither sends nor takes a byte for this long is closed
 LINGER_S = 2  # after the server's last answer and its FIN, input is read and dropped for at most this long
 REQUEST_TIMEOUT_S = 60  # HttpTransport gives up on a connect, or on a read of the answer, after this long
+ACCEPT_BACKOFF_S = 0.25  # with no descriptor free, the listening socket is left alone this long, or until a close
 
 
 # -- server ----------------------------------------------------------------------
@@ -228,6 +230,7 @@ class _Connection:
         with contextlib.suppress(OSError):  # the client is gone already
             self.sock.shutdown(socket.SHUT_WR)
         self.sock.close()
+        self.server.accept_again()  # a descriptor is free
 
 
 class HttpServer:
@@ -247,6 +250,12 @@ class HttpServer:
     its last segment held back by Nagle's algorithm until the client's
     delayed ACK, about 40 ms a response. `serve_forever`, `shutdown` and
     `server_close` behave as socketserver's do.
+
+    When no descriptor is free (EMFILE, ENFILE), an accept leaves its
+    connection in the backlog and the listening socket stays readable, so
+    the loop stops watching it until a connection closes or
+    ACCEPT_BACKOFF_S pass; it waits instead of spinning, and the backlog
+    is served once a descriptor frees.
     """
 
     def __init__(self, service: AnnotationService, host: str) -> None:
@@ -266,6 +275,7 @@ class HttpServer:
         self.selector.register(self.socket, selectors.EVENT_READ)
         self.selector.register(self._wake[0], selectors.EVENT_READ)
         self._stop, self._stopped = False, threading.Event()
+        self._accept_at = math.inf  # while no descriptor is free: when to watch the listening socket again
 
     def serve_forever(self) -> None:
         """Serve until `shutdown` is called from another thread."""
@@ -273,7 +283,8 @@ class HttpServer:
         try:
             now, idle_at = time.monotonic(), math.inf  # when the connection idle longest times out, at the earliest
             while not self._stop:
-                events = self.selector.select(None if idle_at == math.inf else max(0.0, idle_at - now))
+                wake_at = min(idle_at, self._accept_at)
+                events = self.selector.select(None if wake_at == math.inf else max(0.0, wake_at - now))
                 now = time.monotonic()
                 for key, mask in events:
                     if key.fileobj is self.socket:
@@ -286,6 +297,8 @@ class HttpServer:
                         idle_at = min(idle_at, key.data.deadline)  # a lingering connection's is sooner
                 if now >= idle_at:
                     idle_at = self._close_idle(now)
+                if now >= self._accept_at:
+                    self.accept_again()
         finally:
             self._stop = False
             self._stopped.set()
@@ -296,7 +309,10 @@ class HttpServer:
     def _accept(self, now: float) -> None:
         try:
             sock, _ = self.socket.accept()
-        except OSError:  # the client left first, or no descriptor is free
+        except OSError as exc:  # the client left first, or no descriptor is free
+            if exc.errno in (errno.EMFILE, errno.ENFILE):
+                self.selector.unregister(self.socket)
+                self._accept_at = now + ACCEPT_BACKOFF_S
             return
         sock.setblocking(False)
         sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
@@ -315,6 +331,12 @@ class HttpServer:
             conn.eof, conn.outbox = True, memoryview(b"")
         if conn.eof and not conn.outbox:
             conn.close()
+
+    def accept_again(self) -> None:
+        """Watch the listening socket again, if a lack of descriptors stopped it."""
+        if self._accept_at != math.inf:
+            self._accept_at = math.inf
+            self.selector.register(self.socket, selectors.EVENT_READ)
 
     def _close_idle(self, now: float) -> float:
         """Close each connection past its deadline, idle or done lingering; when the next may reach its own."""

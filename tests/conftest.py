@@ -39,6 +39,34 @@ def fetch_full(service: AnnotationService, operation: str, params: dict) -> byte
     return b"".join(chunks)
 
 
+def crowd_burst_text(seed: int, commands: int = 500, burst: int = 150) -> str:
+    """A bot script shaped like one `simulate` benchmark episode, built here.
+
+    Twenty avatars send `commands` commands, `burst` at a time 50 ms
+    apart with 30 s of quiet between bursts: about 95% `tag` and 5%
+    `cloud`, on 50 resources and 240 labels drawn with Zipf weights
+    (exponent 1.1). A burst is larger than four units' rate windows, so
+    the defer and retry paths run.
+    """
+    rng = random.Random(seed)
+    avatars = [uuid.UUID(int=rng.getrandbits(128), version=4) for _ in range(20)]
+    resources = [f"res{k}" for k in range(50)]
+    labels = [f"tag{k}" for k in range(240)]
+    resource_weights = [1 / k**1.1 for k in range(1, len(resources) + 1)]
+    label_weights = [1 / k**1.1 for k in range(1, len(labels) + 1)]
+    lines = []
+    t = 0
+    for i in range(commands):
+        if i and i % burst == 0:
+            t += 30000
+        resource = rng.choices(resources, resource_weights)[0]
+        label = rng.choices(labels, label_weights)[0]
+        command = f"cloud {resource}" if rng.random() < 0.05 else f"tag {resource} {label}"
+        lines.append(f"@{t} 0 {rng.choice(avatars)} {command}\n")
+        t += 50
+    return "".join(lines)
+
+
 def store_state(store):
     """Comparable view of a store: cloud counts plus topic-map edges."""
     clouds = {str(r): dict(c.frequencies) for r, c in store.clouds.items()}

@@ -2158,14 +2158,15 @@ MEMO_REQUESTS = st.one_of(
 
 
 def _answer_with_cold_memos(service: AnnotationService, target: str) -> tuple[int, bytes]:
-    """`service`'s answer to `target`, given with its resource memo and the tagger memo both empty."""
-    warm_tagger = service_module._tagger
+    """`service`'s answer to `target`, given with its resource memo, the tagger memo and the query-piece memo all empty."""
+    warm_tagger, warm_pieces = service_module._tagger, service_module._query_piece
     service_module._tagger = functools.lru_cache(maxsize=service_module.MEMO_ENTRIES)(uuid.UUID)
+    service_module._query_piece = functools.lru_cache(maxsize=service_module.MEMO_ENTRIES)(warm_pieces.__wrapped__)
     service._resource_iri.cache_clear()
     try:
         response = service.handle_url(target)
     finally:
-        service_module._tagger = warm_tagger
+        service_module._tagger, service_module._query_piece = warm_tagger, warm_pieces
     return response.status, response.encode()
 
 
@@ -2202,6 +2203,7 @@ class TestParseMemos:
             assert service.handle_url(f"/cloud?resource=R{i}").ok
         assert service._resource_iri.cache_info().currsize == service_module.MEMO_ENTRIES
         assert service_module._tagger.cache_info().currsize == service_module.MEMO_ENTRIES
+        assert service_module._query_piece.cache_info().currsize == service_module.MEMO_ENTRIES
         assert len(service.store.clouds) == 5000
 
 

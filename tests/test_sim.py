@@ -6,11 +6,15 @@ import weakref
 from collections import deque
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from scotcloud import sim as sim_module
 from scotcloud.model import VocabConfig
-from scotcloud.service import AnnotationService, Page, paginate
+from scotcloud.service import AnnotationService, Page, ServiceConfig, decode_page, paginate
 from scotcloud.sim import (
+    MEMORY_BUDGET,
+    REQUEST_COST,
     WINDOW_MAX,
     InProcessTransport,
     ReassemblyError,
@@ -23,7 +27,7 @@ from scotcloud.sim import (
     reassemble,
 )
 
-from conftest import TAGGER, cyclic_garbage, store_state
+from conftest import TAGGER, crowd_burst_text, cyclic_garbage, store_state
 
 AVATAR = uuid.UUID("00000000-0000-4000-8000-00000000beef")
 VOCAB = VocabConfig()
@@ -707,34 +711,6 @@ class TestPinnedTraces:
         assert (hashlib.sha256(text.encode("utf-8")).hexdigest(), ending) == self.PINNED[(seed, mode, units)]
 
 
-def crowd_burst_text(seed: int, commands: int = 500, burst: int = 150) -> str:
-    """A bot script shaped like one `simulate` benchmark episode, built here.
-
-    Twenty avatars send `commands` commands, `burst` at a time 50 ms
-    apart with 30 s of quiet between bursts: about 95% `tag` and 5%
-    `cloud`, on 50 resources and 240 labels drawn with Zipf weights
-    (exponent 1.1). A burst is larger than four units' rate windows, so
-    the defer and retry paths run.
-    """
-    rng = random.Random(seed)
-    avatars = [uuid.UUID(int=rng.getrandbits(128), version=4) for _ in range(20)]
-    resources = [f"res{k}" for k in range(50)]
-    labels = [f"tag{k}" for k in range(240)]
-    resource_weights = [1 / k**1.1 for k in range(1, len(resources) + 1)]
-    label_weights = [1 / k**1.1 for k in range(1, len(labels) + 1)]
-    lines = []
-    t = 0
-    for i in range(commands):
-        if i and i % burst == 0:
-            t += 30000
-        resource = rng.choices(resources, resource_weights)[0]
-        label = rng.choices(labels, label_weights)[0]
-        command = f"cloud {resource}" if rng.random() < 0.05 else f"tag {resource} {label}"
-        lines.append(f"@{t} 0 {rng.choice(avatars)} {command}\n")
-        t += 50
-    return "".join(lines)
-
-
 class TestPinnedCrowdBurst:
     """SHA-256 of the whole trace of one crowd-burst episode through four units,
     recorded before the simulator and the service memoized their parsing.
@@ -752,3 +728,130 @@ class TestPinnedCrowdBurst:
             ending = "aborted"
         text = "".join(line + "\n" for line in sim.trace)
         assert (hashlib.sha256(text.encode("utf-8")).hexdigest(), ending) == self.PINNED
+
+
+class _ScanningSimulator(Simulator):
+    """The simulator as it was before it kept the instant the first slot opens:
+    every failed assignment scans the units and every deferral computes that
+    instant again, every complete body goes through `reassemble`, and every
+    issue draws a latency, with or without jitter."""
+
+    def _try_assign(self, pending):
+        n = len(self.units)
+        for k in range(n):
+            unit = self.units[(self._rr + k) % n]
+            if not unit.frozen and self._headroom(unit):
+                self._rr = (self._rr + k + 1) % n
+                self.unit_issue(unit, pending)
+                return unit
+        return None
+
+    def unit_issue(self, unit, pending):
+        if unit.frozen:
+            raise SimError(f"{unit.label} is frozen")
+        if not self._headroom(unit):
+            raise SimError(f"{unit.label} has no window headroom")
+        unit.issued.append(self.now)
+        self.memory_account(unit, REQUEST_COST)
+        self._emit(f"issue {unit.label} {pending.query}")
+        status, raw = self.transport.get(pending.query)
+        latency = self.base_latency_ms + self._rng.randint(0, self.jitter_ms)
+        self._push(self.now + latency, "response", (unit, pending, status, raw))
+
+    def _schedule_retry(self):
+        candidates = [self._next_free_time(u) for u in self.units if not u.frozen]
+        if not candidates:
+            self._emit(f"stall {len(self._queue)}")
+            return
+        t = min(candidates)
+        if t not in self._retry_times:
+            self._retry_times.add(t)
+            self._push(t, "retry")
+
+    def _on_response(self, unit, pending, status, raw):
+        self.memory_account(unit, -REQUEST_COST)
+        self._emit(f"response {unit.label} {status} {len(raw)} {sim_module._sha8(raw)}")
+        command = pending.command
+        if command.failed:
+            return
+        page = decode_page(raw)  # the in-process service answers only pages
+        if status != 200:
+            command.failed = True
+            self._emit(f"complete {command.kind} {status} {page.payload.decode('utf-8', 'replace')}")
+            return
+        command.pages[page.index] = page
+        command.total = page.total
+        if len(command.pages) == command.total:
+            body = reassemble(list(command.pages.values()))
+            self._emit(f"complete {command.kind} {status} {len(body)} {sim_module._sha8(body)}")
+            return
+        for index in range(command.requested + 1, command.total + 1):
+            command.requested = index
+            self.center_assign(sim_module._Pending(command, sim_module.build_query(command.kind, command.params, index - 1)))
+
+
+@st.composite
+def burst_scripts(draw):
+    """Simulator settings, chat lines in bursts, and the (time, unit) of each freeze.
+
+    Half the bursts are larger than every unit's window together. A third
+    of the commands are `cloud`, and a 256-byte page cap makes a cloud
+    answer several pages, so walks are deferred, and may be torn, part-way.
+    """
+    units = draw(st.integers(1, 6))
+    settings_ = {
+        "units": units,
+        "seed": draw(st.integers(0, 3)),
+        "base_latency_ms": draw(st.sampled_from([0, 30, 400, 21000])),
+        "jitter_ms": draw(st.one_of(st.just(0), st.integers(1, 2000))),
+    }
+    lines, t = [], 0
+    for _ in range(draw(st.integers(1, 3))):
+        t += draw(st.sampled_from([0, 5000, 20001, 30000]))
+        gap = draw(st.sampled_from([0, 10, 50, 400]))
+        full = units * WINDOW_MAX
+        for _ in range(draw(st.one_of(st.integers(1, full), st.integers(full + 1, full + 40)))):
+            text = draw(st.sampled_from(["tag r0 a", "tag r1 b", "tag r0 c", "cloud r0", "cloud r1", "help"]))
+            lines.append(ScriptLine(t, 0, AVATAR, text))
+            t += gap
+    # Some of the units, all of them as often as any other number, each freezing at or just after a chat line.
+    frozen = draw(st.permutations(range(units)))[: draw(st.one_of(st.just(units), st.integers(0, units)))]
+    times = st.sampled_from([line.time_ms for line in lines])
+    freezes = [(draw(times) + draw(st.sampled_from([0, 1, 20001])), index) for index in frozen]
+    return settings_, lines, sorted(freezes)
+
+
+def run_with_freezes(cls, settings_, lines, freezes):
+    """The trace, the abort message if any, and the store of one run that freezes units at the drawn instants."""
+    service = AnnotationService(ServiceConfig(page_cap=256))
+    sim = cls(service, **settings_)
+    for line in lines:
+        sim._push(line.time_ms, "chat", line)
+    ending = "ok"
+    try:
+        for time_ms, index in freezes:
+            sim.advance(max(0, time_ms - sim.now))
+            sim.memory_account(sim.units[index], MEMORY_BUDGET + 1)
+        sim.run([])
+    except ReassemblyError as exc:
+        ending = str(exc)
+    return sim.trace, ending, store_state(service.store)
+
+
+class TestShortcutsKeepTheTrace:
+    """Deferring before the kept instant without a scan, completing a one-page
+    answer without `reassemble` and making no draw without jitter leave every
+    trace byte-identical to the scanning simulator's."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(burst_scripts())
+    def test_the_trace_is_that_of_the_scanning_simulator(self, script):
+        assert run_with_freezes(Simulator, *script) == run_with_freezes(_ScanningSimulator, *script)
+
+    def test_a_freeze_while_every_unit_is_full_stalls_the_next_deferral_at_once(self):
+        script = ({"units": 1, "seed": 0, "base_latency_ms": 50, "jitter_ms": 0},
+                  [ScriptLine(t, 0, AVATAR, "tag r0 a") for t in [0] * (WINDOW_MAX + 1) + [100]], [(10, 0)])
+        trace, ending, _ = run_with_freezes(Simulator, *script)
+        at_100 = [line for line in trace if line.startswith("100 ")]
+        assert at_100[-2:] == [f"100 defer /tag?resource=r0&tag=a&tagger={AVATAR}", "100 stall 2"]
+        assert (trace, ending) == run_with_freezes(_ScanningSimulator, *script)[:2]
