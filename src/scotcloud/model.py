@@ -8,7 +8,6 @@ fold out of a single append-only annotation event log.
 
 from __future__ import annotations
 
-import functools
 import re
 import uuid
 from collections import Counter, defaultdict
@@ -24,7 +23,6 @@ SIOC_NS = "http://rdfs.org/sioc/ns#"
 SKOS_NS = "http://www.w3.org/2004/02/skos/core#"
 SKOS_BROADER = Iri(SKOS_NS + "broader")
 BINDINGS = {"scot": SCOT_NS, "sioc": SIOC_NS}
-MEMO_ENTRIES = 1024  # the most distinct strings one memo of parsed or quoted values keeps
 _FLOAT = Iri(XSD_FLOAT)
 # The tagger of every event that `store_from_graph` replays: an export keeps no taggers.
 # It is uuid5(NAMESPACE_URL, "scotcloud:import"), written out: computing it would load hashlib.
@@ -169,21 +167,12 @@ class VocabConfig:
         return self.mint(normalize_tag(name_or_iri))
 
 
-# The tag IRIs of a store repeat across reads: each distinct escaped tail is unquoted once.
-_unquote = functools.lru_cache(maxsize=MEMO_ENTRIES)(unquote)
-
-
 def label_from_iri(iri: str) -> str:
-    """Inverse of minting: decode the last path segment, dropping ".rdf".
-
-    A tail with no `%` is its own label, as `unquote` would return it;
-    any other is unquoted through `_unquote`, a memo of the last
-    MEMO_ENTRIES tails.
-    """
+    """Inverse of minting: decode the last path segment, dropping ".rdf"."""
     tail = iri.rsplit("/", 1)[-1]
     if tail.endswith(".rdf"):
         tail = tail[: -len(".rdf")]
-    return _unquote(tail) if "%" in tail else tail
+    return unquote(tail)
 
 
 _MINTED_RE = re.compile(r"/rdfs/[^/]+\.rdf$")

@@ -66,20 +66,23 @@ import uuid
 from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable, Optional, Union
+from typing import Callable, Iterable, Optional, TypeVar, Union
 from urllib.parse import unquote, urlsplit
 
 from . import model, rdfxml
-from .model import MEMO_ENTRIES, AnnotationEvent, AnnotationStore, TopicMap, VocabConfig
+from .model import AnnotationEvent, AnnotationStore, TopicMap, VocabConfig
 from .rdfxml import Iri
 
 log = logging.getLogger(__name__)
+_T = TypeVar("_T")
 
 PAGE_HEADER_RESERVE = 32
 _PAGE_HEADER = re.compile(rb"page ([0-9]+)/([0-9]+) ([0-9]+)")
 MIN_PAGE_CAP = 64  # smallest page a response may be split into, header line included
 PAGE_CAP_TOO_SMALL = f"page cap must be at least {MIN_PAGE_CAP} bytes"
 BODY_CACHE_ENTRIES = 64  # paged bodies kept per service; the oldest goes first
+MEMO_ENTRIES = 1024  # the most distinct strings one memo of parsed or quoted values keeps
+MEMO_KEY_CHARS = 256  # a longer client string is parsed again on each request and kept in no memo
 SNAPSHOT_FILE = "snapshot.rdf"  # older versions kept topic maps here; a directory holding it is refused
 EVENTS_FILE = "events.log"
 EVENTS_TMP = EVENTS_FILE + ".tmp"  # snapshot_store writes here, then renames over EVENTS_FILE
@@ -246,12 +249,30 @@ def load_config(path: str) -> ServiceConfig:
     return ServiceConfig(**values)  # type: ignore[arg-type]
 
 
-# Clients send the same few hundred pieces again and again: each distinct one is read once.
-@functools.lru_cache(maxsize=MEMO_ENTRIES)
-def _query_piece(piece: str) -> tuple[str, str]:
+def _short_memo(parse: Callable[[str], _T]) -> Callable[[str], _T]:
+    """`parse` through a memo of the last MEMO_ENTRIES strings it read of at most MEMO_KEY_CHARS characters.
+
+    A longer string is parsed afresh on every call, so what clients can
+    keep alive in a memo is bounded in length as well as in number. The
+    reader's `cache_info` and `cache_clear` are the memo's.
+    """
+    memo = functools.lru_cache(maxsize=MEMO_ENTRIES)(parse)
+
+    def read(text: str) -> _T:
+        return memo(text) if len(text) <= MEMO_KEY_CHARS else parse(text)
+
+    read.cache_info, read.cache_clear = memo.cache_info, memo.cache_clear  # type: ignore[attr-defined]
+    return read
+
+
+def _read_piece(piece: str) -> tuple[str, str]:
     """The name and value of one non-empty `name=value` piece of a query, as `parse_qsl` reads them."""
     name, _, value = piece.partition("=")
     return unquote(name.replace("+", " "), errors="replace"), unquote(value.replace("+", " "), errors="replace")
+
+
+# Clients send the same few hundred pieces again and again: each distinct one is read once.
+_query_piece = _short_memo(_read_piece)
 
 
 def request_from_url(path_query: str) -> tuple[str, dict[str, str], int]:
@@ -266,8 +287,9 @@ def request_from_url(path_query: str) -> tuple[str, dict[str, str], int]:
     as `dict(parse_qsl(query, keep_blank_values=True))` reads it: empty
     pieces are skipped, each piece splits at its first `=`, `+` is a space
     and `%XX` escapes decode as UTF-8 with invalid bytes replaced, and a
-    repeated name keeps its last value. Each distinct piece is read once,
-    through `_query_piece`, a memo of the last MEMO_ENTRIES pieces.
+    repeated name keeps its last value. Each distinct piece of at most
+    MEMO_KEY_CHARS characters is read once, through `_query_piece`, a memo
+    of the last MEMO_ENTRIES such pieces; a longer one is read each time.
     """
     path, _, query = path_query.partition("?")
     if path_query[:1] != "/" or path_query[1:2] == "/" or (
@@ -291,7 +313,7 @@ def _now_wall_ms() -> int:
 
 # A UUID is immutable, so every service shares one memo of parsed taggers.
 # A string that is not a UUID raises again on every call: lru_cache keeps no exception.
-_tagger = functools.lru_cache(maxsize=MEMO_ENTRIES)(uuid.UUID)
+_tagger = _short_memo(uuid.UUID)
 
 
 class AnnotationService:
@@ -327,8 +349,9 @@ class AnnotationService:
     `_tagger`, both shared by every service, and the resource name of
     `/tag`, `/cloud` and `/map` through `_resource_iri`, this service's
     memo of `vocab.resource_iri`. Each keeps the last MEMO_ENTRIES values
-    it parsed, and only those that parsed: a tagger or a name that is
-    refused is parsed, and refused, again on every request.
+    it parsed, and only those that parsed and are at most MEMO_KEY_CHARS
+    long (`_short_memo`): a tagger or a name that is refused is parsed,
+    and refused, again on every request, and so is any longer string.
 
     The RDF/XML bodies are joined from `_descriptions`, a cache of the
     text of each `rdf:Description` the service has written, which lives
@@ -360,7 +383,7 @@ class AnnotationService:
     ):
         self.config = config or ServiceConfig()
         self.vocab = self.config.vocab()
-        self._resource_iri = functools.lru_cache(maxsize=MEMO_ENTRIES)(self.vocab.resource_iri)
+        self._resource_iri = _short_memo(self.vocab.resource_iri)
         if self.config.store_path and Path(self.config.store_path).exists():
             store = restore_store(self.config.store_path)
         self.store = store if store is not None else AnnotationStore()

@@ -484,17 +484,17 @@ class Simulator:
             self._emit(f"complete {command.kind} {status} {page.payload.decode('utf-8', 'replace')}")
             return
         if page.total == 1 and not command.pages:  # the whole body: `reassemble` would return its payload
-            self._emit(f"complete {command.kind} {status} {len(page.payload)} {_sha8(page.payload)}")
-            return
-        command.pages[page.index] = page
-        command.total = page.total
-        if len(command.pages) == command.total:
+            body = page.payload
+        else:
+            command.pages[page.index] = page
+            command.total = page.total
+            if len(command.pages) != command.total:
+                for index in range(command.requested + 1, command.total + 1):
+                    command.requested = index
+                    self.center_assign(_Pending(command, build_query(command.kind, command.params, index - 1)))
+                return
             body = reassemble(list(command.pages.values()))
-            self._emit(f"complete {command.kind} {status} {len(body)} {_sha8(body)}")
-            return
-        for index in range(command.requested + 1, command.total + 1):
-            command.requested = index
-            self.center_assign(_Pending(command, build_query(command.kind, command.params, index - 1)))
+        self._emit(f"complete {command.kind} {status} {len(body)} {_sha8(body)}")
 
     # -- the loop ------------------------------------------------------------------------
 

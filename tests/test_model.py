@@ -4,15 +4,12 @@ import re
 import time
 import uuid
 from collections import Counter
-from urllib.parse import unquote
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from scotcloud import model as model_module
 from scotcloud.model import (
-    MEMO_ENTRIES,
     AnnotationEvent,
     AnnotationStore,
     AttachError,
@@ -215,24 +212,6 @@ class TestRdfMapping:
     def test_label_minting_roundtrips_spaces_and_slashes(self):
         for label in ["laser", "two words", "a/b", "perc%ent"]:
             assert label_from_iri(VOCAB.mint(label)) == label
-
-    @settings(max_examples=300, deadline=None)
-    @given(st.text(max_size=12), st.booleans())
-    def test_a_label_read_again_is_the_label_unquote_gives(self, tail, rdf):
-        iri = f"http://example.org/rdfs/{tail}{'.rdf' if rdf else ''}"
-        segment = iri.rsplit("/", 1)[-1]
-        expected = unquote(segment[: -len(".rdf")] if segment.endswith(".rdf") else segment)
-        for _ in range(2):  # cold, then from the memo
-            assert label_from_iri(iri) == expected
-
-    def test_the_unquote_memo_holds_at_most_its_bound_and_no_plain_tail(self):
-        model_module._unquote.cache_clear()
-        for i in range(3000):
-            assert label_from_iri(VOCAB.mint(f"plain{i}")) == f"plain{i}"
-        assert model_module._unquote.cache_info().currsize == 0
-        for i in range(5000):
-            assert label_from_iri(VOCAB.mint(f"two words {i}")) == f"two words {i}"
-        assert model_module._unquote.cache_info().currsize == MEMO_ENTRIES
 
 
 def forest_edges(store: AnnotationStore) -> list[tuple[str, str]]:

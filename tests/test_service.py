@@ -1,7 +1,6 @@
 import contextlib
 import copy
 import errno
-import functools
 import hashlib
 import http.client
 import os
@@ -2132,14 +2131,15 @@ class TestOneSendPerResponse:
         assert _kept_count(service) == 200
 
 
-# Taggers that parse, one in another spelling that uuid.UUID takes, and some that do not.
+# Taggers that parse, one in another spelling that uuid.UUID takes, and some that do not;
+# the last is longer than MEMO_KEY_CHARS, so no memo keeps it.
 MEMO_TAGGERS = [str(TAGGER), str(TAGGER).upper(), "{%s}" % TAGGER, TAGGER.hex, "urn:uuid:%s" % TAGGER,
-                "12345678-1234-5678-1234-56781234567", "not-a-uuid", " "]
+                "12345678-1234-5678-1234-56781234567", "not-a-uuid", " ", "-" * 300 + TAGGER.hex]
 # Resource names in several spellings of one label, IRIs, and names that no IRI is minted from
-# (blank) or that Iri refuses (a space or `<` after the scheme).
+# (blank) or that Iri refuses (a space or `<` after the scheme), and one longer than MEMO_KEY_CHARS.
 MEMO_NAMES = ["mouse", "Mouse", " mouse ", "MOUSE\t", "red  shoe", "Red Shoe", "c++ 100%", "café",
               "http://example.org/r", "http://example.org/R", "http://example.org/a b", "http://x/<",
-              "://", " ", "\t"]
+              "://", " ", "\t", "long " * 60]
 
 
 def _targets(operation: str, names: tuple[str, ...], *values) -> st.SearchStrategy:
@@ -2160,8 +2160,8 @@ MEMO_REQUESTS = st.one_of(
 def _answer_with_cold_memos(service: AnnotationService, target: str) -> tuple[int, bytes]:
     """`service`'s answer to `target`, given with its resource memo, the tagger memo and the query-piece memo all empty."""
     warm_tagger, warm_pieces = service_module._tagger, service_module._query_piece
-    service_module._tagger = functools.lru_cache(maxsize=service_module.MEMO_ENTRIES)(uuid.UUID)
-    service_module._query_piece = functools.lru_cache(maxsize=service_module.MEMO_ENTRIES)(warm_pieces.__wrapped__)
+    service_module._tagger = service_module._short_memo(uuid.UUID)
+    service_module._query_piece = service_module._short_memo(service_module._read_piece)
     service._resource_iri.cache_clear()
     try:
         response = service.handle_url(target)
@@ -2205,6 +2205,21 @@ class TestParseMemos:
         assert service_module._tagger.cache_info().currsize == service_module.MEMO_ENTRIES
         assert service_module._query_piece.cache_info().currsize == service_module.MEMO_ENTRIES
         assert len(service.store.clouds) == 5000
+
+    def test_no_memo_keeps_a_string_longer_than_its_key_bound(self):
+        service = AnnotationService()
+        service_module._query_piece.cache_clear()
+        service_module._tagger.cache_clear()
+        pad = "x" * service_module.MEMO_KEY_CHARS
+        for i in range(50):
+            tagger = "-" * service_module.MEMO_KEY_CHARS + uuid.UUID(int=i).hex  # uuid.UUID drops the hyphens
+            assert service.handle_url(f"/tag?resource={pad}{i}&tag={pad}{i}&tagger={tagger}").ok
+            assert service.handle_url(f"/cloud?resource={pad}{i}").ok
+        assert service._resource_iri.cache_info().currsize == 0
+        assert service_module._tagger.cache_info().currsize == 0
+        assert service_module._query_piece.cache_info().currsize == 0
+        assert len(service.store.clouds) == 50
+        assert {event.tagger for event in service.store.events} == {uuid.UUID(int=i) for i in range(50)}
 
 
 class TestNoCyclicGarbage:
