@@ -96,9 +96,6 @@ class TagCloud:
         """Labels with their counts in `rank_order`."""
         return [(label, self.frequencies[label]) for label in rank_order(self.frequencies, self.frequencies)]
 
-    def total(self) -> int:
-        return sum(self.frequencies.values())
-
 
 @dataclass
 class TopicMap:

@@ -60,7 +60,6 @@ import itertools
 import logging
 import os
 import re
-import threading
 import time
 import uuid
 from collections import deque
@@ -324,13 +323,19 @@ class AnnotationService:
     for `unknown` and `badpage`, `throttled` and `missing` in that order
     before its `_op_<operation>` gets its parameters and page.
 
-    Requests are serialized under one lock. A mutation is appended to the
-    on-disk log before it changes the store, so a failed write answers
-    `storage` and leaves both as they were; any other failed request
-    touches neither. That includes a `/tag` or `/attach` that asks for a
-    page other than 0, and a `/tag` whose `ok` answer would not fit in one
-    page: they are refused before anything is written. Every answer but a
-    `/cloud`, `/map` or `/export` document is one page (`_answer`).
+    Calls into one service must not overlap. It takes no lock: a request
+    runs start to end before the next begins. In `wire.serve` the loop
+    thread is its only caller, and `sim.Simulator` and the CLI each run on
+    one thread; a caller that starts threads of its own serializes its
+    calls itself.
+
+    A mutation is appended to the on-disk log before it changes the store,
+    so a failed write answers `storage` and leaves both as they were; any
+    other failed request touches neither. That includes a `/tag` or
+    `/attach` that asks for a page other than 0, and a `/tag` whose `ok`
+    answer would not fit in one page: they are refused before anything is
+    written. Every answer but a `/cloud`, `/map` or `/export` document is
+    one page (`_answer`).
 
     The paged bodies of `/cloud`, `/map` and `/export` are built once and
     their pages served from a cache of at most BODY_CACHE_ENTRIES bodies,
@@ -388,7 +393,6 @@ class AnnotationService:
             store = restore_store(self.config.store_path)
         self.store = store if store is not None else AnnotationStore()
         self.now_ms = now_ms or _now_wall_ms
-        self._lock = threading.Lock()
         self._recent: deque[int] = deque()
         self._bodies: dict[tuple, tuple[tuple, list[Page]]] = {}  # key -> (stamp, pages)
         self._descriptions: dict[Union[str, tuple], tuple] = {}  # key -> (inputs, subject, text, key)
@@ -420,13 +424,12 @@ class AnnotationService:
     def _throttled(self) -> bool:
         now = self.now_ms()
         window = self.config.rate_limit_window_ms
-        with self._lock:
-            while self._recent and self._recent[0] <= now - window:
-                self._recent.popleft()
-            if len(self._recent) >= self.config.rate_limit_max:
-                return True
-            self._recent.append(now)
-            return False
+        while self._recent and self._recent[0] <= now - window:
+            self._recent.popleft()
+        if len(self._recent) >= self.config.rate_limit_max:
+            return True
+        self._recent.append(now)
+        return False
 
     # -- responses ---------------------------------------------------------
 
@@ -453,11 +456,10 @@ class AnnotationService:
     def _cached_pages(self, key: tuple, build: Callable[[], bytes]) -> list[Page]:
         """Pages of the body `build` returns for `key` at the current store state.
 
-        The caller holds `_lock`. A held body whose stamp has moved is
-        built again, as the newest entry. Each build first lets go of
-        every body whose stamp has moved, since no read can be served from
-        it; an export can be megabytes. An exception from `build` caches
-        nothing.
+        A held body whose stamp has moved is built again, as the newest
+        entry. Each build first lets go of every body whose stamp has
+        moved, since no read can be served from it; an export can be
+        megabytes. An exception from `build` caches nothing.
         """
         stamp = self._stamp(key)
         held = self._bodies.get(key)
@@ -496,15 +498,14 @@ class AnnotationService:
             return self._answer(400, "badtag")
         if page != 0:
             return self._answer(400, "badpage")
-        with self._lock:
-            cloud = self.store.clouds.get(resource)
-            answer = f"ok {label} {(cloud.frequencies.get(label, 0) if cloud else 0) + 1}"
-            if len(answer.encode("utf-8")) > self.config.page_cap - PAGE_HEADER_RESERVE:
-                return self._answer(400, "badtag")  # the answer would not fit in one page
-            event = AnnotationEvent(self.now_ms(), tagger, resource, label)
-            if self.config.store_path and not self._append_log_line(format_event_line(event)):
-                return self._answer(500, "storage")
-            self.store.record(event)
+        cloud = self.store.clouds.get(resource)
+        answer = f"ok {label} {(cloud.frequencies.get(label, 0) if cloud else 0) + 1}"
+        if len(answer.encode("utf-8")) > self.config.page_cap - PAGE_HEADER_RESERVE:
+            return self._answer(400, "badtag")  # the answer would not fit in one page
+        event = AnnotationEvent(self.now_ms(), tagger, resource, label)
+        if self.config.store_path and not self._append_log_line(format_event_line(event)):
+            return self._answer(500, "storage")
+        self.store.record(event)
         return self._answer(200, answer)
 
     def _op_cloud(self, params: dict[str, str], page: int) -> ApiResponse:
@@ -512,8 +513,7 @@ class AnnotationService:
             resource = self._resource_iri(params["resource"])
         except (model.TagError, rdfxml.ValidationError):
             return self._answer(400, "badtag")
-        with self._lock:
-            pages = self._cached_pages(("cloud", resource), lambda: self._cloud_body(resource))
+        pages = self._cached_pages(("cloud", resource), lambda: self._cloud_body(resource))
         return self._page_of(pages, page)
 
     def _cloud_body(self, resource: Iri) -> bytes:
@@ -528,18 +528,17 @@ class AnnotationService:
             root = model.normalize_tag(params["root"])
         except model.TagError:
             return self._answer(400, "badtag")
-        with self._lock:
-            try:
-                # Every depth from the root's height on gives the same body: one key for them all.
-                depth = min(depth, self.store.height(root))
-            except model.UnknownConceptError:
-                return self._answer(404, "unknown")
-            try:
-                resource = self._resource_iri(root)  # its cloud gives the counts
-            except rdfxml.ValidationError:
-                return self._answer(400, "badtag")
-            key = ("map", root, depth, resource)
-            pages = self._cached_pages(key, lambda: self._map_body(root, depth, resource))
+        try:
+            # Every depth from the root's height on gives the same body: one key for them all.
+            depth = min(depth, self.store.height(root))
+        except model.UnknownConceptError:
+            return self._answer(404, "unknown")
+        try:
+            resource = self._resource_iri(root)  # its cloud gives the counts
+        except rdfxml.ValidationError:
+            return self._answer(400, "badtag")
+        key = ("map", root, depth, resource)
+        pages = self._cached_pages(key, lambda: self._map_body(root, depth, resource))
         return self._page_of(pages, page)
 
     def _map_body(self, root: str, depth: int, resource: Iri) -> bytes:
@@ -551,24 +550,22 @@ class AnnotationService:
             _tagger(params["tagger"])
         except ValueError:
             return self._answer(400, "badtagger")
-        with self._lock:
-            try:
-                parent, child = model.normalize_tag(params["parent"]), model.normalize_tag(params["child"])
-                self.store.check_attach(parent, child)
-            except model.TagError:
-                return self._answer(400, "badtag")
-            except model.AttachError as exc:
-                return self._answer(409, exc.reason)
-            if page != 0:
-                return self._answer(400, "badpage")
-            if self.config.store_path and not self._append_log_line(format_attach_line(parent, child)):
-                return self._answer(500, "storage")
-            self.store.attach(parent, child)
+        try:
+            parent, child = model.normalize_tag(params["parent"]), model.normalize_tag(params["child"])
+            self.store.check_attach(parent, child)
+        except model.TagError:
+            return self._answer(400, "badtag")
+        except model.AttachError as exc:
+            return self._answer(409, exc.reason)
+        if page != 0:
+            return self._answer(400, "badpage")
+        if self.config.store_path and not self._append_log_line(format_attach_line(parent, child)):
+            return self._answer(500, "storage")
+        self.store.attach(parent, child)
         return self._answer(200, "ok")
 
     def _op_export(self, params: dict[str, str], page: int) -> ApiResponse:
-        with self._lock:
-            pages = self._cached_pages(("export",), self._export_body)
+        pages = self._cached_pages(("export",), self._export_body)
         return self._page_of(pages, page)
 
     def _export_body(self) -> bytes:
@@ -613,7 +610,7 @@ class AnnotationService:
         replaces its entry. The description of an empty cloud is not kept,
         so no `/cloud` of a name that has no cloud grows the cache. A subject
         that two roles share is written once, from the union of their
-        properties, and is not kept either. The caller holds `_lock`.
+        properties, and is not kept either.
         """
         cache = self._descriptions
         texts: dict[Iri, tuple] = {}  # subject -> (inputs, subject, text, key)
@@ -645,7 +642,7 @@ class AnnotationService:
         Only a service with a store directory has a log, so only it formats
         a line to call this with. A failed append cuts what it may have
         written of its line; if that fails too, the next opening of the log
-        cuts it. The caller holds `_lock`.
+        cuts it.
         """
         path = os.path.join(self.config.store_path, EVENTS_FILE)
         try:
@@ -688,8 +685,7 @@ class AnnotationService:
 
     def close(self) -> None:
         """Close the log descriptor, if one is open; a later append opens it again."""
-        with self._lock:
-            self._close_log()
+        self._close_log()
 
 
 def render_tree(tree: TopicMap, frequencies: dict[str, int]) -> str:
@@ -717,12 +713,8 @@ def format_attach_line(parent: str, child: str) -> str:
     return f"{ATTACH_MARK}\t{parent}\t{child}\n"
 
 
-def parse_event_line(line: str) -> AnnotationEvent:
-    return _read_event_line(line, {}, {})
-
-
 def _read_event_line(line: str, taggers: dict[str, uuid.UUID], resources: dict[str, Iri]) -> AnnotationEvent:
-    """`parse_event_line`, with each raw tagger and resource parsed at its first sight in the two dicts."""
+    """The event of one log line, with each raw tagger and resource parsed at its first sight in the two dicts."""
     parts = line.rstrip("\n").split("\t")
     if len(parts) != 4:
         raise ValueError(f"event line does not have 4 fields: {line!r}")

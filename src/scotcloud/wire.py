@@ -260,20 +260,20 @@ class HttpServer:
 
     def __init__(self, service: AnnotationService, host: str) -> None:
         self.service, self.date = service, _DateHeader()
-        self.socket = socket.socket()
-        try:
+        with contextlib.ExitStack() as opened:  # a failure, EMFILE say, closes what was opened before it
+            self.socket = opened.enter_context(socket.socket())
             self.socket.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)  # a restart reuses its port at once
             self.socket.bind((host, service.config.port))
             self.socket.listen()
-        except BaseException:
-            self.socket.close()
-            raise
-        self.socket.setblocking(False)
-        self.server_address = self.socket.getsockname()
-        self._wake = os.pipe()  # shutdown writes a byte to end the loop's wait
-        self.selector = selectors.DefaultSelector()
-        self.selector.register(self.socket, selectors.EVENT_READ)
-        self.selector.register(self._wake[0], selectors.EVENT_READ)
+            self.socket.setblocking(False)
+            self.server_address = self.socket.getsockname()
+            self._wake = os.pipe()  # shutdown writes a byte to end the loop's wait
+            for fd in self._wake:
+                opened.callback(os.close, fd)
+            self.selector = opened.enter_context(selectors.DefaultSelector())
+            self.selector.register(self.socket, selectors.EVENT_READ)
+            self.selector.register(self._wake[0], selectors.EVENT_READ)
+            opened.pop_all()
         self._stop, self._stopped = False, threading.Event()
         self._accept_at = math.inf  # while no descriptor is free: when to watch the listening socket again
 

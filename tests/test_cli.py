@@ -709,6 +709,29 @@ class TestServeConfig:
         assert code == 2
         assert err.startswith("serve: ") and "cannot reach" not in err
 
+    @pytest.mark.parametrize("failing", ["pipe", "selector"])
+    def test_no_descriptor_free_while_the_server_is_made_closes_what_it_opened(self, capsys, monkeypatch, failing):
+        monkeypatch.delenv("SCOTCLOUD_PORT", raising=False)
+        listening, pipes = [], []
+        real_listen, real_pipe = socket.socket.listen, os.pipe
+
+        def emfile(*args):
+            raise OSError(errno.EMFILE, os.strerror(errno.EMFILE))
+
+        monkeypatch.setattr(socket.socket, "listen", lambda sock, *args: listening.append(sock) or real_listen(sock, *args))
+        if failing == "pipe":
+            monkeypatch.setattr(os, "pipe", emfile)
+        else:
+            monkeypatch.setattr(os, "pipe", lambda: pipes.append(real_pipe()) or pipes[-1])
+            monkeypatch.setattr(wire.selectors, "DefaultSelector", emfile)
+        code, out, err = run(capsys, "serve", "--port", "0")
+        assert (code, out, err) == (2, "", f"serve: [Errno {errno.EMFILE}] {os.strerror(errno.EMFILE)}\n")
+        assert [sock.fileno() for sock in listening] == [-1]  # closed
+        assert len(pipes) == (failing == "selector")
+        for fd in [fd for pair in pipes for fd in pair]:
+            with pytest.raises(OSError):
+                os.fstat(fd)
+
     @pytest.mark.parametrize("source", ["flag", "environment"])
     def test_out_of_range_port_is_protocol_error(self, capsys, monkeypatch, source):
         if source == "flag":
@@ -924,6 +947,7 @@ _FILES = {
     "legacy/snapshot.rdf": b'<rdf:RDF xmlns:rdf="http://www.w3.org/1999/02/22-rdf-syntax-ns#"/>\n',
 }
 _PATH_FLAGS = {"store", "config", "infile", "script", "out"}
+_NAMED = st.sampled_from(["mouse", "laser", "shoe", str(TAGGER), "127.0.0.1"])
 
 
 def _loopback(host) -> bool:
@@ -953,8 +977,7 @@ def _value(action: argparse.Action, root: Path) -> st.SearchStrategy:
         return _NUMBERS
     if action.choices:
         return st.one_of(st.sampled_from(sorted(action.choices)), _TEXT)
-    named = st.sampled_from(["mouse", "laser", "shoe", str(TAGGER), "127.0.0.1"])
-    return st.one_of(named, named, _TEXT)
+    return st.one_of(_NAMED, _NAMED, _TEXT)
 
 
 @st.composite
@@ -968,6 +991,18 @@ def command_lines(draw, root: Path) -> list[str]:
             for _ in range(draw(st.sampled_from([1, 1, 1, 0, 2] if action.required else [0, 1]))):
                 argv.append(f"{action.option_strings[0]}={draw(_value(action, root))}")
     return argv + draw(st.sampled_from([[]] * 7 + [["--"], ["x"], ["--url"]]))
+
+
+@st.composite
+def client_command_lines(draw, url: str) -> list[str]:
+    """A client subcommand sent to `url`, perhaps with a drawn path after it, and a drawn choice of its query flags."""
+    commands = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)).choices
+    name = draw(st.sampled_from(sorted(OPERATIONS)))
+    argv = [name, f"--url={url}/{draw(_TEXT)}" if draw(st.sampled_from([0, 0, 0, 1])) else f"--url={url}"]
+    for action in commands[name]._actions:
+        if action.option_strings and action.dest not in ("help", "url", "out") and draw(st.integers(0, 4)):
+            argv.append(f"{action.option_strings[0]}={draw(_NUMBERS if action.type is int else st.one_of(_NAMED, _TEXT))}")
+    return argv
 
 
 @pytest.fixture(scope="class")
@@ -1038,3 +1073,12 @@ class TestNoTraceback:
     @given(data=st.data())
     def test_any_command_line_exits_0_to_3_without_a_traceback(self, monkeypatch, command_root, data):
         _exit_code_without_a_traceback(monkeypatch, data.draw(command_lines(command_root)))
+
+    @settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_any_client_command_against_a_live_server_exits_0_to_3_without_a_traceback(
+        self, monkeypatch, live_server, data
+    ):
+        # A failure that only comes after a connect, in the transport or in the answer, shows only here.
+        url, _ = live_server
+        _exit_code_without_a_traceback(monkeypatch, data.draw(client_command_lines(url)))

@@ -47,14 +47,20 @@ from conftest import TAGGER
 
 
 class _StdlibShell:
-    """http.server's parse and response head, with the shell's GET logic on top."""
+    """http.server's parse and response head, with the shell's GET logic on top.
+
+    `ThreadingHTTPServer` runs each connection on a thread of its own, and
+    calls into one service must not overlap, so every call holds `lock`.
+    """
 
     parse_request = BaseHTTPRequestHandler.parse_request
+    lock = threading.Lock()
 
     def do_GET(self):  # noqa: N802 (http.server API)
         if self.headers.get("Content-Length", "0").strip() != "0" or "Transfer-Encoding" in self.headers:
             self.close_connection = True
-        response = self.service.handle_url(self.path)
+        with self.lock:
+            response = self.service.handle_url(self.path)
         raw = response.encode()
         self.send_response(response.status)
         self.send_header("Content-Type", "text/plain; charset=utf-8")

@@ -9,6 +9,11 @@ back to the model's counts, a map is the model's tree rendered here in
 `(-count, label)` rank order, and an export imports to the model. A page
 past the end is `badpage`. A restart, plain, after `snapshot_store` or
 after part of a line is appended to the log, changes no answer.
+
+After every step, each body the service holds whose stamp is current is
+the document as built afresh: a cloud and the export as `serialize`
+writes them from the store, a map as the model's tree. A write between
+the pages of a walk therefore never leaves a stale body to be served.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ from collections import Counter, defaultdict
 
 from hypothesis import HealthCheck, settings
 from hypothesis import strategies as st
-from hypothesis.stateful import RuleBasedStateMachine, rule
+from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
 from scotcloud import model, rdfxml
 from scotcloud.model import AnnotationEvent, VocabConfig
@@ -143,6 +148,23 @@ class StoreMachine(RuleBasedStateMachine):
         self.service.close()
         self.service = self.open()
         assert self.answers() == before
+
+    # -- invariants ------------------------------------------------------------
+
+    @invariant()
+    def no_stale_body(self) -> None:
+        """Every cached body whose stamp is current equals a fresh build of its document."""
+        service = self.service
+        for key, (stamp, pages) in service._bodies.items():
+            if stamp != service._stamp(key):
+                continue
+            if key[0] == "cloud":
+                fresh = rdfxml.serialize(model.cloud_to_rdf(service.store.cloud_of(key[1]), VOCAB)).encode()
+            elif key[0] == "map":
+                fresh = self.tree_text(key[1], key[2])
+            else:
+                fresh = rdfxml.serialize(model.store_to_graph(service.store, VOCAB)).encode()
+            assert b"".join(page.payload for page in pages) == fresh, key
 
     # -- rules -----------------------------------------------------------------
 
