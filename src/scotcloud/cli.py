@@ -28,7 +28,7 @@ from . import model, rdfxml, service as service_mod
 
 ENV_URL = "SCOTCLOUD_URL"
 ENV_PORT = "SCOTCLOUD_PORT"
-DEFAULT_URL = f"http://127.0.0.1:{service_mod.ServiceConfig.port}"
+DEFAULT_URL = f"http://127.0.0.1:{service_mod.DEFAULT_PORT}"
 # uuid5(NAMESPACE_URL, "scotcloud:cli"), written out as model.IMPORT_TAGGER is, so that no import loads hashlib
 CLI_TAGGER = uuid.UUID("cc81a37b-213a-5946-8376-1cbd190a0d03")
 # Command-line bytes that are not UTF-8 reach sys.argv as lone surrogates, which no query or IRI can hold.

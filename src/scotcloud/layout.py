@@ -17,10 +17,10 @@ from __future__ import annotations
 import json
 import math
 import uuid
-from dataclasses import dataclass, field
 from typing import Optional
 
 from .model import TagCloud, TopicMap, display_name, rank_order
+from .record import FrozenRecord, Record, set_field
 
 MAX_PRIMS = 255
 
@@ -43,16 +43,16 @@ class CannotFit(LayoutError):
     pass
 
 
-@dataclass(frozen=True)
-class Vec3:
-    x: float
-    y: float
-    z: float
+class Vec3(FrozenRecord):
+    __slots__ = ("x", "y", "z")
 
-    def __post_init__(self) -> None:
-        for component in (self.x, self.y, self.z):
+    def __init__(self, x: float, y: float, z: float) -> None:
+        for component in (x, y, z):
             if not math.isfinite(component):
                 raise ValueError("vector components must be finite")
+        set_field(self, "x", x)
+        set_field(self, "y", y)
+        set_field(self, "z", z)
 
     def distance(self, other: "Vec3") -> float:
         return math.sqrt(
@@ -63,37 +63,43 @@ class Vec3:
 ORIGIN = Vec3(0.0, 0.0, 0.0)
 
 
-@dataclass(frozen=True)
-class PrimSpec:
-    id: uuid.UUID
-    position: Vec3  # relative to the scene origin
-    scale: float
-    label: str
-    expires_at: int
+class PrimSpec(FrozenRecord):
+    __slots__ = ("id", "position", "scale", "label", "expires_at")
 
-    def __post_init__(self) -> None:
-        if self.scale <= 0:
+    def __init__(
+        self, id: uuid.UUID, position: Vec3, scale: float, label: str, expires_at: int  # noqa: A002 (a field)
+    ) -> None:
+        if scale <= 0:
             raise ValueError("prim scale must be positive")
+        set_field(self, "id", id)
+        set_field(self, "position", position)  # relative to the scene origin
+        set_field(self, "scale", scale)
+        set_field(self, "label", label)
+        set_field(self, "expires_at", expires_at)
 
 
-@dataclass
-class SceneDescription:
-    origin: Vec3
-    prims: list[PrimSpec] = field(default_factory=list)
+class SceneDescription(Record):
+    __slots__ = ("origin", "prims")
+
+    def __init__(self, origin: Vec3, prims: Optional[list[PrimSpec]] = None) -> None:
+        self.origin = origin
+        self.prims = [] if prims is None else prims
 
 
-@dataclass(frozen=True)
-class LayoutParams:
-    max_radius: float = 10.0
-    min_spacing: float = 0.5
-    base_scale: float = 0.3
-    ttl_ms: int = 60000
+class LayoutParams(FrozenRecord):
+    __slots__ = ("max_radius", "min_spacing", "base_scale", "ttl_ms")
 
-    def __post_init__(self) -> None:
-        if not (0 < self.min_spacing < self.max_radius):
+    def __init__(
+        self, max_radius: float = 10.0, min_spacing: float = 0.5, base_scale: float = 0.3, ttl_ms: int = 60000
+    ) -> None:
+        if not (0 < min_spacing < max_radius):
             raise ValueError("need 0 < min_spacing < max_radius")
-        if self.base_scale <= 0 or self.ttl_ms < 0:
+        if base_scale <= 0 or ttl_ms < 0:
             raise ValueError("base_scale must be positive and ttl_ms non-negative")
+        set_field(self, "max_radius", max_radius)
+        set_field(self, "min_spacing", min_spacing)
+        set_field(self, "base_scale", base_scale)
+        set_field(self, "ttl_ms", ttl_ms)
 
 
 def _prim_id(scene_key: str, label: str, index: int) -> uuid.UUID:

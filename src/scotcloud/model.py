@@ -12,17 +12,18 @@ import re
 import uuid
 from collections import Counter, defaultdict
 from collections.abc import Iterable
-from dataclasses import dataclass, field
 from typing import Optional
 from urllib.parse import quote, unquote
 
 from .rdfxml import RDF_TYPE, XSD_FLOAT, Iri, Literal, RdfGraph
+from .record import FrozenRecord, Record, set_field
 
 SCOT_NS = "http://scot-project.org/scot/ns#"
 SIOC_NS = "http://rdfs.org/sioc/ns#"
 SKOS_NS = "http://www.w3.org/2004/02/skos/core#"
 SKOS_BROADER = Iri(SKOS_NS + "broader")
 BINDINGS = {"scot": SCOT_NS, "sioc": SIOC_NS}
+DEFAULT_BASE_URI = "http://yourdns.com"
 _FLOAT = Iri(XSD_FLOAT)
 # The tagger of every event that `store_from_graph` replays: an export keeps no taggers.
 # It is uuid5(NAMESPACE_URL, "scotcloud:import"), written out: computing it would load hashlib.
@@ -68,41 +69,45 @@ def rank_order(labels: Iterable[str], frequencies: dict[str, int]) -> list[str]:
     return sorted(labels, key=lambda label: (-frequencies.get(label, 0), label))
 
 
-@dataclass(frozen=True)
-class AnnotationEvent:
+class AnnotationEvent(FrozenRecord):
     """One user attaching one tag to one resource."""
 
-    timestamp_ms: int
-    tagger: uuid.UUID
-    resource: Iri
-    tag: str
+    __slots__ = ("timestamp_ms", "tagger", "resource", "tag")
 
-    def __post_init__(self) -> None:
-        if self.timestamp_ms < 0:
+    def __init__(self, timestamp_ms: int, tagger: uuid.UUID, resource: Iri, tag: str) -> None:
+        if timestamp_ms < 0:
             raise ValueError("event timestamp must be non-negative")
-        if not isinstance(self.tagger, uuid.UUID):
-            object.__setattr__(self, "tagger", uuid.UUID(str(self.tagger)))
-        if not isinstance(self.resource, Iri):
-            object.__setattr__(self, "resource", Iri(self.resource))
-        _check_label(self.tag)
+        if not isinstance(tagger, uuid.UUID):
+            tagger = uuid.UUID(str(tagger))
+        if not isinstance(resource, Iri):
+            resource = Iri(resource)
+        _check_label(tag)
+        set_field(self, "timestamp_ms", timestamp_ms)
+        set_field(self, "tagger", tagger)
+        set_field(self, "resource", resource)
+        set_field(self, "tag", tag)
 
 
-@dataclass
-class TagCloud:
-    resource: Iri
-    frequencies: dict[str, int] = field(default_factory=dict)
+class TagCloud(Record):
+    __slots__ = ("resource", "frequencies")
+
+    def __init__(self, resource: Iri, frequencies: Optional[dict[str, int]] = None) -> None:
+        self.resource = resource
+        self.frequencies = {} if frequencies is None else frequencies
 
     def ranked(self) -> list[tuple[str, int]]:
         """Labels with their counts in `rank_order`."""
         return [(label, self.frequencies[label]) for label in rank_order(self.frequencies, self.frequencies)]
 
 
-@dataclass
-class TopicMap:
+class TopicMap(Record):
     """Rooted concept tree. `parent` maps each non-root node to its parent."""
 
-    root: str
-    parent: dict[str, str] = field(default_factory=dict)
+    __slots__ = ("root", "parent")
+
+    def __init__(self, root: str, parent: Optional[dict[str, str]] = None) -> None:
+        self.root = root
+        self.parent = {} if parent is None else parent
 
     @property
     def nodes(self) -> set[str]:
@@ -133,11 +138,13 @@ class TopicMap:
         return levels
 
 
-@dataclass
-class VocabConfig:
+class VocabConfig(Record):
     """The SCOT vocabulary every document uses, and the deployment's base URI for minting."""
 
-    base_uri: str = "http://yourdns.com"
+    __slots__ = ("base_uri",)
+
+    def __init__(self, base_uri: str = DEFAULT_BASE_URI) -> None:
+        self.base_uri = base_uri
 
     tag_cloud_class = Iri(SCOT_NS + "TagCloud")
     tag_class = Iri(SCOT_NS + "Tag")
@@ -337,6 +344,12 @@ def _add_cloud_triples(graph: RdfGraph, cloud: TagCloud, config: VocabConfig, sc
         add(tag_iri, VocabConfig.frequency_property, frequency_literal(count))
 
 
+# The largest frequency import takes: a float holds every integer up to 2^53, and skips some above it.
+MAX_FREQUENCY = 2**53
+# An xsd:float decimal numeral that is not negative: digits, a point, more digits, an exponent past its leading zeros.
+_DECIMAL = re.compile(r"\+?([0-9]*)\.?([0-9]*)(?:[eE]([+-]?)0*([0-9]+))?")
+
+
 def frequency_literal(count: int) -> Literal:
     """A tag's `scot:ownAFrequency` value: the count as an `xsd:float`."""
     return Literal(f"{count}.0", _FLOAT)
@@ -347,19 +360,48 @@ def _cloud_subjects(graph: RdfGraph) -> list[Iri]:
 
 
 def _frequency_of(graph: RdfGraph, tag_iri: Iri) -> int:
+    """The count a tag's frequency literal denotes: an integer from 1 to MAX_FREQUENCY, or CloudShapeError.
+
+    `float` reads the lexical form; a form other than the `<count>.0`
+    that `frequency_literal` writes must also denote exactly the integer
+    read (`_denotes`), so that no count changes on its way in.
+    """
     hits = graph.objects(tag_iri, VocabConfig.frequency_property)
     if not hits:
         raise CloudShapeError(f"tag {tag_iri} has no frequency")
     obj = hits[0]
     if not isinstance(obj, Literal):
         raise CloudShapeError(f"frequency of {tag_iri} is not a literal")
+    lexical = obj.lexical
     try:
-        value = float(obj.lexical)
+        value = float(lexical)
     except ValueError:
-        raise CloudShapeError(f"frequency of {tag_iri} is not numeric: {obj.lexical!r}") from None
+        raise CloudShapeError(f"frequency of {tag_iri} is not numeric: {lexical!r}") from None
     if not value.is_integer() or value < 1:
-        raise CloudShapeError(f"frequency of {tag_iri} is not a positive integer: {obj.lexical}")
-    return int(value)
+        raise CloudShapeError(f"frequency of {tag_iri} is not a positive integer: {lexical}")
+    if value > MAX_FREQUENCY:
+        raise CloudShapeError(f"frequency of {tag_iri} is above 2^53, past which a float skips counts: {lexical}")
+    count = int(value)
+    if lexical != f"{count}.0" and not _denotes(lexical, count):
+        raise CloudShapeError(f"frequency of {tag_iri} does not denote exactly the integer {count}: {lexical}")
+    return count
+
+
+def _denotes(lexical: str, count: int) -> bool:
+    """Whether `lexical`, which `float` reads as `count`, is an xsd:float decimal numeral of exactly that value.
+
+    The digits are compared as text, as `int` refuses more than a few
+    thousand of them; those left of the point, once the exponent has
+    moved it, number at most 16, since the value is at most 2^53.
+    """
+    numeral = _DECIMAL.fullmatch(lexical.strip())
+    if numeral is None:  # e.g. digit groups split by `_`, or digits of another script, which `float` also reads
+        return False
+    whole, fraction, sign, exponent = numeral.groups(default="")
+    digits = whole + fraction
+    point = max(0, len(whole) + int(sign + (exponent or "0")))
+    digits += "0" * (point - len(digits))
+    return not digits[point:].strip("0") and digits[:point].lstrip("0") == str(count)
 
 
 def _cloud_from_subject(graph: RdfGraph, subject: Iri) -> TagCloud:

@@ -20,15 +20,23 @@ in `_object_key` order: IRIs before literals, each sorted by its text.
 One `Writer` writes all of it, a description at a time: `serialize`
 joins its descriptions in subject order, and the service's cache of
 rendered descriptions holds texts that the same `Writer.describe` wrote.
+
+`parse` reads through `xml.etree.ElementTree`, which it imports on its
+first call: writing needs no XML library, so the server and the
+simulator, which never parse, start without loading one.
 """
 
 from __future__ import annotations
 
 import math
 import re
-import xml.etree.ElementTree as ET
-from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence, Union
+from types import SimpleNamespace
+from typing import TYPE_CHECKING, Iterator, Optional, Sequence, Union
+
+from .record import FrozenRecord, set_field
+
+if TYPE_CHECKING:
+    import xml.etree.ElementTree as ET
 
 RDF_NS = "http://www.w3.org/1999/02/22-rdf-syntax-ns#"
 XSD_NS = "http://www.w3.org/2001/XMLSchema#"
@@ -83,50 +91,50 @@ class Iri(str):
         return super().__new__(cls, value)
 
 
-@dataclass(frozen=True)
-class Literal:
+class Literal(FrozenRecord):
     """Text value with an optional datatype IRI."""
 
-    lexical: str
-    datatype: Optional[Iri] = None
+    __slots__ = ("lexical", "datatype")
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.lexical, str):
+    def __init__(self, lexical: str, datatype: Optional[Iri] = None) -> None:
+        if not isinstance(lexical, str):
             raise ValidationError("literal lexical form must be a string")
-        bad = _LITERAL_BAD_CHAR.search(self.lexical)
+        bad = _LITERAL_BAD_CHAR.search(lexical)
         if bad:
             raise ValidationError(f"literal contains control character {bad.group()!r}")
-        if self.datatype is not None and not isinstance(self.datatype, Iri):
-            object.__setattr__(self, "datatype", Iri(self.datatype))
-        if self.datatype == XSD_FLOAT:
+        if datatype is not None and not isinstance(datatype, Iri):
+            datatype = Iri(datatype)
+        if datatype == XSD_FLOAT:
             try:
-                value = float(self.lexical)
+                value = float(lexical)
             except ValueError:
-                raise ValidationError(f"float literal does not parse: {self.lexical!r}") from None
+                raise ValidationError(f"float literal does not parse: {lexical!r}") from None
             if not math.isfinite(value):
-                raise ValidationError(f"float literal is not finite: {self.lexical!r}")
+                raise ValidationError(f"float literal is not finite: {lexical!r}")
+        set_field(self, "lexical", lexical)
+        set_field(self, "datatype", datatype)
 
 
 Term = Union[Iri, Literal]
 RDF_TYPE = Iri(_RDF_TYPE)
 
 
-@dataclass(frozen=True)
-class Triple:
-    subject: Iri
-    predicate: Iri
-    object: Term
+class Triple(FrozenRecord):
+    __slots__ = ("subject", "predicate", "object")
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.subject, Iri):
-            object.__setattr__(self, "subject", Iri(self.subject))
-        if not isinstance(self.predicate, Iri):
-            object.__setattr__(self, "predicate", Iri(self.predicate))
-        if not isinstance(self.object, (Iri, Literal)):
-            if isinstance(self.object, str):
-                object.__setattr__(self, "object", Iri(self.object))
+    def __init__(self, subject: Iri, predicate: Iri, object: Term) -> None:  # noqa: A002 (the RDF name)
+        if not isinstance(subject, Iri):
+            subject = Iri(subject)
+        if not isinstance(predicate, Iri):
+            predicate = Iri(predicate)
+        if not isinstance(object, (Iri, Literal)):
+            if isinstance(object, str):
+                object = Iri(object)
             else:
                 raise ValidationError("triple object must be an Iri or a Literal")
+        set_field(self, "subject", subject)
+        set_field(self, "predicate", predicate)
+        set_field(self, "object", object)
 
 
 def _object_key(obj: Term) -> tuple[int, str, str]:
@@ -396,17 +404,6 @@ class _Terms:
         return literal
 
 
-class _NamespaceRecorder(ET.TreeBuilder):
-    """Builds the element tree and keeps every (prefix, uri) declaration, in document order."""
-
-    def __init__(self) -> None:
-        super().__init__()
-        self.ns_pairs: list[tuple[str, str]] = []
-
-    def start_ns(self, prefix: str, uri: str) -> None:
-        self.ns_pairs.append((prefix, uri))
-
-
 def parse(text: Union[str, bytes]) -> RdfGraph:
     """Read an RDF/XML document back into a graph.
 
@@ -418,9 +415,14 @@ def parse(text: Union[str, bytes]) -> RdfGraph:
     occurrence, so a cloud's repeated predicates, classes and datatypes
     cost one check each.
     """
+    import xml.etree.ElementTree as ET  # here, so that serving and simulating, which never parse, start without it
+
     data = text.encode("utf-8") if isinstance(text, str) else text
-    builder = _NamespaceRecorder()
-    parser = ET.XMLParser(target=builder)
+    # The parser's target builds the element tree and keeps every (prefix, uri) declaration, in document order.
+    builder, ns_pairs = ET.TreeBuilder(), []
+    target = SimpleNamespace(start=builder.start, end=builder.end, data=builder.data, close=builder.close,
+                             start_ns=lambda prefix, uri: ns_pairs.append((prefix, uri)))
+    parser = ET.XMLParser(target=target)
     try:
         parser.feed(data)
         root = parser.close()
@@ -435,7 +437,7 @@ def parse(text: Union[str, bytes]) -> RdfGraph:
         raise RdfParseError(f"document root is not rdf:RDF: {root.tag!r}")
 
     graph = RdfGraph()
-    for prefix, uri in builder.ns_pairs:
+    for prefix, uri in ns_pairs:
         if not prefix:
             continue  # default namespaces are not used by this subset
         try:

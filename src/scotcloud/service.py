@@ -63,7 +63,6 @@ import re
 import time
 import uuid
 from collections import deque
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Optional, TypeVar, Union
 from urllib.parse import unquote, urlsplit
@@ -71,10 +70,12 @@ from urllib.parse import unquote, urlsplit
 from . import model, rdfxml
 from .model import AnnotationEvent, AnnotationStore, TopicMap, VocabConfig
 from .rdfxml import Iri
+from .record import FrozenRecord, Record, set_field
 
 log = logging.getLogger(__name__)
 _T = TypeVar("_T")
 
+DEFAULT_PORT = 8765
 PAGE_HEADER_RESERVE = 32
 _PAGE_HEADER = re.compile(rb"page ([0-9]+)/([0-9]+) ([0-9]+)")
 MIN_PAGE_CAP = 64  # smallest page a response may be split into, header line included
@@ -124,17 +125,17 @@ class StoreLoadError(Exception):
     """A store directory or document cannot be restored."""
 
 
-@dataclass(frozen=True)
-class Page:
+class Page(FrozenRecord):
     """One chunk of a response body. Indices are 1-based on the wire."""
 
-    index: int
-    total: int
-    payload: bytes
+    __slots__ = ("index", "total", "payload")
 
-    def __post_init__(self) -> None:
-        if not (1 <= self.index <= self.total):
-            raise ValueError(f"page index {self.index} outside 1..{self.total}")
+    def __init__(self, index: int, total: int, payload: bytes) -> None:
+        if not (1 <= index <= total):
+            raise ValueError(f"page index {index} outside 1..{total}")
+        set_field(self, "index", index)
+        set_field(self, "total", total)
+        set_field(self, "payload", payload)
 
     def encode(self) -> bytes:
         return b"page %d/%d %d\n" % (self.index, self.total, len(self.payload)) + self.payload
@@ -180,10 +181,12 @@ def parse_digits(raw: str) -> Optional[int]:
         return None
 
 
-@dataclass
-class ApiResponse:
-    status: int
-    page: Page
+class ApiResponse(Record):
+    __slots__ = ("status", "page")
+
+    def __init__(self, status: int, page: Page) -> None:
+        self.status = status
+        self.page = page
 
     @property
     def ok(self) -> bool:
@@ -193,27 +196,31 @@ class ApiResponse:
         return self.page.encode()
 
 
-@dataclass
-class ServiceConfig:
-    port: int = 8765
-    store_path: Optional[str] = None
-    base_uri: str = VocabConfig.base_uri
-    page_cap: int = 2048
-    rate_limit_max: Optional[int] = None
-    rate_limit_window_ms: int = 20000
+class ServiceConfig(Record):
+    __slots__ = ("port", "store_path", "base_uri", "page_cap", "rate_limit_max", "rate_limit_window_ms")
 
-    def __post_init__(self) -> None:
-        if self.page_cap < MIN_PAGE_CAP:
+    def __init__(
+        self,
+        port: int = DEFAULT_PORT,
+        store_path: Optional[str] = None,
+        base_uri: str = model.DEFAULT_BASE_URI,
+        page_cap: int = 2048,
+        rate_limit_max: Optional[int] = None,
+        rate_limit_window_ms: int = 20000,
+    ) -> None:
+        if page_cap < MIN_PAGE_CAP:
             raise ValueError(PAGE_CAP_TOO_SMALL)
         try:
-            Iri(self.base_uri)  # every minted resource and tag IRI starts with it
+            Iri(base_uri)  # every minted resource and tag IRI starts with it
         except rdfxml.ValidationError as exc:
             raise ValueError(f"base_uri is not an IRI: {exc}") from None
         # 0 would throttle every request; a window under 1 ms would never hold one.
-        if self.rate_limit_max is not None and self.rate_limit_max < 1:
-            raise ValueError(f"rate_limit_max must be at least 1, not {self.rate_limit_max}")
-        if self.rate_limit_window_ms < 1:
-            raise ValueError(f"rate_limit_window_ms must be at least 1, not {self.rate_limit_window_ms}")
+        if rate_limit_max is not None and rate_limit_max < 1:
+            raise ValueError(f"rate_limit_max must be at least 1, not {rate_limit_max}")
+        if rate_limit_window_ms < 1:
+            raise ValueError(f"rate_limit_window_ms must be at least 1, not {rate_limit_window_ms}")
+        self.port, self.store_path, self.base_uri = port, store_path, base_uri
+        self.page_cap, self.rate_limit_max, self.rate_limit_window_ms = page_cap, rate_limit_max, rate_limit_window_ms
 
     def vocab(self) -> VocabConfig:
         return VocabConfig(self.base_uri)

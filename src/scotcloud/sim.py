@@ -35,10 +35,10 @@ import heapq
 import random
 import uuid
 from collections import deque
-from dataclasses import dataclass, field
 from typing import Optional, Protocol, Union
 from urllib.parse import quote_plus
 
+from .record import Record
 from .service import (
     MEMO_ENTRIES,
     OPERATIONS,
@@ -77,14 +77,14 @@ class ScriptFormatError(ValueError):
     """A bot script line does not match the replay format."""
 
 
-@dataclass
-class ScriptUnit:
+class ScriptUnit(Record):
     """A communication unit: its memory use and the issue times still in its rate window."""
 
-    label: str
-    memory_used: int = 0
-    frozen: bool = False
-    issued: deque[int] = field(default_factory=deque)
+    __slots__ = ("label", "memory_used", "frozen", "issued")
+
+    def __init__(self, label: str, memory_used: int = 0, frozen: bool = False, issued: Optional[deque] = None) -> None:
+        self.label, self.memory_used, self.frozen = label, memory_used, frozen
+        self.issued: deque[int] = deque() if issued is None else issued
 
 
 def reassemble(pages: list[Page]) -> bytes:
@@ -176,12 +176,11 @@ def parse_command(text: str) -> Optional[tuple[str, list[str]]]:
     return None
 
 
-@dataclass
-class ScriptLine:
-    time_ms: int
-    channel: int
-    sender: uuid.UUID
-    text: str
+class ScriptLine(Record):
+    __slots__ = ("time_ms", "channel", "sender", "text")
+
+    def __init__(self, time_ms: int, channel: int, sender: uuid.UUID, text: str) -> None:
+        self.time_ms, self.channel, self.sender, self.text = time_ms, channel, sender, text
 
 
 def _ascii_int(raw: str) -> int:
@@ -228,20 +227,26 @@ def parse_script(text: str) -> list[ScriptLine]:
 # -- the simulator --------------------------------------------------------------
 
 
-@dataclass
 class _Command:
-    kind: str
-    params: list[tuple[str, str]]
-    pages: dict[int, Page] = field(default_factory=dict)
-    requested: int = 1  # pages 1..requested have been asked for
-    total: Optional[int] = None
-    failed: bool = False
+    """One accepted chat command, while a request or page of it is queued or in flight."""
+
+    __slots__ = ("kind", "params", "pages", "requested", "total", "failed")
+
+    def __init__(self, kind: str, params: list[tuple[str, str]]) -> None:
+        self.kind, self.params = kind, params
+        self.pages: dict[int, Page] = {}
+        self.requested = 1  # pages 1..requested have been asked for
+        self.total: Optional[int] = None
+        self.failed = False
 
 
-@dataclass
 class _Pending:
-    command: _Command
-    query: str
+    """One request of a command: its first page, or a later one."""
+
+    __slots__ = ("command", "query")
+
+    def __init__(self, command: _Command, query: str) -> None:
+        self.command, self.query = command, query
 
 
 def _sha8(data: bytes) -> str:

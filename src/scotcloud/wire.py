@@ -29,6 +29,7 @@ import logging
 import math
 import os
 import re
+import resource
 import selectors
 import socket
 import sys
@@ -45,6 +46,9 @@ IDLE_TIMEOUT_S = 30  # a connection that neither sends nor takes a byte for this
 LINGER_S = 2  # after the server's last answer and its FIN, input is read and dropped for at most this long
 REQUEST_TIMEOUT_S = 60  # HttpTransport gives up on a connect, or on a read of the answer, after this long
 ACCEPT_BACKOFF_S = 0.25  # with no descriptor free, the listening socket is left alone this long, or until a close
+# Descriptors the server keeps free of connections, below its soft RLIMIT_NOFILE: for the standard
+# streams, the listening socket, the selector, the wake pipe, the store's log and a module's import.
+SPARE_DESCRIPTORS = 16
 
 
 # -- server ----------------------------------------------------------------------
@@ -251,9 +255,14 @@ class HttpServer:
     delayed ACK, about 40 ms a response. `serve_forever`, `shutdown` and
     `server_close` behave as socketserver's do.
 
-    When no descriptor is free (EMFILE, ENFILE), an accept leaves its
-    connection in the backlog and the listening socket stays readable, so
-    the loop stops watching it until a connection closes or
+    It holds at most `max_connections` connections open: its soft
+    RLIMIT_NOFILE, read once when it is made, less SPARE_DESCRIPTORS, so
+    that a request that opens the store's log finds a descriptor free. At
+    the cap the loop stops watching the listening socket until a
+    connection closes; the kernel's backlog holds the clients that wait.
+    When no descriptor is free all the same (EMFILE, ENFILE), an accept
+    leaves its connection in the backlog and the listening socket stays
+    readable, so the loop stops watching it until a connection closes or
     ACCEPT_BACKOFF_S pass; it waits instead of spinning, and the backlog
     is served once a descriptor frees.
     """
@@ -275,6 +284,9 @@ class HttpServer:
             self.selector.register(self._wake[0], selectors.EVENT_READ)
             opened.pop_all()
         self._stop, self._stopped = False, threading.Event()
+        soft = resource.getrlimit(resource.RLIMIT_NOFILE)[0]
+        self.max_connections = math.inf if soft == resource.RLIM_INFINITY else max(1, soft - SPARE_DESCRIPTORS)
+        self._accepting = True  # whether the loop watches the listening socket
         self._accept_at = math.inf  # while no descriptor is free: when to watch the listening socket again
 
     def serve_forever(self) -> None:
@@ -311,12 +323,18 @@ class HttpServer:
             sock, _ = self.socket.accept()
         except OSError as exc:  # the client left first, or no descriptor is free
             if exc.errno in (errno.EMFILE, errno.ENFILE):
-                self.selector.unregister(self.socket)
-                self._accept_at = now + ACCEPT_BACKOFF_S
+                self._stop_accepting(now + ACCEPT_BACKOFF_S)
             return
         sock.setblocking(False)
         sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         self.selector.register(sock, selectors.EVENT_READ, _Connection(self, sock, now))
+        if len(self.selector.get_map()) - 2 >= self.max_connections:  # less the listening socket and the wake pipe
+            self._stop_accepting(math.inf)
+
+    def _stop_accepting(self, until: float) -> None:
+        """Leave the listening socket alone until a connection closes, or until `until`."""
+        self.selector.unregister(self.socket)
+        self._accepting, self._accept_at = False, until
 
     def _ready(self, conn: _Connection, mask: int, now: float) -> None:
         if not conn.lingering:
@@ -333,9 +351,9 @@ class HttpServer:
             conn.close()
 
     def accept_again(self) -> None:
-        """Watch the listening socket again, if a lack of descriptors stopped it."""
-        if self._accept_at != math.inf:
-            self._accept_at = math.inf
+        """Watch the listening socket again, if the cap or a lack of descriptors stopped it."""
+        if not self._accepting:
+            self._accepting, self._accept_at = True, math.inf
             self.selector.register(self.socket, selectors.EVENT_READ)
 
     def _close_idle(self, now: float) -> float:

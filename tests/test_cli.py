@@ -420,6 +420,25 @@ class TestExportImport:
         store = self.imported(capsys, tmp_path, document(*SHARED_TAG_CLOUDS, description(RDFS + "laser.rdf", TAG_TYPE, ONCE)))
         assert store_state(store) == ({RDFS + "a.rdf": {"laser": 1}, RDFS + "b.rdf": {"laser": 1}}, {})
 
+    @staticmethod
+    def one_tag(lexical: str) -> bytes:
+        """A cloud of mouse with the one tag laser, whose frequency is written `lexical`."""
+        frequency = ONCE.replace(">1.0<", f">{lexical}<")
+        cloud = description(RDFS + "mouse.rdf", CLOUD_TYPE, has_tag(RDFS + "laser.rdf"))
+        return document(cloud, description(RDFS + "laser.rdf", TAG_TYPE, frequency))
+
+    # Above 2^53, read as 2^53 but one more, and read as an integer but not one.
+    @pytest.mark.parametrize("lexical", ["1e300", "9007199254740993.0", "9007199254740991.4"])
+    def test_import_of_a_count_that_a_float_does_not_hold_exactly_is_data_error(self, capsys, tmp_path, lexical):
+        err = self.refused(capsys, tmp_path, self.one_tag(lexical))
+        assert err.startswith(f"import: frequency of {RDFS}laser.rdf ")
+        assert err.endswith(f": {lexical}\n")
+
+    @pytest.mark.parametrize("lexical", ["3", "+3", "3.", "03.00", " 3.0 ", "0.3e1", "300E-2", "3e+00"])
+    def test_import_of_another_numeral_of_a_count_reads_that_count(self, capsys, tmp_path, lexical):
+        store = self.imported(capsys, tmp_path, self.one_tag(lexical))
+        assert store_state(store) == ({RDFS + "mouse.rdf": {"laser": 3}}, {})
+
     def test_import_of_a_cloud_document_with_unscoped_tags(self, capsys, tmp_path):
         svc = AnnotationService()
         seed_mouse(svc)

@@ -209,6 +209,19 @@ class TestRdfMapping:
         with pytest.raises(CloudShapeError):
             rdf_to_cloud(parse(text), VOCAB)
 
+    # float() reads each of these as an integer that the numeral does not write, or as one above 2^53.
+    @pytest.mark.parametrize("lexical", ["9007199254740992.5", "3.00000000000000000001", "0.99999999999999999999",
+                                         "1_0", "٣", "1e16", "9007199254740993"])
+    def test_a_frequency_that_is_not_exactly_a_count_up_to_2_53_is_an_error(self, lexical):
+        cloud = TagCloud(MOUSE, {"laser": 3})
+        text = serialize(cloud_to_rdf(cloud, VOCAB)).replace(">3.0<", f">{lexical}<")
+        with pytest.raises(CloudShapeError, match=f"^frequency of {re.escape(VOCAB.mint('laser'))} .*: {lexical}$"):
+            rdf_to_cloud(parse(text), VOCAB)
+
+    def test_the_largest_count_reads_back(self):
+        cloud = TagCloud(MOUSE, {"laser": 2**53})
+        assert rdf_to_cloud(parse(serialize(cloud_to_rdf(cloud, VOCAB))), VOCAB) == cloud
+
     def test_label_minting_roundtrips_spaces_and_slashes(self):
         for label in ["laser", "two words", "a/b", "perc%ent"]:
             assert label_from_iri(VOCAB.mint(label)) == label

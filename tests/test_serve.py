@@ -25,7 +25,7 @@ from scotcloud.service import AnnotationService, ServiceConfig, restore_store
 from scotcloud.sim import InProcessTransport, ReassemblyError, Simulator, parse_script
 from scotcloud.wire import HttpTransport
 
-from conftest import crowd_burst_text, store_state
+from conftest import TAGGER, crowd_burst_text, store_state
 
 PACKAGE_ROOT = Path(scotcloud.__file__).resolve().parent.parent
 CONSOLE_SCRIPT = Path(sysconfig.get_path("scripts")) / "scotcloud"
@@ -179,3 +179,28 @@ class TestDescriptorExhaustion:
             late = answered(queued, 1.0)
             assert late, "no queued client was answered within 1 s of a close"
             assert late[0].recv(65536).startswith(b"HTTP/1.1 200 ")
+
+
+class TestConnectionCap:
+    def test_the_first_tag_finds_a_descriptor_for_the_log_while_more_clients_than_that_connect(self, tmp_path):
+        argv = [sys.executable, "-c", _LIMITED_SERVE, str(NOFILE), "serve", "--port", "0", "--store", str(tmp_path)]
+        with served(argv) as (_, port), contextlib.ExitStack() as stack:
+            socks = []
+            for _ in range(NOFILE + 16):
+                sock = stack.enter_context(socket.create_connection(("127.0.0.1", port)))
+                sock.sendall(REQUEST)
+                socks.append(sock)
+            time.sleep(0.5)
+            held = answered(socks, 0)
+            assert held
+            for sock in held:
+                assert sock.recv(65536).startswith(b"HTTP/1.1 200 ")
+            # The log is opened on the first append, so this /tag needs a descriptor the connections left free.
+            tag = b"GET /tag?resource=mouse&tag=laser&tagger=%s HTTP/1.1\r\nHost: x\r\n\r\n" % str(TAGGER).encode()
+            held[0].sendall(tag)
+            assert answered(held[:1], 5.0), "the /tag was not answered"
+            answer = held[0].recv(65536)
+            assert answer.startswith(b"HTTP/1.1 200 "), answer
+            assert answer.endswith(b"\r\n\r\npage 1/1 10\nok laser 1")
+        log = (tmp_path / "events.log").read_text("utf-8")
+        assert log.endswith(f"\t{TAGGER}\thttp://yourdns.com/rdfs/mouse.rdf\tlaser\n")
