@@ -77,10 +77,6 @@ class AnnotationEvent(FrozenRecord):
     def __init__(self, timestamp_ms: int, tagger: uuid.UUID, resource: Iri, tag: str) -> None:
         if timestamp_ms < 0:
             raise ValueError("event timestamp must be non-negative")
-        if not isinstance(tagger, uuid.UUID):
-            tagger = uuid.UUID(str(tagger))
-        if not isinstance(resource, Iri):
-            resource = Iri(resource)
         _check_label(tag)
         set_field(self, "timestamp_ms", timestamp_ms)
         set_field(self, "tagger", tagger)

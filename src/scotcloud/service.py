@@ -89,6 +89,7 @@ EVENTS_TMP = EVENTS_FILE + ".tmp"  # snapshot_store writes here, then renames ov
 WRITE_CHUNK = 1 << 16  # snapshot_store passes os.write about this many bytes at a time
 TAIL_READ = 4096  # _cut_torn_tail reads the log backwards this many bytes at a time
 ATTACH_MARK = "attach"
+_ATTACH_PREFIX = ATTACH_MARK + "\t"
 # The writers of the two RDF/XML documents: a `/cloud` binds the SCOT namespaces, an `/export` also skos.
 _CLOUD_WRITER = rdfxml.Writer({"rdf": rdfxml.RDF_NS, **model.BINDINGS})
 _EXPORT_WRITER = rdfxml.Writer({"rdf": rdfxml.RDF_NS, **model.BINDINGS, "skos": model.SKOS_NS})
@@ -720,32 +721,6 @@ def format_attach_line(parent: str, child: str) -> str:
     return f"{ATTACH_MARK}\t{parent}\t{child}\n"
 
 
-def _read_event_line(line: str, taggers: dict[str, uuid.UUID], resources: dict[str, Iri]) -> AnnotationEvent:
-    """The event of one log line, with each raw tagger and resource parsed at its first sight in the two dicts."""
-    parts = line.rstrip("\n").split("\t")
-    if len(parts) != 4:
-        raise ValueError(f"event line does not have 4 fields: {line!r}")
-    timestamp = int(parts[0])
-    tagger = taggers.get(parts[1])
-    if tagger is None:
-        tagger = taggers[parts[1]] = uuid.UUID(parts[1])
-    resource = resources.get(parts[2])
-    if resource is None:
-        resource = resources[parts[2]] = Iri(parts[2])
-    return AnnotationEvent(timestamp, tagger, resource, parts[3])
-
-
-def _replay_line(store: AnnotationStore, line: str, taggers: dict[str, uuid.UUID], resources: dict[str, Iri]) -> None:
-    # Event lines start with an integer timestamp, so the mark cannot collide.
-    if not line.startswith(ATTACH_MARK + "\t"):
-        store.record(_read_event_line(line, taggers, resources))
-        return
-    parts = line.split("\t")
-    if len(parts) != 3:
-        raise ValueError(f"attach line does not have 3 fields: {line!r}")
-    store.attach(model._check_label(parts[1]), model._check_label(parts[2]))
-
-
 def _write_all(fd: int, data: bytes) -> None:
     """Write all of `data` at `fd`, continuing after a short write: the one writer of store bytes."""
     while data:
@@ -805,16 +780,18 @@ def _store_lines(store: AnnotationStore):
 
 
 def restore_store(path: str) -> AnnotationStore:
-    """Rebuild a store by replaying a store directory's log.
+    """Rebuild a store by replaying a store directory's log, one line at a time.
 
-    Event lines go through `AnnotationStore.record` and attach lines
-    through `AnnotationStore.attach`; either is refused if a label in it
-    is not normalized. An unterminated last line is what a crash
-    mid-append leaves behind; it is dropped with a warning. A directory
-    that is empty, or holds only the temporary file of a `snapshot_store`
-    that never finished, is an empty store: a crash can leave either
-    before the first line is written. A directory that holds the
-    `snapshot.rdf` of older versions is refused by name. Raises
+    The log is streamed, so no more than one of its lines is held at
+    once. Event lines go through `AnnotationStore.record` and attach
+    lines through `AnnotationStore.attach`; either is refused if a label
+    in it is not normalized. An unterminated last line is what a crash
+    mid-append leaves behind; it is dropped with a warning when the
+    replay reaches it, so a log refused at an earlier line gets no
+    warning. A directory that is empty, or holds only the temporary file
+    of a `snapshot_store` that never finished, is an empty store: a crash
+    can leave either before the first line is written. A directory that
+    holds the `snapshot.rdf` of older versions is refused by name. Raises
     StoreLoadError and leaves nothing half-built.
     """
     directory = Path(path)
@@ -827,21 +804,39 @@ def restore_store(path: str) -> AnnotationStore:
         if any(entry.name != EVENTS_TMP for entry in directory.iterdir()):
             raise StoreLoadError(f"{path} holds neither {EVENTS_FILE} nor only an unfinished {EVENTS_TMP}")
         return store
-    # Split on LF only: IRIs may hold U+2028 or U+0085, which
-    # str.splitlines() would also treat as line ends.
-    *lines, torn = log_file.read_bytes().split(b"\n")
-    if torn:
-        log.warning("%s: dropping unterminated last line %r", log_file, torn)
     # A store has few taggers and resources and many lines: each is parsed once.
     taggers: dict[str, uuid.UUID] = {}
     resources: dict[str, Iri] = {}
-    for lineno, raw in enumerate(lines, 1):
-        if not raw:
-            continue
-        try:
-            _replay_line(store, raw.decode("utf-8"), taggers, resources)
-        except (ValueError, model.AttachError) as exc:
-            raise StoreLoadError(f"{log_file}:{lineno}: {exc}") from None
+    # Binary lines end at LF only: IRIs may hold U+2028 or U+0085, which
+    # str.splitlines() would also treat as line ends.
+    with open(log_file, "rb") as lines:
+        for lineno, raw in enumerate(lines, 1):
+            if raw[-1] != 10:  # no LF (10) at its end: the part of a line that a crash mid-append leaves
+                log.warning("%s: dropping unterminated last line %r", log_file, raw)
+                break
+            if raw == b"\n":
+                continue
+            try:
+                line = raw[:-1].decode("utf-8")
+                parts = line.split("\t")
+                # Event lines start with an integer timestamp, so the mark cannot collide.
+                if line.startswith(_ATTACH_PREFIX):
+                    if len(parts) != 3:
+                        raise ValueError(f"attach line does not have 3 fields: {line!r}")
+                    store.attach(model._check_label(parts[1]), model._check_label(parts[2]))
+                    continue
+                if len(parts) != 4:
+                    raise ValueError(f"event line does not have 4 fields: {line!r}")
+                timestamp = int(parts[0])
+                tagger = taggers.get(parts[1])
+                if tagger is None:
+                    tagger = taggers[parts[1]] = uuid.UUID(parts[1])
+                resource = resources.get(parts[2])
+                if resource is None:
+                    resource = resources[parts[2]] = Iri(parts[2])
+                store.record(AnnotationEvent(timestamp, tagger, resource, parts[3]))
+            except (ValueError, model.AttachError) as exc:
+                raise StoreLoadError(f"{log_file}:{lineno}: {exc}") from None
     return store
 
 

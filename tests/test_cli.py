@@ -21,6 +21,7 @@ from scotcloud.cli import build_parser, main
 from scotcloud.model import AnnotationEvent, AnnotationStore, VocabConfig, store_to_graph
 from scotcloud.rdfxml import serialize
 from scotcloud.service import OPERATIONS, PARAM_DEFAULTS, AnnotationService, ServiceConfig, restore_store
+from scotcloud.service import snapshot_store
 
 from conftest import TAGGER, chain_document, fetch_full, seed_mouse, store_state
 
@@ -686,6 +687,14 @@ class TestLayoutCommand:
         code, out, _ = run(capsys, "layout", "--resource", "mouse")
         assert code == 0
         assert out.count("\nprim\t") == 1
+
+    def test_a_cloud_past_the_prim_budget_is_data_error(self, capsys, tmp_path):
+        store = AnnotationStore()
+        for i in range(300):
+            store.record(AnnotationEvent(0, TAGGER, VOCAB.resource_iri("mouse"), f"t{i:03d}"))
+        snapshot_store(store, str(tmp_path / "store"))
+        code, out, err = run(capsys, "layout", "--store", str(tmp_path / "store"), "--resource", "mouse")
+        assert (code, out, err) == (3, "", "layout: 301 prims exceed the 255 budget\n")
 
 
 class TestServeConfig:

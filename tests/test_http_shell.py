@@ -544,3 +544,26 @@ def test_a_connection_lingers_for_linger_s_at_most(servers, monkeypatch):
                 sock.sendall(b"x")
                 time.sleep(0.02)
         assert 0.3 <= time.perf_counter() - start < 2
+
+
+def test_a_request_that_raises_closes_its_connection_unanswered_and_the_server_serves_on(monkeypatch, caplog):
+    service = _seeded()
+    handle_url = service.handle_url
+
+    def faulty(target: str):
+        if target == "/cloud?resource=boom":
+            raise RuntimeError("boom")
+        return handle_url(target)
+
+    monkeypatch.setattr(service, "handle_url", faulty)
+    with _running(HttpServer(service, "127.0.0.1")) as port:
+        with socket.create_connection(("127.0.0.1", port), timeout=10) as sock:
+            sock.sendall(b"GET /cloud?resource=boom HTTP/1.1\r\n\r\n")
+            assert sock.recv(65536) == b""  # closed, with no answer
+        with socket.create_connection(("127.0.0.1", port), timeout=10) as sock:
+            sock.sendall(PROBE)
+            assert sock.recv(65536).startswith(b"HTTP/1.1 200 ")
+    [record] = [record for record in caplog.records if record.name == wire.__name__]
+    assert record.getMessage() == "http: error while serving a request"
+    assert record.exc_info[0] is RuntimeError
+    assert "Traceback" in caplog.text and "RuntimeError: boom" in caplog.text

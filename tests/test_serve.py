@@ -23,7 +23,7 @@ import pytest
 import scotcloud
 from scotcloud.service import AnnotationService, ServiceConfig, restore_store
 from scotcloud.sim import InProcessTransport, ReassemblyError, Simulator, parse_script
-from scotcloud.wire import HttpTransport
+from scotcloud.wire import SPARE_DESCRIPTORS, HttpTransport
 
 from conftest import TAGGER, crowd_burst_text, store_state
 
@@ -137,6 +137,14 @@ resource.setrlimit(resource.RLIMIT_NOFILE, (int(sys.argv[1]), resource.getrlimit
 from scotcloud.cli import main
 sys.exit(main(sys.argv[2:]))
 """
+# As _LIMITED_SERVE, and hold argv[2] more descriptors open, so that accept runs out before the connection cap.
+_CROWDED_SERVE = """
+import os, resource, sys
+resource.setrlimit(resource.RLIMIT_NOFILE, (int(sys.argv[1]), resource.getrlimit(resource.RLIMIT_NOFILE)[1]))
+held = [os.open(os.devnull, os.O_RDONLY) for _ in range(int(sys.argv[2]))]
+from scotcloud.cli import main
+sys.exit(main(sys.argv[3:]))
+"""
 NOFILE = 32
 REQUEST = b"GET /cloud?resource=mouse HTTP/1.1\r\nHost: x\r\n\r\n"
 
@@ -170,6 +178,32 @@ class TestDescriptorExhaustion:
             held = answered(socks, 0)
             queued = [sock for sock in socks if sock not in held]
             assert held and queued
+            for sock in held:
+                assert sock.recv(65536).startswith(b"HTTP/1.1 200 ")
+            before = cpu_seconds(proc.pid)
+            time.sleep(1)
+            assert cpu_seconds(proc.pid) - before < 0.1
+            held[0].close()
+            late = answered(queued, 1.0)
+            assert late, "no queued client was answered within 1 s of a close"
+            assert late[0].recv(65536).startswith(b"HTTP/1.1 200 ")
+
+    def test_the_loop_backs_off_when_accept_runs_out_of_descriptors_below_the_cap(self):
+        argv = [sys.executable, "-c", _CROWDED_SERVE, str(NOFILE), str(SPARE_DESCRIPTORS), "serve", "--port", "0"]
+        with served(argv) as (proc, port), contextlib.ExitStack() as stack:
+            with socket.create_connection(("127.0.0.1", port)) as warm:
+                warm.sendall(REQUEST)
+                assert warm.recv(65536).startswith(b"HTTP/1.1 200 ")
+            socks = []
+            for _ in range(NOFILE + 16):
+                sock = stack.enter_context(socket.create_connection(("127.0.0.1", port)))
+                sock.sendall(REQUEST)
+                socks.append(sock)
+            time.sleep(0.5)
+            held = answered(socks, 0)
+            queued = [sock for sock in socks if sock not in held]
+            assert held and queued
+            assert len(held) < NOFILE - SPARE_DESCRIPTORS  # EMFILE stopped the accepts, not the cap
             for sock in held:
                 assert sock.recv(65536).startswith(b"HTTP/1.1 200 ")
             before = cpu_seconds(proc.pid)

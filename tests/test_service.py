@@ -11,6 +11,7 @@ import struct
 import tempfile
 import threading
 import time
+import tracemalloc
 import uuid
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
@@ -88,7 +89,7 @@ class TestPaging:
     def test_decode_rejects_bad_headers(self):
         for raw in [b"", b"nope", b"page 1/1 4\nabc", b"page x/1 0\n", b"page 0/0 0\n", b"page 3/2 0\n",
                     b"page 1_0/10 3\nabc", b"page +1/1 3\nabc", b"page 1/1 +3\nabc", b"page 1/ 1 3\nabc",
-                    b"page \xd9\xa1/1 3\nabc"]:
+                    b"page \xd9\xa1/1 3\nabc", b"page " + b"1" * 5000 + b"/1 3\nabc"]:
             with pytest.raises(PageError):
                 decode_page(raw)
         assert decode_page(b"page 01/1 3\nabc") == Page(1, 1, b"abc")  # still ASCII digits
@@ -383,7 +384,7 @@ class TestMapEndpoint:
 
     def test_bad_depth_is_400(self, service):
         self.seed_shoe(service)
-        for depth in ["0", "-3", "x", "1_0", "+1", " 1", "\u0661", ""]:
+        for depth in ["0", "-3", "x", "1_0", "+1", " 1", "\u0661", "", "9" * 5000]:
             response = ask(service, "map", {"root": "shoe", "depth": depth})
             assert response.status == 400
             assert response.page.payload == b"baddepth"
@@ -445,9 +446,10 @@ class TestRefusedMutation:
         [
             ("/tag?resource=pen&tag=nib&page=1", b"badpage"),
             ("/attach?parent=pen&child=nib&page=3", b"badpage"),
+            ("/tag?resource=pen&tag=nib&page=" + "1" * 5000, b"badpage"),  # more digits than int() converts
             ("/tag?resource=pen&tag=" + "y" * 2100, b"badtag"),  # "ok <label> 1" needs two pages
         ],
-        ids=["tag-page", "attach-page", "long-tag"],
+        ids=["tag-page", "attach-page", "tag-page-past-int", "long-tag"],
     )
     def test_refused_mutation_touches_neither_memory_nor_disk(self, tmp_path, query, token):
         log_file = tmp_path / "store" / "events.log"
@@ -688,6 +690,35 @@ class TestPersistence:
         with pytest.raises(StoreLoadError) as caught:
             restore_store(str(tmp_path))
         assert str(caught.value) == f"{tmp_path / 'events.log'}:2: label is not normalized: {label!r}"
+
+    @pytest.mark.parametrize("line", ["attach\tshoe", "attach\tshoe\trubber\tsole"], ids=["2-fields", "4-fields"])
+    def test_an_attach_line_without_3_fields_errors(self, tmp_path, line):
+        (tmp_path / "events.log").write_text(f"{line}\n", "utf-8")
+        with pytest.raises(StoreLoadError) as caught:
+            restore_store(str(tmp_path))
+        assert str(caught.value) == f"{tmp_path / 'events.log'}:1: attach line does not have 3 fields: {line!r}"
+
+    def test_restore_holds_less_than_the_log_at_its_peak(self, tmp_path):
+        # one event 20,000 times: the store is a few MB, the log over 9 MB
+        line = format_event_line(model.AnnotationEvent(1, TAGGER, Iri("http://example.org/" + "r" * 400), "laser"))
+        log_file = tmp_path / "events.log"
+        log_file.write_text(line * 20_000, "utf-8")
+        size = log_file.stat().st_size
+        assert size >= 9_000_000
+        tracemalloc.start()
+        try:
+            store = restore_store(str(tmp_path))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(store.events) == 20_000
+        assert peak < size, f"restoring a {size}-byte log peaked at {peak} bytes"
+
+    def test_a_log_refused_before_its_torn_tail_gives_no_warning_of_it(self, tmp_path, caplog):
+        (tmp_path / "events.log").write_text("not a log line\n1234", "utf-8")
+        with pytest.raises(StoreLoadError, match="events.log:1: "):
+            restore_store(str(tmp_path))
+        assert not any("unterminated" in record.getMessage() for record in caplog.records)
 
     def test_line_separator_characters_in_iri_survive_restart(self, tmp_path):
         config = ServiceConfig(store_path=str(tmp_path / "live"))

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from scotcloud import sim as sim_module
-from scotcloud.model import VocabConfig
+from scotcloud.model import AnnotationEvent, AnnotationStore, VocabConfig
 from scotcloud.service import AnnotationService, Page, ServiceConfig, decode_page, paginate
 from scotcloud.sim import (
     MEMORY_BUDGET,
@@ -299,6 +299,15 @@ class TestReassembly:
 
         body = fetch_full(service, "cloud", {"resource": "big"})
         assert completes[0].endswith(f"{len(body)} {hashlib.sha256(body).hexdigest()[:8]}")
+
+    def test_fetch_body_returns_the_refusal_of_a_later_page(self):
+        store = AnnotationStore()
+        for i in range(120):
+            store.record(AnnotationEvent(0, TAGGER, VOCAB.resource_iri("big"), f"tag{i:03d}"))
+        assert AnnotationService(store=store).handle_url("/cloud?resource=big").page.total >= 2
+        limited = AnnotationService(ServiceConfig(rate_limit_max=1), store=store, now_ms=lambda: 0)
+        transport = InProcessTransport(limited)
+        assert sim_module.fetch_body(transport, "cloud", [("resource", "big")]) == (429, b"throttled")
 
 
 class _ProxyErrorTransport(InProcessTransport):

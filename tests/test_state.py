@@ -8,7 +8,9 @@ reassembles its document and checks it against the model: a cloud parses
 back to the model's counts, a map is the model's tree rendered here in
 `(-count, label)` rank order, and an export imports to the model. A page
 past the end is `badpage`. A restart, plain, after `snapshot_store` or
-after part of a line is appended to the log, changes no answer.
+after part of a line is appended to the log, changes no answer. Neither
+does a `/tag` or `/attach` whose append fails part way through its line:
+it answers `500 storage`, and the model does not change.
 
 After every step, each body the service holds whose stamp is current is
 the document as built afresh: a cloud and the export as `serialize`
@@ -18,10 +20,12 @@ the pages of a walk therefore never leaves a stale body to be served.
 
 from __future__ import annotations
 
+import errno
 import os
 import shutil
 import tempfile
 from collections import Counter, defaultdict
+from unittest import mock
 
 from hypothesis import HealthCheck, settings
 from hypothesis import strategies as st
@@ -231,6 +235,36 @@ class StoreMachine(RuleBasedStateMachine):
             os.write(fd, data[: max(1, int(cut * (len(data) - 1)))])
         finally:
             os.close(fd)
+        self.restart()
+
+    @rule(
+        mutation=st.one_of(
+            st.tuples(st.just("tag"), st.sampled_from(RESOURCES), st.sampled_from(LABELS)),
+            st.tuples(st.just("attach"), st.sampled_from(LABELS), st.sampled_from(LABELS)),
+        ),
+        cut=st.floats(0, 1, exclude_max=True),
+    )
+    def failed_append_then_restart(self, mutation: tuple, cut: float) -> None:
+        """An append whose `os.write` takes part of its line, then fails as a full disk does: nothing changes."""
+        write, calls = os.write, []
+
+        def failing_write(fd: int, data: bytes) -> int:
+            calls.append(fd)
+            if len(calls) == 1 and int(cut * len(data)):
+                return write(fd, data[: int(cut * len(data))])
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        operation, first, second = mutation
+        if operation == "tag":
+            params, refused = {"resource": first, "tag": second}, None
+        else:
+            params, refused = {"parent": first, "child": second}, self.refusal(first, second)
+        with mock.patch.object(os, "write", failing_write):
+            response = ask(self.service, operation, {**params, "tagger": str(TAGGER)})
+        if refused is None:
+            assert (response.status, response.page.payload) == (500, b"storage")
+        else:
+            assert (response.status, response.page.payload) == (409, refused.encode())
         self.restart()
 
 
