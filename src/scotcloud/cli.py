@@ -247,9 +247,7 @@ def _cmd_layout(args: argparse.Namespace) -> int:
             tree = store.subtree(args.root, args.depth or height)
             cloud = store.cloud_of(vocab.resource_iri(tree.root))
             scene = layout_mod.layout_map(tree, cloud, params, args.now)
-    except (model.TagError, rdfxml.ValidationError) as exc:
-        return _fail(EXIT_DATA, f"layout: {exc}")
-    except layout_mod.LayoutError as exc:
+    except (model.TagError, rdfxml.ValidationError, layout_mod.LayoutError) as exc:
         return _fail(EXIT_DATA, f"layout: {exc}")
     if args.format == "json":
         return _emit(layout_mod.render_scene_json(scene))

@@ -123,9 +123,8 @@ def _clamped(radius: float, angle: float, max_radius: float) -> Vec3:
 
 
 def _ring_capacity(radius: float, spacing: float) -> int:
-    if 2.0 * radius < spacing:
-        return 1
-    return max(1, int(math.pi / math.asin(spacing / (2.0 * radius))))
+    """How many tags `spacing` apart fit on a ring; `_plan_rings` passes no radius under `spacing`."""
+    return int(math.pi / math.asin(spacing / (2.0 * radius)))
 
 
 def layout_cloud(cloud: TagCloud, params: LayoutParams, now: int) -> SceneDescription:

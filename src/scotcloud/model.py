@@ -342,8 +342,9 @@ def _add_cloud_triples(graph: RdfGraph, cloud: TagCloud, config: VocabConfig, sc
 
 # The largest frequency import takes: a float holds every integer up to 2^53, and skips some above it.
 MAX_FREQUENCY = 2**53
-# An xsd:float decimal numeral that is not negative: digits, a point, more digits, an exponent past its leading zeros.
-_DECIMAL = re.compile(r"\+?([0-9]*)\.?([0-9]*)(?:[eE]([+-]?)0*([0-9]+))?")
+# An xsd:float decimal numeral that is not negative, in ASCII digits: `float` and
+# `Decimal` also read digit groups split by `_`, and digits of other scripts.
+_DECIMAL = re.compile(r"\+?[0-9]*\.?[0-9]*(?:[eE][+-]?[0-9]+)?")
 
 
 def frequency_literal(count: int) -> Literal:
@@ -384,20 +385,11 @@ def _frequency_of(graph: RdfGraph, tag_iri: Iri) -> int:
 
 
 def _denotes(lexical: str, count: int) -> bool:
-    """Whether `lexical`, which `float` reads as `count`, is an xsd:float decimal numeral of exactly that value.
+    """Whether `lexical`, which `float` reads as `count`, is an xsd:float decimal numeral of exactly that value."""
+    from decimal import Decimal  # only an import with an unusual numeral needs it
 
-    The digits are compared as text, as `int` refuses more than a few
-    thousand of them; those left of the point, once the exponent has
-    moved it, number at most 16, since the value is at most 2^53.
-    """
     numeral = _DECIMAL.fullmatch(lexical.strip())
-    if numeral is None:  # e.g. digit groups split by `_`, or digits of another script, which `float` also reads
-        return False
-    whole, fraction, sign, exponent = numeral.groups(default="")
-    digits = whole + fraction
-    point = max(0, len(whole) + int(sign + (exponent or "0")))
-    digits += "0" * (point - len(digits))
-    return not digits[point:].strip("0") and digits[:point].lstrip("0") == str(count)
+    return numeral is not None and Decimal(numeral[0]) == count
 
 
 def _cloud_from_subject(graph: RdfGraph, subject: Iri) -> TagCloud:

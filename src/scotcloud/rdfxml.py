@@ -441,7 +441,7 @@ def parse(text: Union[str, bytes]) -> RdfGraph:
         if not prefix:
             continue  # default namespaces are not used by this subset
         try:
-            if prefix not in graph.bindings:
+            if prefix not in graph._bindings:
                 graph.bind(prefix, uri)
         except ValidationError:
             continue

@@ -441,11 +441,6 @@ class AnnotationService:
 
     # -- responses ---------------------------------------------------------
 
-    def _page_of(self, pages: list[Page], page_index: int) -> ApiResponse:
-        if not (0 <= page_index < len(pages)):
-            return self._answer(400, "badpage")
-        return ApiResponse(200, pages[page_index])
-
     def _stamp(self, key: tuple) -> tuple:
         """The store stamps of just what the body cached under `key` is built from.
 
@@ -461,8 +456,8 @@ class AnnotationService:
             return (store.trees_version, store.cloud_version(key[3]))
         return (store.version,)
 
-    def _cached_pages(self, key: tuple, build: Callable[[], bytes]) -> list[Page]:
-        """Pages of the body `build` returns for `key` at the current store state.
+    def _cached_page(self, key: tuple, build: Callable[[], bytes], page: int) -> ApiResponse:
+        """Page `page` of the body `build` returns for `key` at the current store state, or `badpage`.
 
         A held body whose stamp has moved is built again, as the newest
         entry. Each build first lets go of every body whose stamp has
@@ -471,15 +466,16 @@ class AnnotationService:
         """
         stamp = self._stamp(key)
         held = self._bodies.get(key)
-        if held is not None and held[0] == stamp:
-            return held[1]
-        pages = paginate(build(), self.config.page_cap)
-        for stale in [k for k, (built_from, _) in self._bodies.items() if built_from != self._stamp(k)]:
-            del self._bodies[stale]
-        if len(self._bodies) >= BODY_CACHE_ENTRIES:
-            del self._bodies[next(iter(self._bodies))]
-        self._bodies[key] = (stamp, pages)
-        return pages
+        if held is None or held[0] != stamp:
+            pages = paginate(build(), self.config.page_cap)
+            for stale in [k for k, (built_from, _) in self._bodies.items() if built_from != self._stamp(k)]:
+                del self._bodies[stale]
+            if len(self._bodies) >= BODY_CACHE_ENTRIES:
+                del self._bodies[next(iter(self._bodies))]
+            held = self._bodies[key] = (stamp, pages)
+        if not 0 <= page < len(held[1]):
+            return self._answer(400, "badpage")
+        return ApiResponse(200, held[1][page])
 
     def _answer(self, status: int, text: str) -> ApiResponse:
         """The one page of an answer that is not a document: an error token, or a mutation's `ok`.
@@ -521,8 +517,7 @@ class AnnotationService:
             resource = self._resource_iri(params["resource"])
         except (model.TagError, rdfxml.ValidationError):
             return self._answer(400, "badtag")
-        pages = self._cached_pages(("cloud", resource), lambda: self._cloud_body(resource))
-        return self._page_of(pages, page)
+        return self._cached_page(("cloud", resource), lambda: self._cloud_body(resource), page)
 
     def _cloud_body(self, resource: Iri) -> bytes:
         cloud = self.store.cloud_of(resource)
@@ -546,8 +541,7 @@ class AnnotationService:
         except rdfxml.ValidationError:
             return self._answer(400, "badtag")
         key = ("map", root, depth, resource)
-        pages = self._cached_pages(key, lambda: self._map_body(root, depth, resource))
-        return self._page_of(pages, page)
+        return self._cached_page(key, lambda: self._map_body(root, depth, resource), page)
 
     def _map_body(self, root: str, depth: int, resource: Iri) -> bytes:
         freqs = self.store.cloud_of(resource).frequencies
@@ -573,8 +567,7 @@ class AnnotationService:
         return self._answer(200, "ok")
 
     def _op_export(self, params: dict[str, str], page: int) -> ApiResponse:
-        pages = self._cached_pages(("export",), self._export_body)
-        return self._page_of(pages, page)
+        return self._cached_page(("export",), self._export_body, page)
 
     def _export_body(self) -> bytes:
         clouds = [self._cloud_roles(cloud, True) for cloud in self.store.clouds.values()]
@@ -660,7 +653,7 @@ class AnnotationService:
             if self._log_fd is not None:
                 with contextlib.suppress(OSError):
                     _cut_torn_tail(self._log_fd)
-            self._close_log()
+            self.close()
             return False
         return True
 
@@ -677,7 +670,7 @@ class AnnotationService:
                     return self._log_fd
             except FileNotFoundError:
                 pass
-            self._close_log()
+            self.close()
         os.makedirs(self.config.store_path, exist_ok=True)
         # Held before fstat, so that the caller's failure path closes it too.
         self._log_fd = os.open(path, os.O_RDWR | os.O_APPEND | os.O_CREAT, 0o666)
@@ -686,14 +679,11 @@ class AnnotationService:
         _cut_torn_tail(self._log_fd)
         return self._log_fd
 
-    def _close_log(self) -> None:
+    def close(self) -> None:
+        """Close the log descriptor, if one is open; a later append opens it again."""
         fd, self._log_fd = self._log_fd, None
         if fd is not None:
             os.close(fd)
-
-    def close(self) -> None:
-        """Close the log descriptor, if one is open; a later append opens it again."""
-        self._close_log()
 
 
 def render_tree(tree: TopicMap, frequencies: dict[str, int]) -> str:

@@ -63,10 +63,19 @@ MAX_UNITS = 255
 PUBLIC_CHANNEL = 0
 CENTER_CHANNEL = -1
 
-# The query parameters that a chat command's arguments give, in order; the speaker is the `tagger`.
-_ARG_PARAMS = {kind: tuple(name for name in names if name != "tagger") for kind, names in OPERATIONS.items()}
+# The chat commands and the query parameters their arguments give, in order: each is an
+# operation's parameters less the `tagger`, which is the speaker; `help` asks for USAGE.
+_COMMANDS = {
+    kind: tuple(name for name in OPERATIONS[kind] if name != "tagger") for kind in ("tag", "cloud", "map", "attach")
+}
+_COMMANDS["help"] = ()
+# Each command's fewest and most arguments: a parameter with a default may be left out.
+_ARITY = {kind: (sum(name not in PARAM_DEFAULTS for name in names), len(names)) for kind, names in _COMMANDS.items()}
 
-USAGE = "commands: tag <resource> <tag> | cloud <resource> | map <root> [depth] | attach <parent> <child> | help"
+USAGE = "commands: " + " | ".join(
+    " ".join([kind, *(f"[{name}]" if name in PARAM_DEFAULTS else f"<{name}>" for name in names)])
+    for kind, names in _COMMANDS.items()
+)
 
 
 class SimError(Exception):
@@ -161,19 +170,12 @@ def parse_command(text: str) -> Optional[tuple[str, list[str]]]:
     if not tokens:
         return None
     kind, args = tokens[0], tokens[1:]
-    if kind == "tag" and len(args) == 2:
-        return kind, args
-    if kind == "cloud" and len(args) == 1:
-        return kind, args
-    if kind == "map" and len(args) in (1, 2):
-        if len(args) == 2 and not parse_digits(args[1]):  # a depth the server takes: 1 or more
-            return None
-        return kind, args
-    if kind == "attach" and len(args) == 2:
-        return kind, args
-    if kind == "help" and not args:
-        return kind, args
-    return None
+    arity = _ARITY.get(kind)
+    if arity is None or not arity[0] <= len(args) <= arity[1]:
+        return None
+    if kind == "map" and len(args) == 2 and not parse_digits(args[1]):  # a depth the server takes: 1 or more
+        return None
+    return kind, args
 
 
 class ScriptLine(Record):
@@ -357,8 +359,7 @@ class Simulator:
         return len(issued) < WINDOW_MAX
 
     def _next_free_time(self, unit: ScriptUnit) -> int:
-        if self._headroom(unit):
-            return self.now
+        """When a slot of `unit` opens; `_headroom` has just trimmed its window and found it full."""
         # Stamps are appended in clock order, so `issued` is sorted: the
         # (count-max+1)-th oldest stamp must age out before a slot opens.
         return unit.issued[len(unit.issued) - WINDOW_MAX] + WINDOW_MS + 1
@@ -395,7 +396,7 @@ class Simulator:
         return self.trace[mark:]
 
     def _accept(self, kind: str, args: list[str], tagger: str) -> None:
-        given = dict(zip(_ARG_PARAMS[kind], args))
+        given = dict(zip(_COMMANDS[kind], args))
         params = [
             (name, given.get(name) or (tagger if name == "tagger" else PARAM_DEFAULTS[name]))
             for name in OPERATIONS[kind]

@@ -286,7 +286,6 @@ class HttpServer:
         self._stop, self._stopped = False, threading.Event()
         soft = resource.getrlimit(resource.RLIMIT_NOFILE)[0]
         self.max_connections = math.inf if soft == resource.RLIM_INFINITY else max(1, soft - SPARE_DESCRIPTORS)
-        self._accepting = True  # whether the loop watches the listening socket
         self._accept_at = math.inf  # while no descriptor is free: when to watch the listening socket again
 
     def serve_forever(self) -> None:
@@ -334,7 +333,7 @@ class HttpServer:
     def _stop_accepting(self, until: float) -> None:
         """Leave the listening socket alone until a connection closes, or until `until`."""
         self.selector.unregister(self.socket)
-        self._accepting, self._accept_at = False, until
+        self._accept_at = until
 
     def _ready(self, conn: _Connection, mask: int, now: float) -> None:
         if not conn.lingering:
@@ -352,8 +351,8 @@ class HttpServer:
 
     def accept_again(self) -> None:
         """Watch the listening socket again, if the cap or a lack of descriptors stopped it."""
-        if not self._accepting:
-            self._accepting, self._accept_at = True, math.inf
+        if self.socket not in self.selector.get_map():
+            self._accept_at = math.inf
             self.selector.register(self.socket, selectors.EVENT_READ)
 
     def _close_idle(self, now: float) -> float:

@@ -688,6 +688,20 @@ class TestLayoutCommand:
         assert code == 0
         assert out.count("\nprim\t") == 1
 
+    def test_a_resource_that_normalizes_to_nothing_is_data_error(self, capsys):
+        assert run(capsys, "layout", "--resource", "   ") == (3, "", "layout: tag is empty after normalization: '   '\n")
+
+    def test_a_resource_iri_that_was_never_minted_labels_the_centre_prim(self, capsys):
+        code, out, _ = run(capsys, "layout", "--resource", "http://example.org/x")
+        assert code == 0
+        assert out.endswith("\t0\t0\t0\t0.3\t60000\thttp://example.org/x\n")
+        assert out.count("\nprim\t") == 1
+
+    def test_a_log_line_with_a_negative_timestamp_is_a_store_error(self, capsys, tmp_path):
+        (tmp_path / "events.log").write_text(f"-5\t{TAGGER}\thttp://yourdns.com/rdfs/m.rdf\tlaser\n", "utf-8")
+        code, out, err = run(capsys, "layout", "--store", str(tmp_path), "--resource", "m")
+        assert (code, out, err) == (3, "", f"store: {tmp_path / 'events.log'}:1: event timestamp must be non-negative\n")
+
     def test_a_cloud_past_the_prim_budget_is_data_error(self, capsys, tmp_path):
         store = AnnotationStore()
         for i in range(300):

@@ -335,6 +335,26 @@ class TestParse:
         assert graph.bindings == {"rdf": RDF_NS, "ex": EX, "scot": SCOT}
         assert set(graph) == {Triple(Iri("http://a/x"), Iri("http://later/name"), Literal("why"))}
 
+    def test_a_prefix_whose_namespace_is_not_an_iri_stays_unbound(self):
+        graph = parse(f'<rdf:RDF xmlns:rdf="{RDF_NS}" xmlns:p="urn:no-slashes" xmlns:ex="{EX}"/>')
+        assert graph.bindings == {"rdf": RDF_NS, "ex": EX}
+
+    def test_each_declaration_is_bound_without_copying_every_binding(self, monkeypatch):
+        # `RdfGraph.bindings` returns a copy of the whole dict: read once per
+        # declaration, n declarations would cost O(n^2) time.
+        reads = []
+        bindings = RdfGraph.bindings
+        monkeypatch.setattr(RdfGraph, "bindings", property(lambda graph: reads.append(1) or bindings.fget(graph)))
+        n = 1000
+        doc = "".join(
+            [f'<rdf:RDF xmlns:rdf="{RDF_NS}">']
+            + [f'<rdf:Description rdf:about="http://a/{i}" xmlns:p{i}="{EX}{i}#"/>' for i in range(n)]
+            + ["</rdf:RDF>"]
+        )
+        graph = parse(doc)
+        assert len(reads) <= 1
+        assert bindings.fget(graph) == {"rdf": RDF_NS, **{f"p{i}": f"{EX}{i}#" for i in range(n)}}
+
     def test_an_error_far_into_a_large_document_gives_its_own_line_and_column(self):
         graph = RdfGraph({"ex": EX})
         for i in range(600):

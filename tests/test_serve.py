@@ -23,7 +23,7 @@ import pytest
 import scotcloud
 from scotcloud.service import AnnotationService, ServiceConfig, restore_store
 from scotcloud.sim import InProcessTransport, ReassemblyError, Simulator, parse_script
-from scotcloud.wire import SPARE_DESCRIPTORS, HttpTransport
+from scotcloud.wire import MAX_HEAD, SPARE_DESCRIPTORS, HttpTransport
 
 from conftest import TAGGER, crowd_burst_text, store_state
 
@@ -155,6 +155,12 @@ def cpu_seconds(pid: int) -> float:
     return (int(fields[11]) + int(fields[12])) / os.sysconf("SC_CLK_TCK")
 
 
+def peak_resident_bytes(pid: int) -> int:
+    """The peak resident set of `pid` so far, VmHWM in /proc/<pid>/status."""
+    fields = dict(line.split(":", 1) for line in Path(f"/proc/{pid}/status").read_text().splitlines())
+    return int(fields["VmHWM"].split()[0]) * 1024
+
+
 def answered(socks: list[socket.socket], timeout: float) -> list[socket.socket]:
     """Those of `socks` that have bytes to read within `timeout` seconds."""
     readable, _, _ = select.select(socks, [], [], timeout)
@@ -238,3 +244,27 @@ class TestConnectionCap:
             assert answer.endswith(b"\r\n\r\npage 1/1 10\nok laser 1")
         log = (tmp_path / "events.log").read_text("utf-8")
         assert log.endswith(f"\t{TAGGER}\thttp://yourdns.com/rdfs/mouse.rdf\tlaser\n")
+
+    @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads the peak resident set from /proc")
+    def test_the_resident_set_stays_bounded_while_more_clients_than_the_cap_hold_unfinished_heads(self):
+        nofile = 64  # a cap of 48 connections: 3 MiB of heads, against which the slack is small
+        cap = nofile - SPARE_DESCRIPTORS  # the child's max_connections
+        # One read's 64 KiB buffer, the inboxes' over-allocation and the allocator's own pages.
+        slack = 1 << 20
+        argv = [sys.executable, "-c", _LIMITED_SERVE, str(nofile), "serve", "--port", "0"]
+        with served(argv) as (proc, port), contextlib.ExitStack() as stack:
+            with socket.create_connection(("127.0.0.1", port)) as warm:  # the first answer loads what it needs
+                warm.sendall(REQUEST)
+                assert warm.recv(65536).startswith(b"HTTP/1.1 200 ")
+            before = peak_resident_bytes(proc.pid)
+            start = b"GET /cloud?resource="
+            head = start + b"m" * (MAX_HEAD - 1 - len(start))  # one byte short of a refusal, and no blank line
+            socks = []
+            for _ in range(cap + 48):
+                sock = stack.enter_context(socket.create_connection(("127.0.0.1", port), timeout=5))
+                sock.sendall(head)
+                socks.append(sock)
+            time.sleep(0.5)
+            assert not answered(socks, 0)
+            growth = peak_resident_bytes(proc.pid) - before
+            assert growth < cap * MAX_HEAD + slack, f"the peak resident set grew by {growth} bytes"

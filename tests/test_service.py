@@ -647,6 +647,11 @@ class TestPersistence:
         (tmp_path / "events.log").write_text(line, "utf-8")
         assert restore_store(str(tmp_path)).events == [event]
 
+    def test_a_blank_line_between_two_event_lines_is_skipped(self, tmp_path):
+        events = [model.AnnotationEvent(t, TAGGER, VOCAB.mint("mouse"), "laser") for t in (1, 2)]
+        (tmp_path / "events.log").write_text("\n".join(map(format_event_line, events)), "utf-8")
+        assert restore_store(str(tmp_path)).events == events
+
     def test_service_write_through_persistence(self, tmp_path):
         config = ServiceConfig(store_path=str(tmp_path / "live"))
         service = AnnotationService(config)

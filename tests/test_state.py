@@ -10,7 +10,9 @@ back to the model's counts, a map is the model's tree rendered here in
 past the end is `badpage`. A restart, plain, after `snapshot_store` or
 after part of a line is appended to the log, changes no answer. Neither
 does a `/tag` or `/attach` whose append fails part way through its line:
-it answers `500 storage`, and the model does not change.
+it answers `500 storage`, and the model does not change. An export,
+imported into a fresh directory as `scotcloud import` does it, gives a
+service there with the same answers.
 
 After every step, each body the service holds whose stamp is current is
 the document as built afresh: a cloud and the export as `serialize`
@@ -218,6 +220,27 @@ class StoreMachine(RuleBasedStateMachine):
     def snapshot_then_restart(self) -> None:
         snapshot_store(self.service.store, self.path)
         self.restart()
+
+    @rule()
+    def export_then_import(self) -> None:
+        """Import every page of `/export` into a fresh directory: a service opened there answers as this one does.
+
+        `answers` checks each of its clouds and maps against the model. An
+        export keeps neither taggers nor times, so neither is compared. The
+        imported service only reads, so it never opens its log.
+        """
+        status, pages = walk(self.service, "export", {})
+        assert status == 200
+        before = self.answers()
+        imported = tempfile.mkdtemp(prefix="scotcloud-import-")
+        service = self.service
+        try:
+            snapshot_store(model.store_from_graph(rdfxml.parse(body(pages)), VOCAB), imported)
+            self.service = AnnotationService(ServiceConfig(store_path=imported, page_cap=CAP))
+            assert self.answers() == before
+        finally:
+            self.service = service
+            shutil.rmtree(imported, ignore_errors=True)
 
     @rule(
         line=st.one_of(
