@@ -14,6 +14,7 @@ spacing inside the allowed radius.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import uuid
@@ -25,6 +26,11 @@ from .record import FrozenRecord, Record, set_field
 MAX_PRIMS = 255
 
 _PRIM_NS = uuid.uuid5(uuid.NAMESPACE_URL, "scotcloud:prim")
+# `uuid.uuid5(_PRIM_NS, name)` hashes the namespace, then the name: each id copies a hash that has read the first.
+_PRIM_SHA1 = hashlib.sha1(_PRIM_NS.bytes, usedforsecurity=False)
+# The variant (10) and version (0101) bits of a version-5 UUID, and the mask that clears the bits they take.
+_V5_BITS = 0x8000 << 48 | 0x5000 << 64
+_V5_MASK = ~(0xC000 << 48 | 0xF000 << 64)
 
 # Plan with a hair of slack so IEEE rounding can never push a spacing
 # check that was satisfied by construction below the exact threshold.
@@ -103,7 +109,10 @@ class LayoutParams(FrozenRecord):
 
 
 def _prim_id(scene_key: str, label: str, index: int) -> uuid.UUID:
-    return uuid.uuid5(_PRIM_NS, f"{scene_key}|{index}|{label}")
+    """`uuid.uuid5(_PRIM_NS, f"{scene_key}|{index}|{label}")`, without hashing the namespace again."""
+    sha1 = _PRIM_SHA1.copy()
+    sha1.update(f"{scene_key}|{index}|{label}".encode("utf-8"))
+    return uuid.UUID(int=int.from_bytes(sha1.digest()[:16], "big") & _V5_MASK | _V5_BITS)
 
 
 def _tag_scale(params: LayoutParams, count: int) -> float:

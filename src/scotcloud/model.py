@@ -96,14 +96,61 @@ class TagCloud(Record):
         return [(label, self.frequencies[label]) for label in rank_order(self.frequencies, self.frequencies)]
 
 
-class TopicMap(Record):
-    """Rooted concept tree. `parent` maps each non-root node to its parent."""
+class _ChildIndex:
+    """The slots of a `TopicMap` that are not its fields, so `==`, repr and copies leave them out."""
+
+    __slots__ = ("_children", "_unsorted")
+
+
+class TopicMap(Record, _ChildIndex):
+    """Rooted concept tree. `parent` maps each non-root node to its parent.
+
+    The map also keeps a children index: the children of each node, by
+    node. The first read builds it in one pass over `parent`; after that,
+    an edge goes in only through `add_edge`, which updates both in O(1).
+    A list of siblings is sorted when it is read after it changed, so a
+    node with many children costs one sort per read, not one per edge.
+    """
 
     __slots__ = ("root", "parent")
 
     def __init__(self, root: str, parent: Optional[dict[str, str]] = None) -> None:
         self.root = root
         self.parent = {} if parent is None else parent
+        self._children: Optional[dict[str, list[str]]] = None
+        self._unsorted: set[str] = set()
+
+    def __reduce__(self) -> tuple:
+        # A copy is built from the fields alone, and builds its own index.
+        return self.__class__, (self.root, self.parent)
+
+    def add_edge(self, child: str, parent: str) -> None:
+        """Put `child`, which is not in the map yet, under `parent`."""
+        self.parent[child] = parent
+        if self._children is None:
+            return
+        kids = self._children.get(parent)
+        if kids is None:
+            self._children[parent] = [child]
+        else:
+            kids.append(child)
+            self._unsorted.add(parent)
+
+    def _index(self) -> dict[str, list[str]]:
+        if self._children is None:
+            self._children = {}
+            for child, parent in self.parent.items():
+                self._children.setdefault(parent, []).append(child)
+            self._unsorted = set(self._children)
+        return self._children
+
+    def _kids(self, label: str) -> list[str]:
+        """The index's own sorted list of the children of `label`, not a copy; empty if it has none."""
+        kids = self._index().get(label, [])
+        if label in self._unsorted:
+            kids.sort()
+            self._unsorted.discard(label)
+        return kids
 
     @property
     def nodes(self) -> set[str]:
@@ -112,22 +159,21 @@ class TopicMap(Record):
         return names
 
     def children_of(self, label: str) -> list[str]:
-        """Sorted children of one node; scans every edge, so walks use `children`."""
-        return sorted(c for c, p in self.parent.items() if p == label)
+        """Sorted children of one node: a lookup in the index."""
+        return list(self._kids(label))
 
     def children(self) -> dict[str, list[str]]:
-        """Sorted children of every node that has any, in one pass over the edges."""
-        grouped: dict[str, list[str]] = {}
-        for child, parent in self.parent.items():
-            grouped.setdefault(parent, []).append(child)
-        for kids in grouped.values():
-            kids.sort()
-        return grouped
+        """The index itself, every list sorted: children by node, for nodes that have any. Do not change it."""
+        children = self._index()
+        for label in self._unsorted:
+            children[label].sort()
+        self._unsorted.clear()
+        return children
 
-    def depth(self) -> int:
-        """Edges on the longest path down from the root, in one breadth-first pass."""
-        children = self.children()
-        levels, frontier = 0, children.get(self.root, [])
+    def depth(self, label: Optional[str] = None) -> int:
+        """Edges on the longest path down from `label`, the root by default: one breadth-first pass over its subtree."""
+        children = self._index()
+        levels, frontier = 0, children.get(self.root if label is None else label, [])
         while frontier:
             levels += 1
             frontier = [kid for node in frontier for kid in children.get(node, ())]
@@ -200,9 +246,14 @@ class AnnotationStore:
     current as long as its own stamp has not moved.
 
     `_tree_of` files each tree object under every label it holds, and a
-    new parent above a root re-roots that object in place, so an attach
-    costs the same whatever the size of its tree. `height(label)` is
-    worked out once per label and kept until the next accepted `attach`.
+    new parent above a root re-roots that object in place. Each tree keeps
+    a children index, the sorted children of each of its nodes, which the
+    first read of the tree builds (see `TopicMap`). `attach` is the one
+    writer of the trees: it adds each edge to `parent` and to the index in
+    O(1), so an attach costs the same whatever the size of its tree.
+    `subtree` walks the index from its root and reads only the nodes it
+    returns. `height(label)` is one breadth-first pass over the subtree of
+    `label` alone, and is kept until the next accepted `attach`.
     """
 
     def __init__(self) -> None:
@@ -280,7 +331,7 @@ class AnnotationStore:
             tree = self.maps.pop(child) if child in self.maps else TopicMap(parent)
             tree.root = parent
             self.maps[parent] = self._tree_of[parent] = tree
-        tree.parent[child] = parent
+        tree.add_edge(child, parent)
         self._tree_of[child] = tree
         self._heights.clear()
         self.version += 1
@@ -296,7 +347,7 @@ class AnnotationStore:
             tree = self._tree_of.get(label)
             if tree is None:
                 raise UnknownConceptError(label)
-            height = self._heights[label] = max(1, TopicMap(label, tree.parent).depth())
+            height = self._heights[label] = max(1, tree.depth(label))
         return height
 
     def subtree(self, root_raw: str, depth: int) -> TopicMap:
@@ -307,14 +358,13 @@ class AnnotationStore:
             raise UnknownConceptError(root)
         if depth < 1:
             raise ValueError("depth must be at least 1")
-        children = tree.children()
         result = TopicMap(root)
         frontier, levels = [root], 0
         while frontier and levels < depth:
             next_frontier = []
             for node in frontier:
-                for child in children.get(node, ()):
-                    result.parent[child] = node
+                for child in tree._kids(node):
+                    result.add_edge(child, node)
                     next_frontier.append(child)
             frontier, levels = next_frontier, levels + 1
         return result

@@ -410,7 +410,8 @@ def parse(text: Union[str, bytes]) -> RdfGraph:
     Understands everything :func:`serialize` emits, plus the typed-node
     shorthand for rdf:type and descriptions nested inside a property
     element. Raises :class:`RdfParseError` with line/column for malformed
-    XML (unbound prefixes included, courtesy of expat). Each distinct IRI,
+    XML (unbound prefixes included, courtesy of expat), and for an XML
+    declaration that names an encoding expat cannot read. Each distinct IRI,
     element tag and literal is validated once per document, at its first
     occurrence, so a cloud's repeated predicates, classes and datatypes
     cost one check each.
@@ -430,6 +431,10 @@ def parse(text: Union[str, bytes]) -> RdfGraph:
         line, column = exc.position if exc.position else (None, None)
         reason = str(exc).removesuffix(f": line {line}, column {column}")  # RdfParseError states the position
         raise RdfParseError(f"malformed XML: {reason}", line, column) from None
+    except (LookupError, ValueError) as exc:  # expat cannot decode with the codec the XML declaration names
+        declared = re.match(rb"""(?:\xef\xbb\xbf)?<\?xml[^>]*?\sencoding\s*=\s*["']([^"']*)""", data)
+        name = declared[1].decode("ascii", "replace") if declared else "?"
+        raise RdfParseError(f"cannot read the encoding the XML declaration names, {name!r}: {exc}") from None
 
     terms = _Terms()
     namespace, local = terms.split(root.tag)

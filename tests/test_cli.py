@@ -461,6 +461,13 @@ class TestExportImport:
         assert "but only 0 of them" in done.stderr
         assert not (tmp_path / "s").exists()
 
+    @pytest.mark.parametrize("encoding", ["UTF-9", "shift_jis"])
+    def test_import_of_a_document_in_an_unreadable_declared_encoding_is_data_error(self, capsys, tmp_path, encoding):
+        data = f'<?xml version="1.0" encoding="{encoding}"?>\n'.encode() + document(description(RDFS + "mouse.rdf", CLOUD_TYPE))
+        err = self.refused(capsys, tmp_path, data)
+        assert err.startswith(f"import: cannot read the encoding the XML declaration names, '{encoding}': ")
+        assert "Traceback" not in err
+
     def test_import_of_garbage_is_data_error(self, capsys, tmp_path):
         bad = tmp_path / "bad.rdf"
         bad.write_text("<not-rdf", "utf-8")

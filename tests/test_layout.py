@@ -1,8 +1,11 @@
 import json
 import math
 import random
+import uuid
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from scotcloud.layout import (
     CannotFit,
@@ -16,6 +19,7 @@ from scotcloud.layout import (
     render_scene_flat,
     render_scene_json,
 )
+from scotcloud.layout import _PRIM_NS, _prim_id
 from scotcloud.model import AnnotationStore, AttachError, TagCloud, TopicMap, VocabConfig
 
 VOCAB = VocabConfig()
@@ -42,6 +46,12 @@ def pairwise_min_distance(prims) -> float:
         for j in range(i + 1, len(prims)):
             best = min(best, prims[i].position.distance(prims[j].position))
     return best
+
+
+@given(key=st.text(), index=st.integers(min_value=0), label=st.text())
+@example(key="map:chaussure", index=3, label="\u00e9t\u00e9 \u65e5\u672c \U0001f600")
+def test_prim_ids_are_the_uuid5_of_key_index_and_label(key, index, label):
+    assert _prim_id(key, label, index) == uuid.uuid5(_PRIM_NS, f"{key}|{index}|{label}")
 
 
 class TestVec3:

@@ -1,3 +1,4 @@
+import copy
 import itertools
 import random
 import re
@@ -646,6 +647,58 @@ class TestChildrenIndex:
                         assert store.height(label) == max(1, TopicMap(label, tree.parent).depth())
             with pytest.raises(UnknownConceptError):
                 store.height(f"n{size}")
+
+    def test_the_index_follows_every_attach_with_reads_between(self):
+        rng = random.Random(12)
+        for _ in range(20):
+            size = rng.randint(2, 60)
+            edges = [(f"n{rng.randrange(i)}", f"n{i}") for i in range(1, size)]
+            edges += [(f"n{rng.randrange(size)}", f"n{rng.randrange(size)}") for _ in range(size // 5)]
+            rng.shuffle(edges)
+            store = AnnotationStore()
+            for parent, child in edges:
+                try:
+                    store.attach(parent, child)
+                except AttachError:
+                    continue
+                tree = store.tree_of(child)
+                if rng.random() < 0.5:  # leave some changes unread until a later attach
+                    assert tree.children() == TopicMap(tree.root, dict(tree.parent)).children()
+                    assert tree.children_of(parent) == sorted(c for c, p in tree.parent.items() if p == parent)
+
+    def test_a_star_of_children_added_out_of_order_reads_sorted(self):
+        store = AnnotationStore()
+        labels = [f"k{i}" for i in random.Random(13).sample(range(500), 500)]
+        for i, label in enumerate(labels):
+            store.attach("hub", label)
+            if i % 100 == 0:
+                assert store.maps["hub"].children_of("hub") == sorted(labels[: i + 1])
+        assert store.subtree("hub", 1).children() == {"hub": sorted(labels)}
+
+    def test_equality_repr_and_copies_leave_the_index_out(self):
+        store = AnnotationStore()
+        for parent, child in [("shoe", "rubber"), ("shoe", "lace"), ("rubber", "sole")]:
+            store.attach(parent, child)
+        tree = store.maps["shoe"]
+        assert tree.children_of("shoe") == ["lace", "rubber"]  # the index is built and sorted
+        fresh = TopicMap("shoe", {"rubber": "shoe", "lace": "shoe", "sole": "rubber"})
+        assert tree == fresh
+        assert repr(tree) == repr(fresh) == (
+            "TopicMap(root='shoe', parent={'rubber': 'shoe', 'lace': 'shoe', 'sole': 'rubber'})"
+        )
+        for clone in (copy.copy(tree), copy.deepcopy(tree)):
+            assert clone == tree
+            assert clone.children() == {"shoe": ["lace", "rubber"], "rubber": ["sole"]}
+        clone = copy.deepcopy(tree)
+        clone.add_edge("heel", "rubber")
+        assert clone.children_of("rubber") == ["heel", "sole"]
+        assert tree.children_of("rubber") == ["sole"] and tree == fresh
+
+    def test_depth_below_a_label_reads_only_its_subtree(self):
+        tree = TopicMap("a", {"b": "a", "c": "b", "d": "c", "e": "a"})
+        assert [tree.depth(label) for label in "abcde"] == [3, 2, 1, 0, 0]
+        assert tree.depth() == tree.depth("a")
+        assert TopicMap("alone").depth("alone") == 0
 
     def test_subtree_scans_the_edges_once(self, monkeypatch):
         store = random_forest(random.Random(7), 200)

@@ -279,6 +279,12 @@ class TestParse:
         assert info.value.line is not None
         assert info.value.column is not None
 
+    # An encoding Python does not know, and a multi-byte one that expat cannot drive.
+    @pytest.mark.parametrize("encoding", ["UTF-9", "shift_jis"])
+    def test_an_unreadable_declared_encoding_is_a_parse_error(self, encoding):
+        with pytest.raises(RdfParseError, match=f"XML declaration names, '{encoding}': "):
+            parse(f'<?xml version="1.0" encoding="{encoding}"?>\n<rdf:RDF xmlns:rdf="{RDF_NS}"/>'.encode())
+
     def test_unknown_prefix_is_a_parse_error(self):
         with pytest.raises(RdfParseError):
             parse(f'<rdf:RDF xmlns:rdf="{RDF_NS}"><scot:Tag rdf:about="http://a/b"/></rdf:RDF>')

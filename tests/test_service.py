@@ -399,6 +399,28 @@ class TestMapEndpoint:
             assert time.perf_counter() - started < 0.5
             assert huge == whole
 
+    def test_attach_keeps_the_index_and_a_map_reads_no_whole_tree(self, service, monkeypatch):
+        for k in range(1, 400):
+            assert service.handle_url(f"/attach?parent=n{(k - 1) // 4}&child=n{k}&tagger={TAGGER}").ok
+        assert service.handle_url("/map?root=n0&depth=1").ok  # the first read builds the index
+        tree = service.store.maps["n0"]
+        index = tree._children
+        children = model.TopicMap.children
+
+        def not_of_the_store(self):
+            assert self is not tree, "children() over a whole tree of the store"
+            return children(self)
+
+        monkeypatch.setattr(model.TopicMap, "children", not_of_the_store)
+        for k in range(400, 420):
+            assert service.handle_url(f"/attach?parent=n{k % 7}&child=n{k}&tagger={TAGGER}").ok
+            for root in ("n0", f"n{k % 7}"):
+                assert fetch_full(service, "map", {"root": root, "depth": "2"}) == render_tree(
+                    service.store.subtree(root, 2), {}
+                ).encode()
+        assert tree._children is index  # updated in place, never built again
+        assert index["n3"] == ["n13", "n14", "n15", "n16", "n402", "n409", "n416"]
+
     def test_a_chain_deeper_than_the_recursion_limit_answers_200(self, service):
         for i in range(1500):
             response = service.handle_url(f"/attach?parent=n{i}&child=n{i + 1}&tagger={TAGGER}")
@@ -578,6 +600,27 @@ class TestPersistence:
         assert list(store.maps) == ["n8000"]
         assert list(store.maps["n8000"].parent.items()) == [(f"n{i}", f"n{i + 1}") for i in range(8000)]
         assert store.tree_of("n0") is store.maps["n8000"]
+
+    # 50,000 children of one root, attached out of sorted order, and a chain of 50,000 grown at its leaf:
+    # work per line that grows with a sibling list or with the depth would take minutes.
+    @pytest.mark.parametrize(
+        "parent_of,depth", [(lambda i: "n0", 1), (lambda i: f"n{i - 1}", 49_999)], ids=["star", "chain"]
+    )
+    def test_a_log_of_50000_attaches_restores_and_maps_in_linear_time(self, tmp_path, parent_of, depth):
+        target = tmp_path / "snap"
+        target.mkdir()
+        order = random.Random(50).sample(range(1, 50_000), 49_999) if depth == 1 else range(1, 50_000)
+        (target / "events.log").write_text("".join(f"attach\t{parent_of(i)}\tn{i}\n" for i in order), "utf-8")
+        started = time.perf_counter()
+        service = AnnotationService(store=restore_store(str(target)))
+        assert service.store.height("n0") == depth
+        whole = fetch_full(service, "map", {"root": "n0", "depth": "1"})
+        assert service.handle_url(f"/attach?parent=n1&child=new&tagger={TAGGER}").ok
+        again = fetch_full(service, "map", {"root": "n1", "depth": "2"})
+        assert time.perf_counter() - started < 5.0
+        kids = sorted(f"n{i}" for i in range(1, 50_000)) if depth == 1 else ["n1"]
+        assert whole.decode() == "n0 (0)\n" + "".join(f"  {kid} (0)\n" for kid in kids)
+        assert again == (b"n1 (0)\n  new (0)\n" if depth == 1 else b"n1 (0)\n  n2 (0)\n    n3 (0)\n  new (0)\n")
 
     def test_restore_missing_directory_errors(self, tmp_path):
         with pytest.raises(StoreLoadError):

@@ -10,7 +10,11 @@ back to the model's counts, a map is the model's tree rendered here in
 past the end is `badpage`. A restart, plain, after `snapshot_store` or
 after part of a line is appended to the log, changes no answer. Neither
 does a `/tag` or `/attach` whose append fails part way through its line:
-it answers `500 storage`, and the model does not change. An export,
+it answers `500 storage`, and the model does not change. After each
+accepted attach, every concept of the tree it changed is read as a map
+at every depth down to one past its height. Attaches of a whole chain,
+its edges in a drawn order, grow trees at a leaf, put new roots above
+them and build them four or more levels deep. An export,
 imported into a fresh directory as `scotcloud import` does it, gives a
 service there with the same answers.
 
@@ -44,7 +48,7 @@ VOCAB = VocabConfig()
 CAP = 256  # small pages, so that every document but the shortest is walked in several
 # Resources named like concepts, so that a /tag can change the counts of a map rooted there.
 RESOURCES = ["c0", "c1", "mouse"]
-LABELS = ["c0", "c1", "c2", "laser"]
+LABELS = ["c0", "c1", "c2", "c3", "c4", "laser"]
 DEPTHS = [1, 2, 9]
 
 
@@ -86,6 +90,11 @@ class StoreMachine(RuleBasedStateMachine):
         while label in self.parent:
             label = self.parent[label]
         return label
+
+    def height(self, label: str) -> int:
+        """Levels below `label` in the model's tree."""
+        below = [child for child, parent in self.parent.items() if parent == label]
+        return 1 + max(map(self.height, below), default=-1)
 
     def refusal(self, parent: str, child: str):
         """The token an attach of `child` under `parent` is refused with, or None."""
@@ -182,13 +191,38 @@ class StoreMachine(RuleBasedStateMachine):
 
     @rule(parent=st.sampled_from(LABELS), child=st.sampled_from(LABELS))
     def attach(self, parent: str, child: str) -> None:
+        self.attach_and_read(parent, child)
+
+    @rule(
+        chain=st.permutations(LABELS),
+        start=st.integers(0, len(LABELS) - 2),
+        upward=st.lists(st.booleans(), min_size=len(LABELS) - 2, max_size=len(LABELS) - 2),
+    )
+    def attach_chain(self, chain: list[str], start: int, upward: list[bool]) -> None:
+        """Attach `chain` as a path, from the edge at `start` outward: up puts a new root above it, down a new leaf."""
+        top = bottom = start  # the edges from chain[top] down to chain[bottom + 1] are asked for
+        self.attach_and_read(chain[start], chain[start + 1])
+        for up in upward:
+            if top and (up or bottom == len(chain) - 2):
+                top -= 1
+                self.attach_and_read(chain[top], chain[top + 1])
+            else:
+                bottom += 1
+                self.attach_and_read(chain[bottom], chain[bottom + 1])
+
+    def attach_and_read(self, parent: str, child: str) -> None:
+        """One `/attach`; once it is accepted, read every concept of the tree it changed at every depth."""
         response = ask(self.service, "attach", {"parent": parent, "child": child, "tagger": str(TAGGER)})
         refused = self.refusal(parent, child)
-        if refused is None:
-            self.parent[child] = parent
-            assert (response.status, response.page.payload) == (200, b"ok")
-        else:
+        if refused is not None:
             assert (response.status, response.page.payload) == (409, refused.encode())
+            return
+        self.parent[child] = parent
+        assert (response.status, response.page.payload) == (200, b"ok")
+        root = self.root(child)
+        for label in [label for label in LABELS if self.known(label) and self.root(label) == root]:
+            for depth in range(1, self.height(label) + 2):
+                self.check_map(label, depth)
 
     @rule(
         document=st.one_of(
