@@ -241,10 +241,10 @@ def _cmd_layout(args: argparse.Namespace) -> int:
             scene = layout_mod.layout_cloud(cloud, params, args.now)
         else:
             try:
-                height = store.height(model.normalize_tag(args.root))
+                depth = store.height(model.normalize_tag(args.root), args.depth)
             except model.UnknownConceptError:
                 return _fail(EXIT_DATA, f"layout: unknown concept {args.root!r}")
-            tree = store.subtree(args.root, args.depth or height)
+            tree = store.subtree(args.root, depth)
             cloud = store.cloud_of(vocab.resource_iri(tree.root))
             scene = layout_mod.layout_map(tree, cloud, params, args.now)
     except (model.TagError, rdfxml.ValidationError, layout_mod.LayoutError) as exc:

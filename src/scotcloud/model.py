@@ -170,13 +170,19 @@ class TopicMap(Record, _ChildIndex):
         self._unsorted.clear()
         return children
 
-    def depth(self, label: Optional[str] = None) -> int:
-        """Edges on the longest path down from `label`, the root by default: one breadth-first pass over its subtree."""
+    def depth(self, label: Optional[str] = None, limit: Optional[int] = None) -> int:
+        """Edges on the longest path down from `label`, the root by default, or `limit` if that is fewer.
+
+        One breadth-first pass over the subtree, which stops once it is
+        `limit` levels down: it reads the children of no node deeper than `limit - 1`.
+        """
         children = self._index()
-        levels, frontier = 0, children.get(self.root if label is None else label, [])
-        while frontier:
-            levels += 1
+        levels, frontier = 0, [self.root if label is None else label]
+        while levels != limit:
             frontier = [kid for node in frontier for kid in children.get(node, ())]
+            if not frontier:
+                break
+            levels += 1
         return levels
 
 
@@ -248,12 +254,15 @@ class AnnotationStore:
     `_tree_of` files each tree object under every label it holds, and a
     new parent above a root re-roots that object in place. Each tree keeps
     a children index, the sorted children of each of its nodes, which the
-    first read of the tree builds (see `TopicMap`). `attach` is the one
-    writer of the trees: it adds each edge to `parent` and to the index in
-    O(1), so an attach costs the same whatever the size of its tree.
+    first read of the tree builds (see `TopicMap`). `link`, which `attach`
+    calls once `check_attach` has passed, is the one writer of the trees:
+    it adds each edge to `parent` and to the index in O(1), so an attach
+    costs the same whatever the size of its tree. A caller that has
+    normalized and checked the labels itself calls `link` directly.
     `subtree` walks the index from its root and reads only the nodes it
-    returns. `height(label)` is one breadth-first pass over the subtree of
-    `label` alone, and is kept until the next accepted `attach`.
+    returns. `height(label, limit)` is one breadth-first pass over the
+    subtree of `label` alone, at most `limit` levels deep, and what it
+    found is kept until the next accepted `attach`.
     """
 
     def __init__(self) -> None:
@@ -261,7 +270,7 @@ class AnnotationStore:
         self.clouds: dict[Iri, TagCloud] = {}
         self.maps: dict[str, TopicMap] = {}
         self._tree_of: dict[str, TopicMap] = {}
-        self._heights: dict[str, int] = {}
+        self._heights: dict[str, tuple[int, bool]] = {}
         self.version = 0
         self.trees_version = 0
         self._cloud_versions: dict[Iri, int] = {}
@@ -326,6 +335,10 @@ class AnnotationStore:
         parent = normalize_tag(parent_raw)
         child = normalize_tag(child_raw)
         self.check_attach(parent, child)
+        self.link(parent, child)
+
+    def link(self, parent: str, child: str) -> None:
+        """`attach` of two normalized labels that `check_attach` has just passed; it checks nothing again."""
         tree = self._tree_of.get(parent)
         if tree is None:
             tree = self.maps.pop(child) if child in self.maps else TopicMap(parent)
@@ -337,18 +350,23 @@ class AnnotationStore:
         self.version += 1
         self.trees_version = self.version
 
-    def height(self, label: str) -> int:
-        """Levels below the normalized `label` in its tree, at least 1; `label` need not be its root.
+    def height(self, label: str, limit: Optional[int] = None) -> int:
+        """Levels below the normalized `label` in its tree, at least 1 and at most `limit`; `label` may be any node.
 
-        Raises UnknownConceptError for a label in no tree.
+        With a `limit`, the walk stops `limit` levels down, so a shallow
+        question about a deep tree reads only the levels it asks about. What
+        a walk found is kept until the next accepted `attach`. Raises
+        UnknownConceptError for a label in no tree.
         """
-        height = self._heights.get(label)
-        if height is None:
+        known = self._heights.get(label)  # (levels found, whether the walk ran out of nodes)
+        if known is None or not (known[1] or (limit is not None and known[0] >= limit)):
             tree = self._tree_of.get(label)
             if tree is None:
                 raise UnknownConceptError(label)
-            height = self._heights[label] = max(1, tree.depth(label))
-        return height
+            levels = tree.depth(label, limit)
+            known = self._heights[label] = (levels, limit is None or levels < limit)
+        height = max(1, known[0])
+        return height if limit is None else min(height, limit)
 
     def subtree(self, root_raw: str, depth: int) -> TopicMap:
         """Tree below `root` truncated `depth` levels down (root is level 0)."""
@@ -537,7 +555,8 @@ def _replay_edges(store: AnnotationStore, edges: list[tuple[str, str]]) -> None:
         next_wave = []
         for parent, child in sorted(wave):
             try:
-                store.attach(parent, child)
+                store.check_attach(parent, child)  # both labels are checked already
+                store.link(parent, child)
             except AttachError as exc:
                 raise CloudShapeError(f"topic-map edges are not a forest: {exc}") from None
             waiting[child] -= 1

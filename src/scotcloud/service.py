@@ -57,9 +57,9 @@ from __future__ import annotations
 import contextlib
 import functools
 import itertools
-import logging
 import os
 import re
+import sys
 import time
 import uuid
 from collections import deque
@@ -72,7 +72,6 @@ from .model import AnnotationEvent, AnnotationStore, TopicMap, VocabConfig
 from .rdfxml import Iri
 from .record import FrozenRecord, Record, set_field
 
-log = logging.getLogger(__name__)
 _T = TypeVar("_T")
 
 DEFAULT_PORT = 8765
@@ -180,6 +179,23 @@ def parse_digits(raw: str) -> Optional[int]:
         return int(raw)
     except ValueError:  # more digits than int() converts
         return None
+
+
+def diagnostic(line: str) -> bool:
+    """Write `line` and an LF to `sys.stderr`; False, with nothing raised, if it cannot be written.
+
+    It opens no file and loads no module, so it works after descriptors
+    have run out. A closed or missing stderr drops the line.
+    """
+    stream = sys.stderr
+    if stream is None:
+        return False
+    try:
+        stream.write(line + "\n")
+        stream.flush()
+    except (OSError, ValueError):  # a closed stream, or a pipe with no reader
+        return False
+    return True
 
 
 class ApiResponse(Record):
@@ -533,7 +549,7 @@ class AnnotationService:
             return self._answer(400, "badtag")
         try:
             # Every depth from the root's height on gives the same body: one key for them all.
-            depth = min(depth, self.store.height(root))
+            depth = self.store.height(root, depth)
         except model.UnknownConceptError:
             return self._answer(404, "unknown")
         try:
@@ -563,7 +579,7 @@ class AnnotationService:
             return self._answer(400, "badpage")
         if self.config.store_path and not self._append_log_line(format_attach_line(parent, child)):
             return self._answer(500, "storage")
-        self.store.attach(parent, child)
+        self.store.link(parent, child)
         return self._answer(200, "ok")
 
     def _op_export(self, params: dict[str, str], page: int) -> ApiResponse:
@@ -649,7 +665,7 @@ class AnnotationService:
         try:
             _write_all(self._log_descriptor(path), line.encode("utf-8"))
         except OSError as exc:
-            log.error("%s: append failed: %s", path, exc)
+            diagnostic(f"{path}: append failed: {exc}")
             if self._log_fd is not None:
                 with contextlib.suppress(OSError):
                     _cut_torn_tail(self._log_fd)
@@ -774,15 +790,16 @@ def restore_store(path: str) -> AnnotationStore:
 
     The log is streamed, so no more than one of its lines is held at
     once. Event lines go through `AnnotationStore.record` and attach
-    lines through `AnnotationStore.attach`; either is refused if a label
-    in it is not normalized. An unterminated last line is what a crash
-    mid-append leaves behind; it is dropped with a warning when the
-    replay reaches it, so a log refused at an earlier line gets no
-    warning. A directory that is empty, or holds only the temporary file
-    of a `snapshot_store` that never finished, is an empty store: a crash
-    can leave either before the first line is written. A directory that
-    holds the `snapshot.rdf` of older versions is refused by name. Raises
-    StoreLoadError and leaves nothing half-built.
+    lines through `check_attach` and `link`; either is refused if a label
+    in it is not normalized, and each label is checked once. An
+    unterminated last line is what a crash mid-append leaves behind; it is
+    dropped, with one line on stderr, when the replay reaches it, so a log
+    refused at an earlier line prints nothing of it. A directory that is
+    empty, or holds only the temporary file of a `snapshot_store` that
+    never finished, is an empty store: a crash can leave either before the
+    first line is written. A directory that holds the `snapshot.rdf` of
+    older versions is refused by name. Raises StoreLoadError and leaves
+    nothing half-built.
     """
     directory = Path(path)
     if not directory.is_dir():
@@ -802,7 +819,7 @@ def restore_store(path: str) -> AnnotationStore:
     with open(log_file, "rb") as lines:
         for lineno, raw in enumerate(lines, 1):
             if raw[-1] != 10:  # no LF (10) at its end: the part of a line that a crash mid-append leaves
-                log.warning("%s: dropping unterminated last line %r", log_file, raw)
+                diagnostic(f"{log_file}: dropping unterminated last line {raw!r}")
                 break
             if raw == b"\n":
                 continue
@@ -813,7 +830,9 @@ def restore_store(path: str) -> AnnotationStore:
                 if line.startswith(_ATTACH_PREFIX):
                     if len(parts) != 3:
                         raise ValueError(f"attach line does not have 3 fields: {line!r}")
-                    store.attach(model._check_label(parts[1]), model._check_label(parts[2]))
+                    parent, child = model._check_label(parts[1]), model._check_label(parts[2])
+                    store.check_attach(parent, child)
+                    store.link(parent, child)
                     continue
                 if len(parts) != 4:
                     raise ValueError(f"event line does not have 4 fields: {line!r}")

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import contextlib
 import errno
-import logging
 import math
 import os
 import re
@@ -38,9 +37,7 @@ import time
 from http import HTTPStatus
 from urllib.parse import urlsplit
 
-from .service import AnnotationService, Page
-
-log = logging.getLogger(__name__)
+from .service import AnnotationService, Page, diagnostic
 
 IDLE_TIMEOUT_S = 30  # a connection that neither sends nor takes a byte for this long is closed
 LINGER_S = 2  # after the server's last answer and its FIN, input is read and dropped for at most this long
@@ -343,8 +340,8 @@ class HttpServer:
             if conn.closing and not conn.outbox and not (conn.eof or conn.lingering):
                 conn.linger(now)
         except Exception as exc:  # a reset, or a fault in one request: that connection closes, the server serves on
-            if not isinstance(exc, OSError):
-                log.exception("http: error while serving a request")
+            if not isinstance(exc, OSError) and diagnostic("http: error while serving a request"):
+                sys.__excepthook__(type(exc), exc, exc.__traceback__)  # the traceback; loads no module at start
             conn.eof, conn.outbox = True, memoryview(b"")
         if conn.eof and not conn.outbox:
             conn.close()

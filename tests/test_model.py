@@ -648,6 +648,20 @@ class TestChildrenIndex:
             with pytest.raises(UnknownConceptError):
                 store.height(f"n{size}")
 
+    def test_a_height_with_a_limit_matches_a_fresh_depth_whatever_was_asked_before(self):
+        rng = random.Random(11)
+        for _ in range(20):
+            store = random_forest(rng, rng.randint(2, 40))
+            for _ in range(3):  # a label's height is kept until an attach, then worked out again
+                for tree in list(store.maps.values()):
+                    for label in sorted(tree.nodes):
+                        full = max(1, TopicMap(label, tree.parent).depth())
+                        for limit in rng.sample([None, 1, 2, 3, 5, 8], 6):
+                            want = full if limit is None else min(full, limit)
+                            assert store.height(label, limit) == want, (label, limit)
+                root = next(iter(store.maps.values())).root
+                store.attach(f"above{store.version}", root)  # a new root: every height in its tree moves
+
     def test_the_index_follows_every_attach_with_reads_between(self):
         rng = random.Random(12)
         for _ in range(20):
@@ -699,6 +713,7 @@ class TestChildrenIndex:
         assert [tree.depth(label) for label in "abcde"] == [3, 2, 1, 0, 0]
         assert tree.depth() == tree.depth("a")
         assert TopicMap("alone").depth("alone") == 0
+        assert [tree.depth("a", limit) for limit in (0, 1, 2, 3, 4)] == [0, 1, 2, 3, 3]
 
     def test_subtree_scans_the_edges_once(self, monkeypatch):
         store = random_forest(random.Random(7), 200)

@@ -3,11 +3,13 @@ import copy
 import errno
 import hashlib
 import http.client
+import io
 import os
 import random
 import shutil
 import socket
 import struct
+import sys
 import tempfile
 import threading
 import time
@@ -421,6 +423,23 @@ class TestMapEndpoint:
         assert tree._children is index  # updated in place, never built again
         assert index["n3"] == ["n13", "n14", "n15", "n16", "n402", "n409", "n416"]
 
+    def test_a_shallow_map_asked_after_an_attach_reads_only_the_levels_it_shows_and_one_more(self, service):
+        # n0 has four children, each of them four, and so on: 2,000 nodes on six levels
+        for k in range(1, 2000):
+            assert service.handle_url(f"/attach?parent=n{(k - 1) // 4}&child=n{k}&tagger={TAGGER}").ok
+        tree = service.store.maps["n0"]
+        levels = {"n0": 0}
+        for k in range(1, 2000):  # a parent's number is below its child's
+            levels[f"n{k}"] = levels[tree.parent[f"n{k}"]] + 1
+        for depth in (1, 2, 3):
+            assert service.handle_url(f"/attach?parent=n1999&child=x{depth}&tagger={TAGGER}").ok
+            levels[f"x{depth}"] = levels["n1999"] + 1
+            tree._children = index = _ReadLog(tree._index())
+            body = fetch_full(service, "map", {"root": "n0", "depth": str(depth)})
+            # a node's children are the level below it: those of level `depth` are one more than the map shows
+            assert max(levels[label] for label in index.read) <= depth
+            assert body == render_tree(service.store.subtree("n0", depth), {}).encode()
+
     def test_a_chain_deeper_than_the_recursion_limit_answers_200(self, service):
         for i in range(1500):
             response = service.handle_url(f"/attach?parent=n{i}&child=n{i + 1}&tagger={TAGGER}")
@@ -435,7 +454,40 @@ class TestMapEndpoint:
         assert b"".join(chunks).decode() == "".join(f"{'  ' * i}n{i} (0)\n" for i in range(1501))
 
 
+class _ReadLog(dict):
+    """A children index that notes each node whose children are read."""
+
+    def __init__(self, index: dict) -> None:
+        super().__init__(index)
+        self.read: set[str] = set()
+
+    def get(self, label, default=None):
+        self.read.add(label)
+        return super().get(label, default)
+
+
+def _calls(monkeypatch, owner, name: str) -> list[tuple]:
+    """The arguments of each call to `owner.name` from now on, which still does its work."""
+    calls: list[tuple] = []
+    real = getattr(owner, name)
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(owner, name, spy)
+    return calls
+
+
 class TestAttachEndpoint:
+    def test_an_attach_normalizes_and_checks_each_label_once(self, service, monkeypatch):
+        normalized = _calls(monkeypatch, model, "normalize_tag")
+        checks = _calls(monkeypatch, AnnotationStore, "check_attach")
+        assert service.handle_url(f"/attach?parent=Shoe&child=%20rubber&tagger={TAGGER}").ok
+        assert normalized == [("Shoe",), (" rubber",)]
+        assert [args[1:] for args in checks] == [("shoe", "rubber")]
+        assert service.store.maps["shoe"].parent == {"rubber": "shoe"}
+
     def test_attach_returns_ok(self, service):
         response = ask(service, "attach", {"parent": "shoe", "child": "rubber", "tagger": str(TAGGER)})
         assert response.status == 200
@@ -622,6 +674,15 @@ class TestPersistence:
         assert whole.decode() == "n0 (0)\n" + "".join(f"  {kid} (0)\n" for kid in kids)
         assert again == (b"n1 (0)\n  new (0)\n" if depth == 1 else b"n1 (0)\n  n2 (0)\n    n3 (0)\n  new (0)\n")
 
+    def test_an_attach_line_normalizes_and_checks_each_label_once(self, tmp_path, monkeypatch):
+        (tmp_path / "events.log").write_text("attach\tshoe\trubber\n", "utf-8")
+        normalized = _calls(monkeypatch, model, "normalize_tag")
+        checks = _calls(monkeypatch, AnnotationStore, "check_attach")
+        store = restore_store(str(tmp_path))
+        assert normalized == [("shoe",), ("rubber",)]
+        assert [args[1:] for args in checks] == [("shoe", "rubber")]
+        assert store.maps["shoe"].parent == {"rubber": "shoe"}
+
     def test_restore_missing_directory_errors(self, tmp_path):
         with pytest.raises(StoreLoadError):
             restore_store(str(tmp_path / "nothing"))
@@ -762,11 +823,11 @@ class TestPersistence:
         assert len(store.events) == 20_000
         assert peak < size, f"restoring a {size}-byte log peaked at {peak} bytes"
 
-    def test_a_log_refused_before_its_torn_tail_gives_no_warning_of_it(self, tmp_path, caplog):
+    def test_a_log_refused_before_its_torn_tail_gives_no_warning_of_it(self, tmp_path, capsys):
         (tmp_path / "events.log").write_text("not a log line\n1234", "utf-8")
         with pytest.raises(StoreLoadError, match="events.log:1: "):
             restore_store(str(tmp_path))
-        assert not any("unterminated" in record.getMessage() for record in caplog.records)
+        assert "unterminated" not in capsys.readouterr().err
 
     def test_line_separator_characters_in_iri_survive_restart(self, tmp_path):
         config = ServiceConfig(store_path=str(tmp_path / "live"))
@@ -780,7 +841,7 @@ class TestPersistence:
         assert reborn.store.cloud_of(Iri("http://example.org/a\u2028b")).frequencies == {"laser": 1}
         assert store_state(reborn.store) == store_state(service.store)
 
-    def test_log_cut_at_every_byte_restores_a_prefix(self, tmp_path, caplog):
+    def test_log_cut_at_every_byte_restores_a_prefix(self, tmp_path, capsys):
         mutations = [
             "/tag?resource=mouse&tag=laser",
             "/attach?parent=shoe&child=rubber",
@@ -803,11 +864,11 @@ class TestPersistence:
         for cut in range(len(data) + 1):
             (target / "events.log").write_bytes(data[:cut])
             done = data[:cut].count(b"\n")
-            caplog.clear()
+            capsys.readouterr()
             restored = AnnotationService(ServiceConfig(store_path=str(target)))
             assert store_state(restored.store) == states[done], cut
             torn = cut > 0 and data[cut - 1 : cut] != b"\n"
-            assert any("unterminated" in r.getMessage() for r in caplog.records) == torn
+            assert ("unterminated" in capsys.readouterr().err) == torn
             # the torn tail is gone from disk, so the next write is a line of its own
             assert restored.handle_url(f"/tag?resource=after&tag=next&tagger={TAGGER}").status == 200
             clouds, maps = store_state(restore_store(str(target)))
@@ -1763,6 +1824,35 @@ class TestStorageFailure:
         assert [service.handle_url(url).encode() for url in self.READS] == before
         uncached = AnnotationService(store=service.store)
         assert [uncached.handle_url(url).encode() for url in self.READS] == before
+
+    def test_a_failed_append_prints_one_line_and_answers_storage(self, tmp_path, monkeypatch, capsys):
+        live = tmp_path / "live"
+        service = AnnotationService(ServiceConfig(store_path=str(live)))
+        assert service.handle_url(f"/tag?resource=mouse&tag=laser&tagger={TAGGER}").ok
+        capsys.readouterr()
+        with monkeypatch.context() as patch:
+            patch.setattr(os, "write", _no_space)
+            response = service.handle_url(f"/tag?resource=mouse&tag=laser&tagger={TAGGER}")
+        assert (response.status, response.page.payload) == (500, b"storage")
+        assert capsys.readouterr().err == f"{live / 'events.log'}: append failed: [Errno 28] No space left on device\n"
+
+    @pytest.mark.parametrize("stderr", ["closed", "none"])
+    def test_a_diagnostic_that_stderr_cannot_take_is_dropped_without_raising(self, tmp_path, monkeypatch, stderr):
+        closed = io.StringIO()
+        closed.close()
+        monkeypatch.setattr(sys, "stderr", closed if stderr == "closed" else None)
+        assert service_module.diagnostic("lost") is False
+        # a torn tail, then a failed append: each has a line to write, and neither raises
+        event = model.AnnotationEvent(1, TAGGER, VOCAB.mint("m"), "a")
+        (tmp_path / "events.log").write_bytes(format_event_line(event).encode() + b"12")
+        service = AnnotationService(ServiceConfig(store_path=str(tmp_path)))
+        assert service.store.clouds[VOCAB.mint("m")].frequencies == {"a": 1}
+        monkeypatch.setattr(os, "write", _no_space)
+        assert service.handle_url(f"/tag?resource=m&tag=a&tagger={TAGGER}").page.payload == b"storage"
+
+
+def _no_space(fd, data):
+    raise OSError(errno.ENOSPC, "No space left on device")
 
 
 class _Crash(BaseException):

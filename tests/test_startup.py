@@ -22,8 +22,9 @@ from scotcloud.service import Page
 from conftest import TAGGER
 
 PACKAGE_ROOT = Path(scotcloud.__file__).resolve().parent.parent
-# Modules that neither serving nor simulating uses: what dataclasses loads, and the XML parser.
-UNUSED = ("dataclasses", "inspect", "xml.etree.ElementTree")
+# Modules that neither serving nor simulating uses: what dataclasses loads, the XML parser, and
+# logging, which the diagnostics on stderr do without.
+UNUSED = ("dataclasses", "inspect", "xml.etree.ElementTree", "logging")
 
 _LOADED = """
 import sys
