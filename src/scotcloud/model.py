@@ -1,9 +1,22 @@
-"""Tag clouds, topic trees, and their mapping onto SCOT RDF graphs.
+"""Tag clouds, topic trees, and the SCOT mapping that describes them in RDF.
 
 A cloud is a per-resource map from normalized tag label to absolute
 frequency (how many times anyone attached that tag). Topic maps organize
 concept labels as trees: folksonomy labels, taxonomy shape. Both views
 fold out of a single append-only annotation event log.
+
+This module states the SCOT mapping once, one `rdf:Description` at a
+time. From a role's inputs, `VocabConfig.describe_cloud`, `describe_tag`
+and `describe_concept` give the subject and the properties of its
+description: a cloud is a `scot:TagCloud` with a `sioc:has_tag` to each
+of its tags, a tag a `scot:Tag` whose `scot:ownAFrequency` is its count
+as an `xsd:float` `<count>.0`, and a concept has a `skos:broader` to its
+parent. `CLOUD_BINDINGS` and `EXPORT_BINDINGS` name the namespaces of
+the one-cloud and the whole-store documents. `cloud_to_rdf` and
+`store_to_graph` add those descriptions to an `RdfGraph`; the service's
+description cache renders them through `rdfxml.Writer`, a description at
+a time. The readers go the other way one description at a time: a
+cloud's names its tags, and each tag's gives its count.
 """
 
 from __future__ import annotations
@@ -15,14 +28,15 @@ from collections.abc import Iterable
 from typing import Optional
 from urllib.parse import quote, unquote
 
-from .rdfxml import RDF_TYPE, XSD_FLOAT, Iri, Literal, RdfGraph
+from .rdfxml import RDF_NS, RDF_TYPE, XSD_FLOAT, Iri, Literal, RdfGraph, objects
 from .record import FrozenRecord, Record, set_field
 
 SCOT_NS = "http://scot-project.org/scot/ns#"
 SIOC_NS = "http://rdfs.org/sioc/ns#"
 SKOS_NS = "http://www.w3.org/2004/02/skos/core#"
 SKOS_BROADER = Iri(SKOS_NS + "broader")
-BINDINGS = {"scot": SCOT_NS, "sioc": SIOC_NS}
+CLOUD_BINDINGS = {"rdf": RDF_NS, "scot": SCOT_NS, "sioc": SIOC_NS}  # the namespaces of a one-cloud document
+EXPORT_BINDINGS = {**CLOUD_BINDINGS, "skos": SKOS_NS}  # a whole-store document also binds skos
 DEFAULT_BASE_URI = "http://yourdns.com"
 _FLOAT = Iri(XSD_FLOAT)
 # The tagger of every event that `store_from_graph` replays: an export keeps no taggers.
@@ -187,7 +201,14 @@ class TopicMap(Record, _ChildIndex):
 
 
 class VocabConfig(Record):
-    """The SCOT vocabulary every document uses, and the deployment's base URI for minting."""
+    """The SCOT vocabulary every document uses, the deployment's base URI for minting, and the mapping.
+
+    Each `describe_*` method gives the (subject, properties) of one role's
+    `rdf:Description`, a predicate mapping to an object or a set of them, as
+    `RdfGraph.add_description` and `rdfxml.Writer.describe` take them. A
+    role's last argument is its inputs; `scoped` picks the tag IRIs of a
+    whole-store document over those of a one-cloud document.
+    """
 
     __slots__ = ("base_uri",)
 
@@ -206,25 +227,42 @@ class VocabConfig(Record):
     def scoped_tag_iri(resource: Iri, label: str) -> Iri:
         # Multi-cloud documents nest tag IRIs under their resource so that
         # the same label in two clouds stays two subjects.
-        stem = resource[: -len(".rdf")] if resource.endswith(".rdf") else str(resource)
-        return Iri(f"{stem}/{quote(label, safe='')}.rdf")
-
-    def tag_iri(self, resource: Iri, label: str, scoped: bool) -> Iri:
-        """The IRI of a cloud's tag: minted from the label in a one-cloud document, scoped in a multi-cloud one."""
-        return self.scoped_tag_iri(resource, label) if scoped else self.mint(label)
+        return Iri(f"{resource.removesuffix('.rdf')}/{quote(label, safe='')}.rdf")
 
     def resource_iri(self, name_or_iri: str) -> Iri:
         if "://" in name_or_iri:
             return Iri(name_or_iri)
         return self.mint(normalize_tag(name_or_iri))
 
+    def describe_cloud(self, scoped: bool, resource: Iri, tags: tuple[Iri, ...]) -> tuple[Iri, dict]:
+        """The cloud of `resource`, whose tags have the IRIs `tags`: a `scot:TagCloud` that has each of them.
+
+        The description is the same in both documents; the tags' IRIs carry the form `scoped` names.
+        """
+        return resource, {RDF_TYPE: self.tag_cloud_class, self.has_tag: set(tags)}
+
+    def describe_tag(self, scoped: bool, resource: Iri, label: str, count: int) -> tuple[Iri, dict]:
+        """The tag `label` of the cloud of `resource`: a `scot:Tag` whose frequency is `count` as an `xsd:float`.
+
+        Its IRI is minted from the label in a one-cloud document and scoped
+        under the resource in a whole-store one.
+        """
+        tag = self.scoped_tag_iri(resource, label) if scoped else self.mint(label)
+        return tag, {RDF_TYPE: self.tag_class, self.frequency_property: Literal(_frequency_lexical(count), _FLOAT)}
+
+    def describe_concept(self, label: str, parent: str) -> tuple[Iri, dict]:
+        """The concept `label` of a topic map, below `parent`: a `skos:broader` to the parent's IRI."""
+        return self.mint(label), {SKOS_BROADER: self.mint(parent)}
+
+
+def _frequency_lexical(count: int) -> str:
+    """The lexical form of a tag's frequency: `<count>.0`."""
+    return f"{count}.0"
+
 
 def label_from_iri(iri: str) -> str:
     """Inverse of minting: decode the last path segment, dropping ".rdf"."""
-    tail = iri.rsplit("/", 1)[-1]
-    if tail.endswith(".rdf"):
-        tail = tail[: -len(".rdf")]
-    return unquote(tail)
+    return unquote(iri.rsplit("/", 1)[-1].removesuffix(".rdf"))
 
 
 _MINTED_RE = re.compile(r"/rdfs/[^/]+\.rdf$")
@@ -388,24 +426,32 @@ class AnnotationStore:
         return result
 
 
-# -- RDF mapping -----------------------------------------------------------
+# -- the mapping over whole clouds and stores ------------------------------------
+
+
+def _add_cloud(graph: RdfGraph, cloud: TagCloud, config: VocabConfig, scoped: bool) -> None:
+    tags = [config.describe_tag(scoped, cloud.resource, label, count) for label, count in cloud.frequencies.items()]
+    for description in tags:
+        graph.add_description(*description)
+    graph.add_description(*config.describe_cloud(scoped, cloud.resource, tuple(tag for tag, _ in tags)))
 
 
 def cloud_to_rdf(cloud: TagCloud, config: VocabConfig) -> RdfGraph:
-    """Describe the cloud the way the SCOT vocabulary expects."""
-    graph = RdfGraph(BINDINGS)
-    _add_cloud_triples(graph, cloud, config, scoped=False)
+    """The one-cloud document's graph: the cloud's description and its tags'."""
+    graph = RdfGraph(CLOUD_BINDINGS)
+    _add_cloud(graph, cloud, config, scoped=False)
     return graph
 
 
-def _add_cloud_triples(graph: RdfGraph, cloud: TagCloud, config: VocabConfig, scoped: bool) -> None:
-    add = graph.add_terms
-    add(cloud.resource, RDF_TYPE, VocabConfig.tag_cloud_class)
-    for label, count in cloud.frequencies.items():
-        tag_iri = config.tag_iri(cloud.resource, label, scoped)
-        add(cloud.resource, VocabConfig.has_tag, tag_iri)
-        add(tag_iri, RDF_TYPE, VocabConfig.tag_class)
-        add(tag_iri, VocabConfig.frequency_property, frequency_literal(count))
+def store_to_graph(store: AnnotationStore, config: VocabConfig) -> RdfGraph:
+    """The whole-store document's graph: every cloud with its tags, and every concept below a parent."""
+    graph = RdfGraph(EXPORT_BINDINGS)
+    for cloud in store.clouds.values():
+        _add_cloud(graph, cloud, config, scoped=True)
+    for tree in store.maps.values():
+        for child, parent in tree.parent.items():
+            graph.add_description(*config.describe_concept(child, parent))
+    return graph
 
 
 # The largest frequency import takes: a float holds every integer up to 2^53, and skips some above it.
@@ -415,23 +461,14 @@ MAX_FREQUENCY = 2**53
 _DECIMAL = re.compile(r"\+?[0-9]*\.?[0-9]*(?:[eE][+-]?[0-9]+)?")
 
 
-def frequency_literal(count: int) -> Literal:
-    """A tag's `scot:ownAFrequency` value: the count as an `xsd:float`."""
-    return Literal(f"{count}.0", _FLOAT)
-
-
-def _cloud_subjects(graph: RdfGraph) -> list[Iri]:
-    return graph.subjects(RDF_TYPE, VocabConfig.tag_cloud_class)
-
-
-def _frequency_of(graph: RdfGraph, tag_iri: Iri) -> int:
-    """The count a tag's frequency literal denotes: an integer from 1 to MAX_FREQUENCY, or CloudShapeError.
+def _frequency_of(tag_iri: Iri, description: dict) -> int:
+    """The count the description of the tag `tag_iri` gives: an integer from 1 to MAX_FREQUENCY, or CloudShapeError.
 
     `float` reads the lexical form; a form other than the `<count>.0`
-    that `frequency_literal` writes must also denote exactly the integer
+    that `describe_tag` writes must also denote exactly the integer
     read (`_denotes`), so that no count changes on its way in.
     """
-    hits = graph.objects(tag_iri, VocabConfig.frequency_property)
+    hits = objects(description, VocabConfig.frequency_property)
     if not hits:
         raise CloudShapeError(f"tag {tag_iri} has no frequency")
     obj = hits[0]
@@ -447,7 +484,7 @@ def _frequency_of(graph: RdfGraph, tag_iri: Iri) -> int:
     if value > MAX_FREQUENCY:
         raise CloudShapeError(f"frequency of {tag_iri} is above 2^53, past which a float skips counts: {lexical}")
     count = int(value)
-    if lexical != f"{count}.0" and not _denotes(lexical, count):
+    if lexical != _frequency_lexical(count) and not _denotes(lexical, count):
         raise CloudShapeError(f"frequency of {tag_iri} does not denote exactly the integer {count}: {lexical}")
     return count
 
@@ -461,36 +498,30 @@ def _denotes(lexical: str, count: int) -> bool:
 
 
 def _cloud_from_subject(graph: RdfGraph, subject: Iri) -> TagCloud:
+    """The cloud described at `subject`: its description names its tags, and each tag's description gives a count."""
     cloud = TagCloud(subject)
-    for tag_iri in graph.objects(subject, VocabConfig.has_tag):
+    for tag_iri in objects(graph.description(subject), VocabConfig.has_tag):
         if not isinstance(tag_iri, Iri):
             raise CloudShapeError(f"tag reference of {subject} is a literal")
-        try:
-            label = _check_label(label_from_iri(tag_iri))
-        except TagError as exc:
-            raise CloudShapeError(str(exc)) from None
-        cloud.frequencies[label] = _frequency_of(graph, tag_iri)
+        label = _label_of(tag_iri)
+        cloud.frequencies[label] = _frequency_of(tag_iri, graph.description(tag_iri))
     return cloud
+
+
+def _label_of(iri: Iri) -> str:
+    """The label an IRI was minted or scoped from, or CloudShapeError if it is not normalized."""
+    try:
+        return _check_label(label_from_iri(iri))
+    except TagError as exc:
+        raise CloudShapeError(str(exc)) from None
 
 
 def rdf_to_cloud(graph: RdfGraph, config: VocabConfig) -> TagCloud:
     """Inverse of :func:`cloud_to_rdf`; the graph must hold exactly one cloud."""
-    subjects = _cloud_subjects(graph)
+    subjects = graph.subjects(RDF_TYPE, VocabConfig.tag_cloud_class)
     if len(subjects) != 1:
         raise CloudShapeError(f"expected exactly one tag cloud subject, found {len(subjects)}")
     return _cloud_from_subject(graph, subjects[0])
-
-
-def store_to_graph(store: AnnotationStore, config: VocabConfig) -> RdfGraph:
-    """Every cloud plus the topic-map edges, as one graph."""
-    graph = RdfGraph(BINDINGS)
-    graph.bind("skos", SKOS_NS)
-    for resource in sorted(store.clouds):
-        _add_cloud_triples(graph, store.clouds[resource], config, scoped=True)
-    for tree in store.maps.values():
-        for child, parent in tree.parent.items():
-            graph.add_terms(config.mint(child), SKOS_BROADER, config.mint(parent))
-    return graph
 
 
 def store_from_graph(graph: RdfGraph, config: VocabConfig) -> AnnotationStore:
@@ -513,27 +544,23 @@ def store_from_graph(graph: RdfGraph, config: VocabConfig) -> AnnotationStore:
     store = AnnotationStore()
     kept = 0  # distinct triples of the graph that the store represents
     tags: set[Iri] = set()
-    for subject in _cloud_subjects(graph):
+    for subject in graph.subjects(RDF_TYPE, VocabConfig.tag_cloud_class):
         cloud = _cloud_from_subject(graph, subject)
         kept += 1 + len(cloud.frequencies)
-        tags.update(graph.objects(subject, VocabConfig.has_tag))
+        tags.update(objects(graph.description(subject), VocabConfig.has_tag))
         for label, count in sorted(cloud.frequencies.items()):
             for _ in range(count):
                 store.record(AnnotationEvent(0, IMPORT_TAGGER, subject, label))
     edges = []
     for subject in graph.subjects(SKOS_BROADER):
-        for obj in graph.objects(subject, SKOS_BROADER):
+        for obj in objects(graph.description(subject), SKOS_BROADER):
             if not isinstance(obj, Iri):
                 raise CloudShapeError("broader edge points at a literal")
-            try:
-                child = _check_label(label_from_iri(subject))
-                parent = _check_label(label_from_iri(obj))
-            except TagError as exc:
-                raise CloudShapeError(str(exc)) from None
-            edges.append((parent, child))
+            child = _label_of(subject)
+            edges.append((_label_of(obj), child))
     _replay_edges(store, edges)
     # An IRI can be a cloud, a tag and a concept at once, but each role counts other triples.
-    kept += len(edges) + sum(1 + (VocabConfig.tag_class in graph.objects(tag, RDF_TYPE)) for tag in tags)
+    kept += len(edges) + sum(1 + (VocabConfig.tag_class in objects(graph.description(tag), RDF_TYPE)) for tag in tags)
     if kept < len(graph):
         raise CloudShapeError(
             f"the document holds {len(graph)} triples, but only {kept} of them describe SCOT clouds or topic maps"

@@ -20,6 +20,11 @@ in `_object_key` order: IRIs before literals, each sorted by its text.
 One `Writer` writes all of it, a description at a time: `serialize`
 joins its descriptions in subject order, and the service's cache of
 rendered descriptions holds texts that the same `Writer.describe` wrote.
+This module knows no vocabulary: `scotcloud.model` states the SCOT
+mapping once, as the (subject, properties) of each description, which
+`Writer.describe` renders and `RdfGraph.add_description` adds to a
+graph. `RdfGraph.description` and `objects` read a graph back the same
+way, one description at a time.
 
 `parse` reads through `xml.etree.ElementTree`, which it imports on its
 first call: writing needs no XML library, so the server and the
@@ -209,10 +214,15 @@ class RdfGraph:
     def bindings(self) -> dict[str, Iri]:
         return dict(self._bindings)
 
-    def objects(self, subject: Iri, predicate: Iri) -> Sequence[Term]:
-        """The objects of (subject, predicate) in serialization order; empty if there are none."""
-        held = self._descriptions.get(subject, {}).get(predicate)
-        return () if held is None else _object_order(held)
+    def add_description(self, subject: Iri, properties: dict[Iri, Union[Term, set[Term]]]) -> None:
+        """Add the triples of one description, whose predicates map to an object or a set, as `Writer.describe` takes it."""
+        for predicate, held in properties.items():
+            for obj in held if type(held) is set else (held,):
+                self.add_terms(subject, predicate, obj)
+
+    def description(self, subject: Iri) -> dict[Iri, Union[Term, set[Term]]]:
+        """The properties of `subject`, as `add_description` takes them; empty if it has none. Do not change it."""
+        return self._descriptions.get(subject, {})
 
     def subjects(self, predicate: Iri, obj: Optional[Term] = None) -> list[Iri]:
         """Sorted subjects that have `predicate`, or, given `obj`, that have it with that object."""
@@ -235,10 +245,7 @@ class RdfGraph:
                     yield Triple(subject, predicate, obj)
 
     def __contains__(self, triple: Triple) -> bool:
-        if not isinstance(triple, Triple):
-            return False
-        held = self._descriptions.get(triple.subject, {}).get(triple.predicate)
-        return held is not None and _holds(held, triple.object)
+        return isinstance(triple, Triple) and triple.object in objects(self.description(triple.subject), triple.predicate)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, RdfGraph):
@@ -250,6 +257,12 @@ class RdfGraph:
 
     def __repr__(self) -> str:
         return f"<RdfGraph {self._len} triples, {len(self._bindings)} bindings>"
+
+
+def objects(properties: dict[Iri, Union[Term, set[Term]]], predicate: Iri) -> Sequence[Term]:
+    """The objects of `predicate` in one description, in serialization order; empty if there are none."""
+    held = properties.get(predicate)
+    return () if held is None else _object_order(held)
 
 
 def _predicate_order(properties: dict[Iri, object]) -> list[Iri]:

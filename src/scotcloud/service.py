@@ -41,6 +41,11 @@ that restores to the store before the operation or after it:
 - `snapshot_store` leaves the old log until its rename, the new one after;
 - opening the log for appending cuts any partial last line first.
 
+The directory itself is synced (`_sync_directory`) after the rename of
+`snapshot_store` and when a service opens the log, so a finished import,
+and the entry of a log a service created, survive a power cut. The lines
+a service appends are not synced.
+
 A failed append answers `storage` and cuts what it wrote of its line at
 once; if that cut fails too, the next opening of the log makes it. So
 no line is ever written after a partial one.
@@ -56,13 +61,13 @@ from __future__ import annotations
 
 import contextlib
 import functools
-import itertools
+import operator
 import os
 import re
 import sys
 import time
 import uuid
-from collections import deque
+from collections import Counter, deque
 from pathlib import Path
 from typing import Callable, Iterable, Optional, TypeVar, Union
 from urllib.parse import unquote, urlsplit
@@ -89,10 +94,10 @@ WRITE_CHUNK = 1 << 16  # snapshot_store passes os.write about this many bytes at
 TAIL_READ = 4096  # _cut_torn_tail reads the log backwards this many bytes at a time
 ATTACH_MARK = "attach"
 _ATTACH_PREFIX = ATTACH_MARK + "\t"
-# The writers of the two RDF/XML documents: a `/cloud` binds the SCOT namespaces, an `/export` also skos.
-_CLOUD_WRITER = rdfxml.Writer({"rdf": rdfxml.RDF_NS, **model.BINDINGS})
-_EXPORT_WRITER = rdfxml.Writer({"rdf": rdfxml.RDF_NS, **model.BINDINGS, "skos": model.SKOS_NS})
+# The writers of the `/cloud` and the `/export` documents, by whether a document scopes its tag IRIs.
+_WRITERS = (rdfxml.Writer(model.CLOUD_BINDINGS), rdfxml.Writer(model.EXPORT_BINDINGS))
 _END = rdfxml.END.encode("utf-8")
+_SUBJECT = operator.itemgetter(1)  # of an entry of the description cache
 
 # The query parameters of each operation, in the order clients send them.
 # Each is required and must not be empty, but for those in PARAM_DEFAULTS.
@@ -384,16 +389,21 @@ class AnnotationService:
 
     The RDF/XML bodies are joined from `_descriptions`, a cache of the
     text of each `rdf:Description` the service has written, which lives
-    as long as the service. An entry is keyed by its subject and document
-    form: `(scoped, resource)` for a cloud, `(scoped, resource, label)`
-    for one of its tags, where `scoped` is False for the minted tag IRIs
-    of `/cloud` and True for the scoped ones of `/export`, and the label
-    for a concept of `/export`. It holds the inputs its text was written
-    from: a tag's count, a cloud's number of labels (which names its
-    label set, as labels are only ever added), a concept's parent. A build
-    writes again only the roles whose inputs moved, each replacing its
-    entry, so the cache holds one entry per subject and form, whatever
-    the counts. Nothing is rendered by a write.
+    as long as the service. What a description holds is not stated here:
+    `model` states the SCOT mapping once, `model.VocabConfig` giving the
+    subject and properties of each role, and the service renders them
+    through the one `rdfxml.Writer` of the document. An entry is keyed by
+    its role and document form: the label of a concept of `/export`, or
+    the name of the `VocabConfig` method that describes the role and that
+    method's arguments but the last, `("describe_tag", scoped, resource,
+    label)` for a tag and `("describe_cloud", scoped, resource)` for a
+    cloud, where `scoped` is False for the minted tag IRIs of `/cloud` and
+    True for the scoped ones of `/export`. It holds that last argument, the inputs its text was
+    written from: a tag's count, the IRIs of a cloud's tags, a concept's
+    parent. A build calls into `model` only for the roles whose inputs
+    moved, each replacing its entry, so the cache holds one entry per
+    subject and form, whatever the counts; a role that did not move costs
+    one lookup and one comparison. Nothing is rendered by a write.
 
     With a store directory, the first append opens `events.log` with
     O_APPEND, cuts any partial last line a crash left, and keeps the
@@ -536,8 +546,7 @@ class AnnotationService:
         return self._cached_page(("cloud", resource), lambda: self._cloud_body(resource), page)
 
     def _cloud_body(self, resource: Iri) -> bytes:
-        cloud = self.store.cloud_of(resource)
-        return self._document(_CLOUD_WRITER, self._cloud_roles(cloud, False))
+        return self._document(False, [self.store.cloud_of(resource)], ())
 
     def _op_map(self, params: dict[str, str], page: int) -> ApiResponse:
         depth = parse_digits(params.get("depth", PARAM_DEFAULTS["depth"]))
@@ -586,70 +595,61 @@ class AnnotationService:
         return self._cached_page(("export",), self._export_body, page)
 
     def _export_body(self) -> bytes:
-        clouds = [self._cloud_roles(cloud, True) for cloud in self.store.clouds.values()]
-        concepts = [tree.parent.items() for tree in self.store.maps.values()]  # a concept's role is (label, parent)
-        return self._document(_EXPORT_WRITER, itertools.chain(*clouds, *concepts))
+        return self._document(True, self.store.clouds.values(), self.store.maps.values())
 
     # -- rendered descriptions -----------------------------------------------
 
-    @staticmethod
-    def _cloud_roles(cloud: model.TagCloud, scoped: bool) -> list[tuple[tuple, int]]:
-        """The (key, inputs) of the descriptions of one cloud: one per tag, then its own, which names their subjects."""
-        roles = [((scoped, cloud.resource, label), count) for label, count in cloud.frequencies.items()]
-        roles.append(((scoped, cloud.resource), len(cloud.frequencies)))
-        return roles
+    def _document(self, scoped: bool, clouds: Iterable[model.TagCloud], trees: Iterable[TopicMap]) -> bytes:
+        """The document of `clouds` and the concepts of `trees`, each description taken from `_descriptions` or rendered into it.
 
-    def _subject(self, key: Union[str, tuple]) -> Iri:
-        """The subject of the description cached under `key`."""
-        if isinstance(key, str):  # a concept
-            return self.vocab.mint(key)
-        if len(key) == 2:  # a cloud
-            return key[1]
-        return self.vocab.tag_iri(key[1], key[2], key[0])
-
-    def _properties(self, key: Union[str, tuple], inputs: Union[str, int]) -> dict[Iri, object]:
-        """The properties of the description cached under `key`, as `inputs` give them."""
-        if isinstance(key, str):  # a concept, below its parent
-            return {model.SKOS_BROADER: self.vocab.mint(inputs)}
-        if len(key) == 3:  # a tag and its count
-            frequency = model.frequency_literal(inputs)
-            return {rdfxml.RDF_TYPE: VocabConfig.tag_class, VocabConfig.frequency_property: frequency}
-        properties: dict[Iri, object] = {rdfxml.RDF_TYPE: VocabConfig.tag_cloud_class}
-        if inputs:  # a cloud, whose tags were rendered just before it
-            labels = self.store.clouds[key[1]].frequencies
-            properties[VocabConfig.has_tag] = {self._descriptions[(*key, label)][1] for label in labels}
-        return properties
-
-    def _document(self, writer: rdfxml.Writer, roles: Iterable[tuple]) -> bytes:
-        """The document of `roles`, each description taken from `_descriptions` or rendered into it.
-
-        A role whose cached inputs differ from its own is rendered again and
-        replaces its entry. The description of an empty cloud is not kept,
-        so no `/cloud` of a name that has no cloud grows the cache. A subject
-        that two roles share is written once, from the union of their
-        properties, and is not kept either.
+        `scoped` picks the `/export` form over the `/cloud` one. A role whose
+        inputs differ from those of its entry is described again by `model`,
+        rendered, and replaces it. A cloud's role comes after its tags', whose
+        entries give its inputs, the IRIs of its tags. The description of an
+        empty cloud is not kept, so no `/cloud` of a name that has no cloud
+        grows the cache. A subject that two roles share is written once,
+        from the union of their properties, and is not kept either.
         """
-        cache = self._descriptions
-        texts: dict[Iri, tuple] = {}  # subject -> (inputs, subject, text, key)
-        shared: dict[Iri, list[tuple]] = {}
-        for key, inputs in roles:
+        cache, vocab, writer = self._descriptions, self.vocab, _WRITERS[scoped]
+        helds: list[tuple] = []  # the entry of every role, in build order
+
+        def describe(key: Union[str, tuple], inputs) -> tuple[Iri, dict]:
+            if type(key) is str:
+                return vocab.describe_concept(key, inputs)
+            return getattr(vocab, key[0])(*key[1:], inputs)
+
+        def render(key: Union[str, tuple], inputs) -> tuple:
+            subject, properties = describe(key, inputs)
+            held = (inputs, subject, writer.describe(subject, properties).encode("utf-8"), key)
+            if inputs:
+                cache[key] = held
+            return held
+
+        for cloud in clouds:
+            resource, first = cloud.resource, len(helds)
+            for label, count in cloud.frequencies.items():
+                key = ("describe_tag", scoped, resource, label)
+                held = cache.get(key)
+                helds.append(held if held is not None and held[0] == count else render(key, count))
+            tags = tuple([held[1] for held in helds[first:]])
+            key = ("describe_cloud", scoped, resource)
             held = cache.get(key)
-            if held is None or held[0] != inputs:
-                subject = self._subject(key) if held is None else held[1]
-                held = (inputs, subject, writer.describe(subject, self._properties(key, inputs)).encode("utf-8"), key)
-                if inputs:
-                    cache[key] = held
-            subject = held[1]
-            if subject in texts:
-                shared.setdefault(subject, [texts[subject]]).append(held)
-            texts[subject] = held
-        for subject, helds in shared.items():
-            union: dict[Iri, set] = {}
-            for inputs, _, _, key in helds:
-                for predicate, objects in self._properties(key, inputs).items():
-                    union.setdefault(predicate, set()).update(objects if type(objects) is set else (objects,))
-            texts[subject] = (None, subject, writer.describe(subject, union).encode("utf-8"), None)
-        return b"".join([writer.head.encode("utf-8"), *(texts[subject][2] for subject in sorted(texts)), _END])
+            helds.append(held if held is not None and held[0] == tags else render(key, tags))
+        for tree in trees:
+            for label, parent in tree.parent.items():
+                held = cache.get(label)
+                helds.append(held if held is not None and held[0] == parent else render(label, parent))
+        helds.sort(key=_SUBJECT)
+        texts = {held[1]: held[2] for held in helds}  # in subject order
+        if len(texts) < len(helds):  # some subject has two roles
+            shared = {subject for subject, roles in Counter(map(_SUBJECT, helds)).items() if roles > 1}
+            union = rdfxml.RdfGraph()
+            for inputs, subject, _, key in helds:
+                if subject in shared:
+                    union.add_description(*describe(key, inputs))
+            for subject in shared:
+                texts[subject] = writer.describe(subject, union.description(subject)).encode("utf-8")
+        return b"".join([writer.head.encode("utf-8"), *texts.values(), _END])
 
     # -- persistence ---------------------------------------------------------
 
@@ -677,7 +677,8 @@ class AnnotationService:
         """The open descriptor of the file now at `path`, opening it if need be.
 
         Opening cuts any partial last line, which a crash or a failed
-        append whose cut also failed leaves behind.
+        append whose cut also failed leaves behind, then syncs the
+        directory, so that the log's entry survives a power cut.
         """
         if self._log_fd is not None:
             try:
@@ -693,6 +694,7 @@ class AnnotationService:
         st = os.fstat(self._log_fd)
         self._log_id = (st.st_dev, st.st_ino)
         _cut_torn_tail(self._log_fd)
+        _sync_directory(self.config.store_path)
         return self._log_fd
 
     def close(self) -> None:
@@ -733,6 +735,15 @@ def _write_all(fd: int, data: bytes) -> None:
         data = data[os.write(fd, data) :]
 
 
+def _sync_directory(path: str) -> None:
+    """Sync the directory `path`, so that a file created in it, or renamed into it, survives a power cut."""
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
+
+
 def _refuse_legacy(path: str) -> None:
     legacy = os.path.join(path, SNAPSHOT_FILE)
     if os.path.lexists(legacy):
@@ -743,11 +754,13 @@ def snapshot_store(store: AnnotationStore, path: str) -> None:
     """Write the store under `path` as a fresh `events.log`, atomically.
 
     The log is written to `events.log.tmp` in chunks of about
-    WRITE_CHUNK bytes, synced and renamed over the old one. A crash or a
-    failed call before the rename leaves the old log as it was, and
-    perhaps the temporary file, which restore ignores; one after it
-    leaves the new log. A directory that holds `snapshot.rdf` is refused
-    with StoreLoadError before anything is written.
+    WRITE_CHUNK bytes, synced and renamed over the old one, and then the
+    directory is synced, so that the rename survives a power cut. A crash
+    or a failed call before the rename leaves the old log as it was, and
+    perhaps the temporary file, which restore ignores; one after it,
+    including a failed sync of the directory, leaves the new log. A
+    directory that holds `snapshot.rdf` is refused with StoreLoadError
+    before anything is written.
 
     Every event comes first, then each topic map's edges in insertion
     order, which is a valid replay order: `attach` only ever appends to a
@@ -771,6 +784,7 @@ def snapshot_store(store: AnnotationStore, path: str) -> None:
         finally:
             os.close(fd)
         os.replace(tmp, os.path.join(path, EVENTS_FILE))
+        _sync_directory(path)
     except BaseException:
         with contextlib.suppress(FileNotFoundError):
             os.unlink(tmp)

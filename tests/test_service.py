@@ -1868,6 +1868,9 @@ class _Disk:
     next call. "stop" crashes there. A crash raises _Crash, and every
     later call raises it too and does nothing, cleanup handlers included.
     With `short`, each write writes about half of what it is given.
+    The sync of a store directory is an `fsync` too, so each one is a
+    call to fault like any other. `renamed` says whether a `replace` went
+    through: a failure reported after it still leaves the renamed file.
     """
 
     CALLS = ("write", "fsync", "replace", "unlink", "ftruncate", "truncate")
@@ -1877,6 +1880,7 @@ class _Disk:
         self.calls = 0
         self.written = 0
         self.stopped = False
+        self.renamed = False
 
     def wrap(self, name: str, real):
         def call(*args, **kwargs):
@@ -1898,7 +1902,9 @@ class _Disk:
                 done = real(fd, data[: max(1, len(data) // 2)] if self.short else data)
                 self.written += done
                 return done
-            return real(*args, **kwargs)
+            result = real(*args, **kwargs)
+            self.renamed = self.renamed or name == "replace"
+            return result
 
         return call
 
@@ -1934,8 +1940,9 @@ class TestCrashPoints:
     """Fail or crash at every call that changes a store directory, then restart.
 
     A restart must give the store from before the operation or from after
-    it (before, if the operation reported a failure; after, if it reported
-    success), and the next append must be a line of its own.
+    it (before, if the operation reported a failure before its rename;
+    after, if it reported success, or a failure at the directory sync that
+    follows the rename), and the next append must be a line of its own.
     """
 
     STORES = [_small_store(seed) for seed in (0, 1)]
@@ -2048,14 +2055,57 @@ class TestCrashPoints:
             self.takes_a_tag(directory, after, service)
         for at in range(1, clean.calls + 1):
             for action in ("fail", "fail-on", "fail-then-stop", "stop"):
-                directory, _, reported, service = self.run(tmp_path, prepare, _Disk(action, at, short))
+                disk = _Disk(action, at, short)
+                directory, _, reported, service = self.run(tmp_path, prepare, disk)
                 restarted = _restart(directory)
                 where = (action, at)
                 assert restarted in (before, after), where
                 if reported is not None:
-                    assert restarted == (after if reported else before), where
+                    assert restarted == (after if reported or disk.renamed else before), where
                 if not isinstance(restarted, str):  # a refused directory takes no tag
                     self.takes_a_tag(directory, restarted, service)
+
+
+class TestDirectorySync:
+    """A file renamed into a store directory, or created there, is followed by a sync of the directory.
+
+    Without it a power cut can undo the rename of an import, or drop the
+    entry of a new `events.log` whose lines were answered `ok`.
+    """
+
+    def spy(self, monkeypatch, directory: Path) -> list:
+        """From now on, record each os.replace and os.write, and each os.fsync as the file or the directory."""
+        calls, real = [], {name: getattr(os, name) for name in ("replace", "write", "fsync")}
+
+        def spied(name):
+            def call(*args):
+                if name != "fsync":
+                    calls.append(name)
+                else:
+                    calls.append("sync directory" if os.path.samestat(os.fstat(args[0]), os.stat(directory)) else "sync file")
+                return real[name](*args)
+
+            return call
+
+        for name in real:
+            monkeypatch.setattr(os, name, spied(name))
+        return calls
+
+    def test_snapshot_syncs_the_directory_after_the_rename(self, tmp_path, monkeypatch):
+        snapshot_store(TestCrashPoints.STORES[0], str(tmp_path))
+        calls = self.spy(monkeypatch, tmp_path)
+        snapshot_store(TestCrashPoints.STORES[1], str(tmp_path))
+        assert calls[-3:] == ["sync file", "replace", "sync directory"]
+
+    def test_the_first_append_to_a_new_log_syncs_the_directory_before_it_writes(self, tmp_path, monkeypatch):
+        directory = tmp_path / "store"
+        directory.mkdir()
+        service = AnnotationService(ServiceConfig(store_path=str(directory)))
+        calls = self.spy(monkeypatch, directory)
+        assert service.handle_url(f"/tag?resource=mouse&tag=laser&tagger={TAGGER}").ok
+        assert service.handle_url(f"/tag?resource=mouse&tag=laser&tagger={TAGGER}").ok
+        service.close()
+        assert calls == ["sync directory", "write", "write"]
 
 
 class TestTornAppend:

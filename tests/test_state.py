@@ -22,6 +22,8 @@ After every step, each body the service holds whose stamp is current is
 the document as built afresh: a cloud and the export as `serialize`
 writes them from the store, a map as the model's tree. A write between
 the pages of a walk therefore never leaves a stale body to be served.
+A cloud or export body also parses to the triples that `scot_reference`
+spells out for the model's counts and parents, apart from `model.py`.
 """
 
 from __future__ import annotations
@@ -42,6 +44,7 @@ from scotcloud.model import AnnotationEvent, VocabConfig
 from scotcloud.service import EVENTS_FILE, AnnotationService, ServiceConfig, format_attach_line, format_event_line
 from scotcloud.service import snapshot_store
 
+import scot_reference
 from conftest import TAGGER, ask
 
 VOCAB = VocabConfig()
@@ -168,18 +171,25 @@ class StoreMachine(RuleBasedStateMachine):
 
     @invariant()
     def no_stale_body(self) -> None:
-        """Every cached body whose stamp is current equals a fresh build of its document."""
+        """Every cached body whose stamp is current equals a fresh build of its document and holds the reference triples."""
         service = self.service
         for key, (stamp, pages) in service._bodies.items():
             if stamp != service._stamp(key):
                 continue
+            body = b"".join(page.payload for page in pages)
             if key[0] == "cloud":
                 fresh = rdfxml.serialize(model.cloud_to_rdf(service.store.cloud_of(key[1]), VOCAB)).encode()
+                name = {scot_reference.minted(name): name for name in RESOURCES}[key[1]]
+                expected = scot_reference.cloud_triples(key[1], self.counts[name], scoped=False)
             elif key[0] == "map":
                 fresh = self.tree_text(key[1], key[2])
             else:
                 fresh = rdfxml.serialize(model.store_to_graph(service.store, VOCAB)).encode()
-            assert b"".join(page.payload for page in pages) == fresh, key
+                clouds = {scot_reference.minted(name): counts for name, counts in self.counts.items()}
+                expected = scot_reference.store_triples(clouds, self.parent)
+            if key[0] != "map":
+                assert set(rdfxml.parse(body)) == expected, key
+            assert body == fresh, key
 
     # -- rules -----------------------------------------------------------------
 
